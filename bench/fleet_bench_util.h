@@ -2,8 +2,8 @@
  * @file
  * Shared helpers for the fleet perf benches (fleet_load_driver,
  * perf_trajectory §fleet): wall-clock campaign timing for throughput
- * reporting, and the transport/batch verification grid that proves the
- * wire path is fingerprint-identical to the Direct baseline.
+ * reporting, and the transport/batch/threads verification grid that
+ * proves every cell lands on the same fingerprint.
  *
  * The steady_clock readings here feed only Kops/s report fields —
  * never a seeded result. Bit-identity of the simulated numbers is what
@@ -60,7 +60,7 @@ auditClean(const FleetResult &res)
 /** One cell of the equivalence grid. */
 struct GridCell
 {
-    TransportMode mode = TransportMode::Direct;
+    TransportMode mode = TransportMode::Loopback;
     u32 batch = 1;
     unsigned threads = 1;
 };
@@ -77,16 +77,15 @@ gridCellName(const GridCell &cell)
 }
 
 /**
- * The standard verification grid over a base config: Direct vs
- * Loopback vs Socket, unbatched vs batch = `batch`, 1 vs `threads`
- * worker threads. Every cell must land on the same fingerprint with a
- * clean durability audit — the wire tentpole's acceptance gate.
+ * The standard verification grid over a base config: Loopback vs
+ * Socket, unbatched vs batch = `batch`, 1 vs `threads` worker
+ * threads. Every cell must land on the same fingerprint with a clean
+ * durability audit.
  */
 inline std::vector<GridCell>
 standardGrid(u32 batch, unsigned threads)
 {
     std::vector<GridCell> cells{
-        {TransportMode::Direct, 1, 1},
         {TransportMode::Loopback, 1, 1},
         {TransportMode::Loopback, batch, threads},
         {TransportMode::Socket, 1, threads},

@@ -4,14 +4,15 @@
  * retry engine, coordinator failover, N bit-true stack-server shards —
  * under deterministic chaos at production-shaped load, and proves on
  * every run that the result is invariant across everything that must
- * not matter: worker thread count, transport (direct / loopback /
- * socket), and wire batch size. A reduced copy of the campaign is
- * executed across the full {transport} x {batch} x {threads} grid and
- * every cell must land on the same durability-audit fingerprint.
+ * not matter: worker thread count, transport (loopback / socket), and
+ * wire batch size. A reduced copy of the campaign is executed across
+ * the full {transport} x {batch} x {threads} grid and every cell must
+ * land on the same durability-audit fingerprint.
  *
- * The serving hot path is also measured: the batched loopback wire
- * path is timed against the per-request Direct baseline and the run
- * reports Kops/s, the batched-vs-unbatched speedup, and acked-
+ * The serving hot path is also measured: loopback at the requested
+ * batch size is timed against loopback at batch 1 (the unbatched
+ * baseline) under overload, and the run reports Kops/s, the
+ * batched-vs-unbatched speedup, the Busy rejection count, and acked-
  * completion latency percentiles in virtual ticks.
  *
  * All knobs go through the range-validated env parser; a typo'd value
@@ -27,7 +28,7 @@
  *   CITADEL_FLEET_QUORUM       write-ack quorum       [1, 8]
  *   CITADEL_FLEET_QUEUE_CAP    per-server inbox cap   [1, 65536]
  *   CITADEL_FLEET_BATCH        wire records/frame     [1, 4096]
- *   CITADEL_FLEET_TRANSPORT    direct|loopback|socket (loopback)
+ *   CITADEL_FLEET_TRANSPORT    loopback|socket (loopback)
  *   CITADEL_FLEET_TRACE        trace-replay spec (fleet/traffic.h
  *                              grammar); empty = uniform arrivals
  *   CITADEL_FLEET_CHAOS        chaos on/off           [0, 1]
@@ -264,30 +265,35 @@ main()
         }
     }
 
-    // ---- Hot-path measurement: batched wire vs Direct baseline -----
-    // Production-shaped load, Direct per-request handoff vs the framed
-    // batched loopback path. The wire path exists to make serving
-    // cheaper; record the ratio and warn when it regresses below 2x.
-    FleetConfig direct = hotPathConfig(cfg);
-    direct.transport = TransportMode::Direct;
-    direct.batch = 1;
-    FleetConfig batched = direct;
-    batched.transport = TransportMode::Loopback;
+    // ---- Hot-path measurement: batched vs unbatched loopback -------
+    // Production-shaped load, loopback at batch 1 vs batch = `batch`.
+    // Batching exists to make serving cheaper; record the ratio and
+    // warn below 2x. That budget was set against the removed
+    // per-request transport; against loopback b=1 the measured ratio
+    // is 1.1x-1.4x, so the warning is expected to fire until the
+    // budget is reset from measured data. The config overloads the
+    // inboxes, so its Busy count shows the overload ordering path ran.
+    FleetConfig unbatched = hotPathConfig(cfg);
+    unbatched.transport = TransportMode::Loopback;
+    unbatched.batch = 1;
+    FleetConfig batched = unbatched;
     batched.batch = cfg.batch;
-    const TimedRun directRun = timedCampaign(direct);
+    const TimedRun unbatchedRun = timedCampaign(unbatched);
     const TimedRun batchedRun = timedCampaign(batched);
-    const double speedup = batchedRun.seconds > 0.0
-                               ? directRun.seconds / batchedRun.seconds
-                               : 0.0;
-    std::cout << "hot path (" << direct.arrivalsPerTick
-              << " arrivals/tick): direct "
-              << fmt1(kopsPerSec(directRun.res, directRun.seconds))
-              << " Kops/s, batched loopback (b=" << cfg.batch << ") "
+    const double speedup =
+        batchedRun.seconds > 0.0
+            ? unbatchedRun.seconds / batchedRun.seconds
+            : 0.0;
+    std::cout << "hot path (" << unbatched.arrivalsPerTick
+              << " arrivals/tick): loopback b=1 "
+              << fmt1(kopsPerSec(unbatchedRun.res, unbatchedRun.seconds))
+              << " Kops/s, loopback b=" << cfg.batch << " "
               << fmt1(kopsPerSec(batchedRun.res, batchedRun.seconds))
-              << " Kops/s, speedup " << fmt1(speedup) << "x\n";
-    if (directRun.res.fingerprint != batchedRun.res.fingerprint) {
-        std::cout << "FAIL: direct and batched-loopback fingerprints "
-                     "differ on the measurement config\n";
+              << " Kops/s, speedup " << fmt1(speedup) << "x, busy "
+              << batchedRun.res.totals.busyRejections << "\n";
+    if (unbatchedRun.res.fingerprint != batchedRun.res.fingerprint) {
+        std::cout << "FAIL: loopback b=1 and b=" << cfg.batch
+                  << " fingerprints differ on the measurement config\n";
         ok = false;
     }
     if (speedup < 2.0)

@@ -23,12 +23,12 @@
  *     serial (runSuite) vs parallel (runSuiteParallel). Every pair
  *     must be bit-identical; any divergence makes this binary exit
  *     non-zero, which is what the perf-smoke CI job asserts.
- *  6. Fleet serving hot path (schema v5): campaign Kops/s over the
- *     Direct per-request baseline, the batched loopback wire path,
- *     and real socketpairs, at a production-shaped arrival rate, plus
+ *  6. Fleet serving hot path (schema v5): campaign Kops/s over
+ *     unbatched loopback (batch 1), batched loopback, and real
+ *     socketpairs, at a production-shaped arrival rate, plus
  *     acked-completion latency percentiles in virtual ticks. All
- *     three transports must land on the same campaign fingerprint;
- *     any divergence makes this binary exit non-zero.
+ *     three cells must land on the same campaign fingerprint; any
+ *     divergence makes this binary exit non-zero.
  *  7. Fleet elasticity (schema v6): an elastic chaos campaign —
  *     crashes and stall-evictions followed by derived restarts, warm
  *     fills, CRC-checked admissions, and load-driven hot-shard
@@ -515,10 +515,10 @@ main()
     // ---- 6. Fleet serving hot path: wire batching ------------------
     // Production-shaped load (the per-request machinery dominates, not
     // the datapath step or the SystemSim calibration slice), min-wall
-    // of two reps per transport. The batched loopback path is the
-    // serving default; Direct is the unbatched baseline it must beat,
-    // and the socket cell prices the real-descriptor transport. All
-    // three must land on the same campaign fingerprint.
+    // of two reps per cell. The batched loopback path is the serving
+    // default; loopback at batch 1 is the unbatched baseline it must
+    // beat, and the socket cell prices the real-descriptor transport.
+    // All three must land on the same campaign fingerprint.
     fleet::FleetConfig fleet_cfg = fleet::FleetConfig::demo();
     fleet_cfg.ticks = 256;
     fleet_cfg.keySpace = 4096;
@@ -534,7 +534,7 @@ main()
         fleet::TimedRun run;
     };
     std::vector<FleetPoint> fleet_points = {
-        {"direct (unbatched)", fleet::TransportMode::Direct, 1, {}},
+        {"loopback b=1", fleet::TransportMode::Loopback, 1, {}},
         {"loopback b=32", fleet::TransportMode::Loopback, 32, {}},
         {"socket b=32", fleet::TransportMode::Socket, 32, {}},
     };
@@ -549,34 +549,35 @@ main()
                 p.run = again;
         }
     }
-    const fleet::TimedRun &fl_direct = fleet_points[0].run;
+    const fleet::TimedRun &fl_unbatched = fleet_points[0].run;
     const fleet::TimedRun &fl_batched = fleet_points[1].run;
     const fleet::TimedRun &fl_socket = fleet_points[2].run;
     bool fleet_identical = true;
     for (const FleetPoint &p : fleet_points)
         fleet_identical =
             fleet_identical && fleet::auditClean(p.run.res) &&
-            p.run.res.fingerprint == fl_direct.res.fingerprint;
-    const double fl_direct_kops =
-        fleet::kopsPerSec(fl_direct.res, fl_direct.seconds);
+            p.run.res.fingerprint == fl_unbatched.res.fingerprint;
+    const double fl_unbatched_kops =
+        fleet::kopsPerSec(fl_unbatched.res, fl_unbatched.seconds);
     const double fl_batched_kops =
         fleet::kopsPerSec(fl_batched.res, fl_batched.seconds);
     const double fl_socket_kops =
         fleet::kopsPerSec(fl_socket.res, fl_socket.seconds);
     const double fleet_speedup =
-        fl_direct_kops > 0.0 ? fl_batched_kops / fl_direct_kops : 0.0;
+        fl_unbatched_kops > 0.0 ? fl_batched_kops / fl_unbatched_kops
+                                : 0.0;
 
     Table fleet_table({"fleet transport", "Kops/s", "speedup",
                        "identical"});
-    fleet_table.addRow({"direct (unbatched)",
-                        Table::num(fl_direct_kops, 1), "1.0x", "-"});
+    fleet_table.addRow({"loopback b=1",
+                        Table::num(fl_unbatched_kops, 1), "1.0x", "-"});
     fleet_table.addRow({"loopback b=32",
                         Table::num(fl_batched_kops, 1),
                         Table::num(fleet_speedup, 2) + "x",
                         fleet_identical ? "yes" : "NO — BUG"});
     fleet_table.addRow(
         {"socket b=32", Table::num(fl_socket_kops, 1),
-         Table::num(fl_socket_kops / fl_direct_kops, 2) + "x",
+         Table::num(fl_socket_kops / fl_unbatched_kops, 2) + "x",
          fleet_identical ? "yes" : "NO — BUG"});
     fleet_table.print(std::cout);
     std::cout << "latency p50/p99: " << fl_batched.res.p50LatencyTicks
@@ -738,7 +739,7 @@ main()
          << "    \"arrivals_per_tick\": " << fleet_cfg.arrivalsPerTick
          << ",\n"
          << "    \"batch\": " << fleet_points[1].batch << ",\n"
-         << "    \"unbatched_kops_per_s\": " << fl_direct_kops << ",\n"
+         << "    \"unbatched_kops_per_s\": " << fl_unbatched_kops << ",\n"
          << "    \"batched_kops_per_s\": " << fl_batched_kops << ",\n"
          << "    \"socket_kops_per_s\": " << fl_socket_kops << ",\n"
          << "    \"batched_speedup\": " << fleet_speedup << ",\n"
@@ -780,8 +781,8 @@ main()
         return 1;
     }
     if (!fleet_identical) {
-        std::cerr << "FATAL: a fleet wire transport diverged from the "
-                     "Direct baseline (fingerprint or audit)\n";
+        std::cerr << "FATAL: a fleet transport/batch cell diverged from "
+                     "unbatched loopback (fingerprint or audit)\n";
         return 1;
     }
     if (!elastic_ok) {

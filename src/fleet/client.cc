@@ -13,33 +13,30 @@ FleetClient::FleetClient(const RetryPolicy &policy, u32 replication,
                          u32 ackQuorum, u64 valueSalt,
                          const ClientTuning &tuning)
     : policy_(policy), replication_(replication), ackQuorum_(ackQuorum),
-      valueSalt_(valueSalt), flat_(tuning.opWindow > 0)
+      valueSalt_(valueSalt)
 {
     policy_.validate();
     if (replication_ == 0)
         fatal("FleetClient: replication must be >= 1");
     if (ackQuorum_ == 0 || ackQuorum_ > replication_)
         fatal("FleetClient: ackQuorum must be in [1, replication]");
-    if ((tuning.opWindow > 0) != (tuning.keySpace > 0))
+    if (tuning.opWindow == 0 || tuning.keySpace == 0)
         fatal("FleetClient: ClientTuning opWindow and keySpace must "
-              "both be zero (ordered-map engine) or both positive "
-              "(flat engine)");
+              "both be positive");
     hist_.assign(policy_.opDeadline + 2, 0);
-    if (flat_) {
-        slots_.resize(std::bit_ceil(tuning.opWindow));
-        slotMask_ = slots_.size() - 1;
-        // Every pending wakeup lies within one op lifetime of the
-        // drain cursor, so this horizon makes bucket aliasing
-        // impossible (and wakeAt checks anyway).
-        const u64 horizon =
-            std::max({policy_.opDeadline, policy_.attemptTimeout,
-                      policy_.backoffCap, policy_.hedgeAfter}) +
-            4;
-        wheel_.resize(std::bit_ceil(horizon));
-        wheelMask_ = wheel_.size() - 1;
-        versionsFlat_.assign(tuning.keySpace, 0);
-        ackedFlat_.assign(tuning.keySpace, AckedWrite{});
-    }
+    slots_.resize(std::bit_ceil(tuning.opWindow));
+    slotMask_ = slots_.size() - 1;
+    // Every pending wakeup lies within one op lifetime of the drain
+    // cursor, so this horizon makes bucket aliasing impossible (and
+    // wakeAt checks anyway).
+    const u64 horizon =
+        std::max({policy_.opDeadline, policy_.attemptTimeout,
+                  policy_.backoffCap, policy_.hedgeAfter}) +
+        4;
+    wheel_.resize(std::bit_ceil(horizon));
+    wheelMask_ = wheel_.size() - 1;
+    versions_.assign(tuning.keySpace, 0);
+    acked_.assign(tuning.keySpace, AckedWrite{});
 }
 
 void
@@ -56,32 +53,16 @@ FleetClient::valueFor(u64 key, u64 version, u64 salt)
                  version * 0x9FB21C651E98DF25ull ^ salt);
 }
 
-const std::map<u64, FleetClient::AckedWrite> &
-FleetClient::ackedWrites() const
-{
-    if (flat_)
-        fatal("FleetClient::ackedWrites is ordered-map-engine only; "
-              "use forEachAcked()");
-    return acked_;
-}
-
 FleetClient::Op &
 FleetClient::insertOp(u64 op_id, const Op &op)
 {
-    if (!flat_) {
-        auto [it, inserted] = ops_.emplace(op_id, op);
-        if (!inserted)
-            fatal("FleetClient: duplicate operation id %llu",
-                  static_cast<unsigned long long>(op_id));
-        return it->second;
-    }
     OpSlot &slot = slots_[op_id & slotMask_];
     if (slot.live) {
         if (slot.id == op_id)
             fatal("FleetClient: duplicate operation id %llu",
                   static_cast<unsigned long long>(op_id));
-        fatal("FleetClient: live op id span exceeds the flat-engine "
-              "window (%zu slots): op %llu collides with live op %llu",
+        fatal("FleetClient: live op id span exceeds the op window "
+              "(%zu slots): op %llu collides with live op %llu",
               slots_.size(), static_cast<unsigned long long>(op_id),
               static_cast<unsigned long long>(slot.id));
     }
@@ -95,10 +76,6 @@ FleetClient::insertOp(u64 op_id, const Op &op)
 FleetClient::Op *
 FleetClient::findOp(u64 op_id)
 {
-    if (!flat_) {
-        auto it = ops_.find(op_id);
-        return it == ops_.end() ? nullptr : &it->second;
-    }
     OpSlot &slot = slots_[op_id & slotMask_];
     return (slot.live && slot.id == op_id) ? &slot.op : nullptr;
 }
@@ -106,10 +83,6 @@ FleetClient::findOp(u64 op_id)
 void
 FleetClient::eraseOp(u64 op_id)
 {
-    if (!flat_) {
-        ops_.erase(op_id);
-        return;
-    }
     OpSlot &slot = slots_[op_id & slotMask_];
     if (slot.live && slot.id == op_id) {
         slot.live = false;
@@ -120,21 +93,16 @@ FleetClient::eraseOp(u64 op_id)
 u64 &
 FleetClient::nextVersionOf(u64 key)
 {
-    if (!flat_)
-        return versions_[key];
-    if (key >= versionsFlat_.size())
-        fatal("FleetClient: key %llu outside the flat-engine key "
-              "space (%zu)",
-              static_cast<unsigned long long>(key),
-              versionsFlat_.size());
-    return versionsFlat_[key];
+    if (key >= versions_.size())
+        fatal("FleetClient: key %llu outside the key space (%zu)",
+              static_cast<unsigned long long>(key), versions_.size());
+    return versions_[key];
 }
 
 void
 FleetClient::recordAck(u64 key, u64 version, u64 value)
 {
-    AckedWrite &aw =
-        flat_ ? ackedFlat_[key] : acked_[key]; // Writes validated key.
+    AckedWrite &aw = acked_[key]; // startWrite validated the key.
     if (aw.version == 0)
         ++ackedCount_;
     if (version > aw.version) {
@@ -146,13 +114,8 @@ FleetClient::recordAck(u64 key, u64 version, u64 value)
 void
 FleetClient::wakeAt(u64 tick, u64 op_id)
 {
-    if (!flat_) {
-        wake_.emplace(tick, op_id);
-        return;
-    }
     // A wake for an already-drained tick lands in the next undrained
-    // bucket — the multimap would process it on the next tick() call
-    // too, so the engines stay in lockstep.
+    // bucket, so the next tick() call processes it.
     const u64 at = std::max(tick, lastProcessed_ + 1);
     if (at - (lastProcessed_ + 1) >= wheel_.size())
         fatal("FleetClient: wakeup %llu ticks ahead exceeds the wheel "
@@ -397,18 +360,10 @@ FleetClient::evaluate(u64 op_id, u64 now)
 void
 FleetClient::tick(u64 now)
 {
-    if (!flat_) {
-        while (!wake_.empty() && wake_.begin()->first <= now) {
-            const u64 op_id = wake_.begin()->second;
-            wake_.erase(wake_.begin());
-            evaluate(op_id, now);
-        }
-        return;
-    }
     // Drain bucket-by-bucket in tick order; within a bucket, insertion
-    // order (the multimap's equal-key FIFO). The index loop re-reads
-    // size() so a zero-delay wake inserted while its own tick drains
-    // is still processed this call — exactly the multimap behavior.
+    // order. The index loop re-reads size() so a zero-delay wake
+    // inserted while its own tick drains is still processed this
+    // call.
     for (u64 t = lastProcessed_ + 1; t <= now; ++t) {
         std::vector<u64> &bucket = wheel_[t & wheelMask_];
         for (std::size_t i = 0; i < bucket.size(); ++i)
@@ -436,15 +391,11 @@ void
 FleetClient::finish()
 {
     counters_.opsUnresolved += inflight();
-    ops_.clear();
-    wake_.clear();
-    if (flat_) {
-        for (OpSlot &slot : slots_)
-            slot.live = false;
-        live_ = 0;
-        for (auto &bucket : wheel_)
-            bucket.clear();
-    }
+    for (OpSlot &slot : slots_)
+        slot.live = false;
+    live_ = 0;
+    for (auto &bucket : wheel_)
+        bucket.clear();
 }
 
 void
@@ -494,35 +445,9 @@ FleetClient::saveState(ByteSink &sink) const
     sink.putU64(ackedCount_);
     for (const u64 bucket : hist_)
         sink.putU64(bucket);
-    if (!flat_) {
-        sink.putU64(versions_.size());
-        for (const auto &[key, v] : versions_) {
-            sink.putU64(key);
-            sink.putU64(v);
-        }
-        sink.putU64(acked_.size());
-        for (const auto &[key, aw] : acked_) {
-            sink.putU64(key);
-            sink.putU64(aw.version);
-            sink.putU64(aw.value);
-        }
-        sink.putU64(ops_.size());
-        for (const auto &[id, op] : ops_) {
-            sink.putU64(id);
-            putOp(sink, op);
-        }
-        // Multimap iteration order IS equal-key FIFO order; restoring
-        // with emplace_hint(end) preserves it exactly.
-        sink.putU64(wake_.size());
-        for (const auto &[tick, id] : wake_) {
-            sink.putU64(tick);
-            sink.putU64(id);
-        }
-        return;
-    }
-    for (const u64 v : versionsFlat_)
+    for (const u64 v : versions_)
         sink.putU64(v);
-    for (const AckedWrite &aw : ackedFlat_) {
+    for (const AckedWrite &aw : acked_) {
         sink.putU64(aw.version);
         sink.putU64(aw.value);
     }
@@ -550,39 +475,9 @@ FleetClient::loadState(ByteSource &src)
     ackedCount_ = src.getU64();
     for (u64 &bucket : hist_)
         bucket = src.getU64();
-    if (!flat_) {
-        versions_.clear();
-        const u64 nv = src.getCount(2 * sizeof(u64));
-        for (u64 i = 0; i < nv; ++i) {
-            const u64 key = src.getU64();
-            versions_.emplace_hint(versions_.end(), key, src.getU64());
-        }
-        acked_.clear();
-        const u64 na = src.getCount(3 * sizeof(u64));
-        for (u64 i = 0; i < na; ++i) {
-            const u64 key = src.getU64();
-            AckedWrite aw;
-            aw.version = src.getU64();
-            aw.value = src.getU64();
-            acked_.emplace_hint(acked_.end(), key, aw);
-        }
-        ops_.clear();
-        const u64 no = src.getCount(sizeof(u64));
-        for (u64 i = 0; i < no; ++i) {
-            const u64 id = src.getU64();
-            ops_.emplace_hint(ops_.end(), id, getOp(src));
-        }
-        wake_.clear();
-        const u64 nw = src.getCount(2 * sizeof(u64));
-        for (u64 i = 0; i < nw; ++i) {
-            const u64 tick = src.getU64();
-            wake_.emplace_hint(wake_.end(), tick, src.getU64());
-        }
-        return;
-    }
-    for (u64 &v : versionsFlat_)
+    for (u64 &v : versions_)
         v = src.getU64();
-    for (AckedWrite &aw : ackedFlat_) {
+    for (AckedWrite &aw : acked_) {
         aw.version = src.getU64();
         aw.value = src.getU64();
     }

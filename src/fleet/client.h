@@ -14,34 +14,19 @@
  *
  * The client is single-threaded by design — it runs in the campaign's
  * serial phase — and never reads a real clock: every method takes the
- * virtual `now`. Wakeups (timeouts, backoff expiries, hedges,
- * deadlines) live in an ordered queue keyed by (tick, operation id),
- * so processing order is deterministic.
- *
- * Two interchangeable state engines back the same protocol:
- *
- *  - The ordered-map engine (default, ClientTuning{}): std::map op
- *    table, multimap wakeup queue, map version/acked sets — the PR-6
- *    baseline the campaign's Direct transport measures against.
- *  - The flat engine (ClientTuning with opWindow/keySpace > 0): a
- *    power-of-two op-slot table indexed by operation id, a timing
- *    wheel of per-tick wakeup buckets, and dense per-key version and
- *    acked arrays — no ordered-container traffic and no steady-state
- *    allocation on the serving hot path.
- *
- * The two engines are transition-identical: the wheel drains buckets
- * in (tick, insertion-order), exactly the multimap's equal-key FIFO
- * order, and the dense arrays iterate ascending keys exactly like the
- * maps — which is why a campaign fingerprint (acked set + latency
- * histogram included) is invariant across engines, and the fleet
- * tests pin that.
+ * virtual `now`. Its state is flat and sized up front (ClientTuning):
+ * a power-of-two op-slot table indexed by operation id, a timing wheel
+ * of per-tick wakeup buckets (timeouts, backoff expiries, hedges,
+ * deadlines) drained in (tick, insertion) order, and dense per-key
+ * version and acked arrays iterated in ascending key order. Processing
+ * order is therefore deterministic, and the serving hot path does no
+ * ordered-container work and no steady-state allocation.
  */
 
 #ifndef CITADEL_FLEET_CLIENT_H
 #define CITADEL_FLEET_CLIENT_H
 
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "fleet/retry.h"
@@ -50,12 +35,12 @@ namespace citadel {
 namespace fleet {
 
 /**
- * Flat-engine sizing. Both zero (default) selects the ordered-map
- * engine; both positive selects the flat engine:
+ * Client state sizing; both fields must be positive.
  *  - opWindow: max span of live operation ids at any instant (ids are
  *    dense, so arrivals/tick x op lifetime bounds it; exceeding the
  *    window is fatal, never silent).
- *  - keySpace: keys are in [0, keySpace) (dense version/acked arrays).
+ *  - keySpace: keys are in [0, keySpace) (dense version/acked arrays;
+ *    a write outside it is fatal).
  */
 struct ClientTuning
 {
@@ -81,8 +66,7 @@ class FleetClient
     };
 
     FleetClient(const RetryPolicy &policy, u32 replication,
-                u32 ackQuorum, u64 valueSalt,
-                const ClientTuning &tuning = {});
+                u32 ackQuorum, u64 valueSalt, const ClientTuning &tuning);
 
     /** Wire the client to the fleet. Must be called before use. */
     void connect(PlacementFn placement, SendFn send);
@@ -111,32 +95,21 @@ class FleetClient
     void finish() CITADEL_REQUIRES(kSerialPhase);
 
     /** Operations still in flight. */
-    std::size_t inflight() const { return flat_ ? live_ : ops_.size(); }
+    std::size_t inflight() const { return live_; }
 
     const FleetCounters &counters() const { return counters_; }
-
-    /** Every key's last acknowledged write — ordered-map engine only
-     *  (the scripted retry tests use it); campaigns that may run the
-     *  flat engine iterate via forEachAcked(). */
-    const std::map<u64, AckedWrite> &ackedWrites() const
-        CITADEL_REQUIRES(kSerialPhase);
 
     /** Number of keys with an acknowledged write. */
     u64 ackedCount() const { return ackedCount_; }
 
-    /** Visit (key, AckedWrite) in ascending key order — identical
-     *  sequence under both engines (what the durability audit walks). */
+    /** Visit every key's last acknowledged write as (key, AckedWrite)
+     *  in ascending key order (what the durability audit walks). */
     template <typename Fn>
     void forEachAcked(Fn &&fn) const CITADEL_REQUIRES(kSerialPhase)
     {
-        if (flat_) {
-            for (u64 key = 0; key < ackedFlat_.size(); ++key)
-                if (ackedFlat_[key].version != 0)
-                    fn(key, ackedFlat_[key]);
-        } else {
-            for (const auto &[key, aw] : acked_)
-                fn(key, aw);
-        }
+        for (u64 key = 0; key < acked_.size(); ++key)
+            if (acked_[key].version != 0)
+                fn(key, acked_[key]);
     }
 
     /**
@@ -158,8 +131,8 @@ class FleetClient
 
     /**
      * Full client checkpoint: in-flight ops, pending wakeups (wheel
-     * or multimap, with equal-tick FIFO order preserved), per-key
-     * versions, the acked set, the latency histogram, and counters.
+     * buckets, equal-tick FIFO order preserved), per-key versions,
+     * the acked set, the latency histogram, and counters.
      * loadState() requires a client constructed with the identical
      * (policy, replication, quorum, salt, tuning).
      */
@@ -185,8 +158,8 @@ class FleetClient
         u32 acks = 0;
     };
 
-    /** One flat-engine op slot, generation-free: the live flag plus
-     *  the full id disambiguate (ids never repeat in a campaign). */
+    /** One op slot, generation-free: the live flag plus the full id
+     *  disambiguate (ids never repeat in a campaign). */
     struct OpSlot
     {
         u64 id = 0;
@@ -215,26 +188,18 @@ class FleetClient
     u32 replication_;
     u32 ackQuorum_;
     u64 valueSalt_;
-    bool flat_;
 
     PlacementFn placementFn_;
     SendFn sendFn_;
 
-    // Ordered-map engine state.
-    std::map<u64, Op> ops_;          ///< In-flight, by operation id.
-    std::multimap<u64, u64> wake_;   ///< tick -> operation id.
-    std::map<u64, u64> versions_;    ///< Per-key next-version counter.
-    std::map<u64, AckedWrite> acked_;
-
-    // Flat engine state.
     std::vector<OpSlot> slots_; ///< Power-of-two, indexed by id & mask.
     u64 slotMask_ = 0;
     std::size_t live_ = 0;
     std::vector<std::vector<u64>> wheel_; ///< Per-tick wakeup buckets.
     u64 wheelMask_ = 0;
     u64 lastProcessed_ = ~0ull; ///< Last tick fully drained.
-    std::vector<u64> versionsFlat_;
-    std::vector<AckedWrite> ackedFlat_;
+    std::vector<u64> versions_; ///< Per-key next-version counter.
+    std::vector<AckedWrite> acked_;
 
     u64 ackedCount_ = 0;
     std::vector<u64> hist_; ///< Acked completion latency (ticks).

@@ -39,42 +39,34 @@ CoordinatorOptions::validate() const
 }
 
 Coordinator::Coordinator(const CoordinatorOptions &opts, u32 replication,
-                         u64 seed,
+                         u64 seed, u64 key_space,
                          std::vector<std::unique_ptr<StackServer>> &fleet)
     : opts_(opts), replication_(replication),
       ring_(static_cast<u32>(fleet.size()), opts.vnodes, seed),
       fleet_(fleet), missed_(fleet.size(), 0), warm_(fleet.size()),
       roundLoad_(fleet.size(), 0), ewma_(fleet.size(), 0.0),
-      hotStreak_(fleet.size(), 0)
+      hotStreak_(fleet.size(), 0), cacheStamp_(key_space, 0),
+      cache_(key_space)
 {
     opts_.validate();
     if (replication_ == 0)
         fatal("Coordinator: replication must be >= 1");
-}
-
-void
-Coordinator::enablePlacementCache(u64 keySpace)
-{
-    if (keySpace == 0)
-        fatal("Coordinator: placement cache needs a positive key "
-              "space");
-    cacheStamp_.assign(keySpace, 0);
-    cache_.assign(keySpace, {});
+    if (key_space == 0)
+        fatal("Coordinator: key space must be >= 1");
 }
 
 void
 Coordinator::placement(u64 key, std::vector<ServerIdx> &out) const
 {
-    if (key < cacheStamp_.size()) {
-        if (cacheStamp_[key] == ring_.epoch()) {
-            out = cache_[key];
-        } else {
-            ring_.placement(key, replication_, out);
-            cache_[key] = out;
-            cacheStamp_[key] = ring_.epoch();
-        }
+    if (key >= cacheStamp_.size())
+        fatal("Coordinator: key %llu outside the declared key space (%zu)",
+              static_cast<unsigned long long>(key), cacheStamp_.size());
+    if (cacheStamp_[key] == ring_.epoch()) {
+        out = cache_[key];
     } else {
         ring_.placement(key, replication_, out);
+        cache_[key] = out;
+        cacheStamp_[key] = ring_.epoch();
     }
     if (overrides_.empty())
         return;

@@ -94,29 +94,25 @@ struct CoordinatorOptions
 class Coordinator
 {
   public:
-    /** `fleet` is borrowed and must outlive the coordinator. */
+    /** `fleet` is borrowed and must outlive the coordinator; keys
+     *  are in [0, key_space), the span the placement memo covers. */
     Coordinator(const CoordinatorOptions &opts, u32 replication,
-                u64 seed,
+                u64 seed, u64 key_space,
                 std::vector<std::unique_ptr<StackServer>> &fleet);
 
     // Everything below runs in the campaign's serial phase: the
     // coordinator reaches into every server (probes, repairs, fences,
     // warm fills), so none of it may overlap the parallel step fan-out.
 
-    /** Current replica set of a key, primary first: the ring walk,
-     *  with any live rebalance override applied on top. */
+    /**
+     * Current replica set of a key, primary first: the ring walk,
+     * with any live rebalance override applied on top. The walk is
+     * memoized per key until the next ring change invalidates it
+     * (epoch stamp), so it stays off the serving hot path; the memo
+     * is pure, it never changes a result.
+     */
     void placement(u64 key, std::vector<ServerIdx> &out) const
         CITADEL_REQUIRES(kSerialPhase);
-
-    /**
-     * Memoize placement for keys in [0, keySpace): a cached replica
-     * set is returned until the next ring change invalidates it
-     * (epoch stamp), so the per-request ring walk leaves the serving
-     * hot path. Pure memoization — results are identical with the
-     * cache on or off; the Direct-transport baseline leaves it off to
-     * stay an honest PR-6 measurement.
-     */
-    void enablePlacementCache(u64 keySpace);
 
     /** Serial-phase duties: probe round + rebalance (on schedule),
      *  evictions, the warm pump, and the bounded repair pump. */
@@ -228,7 +224,7 @@ class Coordinator
     std::map<u64, ServerIdx> overrides_; ///< key -> migrated primary.
     std::map<u64, u64> cooldown_; ///< key -> tick it may move again.
 
-    // Placement memo (enablePlacementCache): per-key *ring* replica
+    // Placement memo over the key space: per-key *ring* replica
     // sets stamped with the ring epoch of the walk that produced them;
     // any membership change bumps the epoch and lazily invalidates
     // everything. Overrides are applied after the cache, so the cache

@@ -37,16 +37,13 @@ coin(u64 h, double p)
 }
 
 /**
- * Flat-engine sizing for the wire path: operation ids are dense, an
- * op lives at most opDeadline+1 ticks (the deadline wakeup completes
- * it), so the live id span is bounded by the peak arrival rate times
- * the op lifetime. Direct mode returns {} — the ordered-map baseline.
+ * Client sizing: operation ids are dense, an op lives at most
+ * opDeadline+1 ticks (the deadline wakeup completes it), so the live
+ * id span is bounded by the peak arrival rate times the op lifetime.
  */
 ClientTuning
-wireTuning(const FleetConfig &cfg)
+clientTuning(const FleetConfig &cfg)
 {
-    if (cfg.transport == TransportMode::Direct)
-        return {};
     u64 maxRate = cfg.arrivalsPerTick;
     if (!cfg.traffic.empty()) {
         TrafficModel model;
@@ -62,6 +59,74 @@ wireTuning(const FleetConfig &cfg)
     t.opWindow = maxRate * (cfg.retry.opDeadline + 4) + 8;
     t.keySpace = cfg.keySpace;
     return t;
+}
+
+/**
+ * Fold every config field that shapes campaign state into `sink`: the
+ * checkpoint guard's config half. transport, batch and threads are
+ * left out on purpose: the fingerprint grid proves them neutral, so a
+ * checkpoint may resume under any of them. The nested device configs
+ * (sim, ras, faults) are not covered.
+ */
+void
+digestConfig(const FleetConfig &cfg, ByteSink &sink)
+{
+    sink.putU32(cfg.servers);
+    sink.putU64(cfg.ticks);
+    sink.putU64(cfg.users);
+    sink.putU64(cfg.keySpace);
+    sink.putU32(cfg.arrivalsPerTick);
+    sink.putDouble(cfg.writeFraction);
+    sink.putU64(cfg.traffic.size());
+    for (const char ch : cfg.traffic)
+        sink.putU8(static_cast<u8>(ch));
+    sink.putU32(cfg.replication);
+    sink.putU32(cfg.ackQuorum);
+    sink.putU64(cfg.responseDelay);
+    sink.putU64(cfg.seed);
+
+    const RetryPolicy &r = cfg.retry;
+    sink.putU64(r.attemptTimeout);
+    sink.putU64(r.opDeadline);
+    sink.putU64(r.backoffBase);
+    sink.putU64(r.backoffCap);
+    sink.putU32(r.maxAttempts);
+    sink.putU64(r.hedgeAfter);
+    sink.putU64(r.seed);
+
+    const CoordinatorOptions &c = cfg.coord;
+    sink.putU64(c.healthEvery);
+    sink.putU32(c.failThreshold);
+    sink.putDouble(c.capacityFloor);
+    sink.putU32(c.repairPerTick);
+    sink.putU32(c.vnodes);
+    sink.putU32(c.warmPerTick);
+    sink.putU32(c.warmBatch);
+    sink.putU64(c.warmBackoffTicks);
+    sink.putU32(c.warmMaxAttempts);
+    sink.putBool(c.rebalanceEnabled);
+    sink.putDouble(c.loadAlpha);
+    sink.putDouble(c.overloadFactor);
+    sink.putU32(c.hotRounds);
+    sink.putU32(c.migratePerRound);
+    sink.putU64(c.minRoundLoad);
+    sink.putU64(c.keyCooldownTicks);
+
+    // Chaos event counts and windows reach the guard through the
+    // schedule; the per-request network odds do not.
+    sink.putBool(cfg.chaos.enabled);
+    sink.putDouble(cfg.chaos.dropProb);
+    sink.putDouble(cfg.chaos.dupProb);
+
+    const ServerConfig &sv = cfg.server;
+    sink.putDouble(sv.agingHours);
+    sink.putU32(sv.queueCap);
+    sink.putU64(sv.cyclesPerTick);
+    sink.putU64(sv.calibrationInsns);
+    sink.putU64(sv.calibrationBench.size());
+    for (const char ch : sv.calibrationBench)
+        sink.putU8(static_cast<u8>(ch));
+    sink.putU32(sv.defaultServiceUnits);
 }
 
 } // namespace
@@ -154,10 +219,6 @@ FleetCampaign::normalized(const FleetConfig &cfg)
             fatal("FleetConfig: traffic spec: %s", err.c_str());
         out.ticks = model.totalTicks();
     }
-    // The wire path runs the dense server store; give every server the
-    // campaign's key space. Direct keeps the ordered-map baseline.
-    if (out.transport != TransportMode::Direct)
-        out.server.keySpace = out.keySpace;
     return out;
 }
 
@@ -165,15 +226,17 @@ FleetCampaign::FleetCampaign(const FleetConfig &cfg)
     : cfg_(normalized(cfg)),
       injector_(cfg_.chaos, cfg_.servers, cfg_.ticks, cfg_.seed),
       client_(cfg_.retry, cfg_.replication, cfg_.ackQuorum,
-              mix64(cfg_.seed ^ 0x5A17ull), wireTuning(cfg_))
+              mix64(cfg_.seed ^ 0x5A17ull), clientTuning(cfg_)),
+      transport_(makeTransport(cfg_.transport, cfg_.servers)),
+      shards_(cfg_.servers)
 {
     fleet_.reserve(cfg_.servers);
     for (u32 s = 0; s < cfg_.servers; ++s)
         fleet_.push_back(std::make_unique<StackServer>(
-            s, cfg_.server, cfg_.seed, cfg_.ticks));
+            s, cfg_.server, cfg_.keySpace, cfg_.seed, cfg_.ticks));
     coordinator_ = std::make_unique<Coordinator>(
         cfg_.coord, cfg_.replication, mix64(cfg_.seed ^ 0x419Cull),
-        fleet_);
+        cfg_.keySpace, fleet_);
     pool_ = std::make_unique<ThreadPool>(cfg_.threads);
     if (!cfg_.traffic.empty()) {
         std::string err;
@@ -181,14 +244,9 @@ FleetCampaign::FleetCampaign(const FleetConfig &cfg)
             fatal("FleetCampaign: traffic spec: %s", err.c_str());
         traffic_.prepare(cfg_.keySpace);
     }
-    if (wire()) {
-        transport_ = makeTransport(cfg_.transport, cfg_.servers);
-        shards_ = std::make_unique<SubmissionShards>(cfg_.servers);
-        respWheel_.resize(std::bit_ceil(cfg_.responseDelay + 2));
-        respWheelMask_ = respWheel_.size() - 1;
-        seqScratch_.resize(cfg_.servers);
-        coordinator_->enablePlacementCache(cfg_.keySpace);
-    }
+    respWheel_.resize(std::bit_ceil(cfg_.responseDelay + 2));
+    respWheelMask_ = respWheel_.size() - 1;
+    seqScratch_.resize(cfg_.servers);
     // The analysis cannot propagate capabilities through the
     // type-erased std::function boundary, so each callback restates
     // its contract: it is only ever invoked from the client, which is
@@ -236,44 +294,15 @@ FleetCampaign::sendToServer(const Request &r, ServerIdx s)
         ++loopCounters_.requestsDuplicated;
         copies = 2;
     }
-    for (u32 i = 0; i < copies; ++i) {
-        if (wire()) {
-            // Queue into the per-server submission shard; flushShards
-            // frames and ships whole batches after arrivals. Shard
-            // insertion order equals Direct's send order, so the two
-            // paths deliver identically.
-            shards_->add(s, r);
-            continue;
-        }
-        deliverRequest(r, s, tick_);
-    }
-}
-
-void
-FleetCampaign::deliverRequest(const Request &r, ServerIdx s, u64 tick)
-{
-    StackServer &srv = *fleet_[s];
-    if (!srv.dataReadable())
-        return; // Crashed: silence; the attempt timeout covers it.
-    if (!srv.enqueue(r)) {
-        // Fenced or full queue: the process is alive and says so.
-        Response resp;
-        resp.op = r.op;
-        resp.attempt = r.attempt;
-        resp.replica = r.replica;
-        resp.status = Status::Busy;
-        resp.from = s;
-        pushResponse(tick + cfg_.responseDelay, resp);
-    }
+    // Queue into the per-server submission shard; flushShards frames
+    // and ships whole batches after arrivals.
+    for (u32 i = 0; i < copies; ++i)
+        shards_.add(s, r);
 }
 
 void
 FleetCampaign::pushResponse(u64 due, const Response &r)
 {
-    if (!wire()) {
-        pending_.emplace(due, r);
-        return;
-    }
     if (due <= tick_ || due - tick_ >= respWheel_.size())
         panic("FleetCampaign: response due %llu outside the wheel at "
               "tick %llu",
@@ -283,27 +312,19 @@ FleetCampaign::pushResponse(u64 due, const Response &r)
     ++respWheelCount_;
 }
 
-std::size_t
-FleetCampaign::pendingCount() const
-{
-    return wire() ? respWheelCount_ : pending_.size();
-}
-
 void
 FleetCampaign::flushShards(u64 tick)
 {
-    if (!wire())
-        return;
     // Encode and ship every shard as length-prefixed request frames,
     // remembering each record's global submission sequence (frames
     // preserve drain order, so the server's i-th decoded record is the
     // shard's i-th slot).
     for (u32 s = 0; s < cfg_.servers; ++s) {
         seqScratch_[s].clear();
-        if (shards_->count(s) == 0)
+        if (shards_.count(s) == 0)
             continue;
         reqWriter_.beginRequestFrame();
-        shards_->drain(s, [&](const Request &r, u32 seq) {
+        shards_.drain(s, [&](const Request &r, u32 seq) {
             assertRoleHeld(kSerialPhase);
             reqWriter_.add(r);
             seqScratch_[s].push_back(seq);
@@ -315,14 +336,17 @@ FleetCampaign::flushShards(u64 tick)
         if (reqWriter_.count() > 0)
             transport_->sendToServer(s, reqWriter_.finish());
     }
-    shards_->nextGeneration();
+    shards_.nextGeneration();
     transport_->poll();
-    // Deliver into the server inboxes. Queue-full Busy rejections are
-    // synthesized here and never travel on the wire; they are pushed
-    // into the response wheel in global submission order — exactly the
-    // per-request order the Direct baseline emits them in, so the
-    // client observes an identical Busy sequence (and all of them
-    // before this tick's server responses).
+    // Deliver into the server inboxes. A crashed server stays silent
+    // (the attempt timeout covers it); a fenced or full one answers
+    // Busy. Busy rejections are synthesized here and never travel on
+    // the wire. Invariant: the client sees each tick's Busy responses
+    // in global send order, not grouped by server, and all of them
+    // before this tick's server responses. Server-grouped order would
+    // be batch-invariant too, but it reorders the client's backoff
+    // wakeups and so changes the campaign (the overload fingerprint
+    // test pins this order).
     busyScratch_.clear();
     for (u32 s = 0; s < cfg_.servers; ++s) {
         RxStream &rx = transport_->serverRx(s);
@@ -415,22 +439,14 @@ FleetCampaign::applyChaos(u64 tick, FleetCounters &c)
 void
 FleetCampaign::deliverDue(u64 tick)
 {
-    if (wire()) {
-        // Bucket drain is FIFO, and onResponse never schedules into
-        // the wheel (retries go to the shards), so the bucket is
-        // stable during the loop.
-        auto &bucket = respWheel_[tick & respWheelMask_];
-        for (std::size_t i = 0; i < bucket.size(); ++i)
-            client_.onResponse(bucket[i], tick);
-        respWheelCount_ -= bucket.size();
-        bucket.clear();
-        return;
-    }
-    while (!pending_.empty() && pending_.begin()->first <= tick) {
-        const Response resp = pending_.begin()->second;
-        pending_.erase(pending_.begin());
-        client_.onResponse(resp, tick);
-    }
+    // Bucket drain is FIFO, and onResponse never schedules into the
+    // wheel (retries go to the shards), so the bucket is stable during
+    // the loop.
+    auto &bucket = respWheel_[tick & respWheelMask_];
+    for (std::size_t i = 0; i < bucket.size(); ++i)
+        client_.onResponse(bucket[i], tick);
+    respWheelCount_ -= bucket.size();
+    bucket.clear();
 }
 
 void
@@ -479,52 +495,45 @@ FleetCampaign::arrivals(u64 tick)
 void
 FleetCampaign::collectOutboxes(u64 tick)
 {
-    if (wire()) {
-        // Frame each server's outbox and ship it back over the same
-        // transport, then deliver in server-index order — identical to
-        // Direct's multimap insertion order.
-        for (u32 s = 0; s < cfg_.servers; ++s) {
-            const auto &out = fleet_[s]->outbox();
-            if (out.empty())
-                continue;
-            respWriter_.beginResponseFrame();
-            for (const Response &r : out) {
-                respWriter_.add(r);
-                if (respWriter_.count() == cfg_.batch) {
-                    transport_->sendToClient(s, respWriter_.finish());
-                    respWriter_.beginResponseFrame();
-                }
-            }
-            if (respWriter_.count() > 0)
+    // Frame each server's outbox and ship it back over the same
+    // transport, then deliver in server-index order.
+    for (u32 s = 0; s < cfg_.servers; ++s) {
+        const auto &out = fleet_[s]->outbox();
+        if (out.empty())
+            continue;
+        respWriter_.beginResponseFrame();
+        for (const Response &r : out) {
+            respWriter_.add(r);
+            if (respWriter_.count() == cfg_.batch) {
                 transport_->sendToClient(s, respWriter_.finish());
-        }
-        transport_->poll();
-        for (u32 s = 0; s < cfg_.servers; ++s) {
-            RxStream &rx = transport_->clientRx(s);
-            while (!rx.pending().empty()) {
-                FrameView view;
-                std::size_t consumed = 0;
-                const DecodeStatus st =
-                    decodeFrame(rx.pending(), view, &consumed);
-                if (st != DecodeStatus::Ok)
-                    fatal("FleetCampaign: response frame from server "
-                          "%u failed to decode: %s",
-                          s, decodeStatusName(st));
-                if (view.kind() != FrameKind::ResponseBatch)
-                    fatal("FleetCampaign: request frame on the client "
-                          "rx path");
-                for (u32 i = 0; i < view.count(); ++i)
-                    pushResponse(tick + cfg_.responseDelay,
-                                 view.responseAt(i));
-                rx.consume(consumed);
+                respWriter_.beginResponseFrame();
             }
-            rx.compact();
         }
-        return;
+        if (respWriter_.count() > 0)
+            transport_->sendToClient(s, respWriter_.finish());
     }
-    for (u32 s = 0; s < cfg_.servers; ++s)
-        for (const Response &r : fleet_[s]->outbox())
-            pending_.emplace(tick + cfg_.responseDelay, r);
+    transport_->poll();
+    for (u32 s = 0; s < cfg_.servers; ++s) {
+        RxStream &rx = transport_->clientRx(s);
+        while (!rx.pending().empty()) {
+            FrameView view;
+            std::size_t consumed = 0;
+            const DecodeStatus st =
+                decodeFrame(rx.pending(), view, &consumed);
+            if (st != DecodeStatus::Ok)
+                fatal("FleetCampaign: response frame from server "
+                      "%u failed to decode: %s",
+                      s, decodeStatusName(st));
+            if (view.kind() != FrameKind::ResponseBatch)
+                fatal("FleetCampaign: request frame on the client "
+                      "rx path");
+            for (u32 i = 0; i < view.count(); ++i)
+                pushResponse(tick + cfg_.responseDelay,
+                             view.responseAt(i));
+            rx.consume(consumed);
+        }
+        rx.compact();
+    }
 }
 
 void
@@ -570,10 +579,9 @@ FleetCampaign::advanceTo(u64 target)
             deliverDue(tick_);
             client_.tick(tick_);
             arrivals(tick_);
-            // Wire path: ship every queued request before the
-            // coordinator probes — a fence must clear the server's
-            // inbox only after this tick's sends landed, matching
-            // Direct's delivery point.
+            // Ship every queued request before the coordinator
+            // probes: a fence must clear the server's inbox only
+            // after this tick's sends landed.
             flushShards(tick_);
             coordinator_->tick(tick_, loopCounters_);
         }
@@ -603,7 +611,7 @@ FleetCampaign::finish()
     for (; tick_ < settle_limit; ++tick_) {
         {
             ThreadRoleGrant serial(kSerialPhase);
-            if (client_.inflight() == 0 && pendingCount() == 0)
+            if (client_.inflight() == 0 && respWheelCount_ == 0)
                 break;
             deliverDue(tick_);
             client_.tick(tick_);
@@ -750,9 +758,10 @@ FleetCampaign::audit(FleetCounters totals)
 }
 
 u64
-FleetCampaign::scheduleHash() const
+FleetCampaign::checkpointGuard() const
 {
     ByteSink sink;
+    digestConfig(cfg_, sink);
     for (const ChaosEvent &ev : injector_.schedule()) {
         sink.putU64(ev.tick);
         sink.putU8(static_cast<u8>(ev.kind));
@@ -771,13 +780,12 @@ FleetCampaign::saveState(ByteSink &sink) const
     // saveState is called between advanceTo() calls — one long serial
     // phase as far as the campaign is concerned.
     ThreadRoleGrant serial(kSerialPhase);
-    if (wire())
-        for (u32 s = 0; s < cfg_.servers; ++s)
-            if (shards_->count(s) != 0)
-                fatal("FleetCampaign: saveState with undrained "
-                      "submission shards (not at a tick boundary)");
+    for (u32 s = 0; s < cfg_.servers; ++s)
+        if (shards_.count(s) != 0)
+            fatal("FleetCampaign: saveState with undrained submission "
+                  "shards (not at a tick boundary)");
 
-    sink.putU64(scheduleHash());
+    sink.putU64(checkpointGuard());
     sink.putU64(tick_);
     sink.putU64(nextOp_);
     sink.putU64(nextEvent_);
@@ -786,14 +794,6 @@ FleetCampaign::saveState(ByteSink &sink) const
     coordinator_->saveState(sink);
     for (const auto &srv : fleet_)
         srv->saveState(sink);
-    if (!wire()) {
-        sink.putU64(pending_.size());
-        for (const auto &[due, resp] : pending_) {
-            sink.putU64(due);
-            putResponse(sink, resp);
-        }
-        return;
-    }
     // Wheel buckets by index: with tick_ restored, (due & mask)
     // addressing reproduces delivery exactly.
     for (const auto &bucket : respWheel_) {
@@ -810,11 +810,9 @@ FleetCampaign::loadState(ByteSource &src)
         fatal("FleetCampaign: loadState after finish()");
     ThreadRoleGrant serial(kSerialPhase);
 
-    const u64 hash = src.getU64();
-    if (hash != scheduleHash())
-        fatal("FleetCampaign: checkpoint chaos schedule does not match "
-              "this campaign (different config, seed, or scripted "
-              "events)");
+    if (src.getU64() != checkpointGuard())
+        fatal("FleetCampaign: checkpoint does not match this campaign "
+              "(different config, seed, or chaos schedule)");
     tick_ = src.getU64();
     nextOp_ = src.getU64();
     nextEvent_ = src.getU64();
@@ -825,24 +823,13 @@ FleetCampaign::loadState(ByteSource &src)
     coordinator_->loadState(src);
     for (const auto &srv : fleet_)
         srv->loadState(src);
-    if (!wire()) {
-        pending_.clear();
-        const u64 n =
-            src.getCount(sizeof(u64) + kResponseRecordBytes);
-        for (u64 i = 0; i < n; ++i) {
-            const u64 due = src.getU64();
-            pending_.emplace_hint(pending_.end(), due,
-                                  getResponse(src));
-        }
-    } else {
-        respWheelCount_ = 0;
-        for (auto &bucket : respWheel_) {
-            bucket.clear();
-            const u64 n = src.getCount(kResponseRecordBytes);
-            for (u64 i = 0; i < n; ++i)
-                bucket.push_back(getResponse(src));
-            respWheelCount_ += bucket.size();
-        }
+    respWheelCount_ = 0;
+    for (auto &bucket : respWheel_) {
+        bucket.clear();
+        const u64 n = src.getCount(kResponseRecordBytes);
+        for (u64 i = 0; i < n; ++i)
+            bucket.push_back(getResponse(src));
+        respWheelCount_ += bucket.size();
     }
     ++loopCounters_.resumes;
 }

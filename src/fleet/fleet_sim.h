@@ -33,7 +33,6 @@
 #ifndef CITADEL_FLEET_FLEET_SIM_H
 #define CITADEL_FLEET_FLEET_SIM_H
 
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -79,12 +78,10 @@ struct FleetConfig
     u64 responseDelay = 1;
 
     /**
-     * How requests and responses travel. Loopback (default) and
-     * Socket run the framed wire path with batching, flat client/
-     * server state engines and the coordinator's placement cache;
-     * Direct is the per-request PR-6 handoff kept as the measured
-     * unbatched baseline. All three produce the same fingerprint on
-     * the same config — the load driver's grid enforces it.
+     * How the framed request/response batches travel: in-process
+     * byte streams (Loopback, the default) or real socketpairs
+     * (Socket). Both produce the same fingerprint on the same config,
+     * at any batch size — the load driver's grid enforces it.
      */
     TransportMode transport = TransportMode::Loopback;
 
@@ -189,9 +186,14 @@ class FleetCampaign
      * Campaign checkpoint at a tick boundary (between advanceTo
      * calls): tick and arrival/chaos cursors, loop counters, client,
      * coordinator, every server (full LiveRasDatapath state), and all
-     * in-flight responses. Guarded by a chaos-schedule hash, so a
-     * checkpoint can only be restored into a campaign constructed
-     * with the identical config, seed, and scripted events.
+     * in-flight responses. Guarded by one u64 digest of the chaos
+     * schedule (sampled and scripted events) and the campaign config:
+     * FleetConfig's scalars and trace spec, RetryPolicy,
+     * CoordinatorOptions, the chaos network odds, and ServerConfig's
+     * scalar fields. loadState() refuses a checkpoint whose digest
+     * differs. transport, batch and threads are deliberately left
+     * out, so a checkpoint resumes under any of them; the nested
+     * device configs (sim, ras, faults) are not covered.
      * loadState() counts into FleetCounters::resumes, which audit()
      * zeroes for the fingerprint — a resumed campaign fingerprints
      * bit-identically to an uninterrupted one, whatever the cut point
@@ -216,12 +218,9 @@ class FleetCampaign
     void collectOutboxes(u64 tick) CITADEL_REQUIRES(kSerialPhase);
     void sendToServer(const Request &r, ServerIdx s)
         CITADEL_REQUIRES(kSerialPhase);
-    void deliverRequest(const Request &r, ServerIdx s, u64 tick)
-        CITADEL_REQUIRES(kSerialPhase);
     void flushShards(u64 tick) CITADEL_REQUIRES(kSerialPhase);
     void pushResponse(u64 due, const Response &r)
         CITADEL_REQUIRES(kSerialPhase);
-    std::size_t pendingCount() const CITADEL_REQUIRES(kSerialPhase);
     FleetResult audit(FleetCounters totals)
         CITADEL_REQUIRES(kSerialPhase);
 
@@ -229,11 +228,9 @@ class FleetCampaign
      *  inline single-threaded). Must not hold the serial role. */
     void stepServers() CITADEL_EXCLUDES(kSerialPhase);
 
-    /** Digest of the chaos schedule: the checkpoint compatibility
-     *  guard (same config + seed + scripted events => same hash). */
-    u64 scheduleHash() const;
-
-    bool wire() const { return cfg_.transport != TransportMode::Direct; }
+    /** The checkpoint compatibility guard: a digest of the chaos
+     *  schedule and the state-shaping config (see saveState). */
+    u64 checkpointGuard() const;
 
     static FleetConfig normalized(const FleetConfig &cfg);
 
@@ -248,27 +245,24 @@ class FleetCampaign
     u64 tick_ = 0;
     u64 nextOp_ = 0; ///< Trace-mode dense operation-id counter.
     std::size_t nextEvent_ = 0;
-    /** Direct mode in-flight responses: delivery tick -> response,
-     *  FIFO per tick. */
-    std::multimap<u64, Response> pending_;
 
-    // Wire-path state (Loopback/Socket transports only): the framed
-    // batching pipeline and its allocation-free delivery structures.
+    // The framed batching pipeline and its allocation-free delivery
+    // structures.
     std::unique_ptr<Transport> transport_;
-    std::unique_ptr<SubmissionShards> shards_;
+    SubmissionShards shards_;
     FrameWriter reqWriter_;
     FrameWriter respWriter_;
-    /** Response timing wheel: bucket (due & mask), FIFO per bucket —
-     *  the multimap's (tick, insertion-order) delivery, flat. */
+    /** In-flight responses: bucket (due & mask), FIFO per bucket, so
+     *  delivery runs in (tick, insertion) order. */
     std::vector<std::vector<Response>> respWheel_;
     u64 respWheelMask_ = 0;
     std::size_t respWheelCount_ = 0;
     /** Per-server submission sequences for the in-flight generation:
      *  maps decoded record index back to global send order. */
     std::vector<std::vector<u32>> seqScratch_;
-    /** Queue-full Busy synths collected during a flush, sorted by
-     *  submission sequence before entering the wheel so the client
-     *  sees them in Direct's exact per-request order. */
+    /** Busy synths collected during a flush, sorted by submission
+     *  sequence before entering the wheel so the client sees them in
+     *  global send order. */
     std::vector<std::pair<u32, Response>> busyScratch_;
 
     FleetCounters loopCounters_; ///< Chaos + network accounting.

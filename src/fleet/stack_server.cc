@@ -35,13 +35,14 @@ ServerConfig::validate() const
 }
 
 StackServer::StackServer(ServerIdx index, const ServerConfig &cfg,
-                         u64 seed, u64 campaign_ticks)
+                         u64 key_space, u64 seed, u64 campaign_ticks)
     : index_(index), cfg_(cfg), serviceUnits_(cfg.defaultServiceUnits)
 {
     cfg_.validate();
+    if (key_space == 0)
+        fatal("StackServer: key space must be >= 1");
     inbox_.resize(cfg_.queueCap);
-    if (cfg_.keySpace > 0)
-        kvFlat_.assign(cfg_.keySpace, {0, 0});
+    kv_.assign(key_space, {0, 0});
     LiveRasOptions opts = cfg_.ras;
     opts.seed = seed ^ (kServerSeedMix * (index + 1));
     dp_ = std::make_unique<LiveRasDatapath>(cfg_.sim, opts);
@@ -190,9 +191,7 @@ StackServer::restart()
     // this server held is gone, which is exactly why admission
     // requires a warm fill. Cumulative service stats survive (they are
     // campaign accounting, not server memory).
-    kv_.clear();
-    if (!kvFlat_.empty())
-        kvFlat_.assign(kvFlat_.size(), {0, 0});
+    kv_.assign(kv_.size(), {0, 0});
     kvCount_ = 0;
     inboxHead_ = 0;
     inboxCount_ = 0;
@@ -266,24 +265,15 @@ StackServer::storeLocal(u64 key, u64 version, u64 value)
 {
     if (version == 0)
         return; // Version 0 encodes "absent": nothing to merge.
-    if (!kvFlat_.empty()) {
-        if (key >= kvFlat_.size())
-            fatal("StackServer: key %llu outside the declared key "
-                  "space (%zu)",
-                  static_cast<unsigned long long>(key),
-                  kvFlat_.size());
-        auto &entry = kvFlat_[key];
-        if (entry.first == 0)
-            ++kvCount_;
-        if (version > entry.first)
-            entry = {version, value};
-        return;
-    }
-    auto [it, inserted] = kv_.try_emplace(key, 0, 0);
-    if (inserted)
+    if (key >= kv_.size())
+        fatal("StackServer: key %llu outside the declared key space "
+              "(%zu)",
+              static_cast<unsigned long long>(key), kv_.size());
+    auto &entry = kv_[key];
+    if (entry.first == 0)
         ++kvCount_;
-    if (version > it->second.first)
-        it->second = {version, value};
+    if (version > entry.first)
+        entry = {version, value};
 }
 
 bool
@@ -303,36 +293,26 @@ StackServer::lookup(u64 key) const
 std::pair<u64, u64>
 StackServer::lookupLocal(u64 key) const
 {
-    if (!kvFlat_.empty())
-        return key < kvFlat_.size() ? kvFlat_[key]
-                                    : std::pair<u64, u64>{0, 0};
-    auto it = kv_.find(key);
-    return it == kv_.end() ? std::pair<u64, u64>{0, 0} : it->second;
+    if (key >= kv_.size())
+        fatal("StackServer: key %llu outside the declared key space "
+              "(%zu)",
+              static_cast<unsigned long long>(key), kv_.size());
+    return kv_[key];
 }
 
 bool
 StackServer::kvScan(bool have, u64 from, u64 &key, u64 &version,
                     u64 &value) const
 {
-    if (!kvFlat_.empty()) {
-        u64 k = have ? from + 1 : 0;
-        for (; k < kvFlat_.size(); ++k) {
-            if (kvFlat_[k].first != 0) {
-                key = k;
-                version = kvFlat_[k].first;
-                value = kvFlat_[k].second;
-                return true;
-            }
+    for (u64 k = have ? from + 1 : 0; k < kv_.size(); ++k) {
+        if (kv_[k].first != 0) {
+            key = k;
+            version = kv_[k].first;
+            value = kv_[k].second;
+            return true;
         }
-        return false;
     }
-    auto it = have ? kv_.upper_bound(from) : kv_.begin();
-    if (it == kv_.end())
-        return false;
-    key = it->first;
-    version = it->second.first;
-    value = it->second.second;
-    return true;
+    return false;
 }
 
 RasHealthSignals
@@ -435,20 +415,12 @@ StackServer::serialize(ByteSink &sink) const
     sink.putU64(stats_.dueReads);
     sink.putU64(stats_.corrected);
     sink.putU64(kvCount_);
-    if (!kvFlat_.empty()) {
-        for (u64 key = 0; key < kvFlat_.size(); ++key) {
-            if (kvFlat_[key].first == 0)
-                continue;
-            sink.putU64(key);
-            sink.putU64(kvFlat_[key].first);
-            sink.putU64(kvFlat_[key].second);
-        }
-    } else {
-        for (const auto &[key, vv] : kv_) {
-            sink.putU64(key);
-            sink.putU64(vv.first);
-            sink.putU64(vv.second);
-        }
+    for (u64 key = 0; key < kv_.size(); ++key) {
+        if (kv_[key].first == 0)
+            continue;
+        sink.putU64(key);
+        sink.putU64(kv_[key].first);
+        sink.putU64(kv_[key].second);
     }
     // Crashed devices are unreachable; their state is not part of the
     // surviving-service fingerprint.
@@ -521,9 +493,7 @@ StackServer::loadState(ByteSource &src)
     outbox_.reserve(outCount);
     for (u64 i = 0; i < outCount; ++i)
         outbox_.push_back(getResponse(src));
-    kv_.clear();
-    if (!kvFlat_.empty())
-        kvFlat_.assign(kvFlat_.size(), {0, 0});
+    kv_.assign(kv_.size(), {0, 0});
     kvCount_ = 0;
     const u64 kvN = src.getCount(3 * sizeof(u64));
     for (u64 i = 0; i < kvN; ++i) {

@@ -3,7 +3,9 @@
  * One stack server of the fleet: a bounded request queue in front of a
  * full bit-true device shard (LiveRasDatapath over a SimConfig
  * geometry), plus the replicated key-value metadata the memory-pool
- * service is made of.
+ * service is made of. The KV store is a dense per-key array over the
+ * campaign's key space: O(1), allocation-free lookups on the serving
+ * hot path, and a key outside the space is fatal, never dropped.
  *
  * The server's step() is the unit of parallelism in the campaign loop:
  * it reads its own inbox, drives its own datapath, and appends to its
@@ -26,7 +28,6 @@
 #ifndef CITADEL_FLEET_STACK_SERVER_H
 #define CITADEL_FLEET_STACK_SERVER_H
 
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -73,12 +74,6 @@ struct ServerConfig
     /** Service units per tick when calibration is off. */
     u32 defaultServiceUnits = 16;
 
-    /** KV store sizing: 0 keeps the ordered-map store (any u64 key);
-     *  > 0 switches to dense per-key arrays over [0, keySpace) — the
-     *  serving hot path the wire transports run on. A key outside the
-     *  declared space is fatal, never silently dropped. */
-    u64 keySpace = 0;
-
     void validate() const;
 };
 
@@ -95,8 +90,9 @@ struct ServerStats
 class StackServer
 {
   public:
-    StackServer(ServerIdx index, const ServerConfig &cfg, u64 seed,
-                u64 campaign_ticks);
+    /** Keys are in [0, key_space): the campaign's keySpace. */
+    StackServer(ServerIdx index, const ServerConfig &cfg, u64 key_space,
+                u64 seed, u64 campaign_ticks);
 
     StackServer(const StackServer &) = delete;
     StackServer &operator=(const StackServer &) = delete;
@@ -191,16 +187,17 @@ class StackServer
     }
 
     /**
-     * Resumable ascending-key scan over the KV store — the uniform
-     * cursor the coordinator's repair pump walks under either store
-     * layout. With have=false, yields the smallest key; with
+     * Resumable ascending-key scan over the KV store — the cursor the
+     * coordinator's repair pump walks. With have=false, yields the
+     * smallest key; with
      * have=true, the smallest key > `from`. Returns false when the
      * scan is exhausted.
      */
     bool kvScan(bool have, u64 from, u64 &key, u64 &version,
                 u64 &value) const CITADEL_REQUIRES(kSerialPhase);
 
-    /** Newest (version, value) of a key, or (0, 0). */
+    /** Newest (version, value) of a key, or (0, 0) if absent; fatal
+     *  for a key outside the key space. */
     std::pair<u64, u64> lookup(u64 key) const
         CITADEL_REQUIRES(kSerialPhase);
 
@@ -221,8 +218,8 @@ class StackServer
      * CRC, datapath tick guard, and the LiveRasDatapath checkpoint
      * (which includes faults still scheduled to land). loadState()
      * must be called on a server constructed from the identical
-     * (config, seed, campaign_ticks) — construction-derived state
-     * (calibration, canonical aging schedule) is not serialized.
+     * (config, key space, seed, campaign_ticks) — construction-derived
+     * state (calibration, canonical aging schedule) is not serialized.
      */
     void saveState(ByteSink &sink) const CITADEL_REQUIRES(kSerialPhase);
     void loadState(ByteSource &src) CITADEL_REQUIRES(kSerialPhase);
@@ -280,12 +277,8 @@ class StackServer
     u32 inboxCount_ = 0;
     std::vector<Response> outbox_;
 
-    // KV store, one of two layouts (ServerConfig::keySpace): the
-    // ordered map accepts any u64 key; the dense arrays trade that for
-    // O(1) allocation-free lookups. kvCount_/ascending iteration are
-    // identical under both, so fingerprints don't see the layout.
-    std::map<u64, std::pair<u64, u64>> kv_; ///< key -> (version, value).
-    std::vector<std::pair<u64, u64>> kvFlat_; ///< version 0 = absent.
+    /** KV store: key -> (version, value); version 0 = absent. */
+    std::vector<std::pair<u64, u64>> kv_;
     u64 kvCount_ = 0;
     ServerStats stats_;
     u32 warmCrc_ = 0; ///< Running warm-stream record CRC (handshake).

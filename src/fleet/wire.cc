@@ -24,7 +24,6 @@ namespace fleet {
 const char *transportModeName(TransportMode mode)
 {
     switch (mode) {
-    case TransportMode::Direct: return "direct";
     case TransportMode::Loopback: return "loopback";
     case TransportMode::Socket: return "socket";
     }
@@ -33,8 +32,6 @@ const char *transportModeName(TransportMode mode)
 
 std::optional<TransportMode> parseTransportMode(std::string_view text)
 {
-    if (text == "direct")
-        return TransportMode::Direct;
     if (text == "loopback")
         return TransportMode::Loopback;
     if (text == "socket")
@@ -49,7 +46,7 @@ TransportMode requestedTransportMode()
     if (auto mode = parseTransportMode(text))
         return *mode;
     warn("CITADEL_FLEET_TRANSPORT='%s' is not one of "
-         "direct|loopback|socket; using loopback",
+         "loopback|socket; using loopback",
          text.c_str());
     return TransportMode::Loopback;
 }
@@ -460,7 +457,6 @@ std::unique_ptr<Transport> makeTransport(TransportMode mode,
                                          u32 servers)
 {
     switch (mode) {
-    case TransportMode::Direct: return nullptr;
     case TransportMode::Loopback:
         return std::make_unique<LoopbackTransport>(servers);
     case TransportMode::Socket:

@@ -43,8 +43,8 @@
  * and a stale slot from a previous generation can never leak into a
  * frame. Every slot also carries its global submission sequence
  * within the generation, so flush-time events that must replay in
- * send order (queue-full Busy synthesis, which the Direct baseline
- * emits per-request at send time) can be re-sorted to match.
+ * global send order (queue-full Busy synthesis) can be re-sorted to
+ * match.
  */
 
 #ifndef CITADEL_FLEET_WIRE_H
@@ -66,14 +66,12 @@ namespace fleet {
 /** How requests and responses travel between client and servers. */
 enum class TransportMode : u8
 {
-    Direct,   ///< PR-6 baseline: per-request in-process handoff, no
-              ///< frames (the measured "unbatched" perf oracle).
     Loopback, ///< Framed batches through in-process byte streams
               ///< (default: deterministic, allocation-free).
     Socket,   ///< Framed batches through real AF_UNIX socketpairs.
 };
 
-/** Display name ("direct" / "loopback" / "socket"). */
+/** Display name ("loopback" / "socket"). */
 const char *transportModeName(TransportMode mode);
 
 /**
@@ -294,8 +292,7 @@ class SocketTransport final : public Transport
     std::vector<u8> scratch_;   ///< Read buffer for drain().
 };
 
-/** Build the transport for `mode`; Direct mode has no transport and
- *  returns nullptr. */
+/** Build the transport for `mode`. */
 std::unique_ptr<Transport> makeTransport(TransportMode mode,
                                          u32 servers);
 

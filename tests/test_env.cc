@@ -252,9 +252,6 @@ TEST_F(TransportEnvTest, UnsetResolvesToLoopback)
 
 TEST_F(TransportEnvTest, ExactLowercaseSpellingsAccepted)
 {
-    setenv("CITADEL_FLEET_TRANSPORT", "direct", 1);
-    EXPECT_EQ(fleet::requestedTransportMode(),
-              fleet::TransportMode::Direct);
     setenv("CITADEL_FLEET_TRANSPORT", "loopback", 1);
     EXPECT_EQ(fleet::requestedTransportMode(),
               fleet::TransportMode::Loopback);
@@ -265,11 +262,12 @@ TEST_F(TransportEnvTest, ExactLowercaseSpellingsAccepted)
 
 TEST_F(TransportEnvTest, InvalidValuesRejectedToLoopback)
 {
-    // All three transports produce the same fingerprint, so the safe
-    // fallback for malformed text is the default wire path (loopback),
-    // with a warning — never a half-parsed mode.
+    // Both transports produce the same fingerprint, so the safe
+    // fallback for malformed text is the default (loopback), with a
+    // warning — never a half-parsed mode. "direct" names a transport
+    // that no longer exists and falls back the same way.
     for (const char *bad :
-         {"Direct", "SOCKET", "tcp", "", " socket", "socket ",
+         {"direct", "Direct", "SOCKET", "tcp", "", " socket", "socket ",
           "loopback|socket", "3"}) {
         setenv("CITADEL_FLEET_TRANSPORT", bad, 1);
         EXPECT_EQ(fleet::requestedTransportMode(),

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -587,28 +588,42 @@ TEST(FleetDeterminism, DifferentSeedsDiverge)
     EXPECT_NE(a.run().fingerprint, b.run().fingerprint);
 }
 
+// Golden fingerprints, recorded on the unframed per-request path the
+// wire transports replaced: every transport x batch x threads cell
+// must reproduce them, which pins behaviour, not just agreement
+// between cells.
+constexpr u64 kGridFingerprint = 0x5808c7fbd9001d2aull;
+constexpr u64 kTraceFingerprint = 0x2c03dd517e3690c8ull;
+constexpr u64 kOverloadFingerprint = 0x07a840ed63c2b01dull;
+
+struct GridCell
+{
+    TransportMode mode;
+    u32 batch;
+    unsigned threads;
+};
+
+std::string
+cellName(const GridCell &cell)
+{
+    std::string name(transportModeName(cell.mode));
+    name.append(" b").append(std::to_string(cell.batch));
+    name.append(" t").append(std::to_string(cell.threads));
+    return name;
+}
+
 TEST(FleetDeterminism, FingerprintInvariantAcrossTransportBatchThreads)
 {
-    // The wire path (framed batching, flat state engines, response
-    // wheel) must be a pure transport change: Direct, loopback, and
-    // real socketpairs, at any batch size and thread count, land on
-    // the same campaign down to the fingerprint.
-    struct Cell
-    {
-        TransportMode mode;
-        u32 batch;
-        unsigned threads;
-    };
-    const Cell cells[] = {
-        {TransportMode::Direct, 1, 1},
+    // Framed batching is a pure transport change: in-process loopback
+    // and real socketpairs, at any batch size and thread count, land
+    // on the same campaign down to the fingerprint.
+    const GridCell cells[] = {
         {TransportMode::Loopback, 1, 1},
         {TransportMode::Loopback, 5, 3},
         {TransportMode::Socket, 5, 1},
         {TransportMode::Socket, 1, 3},
     };
-    FleetResult ref;
-    bool haveRef = false;
-    for (const Cell &cell : cells) {
+    for (const GridCell &cell : cells) {
         FleetConfig cfg = smallConfig();
         cfg.seed = 17;
         cfg.transport = cell.mode;
@@ -616,22 +631,13 @@ TEST(FleetDeterminism, FingerprintInvariantAcrossTransportBatchThreads)
         cfg.threads = cell.threads;
         FleetCampaign campaign(cfg);
         const FleetResult res = campaign.run();
-        SCOPED_TRACE(std::string(transportModeName(cell.mode)) + " b" +
-                     std::to_string(cell.batch) + " t" +
-                     std::to_string(cell.threads));
-        if (!haveRef) {
-            ref = res;
-            haveRef = true;
-            EXPECT_GT(res.totals.opsAcked, 0u);
-            continue;
-        }
-        EXPECT_EQ(res.fingerprint, ref.fingerprint);
-        EXPECT_EQ(res.totals.opsAcked, ref.totals.opsAcked);
-        EXPECT_EQ(res.totals.opsFailed, ref.totals.opsFailed);
-        EXPECT_EQ(res.totals.requestsServed,
-                  ref.totals.requestsServed);
-        EXPECT_EQ(res.p50LatencyTicks, ref.p50LatencyTicks);
-        EXPECT_EQ(res.p99LatencyTicks, ref.p99LatencyTicks);
+        SCOPED_TRACE(cellName(cell));
+        EXPECT_EQ(res.fingerprint, kGridFingerprint);
+        EXPECT_EQ(res.totals.opsAcked, 576u);
+        EXPECT_EQ(res.totals.opsFailed, 0u);
+        EXPECT_EQ(res.totals.requestsServed, 883u);
+        EXPECT_EQ(res.p50LatencyTicks, 1u);
+        EXPECT_EQ(res.p99LatencyTicks, 28u);
     }
 }
 
@@ -644,25 +650,49 @@ TEST(FleetDeterminism, TraceReplayIsTransportInvariant)
     base.ticks = 1; // Overridden by the trace (96 + 64 ticks).
     base.traffic = "ticks=96,rate=3,write=0.5,zipf=0.8;"
                    "ticks=64,rate=5,burst=3,every=16,len=4";
-    FleetResult ref;
-    bool haveRef = false;
-    for (const TransportMode mode :
-         {TransportMode::Direct, TransportMode::Loopback,
-          TransportMode::Socket}) {
+    for (const GridCell &cell : {GridCell{TransportMode::Loopback, 1, 1},
+                                 GridCell{TransportMode::Loopback, 7, 1},
+                                 GridCell{TransportMode::Socket, 7, 1}}) {
         FleetConfig cfg = base;
-        cfg.transport = mode;
-        cfg.batch = mode == TransportMode::Direct ? 1 : 7;
+        cfg.transport = cell.mode;
+        cfg.batch = cell.batch;
         FleetCampaign campaign(cfg);
         const FleetResult res = campaign.run();
-        SCOPED_TRACE(transportModeName(mode));
-        if (!haveRef) {
-            ref = res;
-            haveRef = true;
-            EXPECT_GT(res.totals.opsAcked, 0u);
-            continue;
-        }
-        EXPECT_EQ(res.fingerprint, ref.fingerprint);
-        EXPECT_EQ(res.totals.opsAcked, ref.totals.opsAcked);
+        SCOPED_TRACE(cellName(cell));
+        EXPECT_EQ(res.fingerprint, kTraceFingerprint);
+        EXPECT_EQ(res.totals.opsAcked, 768u);
+    }
+}
+
+TEST(FleetDeterminism, OverloadBusyOrderIsPinned)
+{
+    // The load driver's overload shape (256 arrivals/tick) against
+    // small inboxes: most sends bounce as Busy, so the fingerprint
+    // pins the order the client sees those rejections in (global send
+    // order), not only their agreement across cells.
+    FleetConfig base = smallConfig();
+    base.seed = 23;
+    base.ticks = 48;
+    base.arrivalsPerTick = 256;
+    base.keySpace = 4096;
+    base.server.queueCap = 16;
+    const GridCell cells[] = {
+        {TransportMode::Loopback, 1, 1},
+        {TransportMode::Loopback, 32, 3},
+        {TransportMode::Socket, 7, 1},
+    };
+    for (const GridCell &cell : cells) {
+        FleetConfig cfg = base;
+        cfg.transport = cell.mode;
+        cfg.batch = cell.batch;
+        cfg.threads = cell.threads;
+        FleetCampaign campaign(cfg);
+        const FleetResult res = campaign.run();
+        SCOPED_TRACE(cellName(cell));
+        EXPECT_GT(res.totals.busyRejections, 0u);
+        EXPECT_EQ(res.totals.busyRejections, 91799u);
+        EXPECT_EQ(res.totals.opsAcked, 2574u);
+        EXPECT_EQ(res.fingerprint, kOverloadFingerprint);
     }
 }
 
@@ -691,7 +721,8 @@ TEST(FleetDeterminism, LatencyPercentilesAreSaneAndReported)
 TEST(StackServerChaos, StallOverSlowdownRestoresServiceRate)
 {
     const ServerConfig scfg = smallConfig().server; // 24 units/tick.
-    StackServer srv(0, scfg, /*seed=*/1, /*campaign_ticks=*/64);
+    StackServer srv(0, scfg, /*key_space=*/96, /*seed=*/1,
+                    /*campaign_ticks=*/64);
 
     u64 next_op = 1;
     const auto fill_to = [&](u64 target) {
@@ -740,6 +771,25 @@ TEST(StackServerChaos, StallOverSlowdownRestoresServiceRate)
         ThreadRoleGrant serial(kSerialPhase);
         EXPECT_GT(srv.outbox().size(), 6u);
     }
+}
+
+// The KV store and the placement memo are sized to the campaign's key
+// space; a key outside it is a caller bug, fatal on every path.
+TEST(KeySpaceDeath, OutOfRangeKeysAreFatal)
+{
+    FleetConfig cfg = smallConfig();
+    cfg.threads = 1;
+    StackServer srv(0, cfg.server, /*key_space=*/96, /*seed=*/1,
+                    /*campaign_ticks=*/64);
+    ThreadRoleGrant serial(kSerialPhase);
+    EXPECT_DEATH(srv.lookup(96), "outside the declared key space");
+    EXPECT_DEATH(srv.applyReplica(96, 1, 1),
+                 "outside the declared key space");
+
+    FleetCampaign campaign(cfg);
+    std::vector<ServerIdx> out;
+    EXPECT_DEATH(campaign.coordinator().placement(cfg.keySpace, out),
+                 "outside the declared key space");
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fleet/fleet_sim.h"
@@ -88,7 +89,8 @@ TEST(ServerLifecycle, OnlyWarmingReentersServing)
 TEST(ServerLifecycleDeath, IllegalEdgesAreFatal)
 {
     const ServerConfig scfg = elasticConfig().server;
-    StackServer srv(0, scfg, /*seed=*/1, /*campaign_ticks=*/64);
+    StackServer srv(0, scfg, /*key_space=*/96, /*seed=*/1,
+                    /*campaign_ticks=*/64);
     ThreadRoleGrant serial(kSerialPhase);
     srv.crash();
     srv.restart();
@@ -386,12 +388,14 @@ TEST(ElasticCheckpoint, ChainedResumesStayBitIdentical)
     EXPECT_EQ(res.totals.resumes, 2u);
 }
 
-TEST(ElasticCheckpoint, DirectTransportRoundTripsToo)
+TEST(ElasticCheckpoint, ResumesAcrossTransportAndBatch)
 {
-    // The Direct (multimap, ordered-engine) path serializes its own
-    // in-flight representation; it must round-trip just as exactly.
+    // Transport and batch size are fingerprint-neutral, so the
+    // checkpoint guard leaves them out: a loopback b=32 checkpoint
+    // resumes bit-identically into a socket b=1 campaign.
     FleetConfig cfg = checkpointConfig();
-    cfg.transport = TransportMode::Direct;
+    cfg.transport = TransportMode::Loopback;
+    cfg.batch = 32;
     FleetCampaign reference(cfg);
     const FleetResult ref = reference.run();
 
@@ -399,12 +403,17 @@ TEST(ElasticCheckpoint, DirectTransportRoundTripsToo)
     first.advanceTo(97);
     ByteSink sink;
     first.saveState(sink);
-    FleetCampaign second(cfg);
+
+    FleetConfig cfg2 = cfg;
+    cfg2.transport = TransportMode::Socket;
+    cfg2.batch = 1;
+    FleetCampaign second(cfg2);
     ByteSource src(sink.bytes());
     second.loadState(src);
     EXPECT_EQ(src.remaining(), 0u);
     const FleetResult res = second.finish();
     EXPECT_EQ(res.fingerprint, ref.fingerprint);
+    EXPECT_EQ(res.totals.opsAcked, ref.totals.opsAcked);
 }
 
 TEST(ElasticCheckpointDeath, MismatchedScheduleIsRejected)
@@ -425,6 +434,73 @@ TEST(ElasticCheckpointDeath, MismatchedScheduleIsRejected)
     other.injectChaosEvent(kill);
     ByteSource src(sink.bytes());
     EXPECT_DEATH(other.loadState(src), "schedule");
+}
+
+TEST(ElasticCheckpointDeath, MismatchedConfigIsRejected)
+{
+    // Configs that share the chaos schedule but not the campaign: the
+    // guard must refuse each with a diagnostic, never resume into it.
+    const FleetConfig cfg = elasticConfig();
+    FleetCampaign first(cfg);
+    first.advanceTo(97);
+    ByteSink sink;
+    first.saveState(sink);
+
+    const auto rejects = [&](const char *what, FleetConfig other) {
+        SCOPED_TRACE(what);
+        FleetCampaign campaign(other);
+        ByteSource src(sink.bytes());
+        EXPECT_DEATH(campaign.loadState(src),
+                     "checkpoint does not match this campaign");
+    };
+    FleetConfig c = cfg;
+    c.writeFraction = 0.8;
+    rejects("writeFraction", c);
+    c = cfg;
+    c.responseDelay = 2;
+    rejects("responseDelay", c);
+    c = cfg;
+    c.ackQuorum = 1;
+    rejects("ackQuorum", c);
+    c = cfg;
+    c.users = 777;
+    rejects("users", c);
+}
+
+// Converts to any field type, so `T{AnyField{}...}` compiles exactly
+// when the brace list is no longer than T's field list.
+struct AnyField
+{
+    template <class T> operator T() const;
+};
+
+template <class T, std::size_t... I>
+constexpr bool
+bracesFit(std::index_sequence<I...>)
+{
+    return requires { T{(void(I), AnyField{})...}; };
+}
+
+template <class T, std::size_t N>
+constexpr bool kHasFields = bracesFit<T>(std::make_index_sequence<N>{}) &&
+                            !bracesFit<T>(std::make_index_sequence<N + 1>{});
+
+// Tripwire: the checkpoint guard's config digest (digestConfig in
+// fleet_sim.cc) lists these structs' fields by hand. A new field must
+// be folded into the digest (or left out on purpose, like transport,
+// batch and threads) before these counts are bumped.
+TEST(ElasticCheckpoint, ConfigDigestTripwireFieldCounts)
+{
+    static_assert(kHasFields<FleetConfig, 18>,
+                  "FleetConfig changed: update digestConfig");
+    static_assert(kHasFields<RetryPolicy, 7>,
+                  "RetryPolicy changed: update digestConfig");
+    static_assert(kHasFields<CoordinatorOptions, 16>,
+                  "CoordinatorOptions changed: update digestConfig");
+    static_assert(kHasFields<ChaosOptions, 10>,
+                  "ChaosOptions changed: update digestConfig");
+    static_assert(kHasFields<ServerConfig, 9>,
+                  "ServerConfig changed: update digestConfig");
 }
 
 } // namespace

@@ -3,9 +3,9 @@
  * Deterministic unit tests of the fleet client's retry machinery
  * under a fake clock: backoff growth/cap/jitter, per-attempt
  * timeouts, hedged reads, deadline failure, duplicate suppression,
- * and quorum write acks. No servers here — the test scripts
- * placement and captures every request the client sends, then feeds
- * responses back at chosen virtual times.
+ * quorum write acks, and the fatal sizing limits. No servers here —
+ * the test scripts placement and captures every request the client
+ * sends, then feeds responses back at chosen virtual times.
  */
 
 #include <gtest/gtest.h>
@@ -76,6 +76,11 @@ TEST(RetryPolicy, HugeAttemptOrdinalDoesNotOverflow)
 
 // ---- Scripted client harness ---------------------------------------
 
+/** Client sizing for the scripted tests: live op ids span at most
+ *  kOpWindow (slots round up to a power of two), keys < kKeySpace. */
+constexpr u64 kOpWindow = 16;
+constexpr u64 kKeySpace = 128;
+
 /** Captures every request the client emits, with placement scripted
  *  by the test. */
 struct Harness
@@ -86,7 +91,8 @@ struct Harness
 
     explicit Harness(const RetryPolicy &p, u32 replication = 2,
                      u32 quorum = 2)
-        : client(p, replication, quorum, /*valueSalt=*/77)
+        : client(p, replication, quorum, /*valueSalt=*/77,
+                 ClientTuning{kOpWindow, kKeySpace})
     {
         client.connect(
             [this](u64, std::vector<ServerIdx> &out) {
@@ -235,8 +241,12 @@ TEST(FleetClient, WriteFansOutAndAcksAtQuorum)
     h.client.onResponse(h.okFor(1), 3);
     EXPECT_EQ(h.client.inflight(), 0u);
     EXPECT_EQ(h.client.counters().writesAcked, 1u);
-    ASSERT_EQ(h.client.ackedWrites().count(50), 1u);
-    EXPECT_EQ(h.client.ackedWrites().at(50).version, 1u);
+    std::vector<std::pair<u64, u64>> acked; // (key, version)
+    h.client.forEachAcked([&](u64 key, const FleetClient::AckedWrite &aw) {
+        acked.emplace_back(key, aw.version);
+    });
+    EXPECT_EQ(acked, (std::vector<std::pair<u64, u64>>{{50, 1}}));
+    EXPECT_EQ(h.client.ackedCount(), 1u);
 }
 
 TEST(FleetClient, WriteRefanoutSkipsAckedReplicas)
@@ -319,6 +329,26 @@ TEST(FleetClient, FinishCountsUnresolved)
     h.client.finish();
     EXPECT_EQ(h.client.counters().opsUnresolved, 2u);
     EXPECT_EQ(h.client.inflight(), 0u);
+}
+
+// ---- Sizing limits ------------------------------------------------
+
+TEST(FleetClientDeath, LiveOpSpanBeyondWindowIsFatal)
+{
+    Harness h(testPolicy());
+    ThreadRoleGrant serial(kSerialPhase);
+    h.client.startRead(1, 50, 0);
+    // Op 1 is still live, and op 1 + kOpWindow maps to its slot.
+    EXPECT_DEATH(h.client.startRead(1 + kOpWindow, 50, 0),
+                 "live op id span exceeds the op window");
+}
+
+TEST(FleetClientDeath, WriteKeyOutsideKeySpaceIsFatal)
+{
+    Harness h(testPolicy());
+    ThreadRoleGrant serial(kSerialPhase);
+    EXPECT_DEATH(h.client.startWrite(1, kKeySpace, 0),
+                 "outside the key space");
 }
 
 } // namespace
