@@ -14,7 +14,6 @@
 #ifndef CITADEL_BENCH_BENCH_UTIL_H
 #define CITADEL_BENCH_BENCH_UTIL_H
 
-#include <chrono>
 #include <iostream>
 #include <map>
 #include <string>
@@ -150,33 +149,6 @@ runSuiteParallel(StripingMode mode, RasTraffic ras, u64 insns_per_core,
     for (std::size_t i = 0; i < benches.size(); ++i)
         out[benches[i].name] = results[i];
     return out;
-}
-
-/**
- * Throughput of one byte-processing kernel in MB/s: invokes `fn`
- * `passes` times, each pass covering `bytes_per_pass` bytes, with a
- * compiler barrier between passes so self-inverse kernels (XOR folds)
- * or kernels whose result feeds nothing cannot be elided. Kernels that
- * accumulate state (CRC) should keep the running value live with an
- * `asm volatile("" : "+r"(state))` inside `fn` or consume it after the
- * call. Wall-clock throughput is measurement output only — it never
- * feeds a seeded result (tools/lint_determinism.py).
- */
-template <typename Fn>
-inline double
-benchKernel(u64 passes, u64 bytes_per_pass, Fn &&fn)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    for (u64 i = 0; i < passes; ++i) {
-        fn();
-        asm volatile("" ::: "memory");
-    }
-    const double dt = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    const double bytes = static_cast<double>(bytes_per_pass) *
-                         static_cast<double>(passes);
-    return bytes / dt / 1e6;
 }
 
 /** Geometric-mean ratio of a metric vs a baseline map. */

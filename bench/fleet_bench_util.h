@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared helpers for the fleet perf benches (fleet_load_driver,
- * perf_trajectory §fleet): wall-clock campaign timing for throughput
- * reporting, and the transport/batch/threads verification grid that
- * proves every cell lands on the same fingerprint.
+ * Helpers for the fleet perf bench (fleet_load_driver): wall-clock
+ * campaign timing for throughput reporting, and the
+ * transport/batch/threads verification grid that proves every cell
+ * lands on the same fingerprint.
  *
  * The steady_clock readings here feed only Kops/s report fields —
  * never a seeded result. Bit-identity of the simulated numbers is what

@@ -15,7 +15,6 @@
 #include "common/xor_fold.h"
 #include "ecc/crc32.h"
 #include "ecc/reed_solomon.h"
-#include "faults/fault_arena.h"
 #include "sim/llc.h"
 
 namespace citadel {
@@ -175,28 +174,6 @@ BM_SampleLifetime(benchmark::State &state)
 BENCHMARK(BM_SampleLifetime);
 
 void
-BM_SampleLifetimeBatched(benchmark::State &state)
-{
-    SystemConfig cfg;
-    cfg.tsvDeviceFit = 1430.0;
-    FaultInjector inj(cfg);
-    Rng rng(4);
-    FaultArena arena;
-    constexpr u64 kBatch = 256;
-    for (auto _ : state) {
-        arena.beginBatch();
-        for (u64 t = 0; t < kBatch; ++t) {
-            inj.sampleLifetimeAppend(rng, arena.pool());
-            arena.endTrial();
-        }
-        benchmark::DoNotOptimize(arena.eventCount());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(kBatch));
-}
-BENCHMARK(BM_SampleLifetimeBatched);
-
-void
 BM_MonteCarloTrialCitadel(benchmark::State &state)
 {
     SystemConfig cfg;
@@ -206,8 +183,10 @@ BM_MonteCarloTrialCitadel(benchmark::State &state)
     FaultInjector inj(cfg);
     Rng rng(5);
     const auto events = inj.sampleLifetime(rng);
+    std::vector<Fault> active;
     for (auto _ : state)
-        benchmark::DoNotOptimize(mc.runTrial(*scheme, events));
+        benchmark::DoNotOptimize(
+            mc.runTrial(*scheme, events, nullptr, active));
 }
 BENCHMARK(BM_MonteCarloTrialCitadel);
 

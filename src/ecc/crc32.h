@@ -59,9 +59,8 @@ class Crc32
 
     /**
      * One-table byte-at-a-time update: the pre-slicing implementation,
-     * kept as the baseline bench/perf_trajectory measures the
-     * slice-by-8 path against (and as a mid-speed cross-check between
-     * `update` and `referenceCompute` in tests).
+     * kept as a test oracle — a mid-speed cross-check between `update`
+     * and `referenceCompute` (test_crc32.cc).
      */
     static u32 updateBytewise(u32 state, std::span<const u8> data);
 

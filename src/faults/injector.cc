@@ -117,14 +117,6 @@ void
 FaultInjector::sampleLifetime(Rng &rng, std::vector<Fault> &out) const
 {
     out.clear();
-    sampleLifetimeAppend(rng, out);
-}
-
-std::size_t
-FaultInjector::sampleLifetimeAppend(Rng &rng, std::vector<Fault> &out) const
-{
-    const std::size_t base = out.size();
-
     for (u32 s = 0; s < cfg_.geom.stacks; ++s) {
         for (u32 ch = 0; ch < cfg_.diesPerStack(); ++ch)
             for (const RateCell &cell : dieCells_)
@@ -136,11 +128,9 @@ FaultInjector::sampleLifetimeAppend(Rng &rng, std::vector<Fault> &out) const
                 rng, StackId{s}, rng.uniform(0.0, cfg_.lifetimeHours)));
     }
 
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
-              [](const Fault &a, const Fault &b) {
-                  return a.timeHours < b.timeHours;
-              });
-    return out.size() - base;
+    std::sort(out.begin(), out.end(), [](const Fault &a, const Fault &b) {
+        return a.timeHours < b.timeHours;
+    });
 }
 
 Fault

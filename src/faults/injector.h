@@ -116,16 +116,6 @@ class FaultInjector
      */
     void sampleLifetime(Rng &rng, std::vector<Fault> &out) const;
 
-    /**
-     * Arena-filling variant: appends one lifetime's faults to `out`
-     * without clearing it, sorting only the appended slice, and
-     * returns the number appended. This is what lets a FaultArena
-     * batch a whole chunk of trials into one flat pool; the draw
-     * stream and the per-trial sort are identical to sampleLifetime.
-     */
-    std::size_t sampleLifetimeAppend(Rng &rng,
-                                     std::vector<Fault> &out) const;
-
     /** Materialize a random fault of a class in a given die. */
     Fault makeFault(Rng &rng, FaultClass cls, StackId stack,
                     ChannelId channel, bool transient,

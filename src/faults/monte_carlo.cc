@@ -19,15 +19,6 @@ namespace {
  */
 constexpr u64 kSeedMix = 0xA24BAED4963EE407ull;
 
-/**
- * Trials per arena batch on the serial path: large enough that the
- * sampling phase amortizes its instruction-cache and branch-predictor
- * footprint, small enough that the flat fault pool stays a few
- * hundred KB even at paper fault rates (batch size cannot affect
- * results — every trial is independently seeded).
- */
-constexpr u64 kSerialBatch = 1024;
-
 } // namespace
 
 Proportion
@@ -43,49 +34,24 @@ MonteCarlo::MonteCarlo(const SystemConfig &cfg) : cfg_(cfg), injector_(cfg)
 }
 
 double
-MonteCarlo::runTrial(RasScheme &scheme, const std::vector<Fault> &events,
-                     FaultClass *trigger_class) const
-{
-    std::vector<Fault> active;
-    return runTrial(scheme, events, trigger_class, active);
-}
-
-double
-MonteCarlo::runTrial(RasScheme &scheme, const std::vector<Fault> &events,
-                     FaultClass *trigger_class,
-                     std::vector<Fault> &active_scratch) const
-{
-    return runTrial(scheme, std::span<const Fault>(events), trigger_class,
-                    active_scratch, nullptr);
-}
-
-double
 MonteCarlo::runTrial(RasScheme &scheme, std::span<const Fault> events,
                      FaultClass *trigger_class,
-                     std::vector<Fault> &active_scratch,
-                     const double *arrival_times) const
+                     std::vector<Fault> &active) const
 {
     scheme.reset(cfg_);
-    std::vector<Fault> &active = active_scratch;
     active.clear();
     double last_scrub = 0.0;
     // Boundary handling is off the per-event path: the floor division
     // only runs once an event lands past the next scheduled scrub.
     double next_scrub = cfg_.scrubHours;
 
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        const Fault &f = events[i];
-        // The arrival time equals f.timeHours either way; the dense
-        // array just keeps the common scrub-boundary compare off the
-        // 72-byte AoS record.
-        const double arrival = arrival_times ? arrival_times[i]
-                                             : f.timeHours;
+    for (const Fault &f : events) {
         // Process all scrub boundaries crossed since the last event: a
         // transient fault is cleared at the first boundary after its
         // arrival; sparing mechanisms retire permanent faults there too.
-        if (arrival >= next_scrub) {
+        if (f.timeHours >= next_scrub) {
             const double boundary =
-                std::floor(arrival / cfg_.scrubHours) * cfg_.scrubHours;
+                std::floor(f.timeHours / cfg_.scrubHours) * cfg_.scrubHours;
             if (boundary > last_scrub) {
                 std::erase_if(active, [&](const Fault &a) {
                     return a.transient && a.timeHours < boundary;
@@ -103,7 +69,7 @@ MonteCarlo::runTrial(RasScheme &scheme, std::span<const Fault> events,
         if (scheme.uncorrectable(active)) {
             if (trigger_class)
                 *trigger_class = f.cls;
-            return arrival;
+            return f.timeHours;
         }
     }
     return -1.0;
@@ -111,30 +77,15 @@ MonteCarlo::runTrial(RasScheme &scheme, std::span<const Fault> events,
 
 void
 MonteCarlo::runRange(RasScheme &scheme, u64 begin, u64 end, u64 seed,
-                     u32 years, Shard &shard, FaultArena &arena,
+                     u32 years, Shard &shard, std::vector<Fault> &events,
                      std::vector<Fault> &active) const
 {
-    // Phase 1: batched sampling. Pure Rng/injector work — the whole
-    // range's lifetimes land in one flat pool, keeping the sampler's
-    // code and the injector's rate cells hot instead of alternating
-    // with scheme execution every trial.
-    arena.beginBatch();
     for (u64 t = begin; t < end; ++t) {
         Rng rng(seed ^ (kSeedMix * (t + 1)));
-        injector_.sampleLifetimeAppend(rng, arena.pool());
-        arena.endTrial();
-    }
-    shard.totalFaults += arena.eventCount();
-
-    // Phase 2: trial execution over span views into the arena.
-    // Bookkeeping runs in the same ascending-t order as the old
-    // fused loop, so shard contents are bit-identical.
-    for (u64 t = begin; t < end; ++t) {
-        const u64 i = t - begin;
+        injector_.sampleLifetime(rng, events);
+        shard.totalFaults += events.size();
         FaultClass trigger = FaultClass::Bit;
-        const double fail_at = runTrial(scheme, arena.trialEvents(i),
-                                        &trigger, active,
-                                        arena.trialTimes(i));
+        const double fail_at = runTrial(scheme, events, &trigger, active);
         if (fail_at >= 0.0) {
             ++shard.failures;
             ++shard.failuresByClass[trigger];
@@ -167,11 +118,9 @@ MonteCarlo::run(RasScheme &scheme, u64 trials, u64 seed,
         // (no clone needed) with scratch reuse across trials.
         shards.resize(1);
         shards[0].failuresByYear.assign(years, 0);
-        FaultArena arena;
+        std::vector<Fault> events;
         std::vector<Fault> active;
-        for (u64 b = 0; b < trials; b += kSerialBatch)
-            runRange(scheme, b, std::min(b + kSerialBatch, trials), seed,
-                     years, shards[0], arena, active);
+        runRange(scheme, 0, trials, seed, years, shards[0], events, active);
     } else {
         // Shard the trial counter over per-worker scheme clones.
         // Chunks are handed out dynamically; because trial t's seed
@@ -192,7 +141,7 @@ MonteCarlo::run(RasScheme &scheme, u64 trials, u64 seed,
             Shard &shard = shards[worker];
             shard.failuresByYear.assign(years, 0);
             const SchemePtr local = scheme.clone();
-            FaultArena arena;
+            std::vector<Fault> events;
             std::vector<Fault> active;
             for (;;) {
                 const u64 begin =
@@ -200,7 +149,7 @@ MonteCarlo::run(RasScheme &scheme, u64 trials, u64 seed,
                 if (begin >= trials)
                     break;
                 runRange(*local, begin, std::min(begin + chunk, trials),
-                         seed, years, shard, arena, active);
+                         seed, years, shard, events, active);
             }
         });
     }

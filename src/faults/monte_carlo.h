@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/stats.h"
-#include "faults/fault_arena.h"
 #include "faults/scheme.h"
 
 namespace citadel {
@@ -79,38 +78,19 @@ class MonteCarlo
                  unsigned threads = 0) const;
 
     /**
-     * Single-lifetime simulation given a pre-sampled fault history.
+     * Single-lifetime simulation given a pre-sampled fault history,
+     * sorted by arrival time. The scheme is reset() first.
      * @param trigger_class When non-null and the trial fails, receives
      *        the class of the fault that completed the fatal pattern.
+     * @param active Cleared and used as the concurrent-fault working
+     *        set, so a caller running many trials reuses one
+     *        allocation throughout.
      * @return first-failure time in hours, or a negative value if the
      *         lifetime completes without an uncorrectable pattern.
-     * Exposed for unit tests and what-if analyses.
-     */
-    double runTrial(RasScheme &scheme, const std::vector<Fault> &events,
-                    FaultClass *trigger_class = nullptr) const;
-
-    /**
-     * Allocation-reusing variant for hot loops: `active_scratch` is
-     * cleared and used as the concurrent-fault working set, so a
-     * caller running many trials reuses one allocation throughout.
-     */
-    double runTrial(RasScheme &scheme, const std::vector<Fault> &events,
-                    FaultClass *trigger_class,
-                    std::vector<Fault> &active_scratch) const;
-
-    /**
-     * Batched-execution core all runTrial overloads funnel into:
-     * events may be a view into a FaultArena pool, and
-     * `arrival_times`, when non-null, is a dense array index-aligned
-     * with `events` (FaultArena::trialTimes) that the scrub-boundary
-     * scan reads instead of pulling each fault's timeHours out of
-     * the fat AoS record. Passing null reads the AoS field; both are
-     * the same values by construction, so results are identical.
      */
     double runTrial(RasScheme &scheme, std::span<const Fault> events,
                     FaultClass *trigger_class,
-                    std::vector<Fault> &active_scratch,
-                    const double *arrival_times = nullptr) const;
+                    std::vector<Fault> &active) const;
 
     const SystemConfig &config() const { return cfg_; }
 
@@ -125,16 +105,13 @@ class MonteCarlo
     };
 
     /**
-     * Run trials [begin, end) into `shard` in two batched phases:
-     * first sample every lifetime in the range into `arena` (pure
-     * Rng + injector work, no scheme state touched), then execute
-     * the trials against span views into the arena pool. Per-trial
-     * seeding and bookkeeping order are unchanged from the old
-     * one-trial-at-a-time loop, so results are bit-identical for any
-     * batch size (DESIGN.md section 14).
+     * Run trials [begin, end) into `shard`, one at a time: seed the
+     * trial's Rng, sample its lifetime into `events`, execute it.
+     * Bookkeeping runs in ascending trial order; the merge in run()
+     * is order-independent anyway.
      */
     void runRange(RasScheme &scheme, u64 begin, u64 end, u64 seed,
-                  u32 years, Shard &shard, FaultArena &arena,
+                  u32 years, Shard &shard, std::vector<Fault> &events,
                   std::vector<Fault> &active) const;
 
     SystemConfig cfg_;

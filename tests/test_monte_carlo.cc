@@ -18,6 +18,16 @@ namespace {
 
 using namespace testing_helpers;
 
+/** One lifetime over a hand-built fault history, in arrival order. */
+double
+runTrial(const MonteCarlo &mc, RasScheme &scheme,
+         const std::vector<Fault> &events,
+         FaultClass *trigger = nullptr)
+{
+    std::vector<Fault> active;
+    return mc.runTrial(scheme, events, trigger, active);
+}
+
 class McTest : public ::testing::Test
 {
   protected:
@@ -92,10 +102,10 @@ TEST_F(McTest, TransientsClearAtScrubBoundary)
     b.transient = true;
 
     b.timeHours = 2.0; // same 12h window
-    EXPECT_GE(mc.runTrial(scheme, {a, b}), 0.0);
+    EXPECT_GE(runTrial(mc, scheme, {a, b}), 0.0);
 
     b.timeHours = 30.0; // two scrub boundaries later
-    EXPECT_LT(mc.runTrial(scheme, {a, b}), 0.0);
+    EXPECT_LT(runTrial(mc, scheme, {a, b}), 0.0);
 }
 
 TEST_F(McTest, PermanentsPersistWithoutSparing)
@@ -106,7 +116,7 @@ TEST_F(McTest, PermanentsPersistWithoutSparing)
     a.timeHours = 1.0;
     Fault b = bankFault(0, 2, 5);
     b.timeHours = 10000.0; // months later
-    EXPECT_GE(mc.runTrial(scheme, {a, b}), 0.0);
+    EXPECT_GE(runTrial(mc, scheme, {a, b}), 0.0);
 }
 
 TEST_F(McTest, DdsSparesPermanentsBetweenWindows)
@@ -117,11 +127,11 @@ TEST_F(McTest, DdsSparesPermanentsBetweenWindows)
     a.timeHours = 1.0;
     Fault b = bankFault(0, 2, 5);
     b.timeHours = 10000.0;
-    EXPECT_LT(mc.runTrial(scheme, {a, b}), 0.0);
+    EXPECT_LT(runTrial(mc, scheme, {a, b}), 0.0);
 
     // Within one window DDS has not yet run: still fatal.
     b.timeHours = 2.0;
-    EXPECT_GE(mc.runTrial(scheme, {a, b}), 0.0);
+    EXPECT_GE(runTrial(mc, scheme, {a, b}), 0.0);
 }
 
 TEST_F(McTest, TsvSwapAbsorbsBeforeEvaluation)
@@ -130,10 +140,10 @@ TEST_F(McTest, TsvSwapAbsorbsBeforeEvaluation)
     TsvSwapScheme scheme(std::make_unique<MultiDimParityScheme>(3));
     Fault t = dataTsvFault(0, 1, 7);
     t.timeHours = 5.0;
-    EXPECT_LT(mc.runTrial(scheme, {t}), 0.0);
+    EXPECT_LT(runTrial(mc, scheme, {t}), 0.0);
 
     MultiDimParityScheme bare(3);
-    EXPECT_GE(mc.runTrial(bare, {t}), 0.0);
+    EXPECT_GE(runTrial(mc, bare, {t}), 0.0);
 }
 
 TEST_F(McTest, FirstFailureTimeIsReported)
@@ -142,7 +152,7 @@ TEST_F(McTest, FirstFailureTimeIsReported)
     NoProtection none;
     Fault a = bitFault(0, 1, 2, 3, 4, 5);
     a.timeHours = 777.0;
-    const double t = mc.runTrial(none, {a});
+    const double t = runTrial(mc, none, {a});
     EXPECT_DOUBLE_EQ(t, 777.0);
 }
 
@@ -181,7 +191,7 @@ TEST_F(McTest, TriggerClassReportedByTrial)
     Fault a = bankFault(0, 1, 2);
     a.timeHours = 5.0;
     FaultClass trigger = FaultClass::Bit;
-    EXPECT_GE(mc.runTrial(none, {a}, &trigger), 0.0);
+    EXPECT_GE(runTrial(mc, none, {a}, &trigger), 0.0);
     EXPECT_EQ(trigger, FaultClass::Bank);
 }
 

@@ -4,14 +4,18 @@
  * for any thread count, MonteCarlo::run must produce a bit-identical
  * McResult — every field, including the per-class attribution map —
  * because per-trial seeds are counter-derived and shard merging is
- * integer-exact. Also unit-tests the worker pool itself and the
- * RasScheme::clone() semantics the engine relies on.
+ * integer-exact. Pins the seed-7 results as constants, and also
+ * unit-tests the worker pool itself and the RasScheme::clone()
+ * semantics the engine relies on.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -158,6 +162,123 @@ TEST(MonteCarloParallel, BitIdenticalAcrossForcedKernelModes)
             expectIdentical(reference, mc.run(*scheme, 1500, 13, t));
     }
     setKernelMode(saved);
+}
+
+// ---- Pinned results -------------------------------------------------
+//
+// Seed 7, 20000 trials at the pessimistic TSV rate, pinned as
+// constants: any change to the sampler's draw stream, the trial loop,
+// the per-trial seed mix or the shard merge shows up here even when
+// serial and parallel drift together. Full Citadel survives every
+// lifetime, so Same-Bank SSC — which fails through every fault class —
+// pins the scrub, attribution and by-year bookkeeping.
+
+constexpr u64 kPinSeed = 7;
+constexpr u64 kPinTrials = 20000;
+/** MonteCarlo's per-trial seed mix, part of the determinism contract. */
+constexpr u64 kPinSeedMix = 0xA24BAED4963EE407ull;
+/** Bit pattern of meanFaultsPerTrial (the same lifetimes feed every
+ *  scheme): pinned exactly, not to a tolerance. */
+constexpr u64 kPinMeanFaultsBits = 0x3fe42eb1c432ca58ull;
+
+struct Pin
+{
+    const char *name;
+    SchemePtr (*make)();
+    u64 failures;
+    std::vector<u64> failuresByYear;
+    std::map<FaultClass, u64> failuresByClass;
+};
+
+const std::vector<Pin> &
+pins()
+{
+    static const std::vector<Pin> kPins = {
+        {"citadel", [] { return makeCitadel(); }, 0,
+         {0, 0, 0, 0, 0, 0, 0}, {}},
+        {"same-bank ssc",
+         [] { return makeSymbolBaseline(StripingMode::SameBank); }, 5455,
+         {927, 1781, 2606, 3383, 4130, 4789, 5455},
+         {{FaultClass::Bit, 2},
+          {FaultClass::Word, 230},
+          {FaultClass::Column, 228},
+          {FaultClass::Row, 556},
+          {FaultClass::SubArray, 418},
+          {FaultClass::Bank, 1069},
+          {FaultClass::Channel, 48},
+          {FaultClass::DataTsv, 2681},
+          {FaultClass::AddrTsvRow, 188},
+          {FaultClass::AddrTsvBank, 35}}},
+    };
+    return kPins;
+}
+
+SystemConfig
+pinnedConfig()
+{
+    SystemConfig cfg;
+    cfg.tsvDeviceFit = 1430.0;
+    return cfg;
+}
+
+void
+expectPinned(const Pin &pin, const McResult &r)
+{
+    SCOPED_TRACE(pin.name);
+    EXPECT_EQ(r.trials, kPinTrials);
+    EXPECT_EQ(r.failures, pin.failures);
+    EXPECT_EQ(r.failuresByYear, pin.failuresByYear);
+    EXPECT_EQ(r.failuresByClass, pin.failuresByClass);
+    EXPECT_EQ(std::bit_cast<u64>(r.meanFaultsPerTrial), kPinMeanFaultsBits)
+        << r.meanFaultsPerTrial;
+}
+
+TEST(MonteCarloParallel, PinnedResultsAtOneAndFourThreads)
+{
+    const MonteCarlo mc(pinnedConfig());
+    for (const Pin &pin : pins()) {
+        const SchemePtr scheme = pin.make();
+        for (unsigned t : {1u, 4u})
+            expectPinned(pin, mc.run(*scheme, kPinTrials, kPinSeed, t));
+    }
+}
+
+TEST(MonteCarloParallel, PublicApiReplayReproducesPinnedResults)
+{
+    // The same lifetimes replayed one trial at a time through the
+    // public sampler and trial calls, with the engine's bookkeeping.
+    const SystemConfig cfg = pinnedConfig();
+    const MonteCarlo mc(cfg);
+    const FaultInjector injector(cfg);
+    const u32 years =
+        static_cast<u32>(std::ceil(cfg.lifetimeHours / kHoursPerYear));
+    std::vector<Fault> events;
+    std::vector<Fault> active;
+    for (const Pin &pin : pins()) {
+        const SchemePtr scheme = pin.make();
+        McResult r;
+        r.trials = kPinTrials;
+        r.failuresByYear.assign(years, 0);
+        u64 faults = 0;
+        for (u64 t = 0; t < kPinTrials; ++t) {
+            Rng rng(kPinSeed ^ (kPinSeedMix * (t + 1)));
+            injector.sampleLifetime(rng, events);
+            faults += events.size();
+            FaultClass trigger = FaultClass::Bit;
+            const double at = mc.runTrial(*scheme, events, &trigger, active);
+            if (at < 0.0)
+                continue;
+            ++r.failures;
+            ++r.failuresByClass[trigger];
+            const u32 year = std::min(
+                years - 1, static_cast<u32>(std::floor(at / kHoursPerYear)));
+            for (u32 y = year; y < years; ++y)
+                ++r.failuresByYear[y];
+        }
+        r.meanFaultsPerTrial =
+            static_cast<double>(faults) / static_cast<double>(kPinTrials);
+        expectPinned(pin, r);
+    }
 }
 
 // ---- ThreadPool unit tests -----------------------------------------

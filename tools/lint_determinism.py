@@ -134,35 +134,11 @@ RULES = [
 # trail a reviewer checks instead of re-deriving the data flow.
 BLESSINGS = [
     Blessing(
-        file="bench/perf_trajectory.cc",
-        rule="wall-clock",
-        needle="std::chrono::steady_clock",
-        justification=(
-            "wall-clock throughput is this bench's deliverable: "
-            "steady_clock readings feed only the seconds/per-second "
-            "JSON fields, never a seeded result -- bit-identity of the "
-            "simulated numbers is asserted separately on integer "
-            "counters (serial-vs-parallel and cycle-vs-event oracles)"
-        ),
-    ),
-    Blessing(
-        file="bench/bench_util.h",
-        rule="wall-clock",
-        needle="std::chrono::steady_clock",
-        justification=(
-            "benchKernel() is the shared MB/s timing loop the bench "
-            "binaries call: its steady_clock readings produce only "
-            "throughput report fields and are never mixed into a "
-            "seeded result -- kernel outputs are byte-compared against "
-            "scalar oracles before timing (test_kernels.cc)"
-        ),
-    ),
-    Blessing(
         file="bench/fleet_bench_util.h",
         rule="wall-clock",
         needle="std::chrono::steady_clock",
         justification=(
-            "timedCampaign() is the fleet benches' shared Kops/s "
+            "timedCampaign() is the fleet bench's Kops/s "
             "timing wrapper: steady_clock readings feed only wall-"
             "seconds/throughput report fields, never a seeded result "
             "-- campaign equivalence is asserted separately on integer "
