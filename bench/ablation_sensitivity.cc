@@ -18,7 +18,7 @@ using namespace citadel::bench;
 int
 main()
 {
-    const u64 n = trials(100000);
+    const u64 n = knobU64(Knob::Trials);
 
     // --- Scrub interval ------------------------------------------------
     printBanner(std::cout, "Scrub-interval sensitivity (" +
@@ -96,17 +96,7 @@ main()
         for (double k : {1.0, 2.0, 4.0}) {
             SystemConfig cfg;
             cfg.tsvDeviceFit = 1430.0 * k;
-            FitTable r = FitTable::paper8Gb();
-            auto scale = [k](FitPair &p) {
-                p.transientFit *= k;
-                p.permanentFit *= k;
-            };
-            scale(r.bit);
-            scale(r.word);
-            scale(r.column);
-            scale(r.row);
-            scale(r.bank);
-            cfg.rates = r;
+            cfg.rates = FitTable::paper8Gb().scaledBy(k);
             MonteCarlo mc(cfg);
             SecdedScheme secded;
             auto ssc =

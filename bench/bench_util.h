@@ -1,8 +1,9 @@
 /**
  * @file
- * Shared helpers for the per-figure bench binaries: standard trial
- * counts (env-overridable), common scheme construction and run loops
- * for the timing benches, and paper-vs-measured printing.
+ * Shared helpers for the per-figure bench binaries: common scheme
+ * construction and run loops for the timing benches, and paper-vs-
+ * measured printing. Run sizes come from the CITADEL_TRIALS and
+ * CITADEL_INSNS knobs (common/knobs.h).
  *
  * Every figure bench drives MonteCarlo::run, which shards trials over
  * a worker pool (common/thread_pool.h) and is bit-identical for any
@@ -20,7 +21,7 @@
 #include <vector>
 
 #include "citadel/citadel.h"
-#include "common/env.h"
+#include "common/knobs.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
@@ -28,27 +29,6 @@
 
 namespace citadel {
 namespace bench {
-
-/** Monte Carlo trials (CITADEL_TRIALS overrides; paper uses 1e5-1e6). */
-inline u64
-trials(u64 fallback = 200000)
-{
-    return benchTrials(fallback);
-}
-
-/** Worker threads the Monte Carlo engine will use (CITADEL_THREADS). */
-inline unsigned
-mcThreads()
-{
-    return citadelThreads();
-}
-
-/** Per-core instruction budget for timing runs (CITADEL_INSNS). */
-inline u64
-insns(u64 fallback = 400000)
-{
-    return benchInsns(fallback);
-}
 
 /** Format a probability with its 95% CI; "<x" when zero failures. */
 inline std::string

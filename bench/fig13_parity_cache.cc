@@ -17,7 +17,7 @@ using namespace citadel::bench;
 int
 main()
 {
-    const u64 n = insns();
+    const u64 n = knobU64(Knob::Insns);
     printBanner(std::cout, "Figure 13: D1 parity-update LLC hit rate (" +
                                std::to_string(n) + " insns/core)");
 

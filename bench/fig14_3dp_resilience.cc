@@ -18,7 +18,7 @@ using namespace citadel::bench;
 int
 main()
 {
-    const u64 n = trials(100000);
+    const u64 n = knobU64(Knob::Trials);
     printBanner(std::cout,
                 "Figure 14: 1DP/2DP/3DP vs striped symbol code (" +
                     std::to_string(n) + " trials, TSV-Swap on, "

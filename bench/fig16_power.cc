@@ -16,7 +16,7 @@ using namespace citadel::bench;
 int
 main()
 {
-    const u64 n = insns();
+    const u64 n = knobU64(Knob::Insns);
     printBanner(std::cout, "Figure 16: normalized active power (" +
                                std::to_string(n) + " insns/core)");
 

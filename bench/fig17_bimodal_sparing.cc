@@ -18,7 +18,7 @@ using namespace citadel::bench;
 int
 main()
 {
-    const u64 n = trials(100000);
+    const u64 n = knobU64(Knob::Trials);
     printBanner(std::cout,
                 "Figure 17: rows required to spare a faulty bank (" +
                     std::to_string(n) + " lifetimes, permanent faults)");

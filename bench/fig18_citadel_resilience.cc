@@ -16,7 +16,7 @@ using namespace citadel::bench;
 int
 main()
 {
-    const u64 n = trials(300000);
+    const u64 n = knobU64(Knob::Trials, 300000);
     printBanner(std::cout, "Figure 18: Citadel (3DP+DDS) resilience (" +
                                std::to_string(n) + " trials, TSV FIT "
                                "1430, TSV-Swap on)");

@@ -16,7 +16,7 @@ using namespace citadel::bench;
 int
 main()
 {
-    const u64 n = trials(300000);
+    const u64 n = knobU64(Knob::Trials, 300000);
     printBanner(std::cout, "Figure 19: Citadel vs 6EC7ED vs RAID-5 (" +
                                std::to_string(n) +
                                " trials, no TSV faults)");

@@ -17,7 +17,7 @@ using namespace citadel::bench;
 int
 main()
 {
-    const u64 n = trials(60000);
+    const u64 n = knobU64(Knob::Trials, 60000);
     printBanner(std::cout,
                 "Figure 4: striping vs reliability, 8-bit symbol code "
                 "(" + std::to_string(n) + " Monte Carlo trials)");

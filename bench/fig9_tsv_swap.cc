@@ -16,7 +16,7 @@ using namespace citadel::bench;
 int
 main()
 {
-    const u64 n = trials(60000);
+    const u64 n = knobU64(Knob::Trials, 60000);
     printBanner(std::cout, "Figure 9: TSV-SWAP at 1430 TSV FIT (" +
                                std::to_string(n) + " trials)");
 

@@ -15,39 +15,10 @@
  * batched-vs-unbatched speedup, the Busy rejection count, and acked-
  * completion latency percentiles in virtual ticks.
  *
- * All knobs go through the range-validated env parser; a typo'd value
- * is rejected (with a warning) rather than silently wedging a run:
- *
- *   CITADEL_FLEET_SERVERS      stack servers          [2, 64]
- *   CITADEL_FLEET_TICKS        campaign ticks         [64, 1e6]
- *   CITADEL_FLEET_USERS        distinct clients       [1, 1e9]
- *   CITADEL_FLEET_KEYSPACE     distinct keys          [1, 1e6]
- *   CITADEL_FLEET_ARRIVALS     operations per tick    [1, 1024]
- *   CITADEL_FLEET_WRITE_FRAC   write fraction         [0, 1]
- *   CITADEL_FLEET_REPLICATION  copies per key         [1, 8]
- *   CITADEL_FLEET_QUORUM       write-ack quorum       [1, 8]
- *   CITADEL_FLEET_QUEUE_CAP    per-server inbox cap   [1, 65536]
- *   CITADEL_FLEET_BATCH        wire records/frame     [1, 4096]
- *   CITADEL_FLEET_TRANSPORT    loopback|socket (loopback)
- *   CITADEL_FLEET_TRACE        trace-replay spec (fleet/traffic.h
- *                              grammar); empty = uniform arrivals
- *   CITADEL_FLEET_CHAOS        chaos on/off           [0, 1]
- *   CITADEL_FLEET_CRASHES      scheduled crashes      [0, 64]
- *   CITADEL_FLEET_DROP_PROB    request loss prob      [0, 1]
- *   CITADEL_FLEET_JOIN         crashed/stalled-out servers restart
- *                              and rejoin (warm fill) [0, 1]
- *   CITADEL_FLEET_REBALANCE    load-driven hot-shard
- *                              migration              [0, 1]
- *   CITADEL_FLEET_CHECKPOINT   checkpoint/resume proof: save at this
- *                              tick, resume in a fresh campaign, and
- *                              require the resumed fingerprint to
- *                              match the headline; 0 = off [0, 1e6]
- *   CITADEL_FLEET_CALIB_INSNS  SystemSim calibration
- *                              slice, 0 = skip        [0, 1e7]
- *   CITADEL_FLEET_FIT_SCALE    device FIT multiplier  [0, 1e6]
- *   CITADEL_SEED               campaign seed
- *   CITADEL_THREADS            worker threads (the fingerprint is
- *                              identical for any value)
+ * Every CITADEL_FLEET_* knob, and CITADEL_SEED / CITADEL_THREADS, is
+ * a row of the knob table (common/knobs.h, listed in README.md); a
+ * typo'd value is rejected with a warning rather than silently
+ * wedging a run. The fingerprint is identical for any thread count.
  *
  * Exit status is non-zero if any acknowledged write is lost or
  * corrupt, if any datapath's differential model diverges, or if any
@@ -59,7 +30,7 @@
 #include <iostream>
 #include <sstream>
 
-#include "common/env.h"
+#include "common/knobs.h"
 #include "fleet_bench_util.h"
 
 using namespace citadel;
@@ -71,60 +42,33 @@ FleetConfig
 configFromEnv()
 {
     FleetConfig cfg = FleetConfig::demo();
-    cfg.servers = static_cast<u32>(
-        envU64InRange("CITADEL_FLEET_SERVERS", 8, 2, 64));
-    cfg.ticks = envU64InRange("CITADEL_FLEET_TICKS", 2048, 64, 1'000'000);
-    cfg.users =
-        envU64InRange("CITADEL_FLEET_USERS", 1'000'000, 1, 1'000'000'000);
-    cfg.keySpace =
-        envU64InRange("CITADEL_FLEET_KEYSPACE", 512, 1, 1'000'000);
-    cfg.arrivalsPerTick = static_cast<u32>(
-        envU64InRange("CITADEL_FLEET_ARRIVALS", 4, 1, 1024));
-    cfg.writeFraction =
-        envDoubleInRange("CITADEL_FLEET_WRITE_FRAC", 0.5, 0.0, 1.0);
-    cfg.replication = static_cast<u32>(
-        envU64InRange("CITADEL_FLEET_REPLICATION", 2, 1, 8));
-    cfg.ackQuorum =
-        static_cast<u32>(envU64InRange("CITADEL_FLEET_QUORUM", 2, 1, 8));
-    cfg.server.queueCap = static_cast<u32>(
-        envU64InRange("CITADEL_FLEET_QUEUE_CAP", 256, 1, 65536));
-    cfg.batch = static_cast<u32>(
-        envU64InRange("CITADEL_FLEET_BATCH", 32, 1, kMaxFrameRecords));
+    cfg.servers = static_cast<u32>(knobU64(Knob::FleetServers));
+    cfg.ticks = knobU64(Knob::FleetTicks);
+    cfg.users = knobU64(Knob::FleetUsers);
+    cfg.keySpace = knobU64(Knob::FleetKeyspace);
+    cfg.arrivalsPerTick = static_cast<u32>(knobU64(Knob::FleetArrivals));
+    cfg.writeFraction = knobDouble(Knob::FleetWriteFrac);
+    cfg.replication = static_cast<u32>(knobU64(Knob::FleetReplication));
+    cfg.ackQuorum = static_cast<u32>(knobU64(Knob::FleetQuorum));
+    cfg.server.queueCap = static_cast<u32>(knobU64(Knob::FleetQueueCap));
+    cfg.batch = static_cast<u32>(knobU64(Knob::FleetBatch));
     cfg.transport = requestedTransportMode();
-    cfg.traffic = envString("CITADEL_FLEET_TRACE", "");
-    cfg.chaos.enabled =
-        envU64InRange("CITADEL_FLEET_CHAOS", 1, 0, 1) != 0;
-    cfg.chaos.crashes = static_cast<u32>(
-        envU64InRange("CITADEL_FLEET_CRASHES", 1, 0, 64));
-    cfg.chaos.dropProb =
-        envDoubleInRange("CITADEL_FLEET_DROP_PROB", 0.01, 0.0, 1.0);
+    cfg.traffic = knobText(Knob::FleetTrace);
+    cfg.chaos.enabled = knobU64(Knob::FleetChaos) != 0;
+    cfg.chaos.crashes = static_cast<u32>(knobU64(Knob::FleetCrashes));
+    cfg.chaos.dropProb = knobDouble(Knob::FleetDropProb);
     // Elasticity: rejoin after crash/stall-eviction (restart delay is
     // fixed; the knob is the on/off switch) and hot-shard rebalance.
-    if (envU64InRange("CITADEL_FLEET_JOIN", 0, 0, 1) != 0)
+    if (knobU64(Knob::FleetJoin) != 0)
         cfg.chaos.restartAfterTicks = 192;
-    cfg.coord.rebalanceEnabled =
-        envU64InRange("CITADEL_FLEET_REBALANCE", 0, 0, 1) != 0;
-    cfg.server.calibrationInsns =
-        envU64InRange("CITADEL_FLEET_CALIB_INSNS", 20'000, 0, 10'000'000);
+    cfg.coord.rebalanceEnabled = knobU64(Knob::FleetRebalance) != 0;
+    cfg.server.calibrationInsns = knobU64(Knob::FleetCalibInsns);
 
     // Rebuild the FIT table from nominal so the env knob is an
     // absolute multiplier, not a multiplier on demo()'s default.
-    const double fit_scale =
-        envDoubleInRange("CITADEL_FLEET_FIT_SCALE", 2000.0, 0.0, 1e6);
-    FitTable t = FitTable::paper8Gb();
-    const auto scale = [&](FitPair p) {
-        p.transientFit *= fit_scale;
-        p.permanentFit *= fit_scale;
-        return p;
-    };
-    t.bit = scale(t.bit);
-    t.word = scale(t.word);
-    t.column = scale(t.column);
-    t.row = scale(t.row);
-    t.bank = scale(t.bank);
-    cfg.server.faults.rates = t;
-
-    cfg.seed = envU64("CITADEL_SEED", 1);
+    cfg.server.faults.rates =
+        FitTable::paper8Gb().scaledBy(knobDouble(Knob::FleetFitScale));
+    cfg.seed = knobU64(Knob::Seed);
     return cfg;
 }
 
@@ -230,8 +174,7 @@ main()
     // Re-run the headline campaign, cut it at the requested tick,
     // checkpoint, resume into a fresh campaign, and demand the
     // resumed fingerprint match the uninterrupted headline run.
-    const u64 ckptTick =
-        envU64InRange("CITADEL_FLEET_CHECKPOINT", 0, 0, 1'000'000);
+    const u64 ckptTick = knobU64(Knob::FleetCheckpoint);
     if (ckptTick > 0) {
         u64 campaignTicks = cfg.ticks;
         if (!cfg.traffic.empty()) {

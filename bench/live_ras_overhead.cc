@@ -60,7 +60,7 @@ makeRowFault(u32 ch, u32 bank, u32 row)
 int
 main()
 {
-    const u64 n = insns(30'000);
+    const u64 n = knobU64(Knob::Insns, 30'000);
     printBanner(std::cout,
                 "Live RAS datapath overhead (tiny geometry, " +
                     std::to_string(n) + " insns/core)");

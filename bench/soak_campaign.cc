@@ -7,81 +7,48 @@
  * second campaign is restored from the last checkpoint, aged to end of
  * life, and its fingerprint must equal the uninterrupted run's.
  *
- * All knobs go through the range-validated env parser; a typo'd value
- * is rejected (with a warning) rather than silently wedging a
- * multi-hour campaign:
- *
- *   CITADEL_SOAK_YEARS            simulated years      [0.01, 100]
- *   CITADEL_SOAK_SHARDS           device lifetimes     [1, 256]
- *   CITADEL_SOAK_PROBES           probe reads / epoch  [1, 4096]
- *   CITADEL_SOAK_CYCLES_PER_HOUR  aging compression    [1, 1e9]
- *   CITADEL_SOAK_CHECKPOINT_HOURS checkpoint period, 0 = midpoint only
- *   CITADEL_SOAK_CHECKPOINT_FILE  also write the blob to this path
- *   CITADEL_SOAK_FIT_SCALE        data-plane FIT x     [0, 1e6]
- *   CITADEL_META_FIT              control-plane FIT    [0, 1e6]
- *   CITADEL_META_RETRY_MAX        meta scrub retries   [1, 64]
- *   CITADEL_META_BACKOFF_CYCLES   meta retry backoff   [1, 1e6]
- *   CITADEL_THREADS               worker threads (the fingerprint is
- *                                 identical for any value)
+ * Every CITADEL_SOAK_* / CITADEL_META_* knob, CITADEL_TSV_FIT,
+ * CITADEL_SEED and CITADEL_THREADS is a row of the knob table
+ * (common/knobs.h, listed in README.md); a typo'd value is rejected
+ * with a warning rather than silently wedging a multi-hour campaign.
+ * The fingerprint is identical for any thread count.
  */
 
 #include <fstream>
 #include <iostream>
 
-#include "common/env.h"
+#include "common/knobs.h"
 #include "ras/soak.h"
 
 using namespace citadel;
 
 namespace {
 
-FitPair
-scalePair(FitPair p, double s)
-{
-    p.transientFit *= s;
-    p.permanentFit *= s;
-    return p;
-}
-
 SoakConfig
 configFromEnv()
 {
     SoakConfig cfg;
     cfg.sim.geom = StackGeometry::tiny();
-    cfg.years = envDoubleInRange("CITADEL_SOAK_YEARS", 2.0, 0.01, 100.0);
-    cfg.shards = static_cast<u32>(
-        envU64InRange("CITADEL_SOAK_SHARDS", 4, 1, 256));
-    cfg.probesPerEpoch = static_cast<u32>(
-        envU64InRange("CITADEL_SOAK_PROBES", 16, 1, 4096));
-    cfg.cyclesPerHour = envU64InRange("CITADEL_SOAK_CYCLES_PER_HOUR",
-                                      2048, 1, 1'000'000'000);
-    cfg.seed = envU64("CITADEL_SEED", 1);
+    cfg.years = knobDouble(Knob::SoakYears);
+    cfg.shards = static_cast<u32>(knobU64(Knob::SoakShards));
+    cfg.probesPerEpoch = static_cast<u32>(knobU64(Knob::SoakProbes));
+    cfg.cyclesPerHour = knobU64(Knob::SoakCyclesPerHour);
+    cfg.seed = knobU64(Knob::Seed);
 
     // The tiny geometry has ~2^-17 of an 8GB stack's cells, so the
     // Table I rates would arrive ~0 faults in a short soak. Scale the
     // data plane up (default x2000 keeps a 2-year soak eventful) --
     // the soak exercises mechanisms, it is not a reliability estimate.
-    const double fit_scale =
-        envDoubleInRange("CITADEL_SOAK_FIT_SCALE", 2000.0, 0.0, 1e6);
-    FitTable t = FitTable::paper8Gb();
-    t.bit = scalePair(t.bit, fit_scale);
-    t.word = scalePair(t.word, fit_scale);
-    t.column = scalePair(t.column, fit_scale);
-    t.row = scalePair(t.row, fit_scale);
-    t.bank = scalePair(t.bank, fit_scale);
-    cfg.faults.rates = t;
-    cfg.faults.tsvDeviceFit =
-        envDoubleInRange("CITADEL_TSV_FIT", 1430.0, 0.0, 1e6);
+    cfg.faults.rates =
+        FitTable::paper8Gb().scaledBy(knobDouble(Knob::SoakFitScale));
+    cfg.faults.tsvDeviceFit = knobDouble(Knob::TsvFit);
     // Control-plane upsets: default high enough that a short soak
     // sees the scrub/mirror/loss machinery in action (~1e5 FIT x
     // 17520h x 2 stacks = a handful of events).
-    cfg.faults.metaFit =
-        envDoubleInRange("CITADEL_META_FIT", 200000.0, 0.0, 1e6);
+    cfg.faults.metaFit = knobDouble(Knob::MetaFit);
 
-    cfg.ras.meta.retryMax = static_cast<u32>(
-        envU64InRange("CITADEL_META_RETRY_MAX", 3, 1, 64));
-    cfg.ras.meta.backoffCycles =
-        envU64InRange("CITADEL_META_BACKOFF_CYCLES", 16, 1, 1'000'000);
+    cfg.ras.meta.retryMax = static_cast<u32>(knobU64(Knob::MetaRetryMax));
+    cfg.ras.meta.backoffCycles = knobU64(Knob::MetaBackoffCycles);
     return cfg;
 }
 
@@ -91,10 +58,8 @@ int
 main()
 {
     const SoakConfig cfg = configFromEnv();
-    const double ckpt_hours = envDoubleInRange(
-        "CITADEL_SOAK_CHECKPOINT_HOURS", 0.0, 0.0, 1e7);
-    const std::string ckpt_file =
-        envString("CITADEL_SOAK_CHECKPOINT_FILE", "");
+    const double ckpt_hours = knobDouble(Knob::SoakCheckpointHours);
+    const std::string ckpt_file = knobText(Knob::SoakCheckpointFile);
 
     // Uninterrupted reference run, checkpointing as it goes. With no
     // period configured, one checkpoint is taken at mid-life.

@@ -16,7 +16,7 @@ using namespace citadel::bench;
 int
 main()
 {
-    const u64 n = trials(100000);
+    const u64 n = knobU64(Knob::Trials);
     printBanner(std::cout, "Table III: failed banks per system (" +
                                std::to_string(n) + " lifetimes)");
 

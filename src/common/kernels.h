@@ -20,8 +20,6 @@
 #define CITADEL_COMMON_KERNELS_H
 
 #include <cstddef>
-#include <optional>
-#include <string_view>
 
 #include "common/types.h"
 
@@ -35,17 +33,12 @@ enum class KernelMode
     Auto,   ///< Best available: vector xorFold, hw CRC when the CPU has it.
 };
 
-/** Display name ("scalar" / "vector" / "auto"). */
+/** Display name: the mode's CITADEL_KERNEL spelling ("scalar" /
+ *  "vector" / "auto"), so the enum follows the knob's spelling order. */
 const char *kernelModeName(KernelMode mode);
 
-/**
- * Parse a CITADEL_KERNEL value. Exact lowercase spellings only;
- * anything else is std::nullopt (the env reader warns and falls back
- * to Auto — see test_env.cc rejection tests).
- */
-std::optional<KernelMode> parseKernelMode(std::string_view text);
-
-/** Mode requested by CITADEL_KERNEL (invalid/unset resolves to Auto). */
+/** Mode requested by CITADEL_KERNEL (common/knobs.h; invalid or
+ *  unset text resolves to Auto). */
 KernelMode requestedKernelMode();
 
 /** Currently active mode (startup: requestedKernelMode()). */

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
-#include "common/env.h"
+#include "common/knobs.h"
 
 namespace citadel {
 
@@ -11,8 +11,8 @@ unsigned
 citadelThreads()
 {
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const u64 n = envU64("CITADEL_THREADS", hw);
-    return n == 0 ? hw : static_cast<unsigned>(std::min<u64>(n, 1024));
+    const u64 n = knobU64(Knob::Threads);
+    return n == 0 ? hw : static_cast<unsigned>(n);
 }
 
 ThreadPool::ThreadPool(unsigned threads)

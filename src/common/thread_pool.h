@@ -33,8 +33,8 @@ namespace citadel {
 
 /**
  * Worker threads resolved from the environment: CITADEL_THREADS if set
- * (1 selects the legacy single-threaded path everywhere), otherwise
- * std::thread::hardware_concurrency() (minimum 1).
+ * and nonzero (1 selects the legacy single-threaded path everywhere),
+ * otherwise std::thread::hardware_concurrency() (minimum 1).
  */
 unsigned citadelThreads();
 

@@ -2,6 +2,16 @@
 
 namespace citadel {
 
+namespace {
+
+FitPair
+scaled(FitPair p, double k)
+{
+    return {p.transientFit * k, p.permanentFit * k};
+}
+
+} // namespace
+
 FitTable
 FitTable::sridharan1Gb()
 {
@@ -31,16 +41,16 @@ FitTable
 FitTable::scaledForStackedDie() const
 {
     const FitScaling s;
-    FitTable t;
-    t.bit = {bit.transientFit * s.bitScale, bit.permanentFit * s.bitScale};
-    t.word = {word.transientFit * s.wordScale,
-              word.permanentFit * s.wordScale};
-    t.column = {column.transientFit * s.columnScale,
-                column.permanentFit * s.columnScale};
-    t.row = {row.transientFit * s.rowScale, row.permanentFit * s.rowScale};
-    t.bank = {bank.transientFit * s.bankScale,
-              bank.permanentFit * s.bankScale};
-    return t;
+    return {scaled(bit, s.bitScale), scaled(word, s.wordScale),
+            scaled(column, s.columnScale), scaled(row, s.rowScale),
+            scaled(bank, s.bankScale)};
+}
+
+FitTable
+FitTable::scaledBy(double k) const
+{
+    return {scaled(bit, k), scaled(word, k), scaled(column, k),
+            scaled(row, k), scaled(bank, k)};
 }
 
 } // namespace citadel

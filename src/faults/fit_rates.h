@@ -63,6 +63,9 @@ struct FitTable
 
     /** Apply the Section III-A scale factors to this table. */
     FitTable scaledForStackedDie() const;
+
+    /** Every rate, both permanences, multiplied by `s`. */
+    FitTable scaledBy(double s) const;
 };
 
 /** Scale factors from 1Gb to 8Gb dies (Section III-A). */

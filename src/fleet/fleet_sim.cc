@@ -14,14 +14,6 @@ namespace fleet {
 
 namespace {
 
-FitPair
-scalePair(FitPair p, double s)
-{
-    p.transientFit *= s;
-    p.permanentFit *= s;
-    return p;
-}
-
 /** Unit double in [0, 1) from the top 53 bits of a counter hash. */
 double
 unit(u64 h)
@@ -178,14 +170,7 @@ FleetConfig::demo()
     // Boosted fault rates, same rationale as the soak driver: at
     // nominal FIT a short campaign would see nothing. The fleet
     // campaign exercises mechanisms; it is not a reliability estimate.
-    const double fit_scale = 2000.0;
-    FitTable t = FitTable::paper8Gb();
-    t.bit = scalePair(t.bit, fit_scale);
-    t.word = scalePair(t.word, fit_scale);
-    t.column = scalePair(t.column, fit_scale);
-    t.row = scalePair(t.row, fit_scale);
-    t.bank = scalePair(t.bank, fit_scale);
-    cfg.server.faults.rates = t;
+    cfg.server.faults.rates = FitTable::paper8Gb().scaledBy(2000.0);
     cfg.server.faults.tsvDeviceFit = 1430.0;
     cfg.server.faults.metaFit = 100000.0;
     cfg.server.agingHours = 2000.0;

@@ -51,9 +51,7 @@
 #define CITADEL_FLEET_WIRE_H
 
 #include <memory>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "fleet/fleet_types.h"
@@ -71,15 +69,10 @@ enum class TransportMode : u8
     Socket,   ///< Framed batches through real AF_UNIX socketpairs.
 };
 
-/** Display name ("loopback" / "socket"). */
+/** Display name: the mode's CITADEL_FLEET_TRANSPORT spelling
+ *  ("loopback" / "socket"), so the enum follows the knob's spelling
+ *  order. */
 const char *transportModeName(TransportMode mode);
-
-/**
- * Parse a CITADEL_FLEET_TRANSPORT value. Exact lowercase spellings
- * only; anything else is std::nullopt (the env reader warns and falls
- * back to Loopback — see the test_env.cc rejection tests).
- */
-std::optional<TransportMode> parseTransportMode(std::string_view text);
 
 /** Mode requested by CITADEL_FLEET_TRANSPORT (invalid/unset resolves
  *  to Loopback, with a warning on invalid text). */

@@ -44,9 +44,8 @@ enum class RasTraffic
  */
 enum class SimStepping
 {
-    EnvDefault, ///< CITADEL_SIM_STEPPING (cycle|event); default event.
-    Cycle,      ///< Advance one cycle at a time.
-    Event       ///< Jump to the next cycle anything can happen.
+    Cycle, ///< Advance one cycle at a time.
+    Event  ///< Jump to the next cycle anything can happen (default).
 };
 
 /** Full timing-simulation configuration. */
@@ -56,7 +55,7 @@ struct SimConfig
     DramTiming timing;
     StripingMode striping = StripingMode::SameBank;
     RasTraffic ras = RasTraffic::None;
-    SimStepping stepping = SimStepping::EnvDefault;
+    SimStepping stepping = SimStepping::Event;
 
     u32 cores = 8;
     u64 insnsPerCore = 2'000'000;

@@ -2,33 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
-#include "common/env.h"
 #include "common/log.h"
 #include "sim/retirement.h"
 
 namespace citadel {
-
-namespace {
-
-/** Resolve the configured stepping mode against CITADEL_SIM_STEPPING. */
-SimStepping
-resolveStepping(SimStepping configured)
-{
-    if (configured != SimStepping::EnvDefault)
-        return configured;
-    const std::string v = envString("CITADEL_SIM_STEPPING", "event");
-    if (v == "cycle")
-        return SimStepping::Cycle;
-    if (v != "event")
-        warn("env: CITADEL_SIM_STEPPING='%s' is not cycle|event; "
-             "using event",
-             v.c_str());
-    return SimStepping::Event;
-}
-
-} // namespace
 
 SystemSim::SystemSim(const SimConfig &cfg, const BenchmarkProfile &profile)
     : cfg_(cfg), profile_(profile), mem_(cfg),
@@ -331,7 +309,6 @@ SystemSim::advanceIdle(u64 cycles)
 SimResult
 SystemSim::run()
 {
-    const SimStepping stepping = resolveStepping(cfg_.stepping);
     u64 cycle = 0;
     const u64 total_insns =
         static_cast<u64>(cfg_.cores) * cfg_.insnsPerCore;
@@ -350,7 +327,7 @@ SystemSim::run()
         if (cycle > (1ull << 40))
             panic("system_sim: runaway simulation");
 
-        if (stepping == SimStepping::Event && !all_done()) {
+        if (cfg_.stepping == SimStepping::Event && !all_done()) {
             const u64 next = nextInterestingCycle(cycle);
             if (next == MemorySystem::kNoEvent)
                 panic("system_sim: event loop stalled with live cores");

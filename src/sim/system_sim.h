@@ -19,7 +19,7 @@
  * The clock advances either cycle-by-cycle or event-driven (skipping
  * stretches in which every component is provably idle); the two modes
  * produce bit-identical results (DESIGN.md section 10) and are
- * selected by SimConfig::stepping / CITADEL_SIM_STEPPING.
+ * selected by SimConfig::stepping (default: event).
  */
 
 #ifndef CITADEL_SIM_SYSTEM_SIM_H

@@ -226,11 +226,7 @@ TEST(DifferentialCorpus, InjectorSampledLifetimesAgree)
     cfg.subArrayRows = 16;
     cfg.tsvDeviceFit = 1430.0;
     // Boost rates so short lifetimes still produce multi-fault sets.
-    for (FitPair *p : {&cfg.rates.bit, &cfg.rates.word, &cfg.rates.column,
-                       &cfg.rates.row, &cfg.rates.bank}) {
-        p->transientFit *= 50.0;
-        p->permanentFit *= 50.0;
-    }
+    cfg.rates = cfg.rates.scaledBy(50.0);
 
     FaultInjector inj(cfg);
     MultiDimParityScheme analytic(3);

@@ -1,279 +1,277 @@
 /**
  * @file
- * Hardened env-parser tests: every new knob flows through
- * envU64InRange / envDoubleInRange, so malformed or out-of-range text
- * must be *rejected back to the fallback*, never half-parsed into a
- * wedged campaign, and a fallback that itself violates the stated
- * range is a programming error (fatal).
+ * The knob table test. Every row of kKnobs (common/knobs.h) is driven
+ * through its own accessor under its own name, so each knob's default,
+ * inclusive bounds, exact grammar and rejection path are checked
+ * against the table itself rather than a hand-copied range. README.md's
+ * knob table must list exactly the same rows.
  */
 
+#include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <fstream>
+#include <limits>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/env.h"
 #include "common/kernels.h"
+#include "common/knobs.h"
+#include "common/thread_pool.h"
 #include "fleet/wire.h"
 
 namespace citadel {
 namespace {
 
-class EnvRangeTest : public ::testing::Test
+using ::testing::internal::CaptureStderr;
+using ::testing::internal::GetCapturedStderr;
+
+/** Shortest decimal that reads back as `v` (also README's spelling). */
+std::string
+decimal(double v)
 {
-  protected:
-    static constexpr const char *kVar = "CITADEL_TEST_RANGE_VAR";
-
-    void SetUp() override { unsetenv(kVar); }
-    void TearDown() override { unsetenv(kVar); }
-
-    void set(const char *text) { setenv(kVar, text, 1); }
-};
-
-TEST_F(EnvRangeTest, UnsetReturnsFallback)
-{
-    EXPECT_EQ(envU64InRange(kVar, 7, 1, 100), 7u);
-    EXPECT_DOUBLE_EQ(envDoubleInRange(kVar, 2.5, 0.0, 10.0), 2.5);
+    char buf[400];
+    return {buf, std::to_chars(buf, buf + sizeof buf, v,
+                               std::chars_format::fixed)
+                     .ptr};
 }
 
-TEST_F(EnvRangeTest, InRangeValueAccepted)
+/** The value the row's accessor returns now, as text. */
+std::string
+resolved(const KnobSpec &s)
 {
-    set("42");
-    EXPECT_EQ(envU64InRange(kVar, 7, 1, 100), 42u);
-    set("3.125");
-    EXPECT_DOUBLE_EQ(envDoubleInRange(kVar, 2.5, 0.0, 10.0), 3.125);
+    switch (s.kind) {
+    case KnobKind::Unsigned: return std::to_string(knobU64(s.id));
+    case KnobKind::Double: return decimal(knobDouble(s.id));
+    case KnobKind::Choice: return std::string(s.choices[knobChoice(s.id)]);
+    case KnobKind::Text: return knobText(s.id);
+    }
+    return "?";
 }
 
-TEST_F(EnvRangeTest, BoundariesAreInclusive)
+/** The row's default, as resolved() prints it. */
+std::string
+defaultText(const KnobSpec &s)
 {
-    set("1");
-    EXPECT_EQ(envU64InRange(kVar, 7, 1, 100), 1u);
-    set("100");
-    EXPECT_EQ(envU64InRange(kVar, 7, 1, 100), 100u);
-    set("0.0");
-    EXPECT_DOUBLE_EQ(envDoubleInRange(kVar, 2.5, 0.0, 10.0), 0.0);
-    set("10.0");
-    EXPECT_DOUBLE_EQ(envDoubleInRange(kVar, 2.5, 0.0, 10.0), 10.0);
-}
-
-TEST_F(EnvRangeTest, MalformedTextRejectedToFallback)
-{
-    for (const char *bad : {"bogus", "", " ", "12abc", "--3"}) {
-        set(bad);
-        EXPECT_EQ(envU64InRange(kVar, 7, 1, 100), 7u) << bad;
-        EXPECT_DOUBLE_EQ(envDoubleInRange(kVar, 2.5, 0.0, 10.0), 2.5)
-            << bad;
+    switch (s.kind) {
+    case KnobKind::Unsigned: return std::to_string(s.uDefault);
+    case KnobKind::Double: return decimal(s.dDefault);
+    default: return std::string(s.sDefault);
     }
 }
 
-TEST_F(EnvRangeTest, OutOfRangeRejectedToFallback)
+/** Text the row must accept; each resolves to itself. */
+std::vector<std::string>
+acceptedText(const KnobSpec &s)
 {
-    set("0");
-    EXPECT_EQ(envU64InRange(kVar, 7, 1, 100), 7u);
-    set("101");
-    EXPECT_EQ(envU64InRange(kVar, 7, 1, 100), 7u);
-    set("-1.0");
-    EXPECT_DOUBLE_EQ(envDoubleInRange(kVar, 2.5, 0.0, 10.0), 2.5);
-    set("1e9");
-    EXPECT_DOUBLE_EQ(envDoubleInRange(kVar, 2.5, 0.0, 10.0), 2.5);
+    switch (s.kind) {
+    case KnobKind::Unsigned:
+        return {std::to_string(s.uLo), std::to_string(s.uHi)};
+    case KnobKind::Double: return {decimal(s.dLo), decimal(s.dHi)};
+    case KnobKind::Choice:
+        return {s.choices.begin(), s.choices.begin() + s.choiceCount()};
+    case KnobKind::Text: return {"ticks=64,rate=2", " any text at all "};
+    }
+    return {};
 }
 
-TEST_F(EnvRangeTest, NonFiniteAlwaysRejected)
+/** Text the row must reject back to its default, with a warning. */
+std::vector<std::string>
+rejectedText(const KnobSpec &s)
 {
-    for (const char *bad : {"nan", "inf", "-inf", "NAN", "Infinity"}) {
-        set(bad);
-        EXPECT_DOUBLE_EQ(envDoubleInRange(kVar, 2.5, 0.0, 10.0), 2.5)
-            << bad;
+    std::vector<std::string> out = {"bogus", " ", "12abc", "--3"};
+    switch (s.kind) {
+    case KnobKind::Unsigned:
+        // Decimal digits only: no sign, no whitespace, no exponent or
+        // fraction, no hex, and no value past 2^64-1.
+        out.insert(out.end(), {"-1", " 42", "+42", "42 ", "4.0", "1e3",
+                               "0x10", "99999999999999999999999"});
+        if (s.uLo > 0)
+            out.push_back(std::to_string(s.uLo - 1));
+        if (s.uHi < kU64Max)
+            out.push_back(std::to_string(s.uHi + 1));
+        break;
+    case KnobKind::Double:
+        out.insert(out.end(),
+                   {" 1", "+1", "1 ", "0x1p0", "1e400", "nan", "inf",
+                    "-inf", "NAN", "Infinity", decimal(s.dLo - 1.0),
+                    decimal(s.dHi + 1.0)});
+        break;
+    case KnobKind::Choice:
+        // Exact lowercase spellings only.
+        for (const std::string &word : acceptedText(s)) {
+            std::string upper = word;
+            std::transform(word.begin(), word.end(), upper.begin(),
+                           ::toupper);
+            out.insert(out.end(), {std::string(" ") + word, word + " ",
+                                   upper, word + "|" + word});
+        }
+        break;
+    case KnobKind::Text: return {};
+    }
+    return out;
+}
+
+class KnobTable : public ::testing::TestWithParam<KnobSpec>
+{
+  protected:
+    const KnobSpec &spec() const { return GetParam(); }
+    void SetUp() override { unsetenv(spec().name); }
+    void TearDown() override { unsetenv(spec().name); }
+    void set(const std::string &text) { setenv(spec().name, text.c_str(), 1); }
+};
+
+TEST_P(KnobTable, UnsetOrEmptyGivesTheDefault)
+{
+    EXPECT_EQ(resolved(spec()), defaultText(spec()));
+    set("");
+    EXPECT_EQ(resolved(spec()), defaultText(spec()));
+}
+
+TEST_P(KnobTable, AcceptsBoundsAndSpellingsExactly)
+{
+    for (const std::string &text : acceptedText(spec())) {
+        set(text);
+        CaptureStderr();
+        EXPECT_EQ(resolved(spec()), text);
+        EXPECT_EQ(GetCapturedStderr(), "") << "'" << text << "'";
     }
 }
 
-TEST_F(EnvRangeTest, FallbackOutsideRangeIsFatal)
+TEST_P(KnobTable, RejectsEverythingElseWithAWarning)
 {
-    // A fallback violating its own stated range is a programming
-    // error, not user input: it must die loudly even when unset.
-    EXPECT_DEATH(envU64InRange(kVar, 0, 1, 100), "fallback");
-    EXPECT_DEATH(envDoubleInRange(kVar, 11.0, 0.0, 10.0), "fallback");
+    for (const std::string &text : rejectedText(spec())) {
+        set(text);
+        CaptureStderr();
+        EXPECT_EQ(resolved(spec()), defaultText(spec()))
+            << "'" << text << "'";
+        const std::string err = GetCapturedStderr();
+        EXPECT_NE(err.find(std::string("warn: env: ") + spec().name),
+                  std::string::npos)
+            << "'" << text << "' printed: " << err;
+    }
 }
 
-TEST_F(EnvRangeTest, SoakKnobRangesMatchDriver)
+INSTANTIATE_TEST_SUITE_P(
+    AllKnobs, KnobTable, ::testing::ValuesIn(kKnobs),
+    [](const ::testing::TestParamInfo<KnobSpec> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(KnobTableRows, ValidatorRejectsBadDefaults)
 {
-    // The exact knob/range pairs the soak driver publishes; a typo'd
-    // "1e9" scrub or a 0 backoff must come back as the default.
-    setenv("CITADEL_SOAK_YEARS", "1e9", 1);
-    EXPECT_DOUBLE_EQ(
-        envDoubleInRange("CITADEL_SOAK_YEARS", 2.0, 0.01, 100.0), 2.0);
-    unsetenv("CITADEL_SOAK_YEARS");
-
-    setenv("CITADEL_META_BACKOFF_CYCLES", "0", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_META_BACKOFF_CYCLES", 16, 1,
-                            1'000'000),
-              16u);
-    unsetenv("CITADEL_META_BACKOFF_CYCLES");
-
-    setenv("CITADEL_SOAK_SHARDS", "99999", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_SOAK_SHARDS", 4, 1, 256), 4u);
-    unsetenv("CITADEL_SOAK_SHARDS");
+    // knobs.h static_asserts the whole table; these rows prove the
+    // check has teeth.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    constexpr Knob k = Knob::Trials;
+    static_assert(!knobRowValid(unsignedKnob(k, "X", 0, 1, 100, "")));
+    static_assert(!knobRowValid(unsignedKnob(k, "X", 7, 10, 1, "")));
+    static_assert(!knobRowValid(doubleKnob(k, "X", 11.0, 0.0, 10.0, "")));
+    static_assert(!knobRowValid(doubleKnob(k, "X", 1.0, 0.0, kInf, "")));
+    static_assert(!knobRowValid(doubleKnob(k, "X", kNaN, 0.0, 10.0, "")));
+    static_assert(!knobRowValid(choiceKnob(k, "X", "B", {"a", "b"}, "")));
 }
 
-TEST_F(EnvRangeTest, FleetKnobRangesMatchDriver)
+TEST(KnobTableRows, CallerFallbackOutsideTheRangeIsFatal)
 {
-    // The exact knob/range pairs the fleet load driver publishes
-    // (bench/fleet_load_driver.cc). A fleet of 1 cannot replicate, a
-    // fleet of 65 overflows the write-ack bitmask, and a probability
-    // above 1 is nonsense -- each must come back as the default.
-    setenv("CITADEL_FLEET_SERVERS", "1", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_FLEET_SERVERS", 8, 2, 64), 8u);
-    setenv("CITADEL_FLEET_SERVERS", "65", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_FLEET_SERVERS", 8, 2, 64), 8u);
-    unsetenv("CITADEL_FLEET_SERVERS");
-
-    setenv("CITADEL_FLEET_TICKS", "10", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_FLEET_TICKS", 2048, 64, 1'000'000),
-              2048u);
-    unsetenv("CITADEL_FLEET_TICKS");
-
-    setenv("CITADEL_FLEET_REPLICATION", "9", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_FLEET_REPLICATION", 2, 1, 8), 2u);
-    unsetenv("CITADEL_FLEET_REPLICATION");
-
-    setenv("CITADEL_FLEET_QUORUM", "0", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_FLEET_QUORUM", 2, 1, 8), 2u);
-    unsetenv("CITADEL_FLEET_QUORUM");
-
-    setenv("CITADEL_FLEET_WRITE_FRAC", "1.5", 1);
-    EXPECT_DOUBLE_EQ(
-        envDoubleInRange("CITADEL_FLEET_WRITE_FRAC", 0.5, 0.0, 1.0),
-        0.5);
-    unsetenv("CITADEL_FLEET_WRITE_FRAC");
-
-    setenv("CITADEL_FLEET_DROP_PROB", "2", 1);
-    EXPECT_DOUBLE_EQ(
-        envDoubleInRange("CITADEL_FLEET_DROP_PROB", 0.01, 0.0, 1.0),
-        0.01);
-    unsetenv("CITADEL_FLEET_DROP_PROB");
-
-    setenv("CITADEL_FLEET_QUEUE_CAP", "0", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_FLEET_QUEUE_CAP", 256, 1, 65536),
-              256u);
-    unsetenv("CITADEL_FLEET_QUEUE_CAP");
-
-    setenv("CITADEL_FLEET_CALIB_INSNS", "999999999", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_FLEET_CALIB_INSNS", 20'000, 0,
-                            10'000'000),
-              20'000u);
-    unsetenv("CITADEL_FLEET_CALIB_INSNS");
-
-    // Wire batch: a frame must carry at least one record and at most
-    // kMaxFrameRecords (4096, the decoder's hard cap).
-    setenv("CITADEL_FLEET_BATCH", "0", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_FLEET_BATCH", 32, 1, 4096), 32u);
-    setenv("CITADEL_FLEET_BATCH", "4097", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_FLEET_BATCH", 32, 1, 4096), 32u);
-    setenv("CITADEL_FLEET_BATCH", "4096", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_FLEET_BATCH", 32, 1, 4096),
-              4096u);
-    unsetenv("CITADEL_FLEET_BATCH");
-
-    // Elasticity knobs: the on/off switches reject anything but 0/1,
-    // and the checkpoint cut tick rejects values past the range cap —
-    // each falls back to its (off) default with a warning.
-    setenv("CITADEL_FLEET_JOIN", "2", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_FLEET_JOIN", 0, 0, 1), 0u);
-    setenv("CITADEL_FLEET_JOIN", "1", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_FLEET_JOIN", 0, 0, 1), 1u);
-    unsetenv("CITADEL_FLEET_JOIN");
-
-    setenv("CITADEL_FLEET_REBALANCE", "7", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_FLEET_REBALANCE", 0, 0, 1), 0u);
-    setenv("CITADEL_FLEET_REBALANCE", "1", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_FLEET_REBALANCE", 0, 0, 1), 1u);
-    unsetenv("CITADEL_FLEET_REBALANCE");
-
-    setenv("CITADEL_FLEET_CHECKPOINT", "1000001", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_FLEET_CHECKPOINT", 0, 0,
-                            1'000'000),
-              0u);
-    setenv("CITADEL_FLEET_CHECKPOINT", "-5", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_FLEET_CHECKPOINT", 0, 0,
-                            1'000'000),
-              0u);
-    setenv("CITADEL_FLEET_CHECKPOINT", "512", 1);
-    EXPECT_EQ(envU64InRange("CITADEL_FLEET_CHECKPOINT", 0, 0,
-                            1'000'000),
-              512u);
-    unsetenv("CITADEL_FLEET_CHECKPOINT");
+    // A bench's own default must lie in the row's range: violating
+    // that is a programming error, fatal even with the knob unset.
+    for (const KnobSpec &s : kKnobs) {
+        if (s.kind == KnobKind::Unsigned && s.uLo > 0) {
+            EXPECT_DEATH(knobU64(s.id, s.uLo - 1), "fallback") << s.name;
+        }
+        if (s.kind == KnobKind::Unsigned && s.uHi < kU64Max) {
+            EXPECT_DEATH(knobU64(s.id, s.uHi + 1), "fallback") << s.name;
+        }
+    }
 }
 
-class KernelEnvTest : public ::testing::Test
+TEST(KnobTableRows, WrongAccessorPanics)
 {
-  protected:
-    void SetUp() override { unsetenv("CITADEL_KERNEL"); }
-    void TearDown() override { unsetenv("CITADEL_KERNEL"); }
-};
-
-TEST_F(KernelEnvTest, UnsetResolvesToAuto)
-{
-    EXPECT_EQ(requestedKernelMode(), KernelMode::Auto);
+    EXPECT_DEATH(knobDouble(Knob::Trials), "wrong accessor");
+    EXPECT_DEATH(knobU64(Knob::Kernel), "wrong accessor");
 }
 
-TEST_F(KernelEnvTest, ExactLowercaseSpellingsAccepted)
+TEST(KnobTableRows, ChoiceSpellingsSelectTheirEnums)
 {
-    setenv("CITADEL_KERNEL", "scalar", 1);
-    EXPECT_EQ(requestedKernelMode(), KernelMode::Scalar);
+    // knobChoice() returns a spelling index that the callers cast to
+    // their enum, so each spelling must sit at its enum's position.
+    EXPECT_STREQ(kernelModeName(KernelMode::Scalar), "scalar");
+    EXPECT_STREQ(kernelModeName(KernelMode::Vector), "vector");
+    EXPECT_STREQ(kernelModeName(KernelMode::Auto), "auto");
+    EXPECT_STREQ(fleet::transportModeName(fleet::TransportMode::Loopback),
+                 "loopback");
+    EXPECT_STREQ(fleet::transportModeName(fleet::TransportMode::Socket),
+                 "socket");
     setenv("CITADEL_KERNEL", "vector", 1);
     EXPECT_EQ(requestedKernelMode(), KernelMode::Vector);
-    setenv("CITADEL_KERNEL", "auto", 1);
-    EXPECT_EQ(requestedKernelMode(), KernelMode::Auto);
-}
-
-TEST_F(KernelEnvTest, InvalidValuesRejectedToAuto)
-{
-    // The knob selects among bit-identical implementations, so the
-    // safe fallback for malformed text is Auto (fastest available),
-    // with a warning — never a half-parsed or wedged mode.
-    for (const char *bad : {"Scalar", "VECTOR", "simd", "avx2", "",
-                            " auto", "auto ", "scalar|vector", "2"}) {
-        setenv("CITADEL_KERNEL", bad, 1);
-        EXPECT_EQ(requestedKernelMode(), KernelMode::Auto) << bad;
-    }
-}
-
-class TransportEnvTest : public ::testing::Test
-{
-  protected:
-    void SetUp() override { unsetenv("CITADEL_FLEET_TRANSPORT"); }
-    void TearDown() override { unsetenv("CITADEL_FLEET_TRANSPORT"); }
-};
-
-TEST_F(TransportEnvTest, UnsetResolvesToLoopback)
-{
-    EXPECT_EQ(fleet::requestedTransportMode(),
-              fleet::TransportMode::Loopback);
-}
-
-TEST_F(TransportEnvTest, ExactLowercaseSpellingsAccepted)
-{
-    setenv("CITADEL_FLEET_TRANSPORT", "loopback", 1);
-    EXPECT_EQ(fleet::requestedTransportMode(),
-              fleet::TransportMode::Loopback);
     setenv("CITADEL_FLEET_TRANSPORT", "socket", 1);
-    EXPECT_EQ(fleet::requestedTransportMode(),
-              fleet::TransportMode::Socket);
+    EXPECT_EQ(fleet::requestedTransportMode(), fleet::TransportMode::Socket);
+    unsetenv("CITADEL_KERNEL");
+    unsetenv("CITADEL_FLEET_TRANSPORT");
 }
 
-TEST_F(TransportEnvTest, InvalidValuesRejectedToLoopback)
+TEST(KnobGrammar, NegativePaddedAndOverflowingCountsAreRejected)
 {
-    // Both transports produce the same fingerprint, so the safe
-    // fallback for malformed text is the default (loopback), with a
-    // warning — never a half-parsed mode. "direct" names a transport
-    // that no longer exists and falls back the same way.
-    for (const char *bad :
-         {"direct", "Direct", "SOCKET", "tcp", "", " socket", "socket ",
-          "loopback|socket", "3"}) {
-        setenv("CITADEL_FLEET_TRANSPORT", bad, 1);
-        EXPECT_EQ(fleet::requestedTransportMode(),
-                  fleet::TransportMode::Loopback)
-            << bad;
+    // strtoull would read "-1" as 2^64-1: 1024 workers, or a trial
+    // count that never finishes. Signs and padding are not digits.
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    for (const char *bad : {"-1", " 42", "+42", "99999999999999999999999"}) {
+        setenv("CITADEL_THREADS", bad, 1);
+        EXPECT_EQ(citadelThreads(), hw) << bad;
+        setenv("CITADEL_TRIALS", bad, 1);
+        EXPECT_EQ(knobU64(Knob::Trials, 60'000), 60'000u) << bad;
     }
+    setenv("CITADEL_THREADS", "3", 1);
+    EXPECT_EQ(citadelThreads(), 3u);
+    unsetenv("CITADEL_THREADS");
+    unsetenv("CITADEL_TRIALS");
+    EXPECT_EQ(citadelThreads(), hw);
+}
+
+/** The README.md table line a row must appear as. */
+std::string
+readmeLine(const KnobSpec &s)
+{
+    const std::vector<std::string> ok = acceptedText(s);
+    std::string def = defaultText(s), range;
+    switch (s.kind) {
+    case KnobKind::Unsigned:
+    case KnobKind::Double: // ok = {lo, hi}
+        range = std::string("[").append(ok[0]).append(", ") + ok[1] + "]";
+        break;
+    case KnobKind::Choice:
+        for (const std::string &word : ok)
+            range.append(range.empty() ? "`" : " / `").append(word) += '`';
+        def = std::string("`").append(def) + '`';
+        break;
+    case KnobKind::Text:
+        range = "any text";
+        def = "empty";
+        break;
+    }
+    return std::string("| `").append(s.name) + "` | " + def + " | " +
+           range + " | " + s.doc + " |";
+}
+
+TEST(KnobTableRows, ReadmeListsEveryRowExactly)
+{
+    std::ifstream in(CITADEL_README);
+    ASSERT_TRUE(in) << "cannot open " << CITADEL_README;
+    std::vector<std::string> rows;
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind("| `CITADEL_", 0) == 0)
+            rows.push_back(line);
+    EXPECT_EQ(rows.size(), std::size(kKnobs));
+    for (const KnobSpec &s : kKnobs)
+        EXPECT_EQ(std::count(rows.begin(), rows.end(), readmeLine(s)), 1)
+            << "README.md must list, once:\n"
+            << readmeLine(s);
 }
 
 } // namespace

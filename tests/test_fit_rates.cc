@@ -47,6 +47,23 @@ TEST(FitRates, ScalingReproducesTableI)
     EXPECT_DOUBLE_EQ(scaled.bank.permanentFit, paper.bank.permanentFit);
 }
 
+TEST(FitRates, ScaledByMultipliesEveryRateExactly)
+{
+    // The campaign drivers boost Table I with scaledBy(); it must be
+    // the plain per-rate product, bit for bit.
+    const FitTable t = FitTable::paper8Gb();
+    const double s = 2000.0;
+    const FitTable x = t.scaledBy(s);
+    const FitPair FitTable::*modes[] = {&FitTable::bit, &FitTable::word,
+                                        &FitTable::column, &FitTable::row,
+                                        &FitTable::bank};
+    for (const auto mode : modes) {
+        EXPECT_EQ((x.*mode).transientFit, (t.*mode).transientFit * s);
+        EXPECT_EQ((x.*mode).permanentFit, (t.*mode).permanentFit * s);
+    }
+    EXPECT_EQ(t.scaledBy(0.0).totalFit(), 0.0);
+}
+
 TEST(FitRates, TotalsAreSums)
 {
     const FitTable t = FitTable::paper8Gb();

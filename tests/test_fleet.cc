@@ -511,17 +511,7 @@ TEST(FleetChaosE2E, CapacityCollapseTriggersMigration)
     FleetConfig cfg = smallConfig();
     cfg.chaos.enabled = false;
     cfg.retry.maxAttempts = 3; // Keep the doomed-op tail cheap.
-    const auto boost = [](FitPair p) {
-        p.transientFit *= 30.0;
-        p.permanentFit *= 30.0;
-        return p;
-    };
-    FitTable &t = cfg.server.faults.rates;
-    t.bit = boost(t.bit);
-    t.word = boost(t.word);
-    t.column = boost(t.column);
-    t.row = boost(t.row);
-    t.bank = boost(t.bank);
+    cfg.server.faults.rates = cfg.server.faults.rates.scaledBy(30.0);
     FleetCampaign campaign(cfg);
     const FleetResult res = campaign.run();
     EXPECT_GE(res.totals.capacityMigrations, 1u);

@@ -312,18 +312,6 @@ TEST(FleetWire, WriterIsReusableWithoutStaleState)
     EXPECT_EQ(view.requestAt(0).op, makeRequest(99).op);
 }
 
-TEST(FleetWire, ParseTransportModeIsExact)
-{
-    EXPECT_EQ(parseTransportMode("loopback"), TransportMode::Loopback);
-    EXPECT_EQ(parseTransportMode("socket"), TransportMode::Socket);
-    EXPECT_EQ(parseTransportMode("direct"), std::nullopt);
-    EXPECT_EQ(parseTransportMode(""), std::nullopt);
-    EXPECT_EQ(parseTransportMode("Loopback"), std::nullopt);
-    EXPECT_EQ(parseTransportMode("SOCKET"), std::nullopt);
-    EXPECT_EQ(parseTransportMode("loopback "), std::nullopt);
-    EXPECT_EQ(parseTransportMode("tcp"), std::nullopt);
-}
-
 void
 roundTripOverTransport(Transport &t)
 {

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "citadel/citadel.h"
-#include "common/env.h"
 
 namespace citadel {
 namespace {
@@ -122,17 +121,6 @@ TEST_F(IntegrationTest, SchemeNamesComposeCorrectly)
     opts.enableDds = false;
     opts.parityDims = 2;
     EXPECT_EQ(makeCitadel(opts)->name(), "2DP");
-}
-
-TEST_F(IntegrationTest, EnvHelpers)
-{
-    EXPECT_EQ(envU64("CITADEL_SURELY_UNSET_VAR", 42), 42u);
-    EXPECT_DOUBLE_EQ(envDouble("CITADEL_SURELY_UNSET_VAR", 1.5), 1.5);
-    setenv("CITADEL_TEST_ENV_U64", "123", 1);
-    EXPECT_EQ(envU64("CITADEL_TEST_ENV_U64", 0), 123u);
-    setenv("CITADEL_TEST_ENV_U64", "bogus", 1);
-    EXPECT_EQ(envU64("CITADEL_TEST_ENV_U64", 7), 7u);
-    unsetenv("CITADEL_TEST_ENV_U64");
 }
 
 } // namespace

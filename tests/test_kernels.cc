@@ -180,16 +180,6 @@ TEST(Kernels, EveryDispatchModeProducesIdenticalBytes)
     }
 }
 
-TEST(Kernels, ParseKernelModeExactLowercaseOnly)
-{
-    EXPECT_EQ(parseKernelMode("scalar"), KernelMode::Scalar);
-    EXPECT_EQ(parseKernelMode("vector"), KernelMode::Vector);
-    EXPECT_EQ(parseKernelMode("auto"), KernelMode::Auto);
-    for (const char *bad : {"", "Scalar", "VECTOR", "auto ", " auto",
-                            "simd", "avx2", "scalar,vector", "1"})
-        EXPECT_FALSE(parseKernelMode(bad).has_value()) << bad;
-}
-
 TEST(Kernels, Crc32HwMatchesSlice8AcrossLengths)
 {
     Rng rng(6);

@@ -333,10 +333,5 @@ TEST(ThreadPoolTest, SingleWorkerAndEmptyRangeAreFine)
     EXPECT_EQ(count.load(), 5u);
 }
 
-TEST(ThreadPoolTest, CitadelThreadsIsPositive)
-{
-    EXPECT_GE(citadelThreads(), 1u);
-}
-
 } // namespace
 } // namespace citadel

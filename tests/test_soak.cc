@@ -21,14 +21,6 @@
 namespace citadel {
 namespace {
 
-FitPair
-scalePair(FitPair p, double s)
-{
-    p.transientFit *= s;
-    p.permanentFit *= s;
-    return p;
-}
-
 /** A half-year, two-shard campaign busy enough to exercise sparing,
  *  the ladder, and the control-plane scrub machinery in well under a
  *  second. */
@@ -46,14 +38,7 @@ smallCampaign(u64 seed)
     cfg.probesPerEpoch = 4;
     cfg.threads = 1;
 
-    const double fit_scale = 20'000.0;
-    FitTable t = FitTable::paper8Gb();
-    t.bit = scalePair(t.bit, fit_scale);
-    t.word = scalePair(t.word, fit_scale);
-    t.column = scalePair(t.column, fit_scale);
-    t.row = scalePair(t.row, fit_scale);
-    t.bank = scalePair(t.bank, fit_scale);
-    cfg.faults.rates = t;
+    cfg.faults.rates = FitTable::paper8Gb().scaledBy(20'000.0);
     cfg.faults.tsvDeviceFit = 100'000.0;
     cfg.faults.metaFit = 2'000'000.0;
     return cfg;

@@ -22,6 +22,9 @@ This lint scans src/ and bench/ for the escape hatches:
   unordered-container  std::unordered_map/set (hash iteration order is
                        implementation-defined; the repo uses ordered or
                        flat containers wherever results can flow)
+  env-read             getenv outside the knob table's accessors
+                       (src/common/knobs.cc): every run-time input is a
+                       declared, range-checked row of common/knobs.h
 
 Legitimate uses are *blessed* per (file, rule, needle) with a mandatory
 human-readable justification -- see BLESSINGS. A blessing that stops
@@ -126,6 +129,13 @@ RULES = [
         "ordering -- use std::map/flat vector, or bless with proof the "
         "order cannot escape",
     ),
+    Rule(
+        "env-read",
+        r"(?<![\w.])(?:std::|::)?(?:secure_)?getenv\s*\(",
+        "environment read outside the knob table -- declare the knob "
+        "as a row of common/knobs.h and read it with knobU64/"
+        "knobDouble/knobChoice/knobText",
+    ),
 ]
 
 # ---------------------------------------------------------------------
@@ -133,6 +143,16 @@ RULES = [
 # contain `needle`. Keep justifications specific: they are the audit
 # trail a reviewer checks instead of re-deriving the data flow.
 BLESSINGS = [
+    Blessing(
+        file="src/common/knobs.cc",
+        rule="env-read",
+        needle="std::getenv(s.name)",
+        justification=(
+            "the knob table's single environment read: every accessor "
+            "goes through rawText(), which parses the value against its "
+            "declared kKnobs row"
+        ),
+    ),
     Blessing(
         file="bench/fleet_bench_util.h",
         rule="wall-clock",
