@@ -10,6 +10,11 @@ namespace fleet {
 
 namespace {
 
+constexpr u64 kStallTicks = 96;    ///< Stall window length.
+constexpr u64 kSlowTicks = 384;    ///< Slowdown window length.
+constexpr u32 kSlowFactor = 4;     ///< Service-rate divisor while slow.
+constexpr double kDupProb = 0.005; ///< Per-request duplication odds.
+
 /** Coin flip from a counter hash: deterministic, order-independent. */
 bool
 coin(u64 h, double p)
@@ -31,10 +36,6 @@ ChaosOptions::validate() const
 {
     if (dropProb < 0.0 || dropProb > 1.0)
         fatal("ChaosOptions: dropProb must be in [0, 1]");
-    if (dupProb < 0.0 || dupProb > 1.0)
-        fatal("ChaosOptions: dupProb must be in [0, 1]");
-    if (slowFactor == 0)
-        fatal("ChaosOptions: slowFactor must be >= 1");
 }
 
 FleetFaultInjector::FleetFaultInjector(const ChaosOptions &opts,
@@ -83,7 +84,7 @@ FleetFaultInjector::FleetFaultInjector(const ChaosOptions &opts,
         ev.tick = sample_tick();
         ev.kind = ChaosEvent::Kind::Stall;
         ev.server = static_cast<ServerIdx>(rng.below(servers));
-        ev.duration = opts_.stallTicks;
+        ev.duration = kStallTicks;
         events_.push_back(ev);
         // A stall long enough to miss probes gets the server evicted;
         // the process is alive, so once the window ends it asks to
@@ -102,8 +103,8 @@ FleetFaultInjector::FleetFaultInjector(const ChaosOptions &opts,
         ev.tick = sample_tick();
         ev.kind = ChaosEvent::Kind::Slow;
         ev.server = static_cast<ServerIdx>(rng.below(servers));
-        ev.duration = opts_.slowTicks;
-        ev.factor = opts_.slowFactor;
+        ev.duration = kSlowTicks;
+        ev.factor = kSlowFactor;
         events_.push_back(ev);
     }
     sortEvents();
@@ -150,7 +151,7 @@ FleetFaultInjector::duplicateRequest(u64 op, u32 attempt,
     const u64 h = mix64(seed_ ^ 0xD0D0ull ^
                         (op * 0xBF58476D1CE4E5B9ull) ^
                         (static_cast<u64>(attempt) << 36) ^ server);
-    return coin(h, opts_.dupProb);
+    return coin(h, kDupProb);
 }
 
 } // namespace fleet

@@ -35,22 +35,15 @@ struct ChaosOptions
 {
     bool enabled = true;
 
-    /** Scheduled event counts over the campaign. */
+    /** Scheduled event counts over the campaign (window lengths,
+     *  the slowdown divisor and the duplication odds are constants in
+     *  chaos.cc). */
     u32 crashes = 1;
     u32 stalls = 2;
     u32 slowdowns = 2;
 
-    /** Window lengths, in ticks. */
-    u64 stallTicks = 96;
-    u64 slowTicks = 384;
-
-    /** Service-rate divisor during a slowdown window. */
-    u32 slowFactor = 4;
-
-    /** Per-request loss/duplication probabilities on the fleet
-     *  network. */
+    /** Per-request loss probability on the fleet network. */
     double dropProb = 0.01;
-    double dupProb = 0.005;
 
     /**
      * Elasticity: ticks after a sampled crash (or after a sampled

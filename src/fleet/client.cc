@@ -102,7 +102,7 @@ FleetClient::nextVersionOf(u64 key)
 void
 FleetClient::recordAck(u64 key, u64 version, u64 value)
 {
-    AckedWrite &aw = acked_[key]; // startWrite validated the key.
+    AckedWrite &aw = acked_[key]; // startWrite/loadState checked it.
     if (aw.version == 0)
         ++ackedCount_;
     if (version > aw.version) {
@@ -421,7 +421,11 @@ FleetClient::Op
 FleetClient::getOp(ByteSource &src)
 {
     Op op;
-    op.kind = static_cast<OpKind>(src.getU8());
+    const u8 kind = src.getU8();
+    if (kind > static_cast<u8>(OpKind::Write))
+        fatal("FleetClient: corrupt checkpoint: unknown op kind %u",
+              static_cast<unsigned>(kind));
+    op.kind = static_cast<OpKind>(kind);
     op.key = src.getU64();
     op.version = src.getU64();
     op.value = src.getU64();
@@ -487,11 +491,14 @@ FleetClient::loadState(ByteSource &src)
     const u64 nl = src.getCount(sizeof(u64));
     for (u64 i = 0; i < nl; ++i) {
         const u64 id = src.getU64();
-        OpSlot &slot = slots_[id & slotMask_];
-        slot.id = id;
-        slot.live = true;
-        slot.op = getOp(src);
-        ++live_;
+        const Op op = getOp(src);
+        if (op.key >= versions_.size())
+            fatal("FleetClient: corrupt checkpoint: op %llu key %llu "
+                  "outside the key space (%zu)",
+                  static_cast<unsigned long long>(id),
+                  static_cast<unsigned long long>(op.key),
+                  versions_.size());
+        insertOp(id, op);
     }
     lastProcessed_ = src.getU64();
     for (auto &bucket : wheel_) {

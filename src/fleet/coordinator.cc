@@ -8,6 +8,25 @@
 namespace citadel {
 namespace fleet {
 
+namespace {
+
+constexpr double kCapacityFloor = 0.70; ///< Evict below this capacity.
+constexpr u32 kRepairPerTick = 128;     ///< Keys re-replicated per tick.
+constexpr u32 kVnodes = 64;             ///< Ring points per server.
+
+// Warm-fill (join) pump.
+constexpr u32 kWarmPerTick = 128;    ///< Source keys per tick per join.
+constexpr u32 kWarmBatch = 64;       ///< Records per warm-fill frame.
+constexpr u64 kWarmBackoffTicks = 8; ///< Backoff base after a restart.
+constexpr u32 kWarmMaxAttempts = 6;  ///< Scans before a join aborts.
+static_assert(kWarmBatch <= kMaxFrameRecords);
+
+// Load-driven rebalance.
+constexpr double kLoadAlpha = 0.30;   ///< EWMA smoothing per round.
+constexpr u64 kKeyCooldownTicks = 64; ///< Per-key re-migration cooldown.
+
+} // namespace
+
 void
 CoordinatorOptions::validate() const
 {
@@ -15,21 +34,6 @@ CoordinatorOptions::validate() const
         fatal("CoordinatorOptions: healthEvery must be >= 1");
     if (failThreshold == 0)
         fatal("CoordinatorOptions: failThreshold must be >= 1");
-    if (capacityFloor < 0.0 || capacityFloor > 1.0)
-        fatal("CoordinatorOptions: capacityFloor must be in [0, 1]");
-    if (repairPerTick == 0)
-        fatal("CoordinatorOptions: repairPerTick must be >= 1");
-    if (vnodes == 0)
-        fatal("CoordinatorOptions: vnodes must be >= 1");
-    if (warmPerTick == 0)
-        fatal("CoordinatorOptions: warmPerTick must be >= 1");
-    if (warmBatch == 0 || warmBatch > kMaxFrameRecords)
-        fatal("CoordinatorOptions: warmBatch must be in [1, %u]",
-              kMaxFrameRecords);
-    if (warmMaxAttempts == 0)
-        fatal("CoordinatorOptions: warmMaxAttempts must be >= 1");
-    if (!(loadAlpha > 0.0) || loadAlpha > 1.0)
-        fatal("CoordinatorOptions: loadAlpha must be in (0, 1]");
     if (overloadFactor < 1.0)
         fatal("CoordinatorOptions: overloadFactor must be >= 1");
     if (hotRounds == 0)
@@ -42,7 +46,7 @@ Coordinator::Coordinator(const CoordinatorOptions &opts, u32 replication,
                          u64 seed, u64 key_space,
                          std::vector<std::unique_ptr<StackServer>> &fleet)
     : opts_(opts), replication_(replication),
-      ring_(static_cast<u32>(fleet.size()), opts.vnodes, seed),
+      ring_(static_cast<u32>(fleet.size()), kVnodes, seed),
       fleet_(fleet), missed_(fleet.size(), 0), warm_(fleet.size()),
       roundLoad_(fleet.size(), 0), ewma_(fleet.size(), 0.0),
       hotStreak_(fleet.size(), 0), cacheStamp_(key_space, 0),
@@ -169,7 +173,7 @@ Coordinator::restartOrAbortWarm(ServerIdx s, u64 now,
 {
     WarmState &w = warm_[s];
     ++w.attempts;
-    if (w.attempts > opts_.warmMaxAttempts) {
+    if (w.attempts > kWarmMaxAttempts) {
         fleet_[s]->abortWarming();
         ++counters.warmAborts;
         w = WarmState{};
@@ -186,7 +190,7 @@ Coordinator::restartOrAbortWarm(ServerIdx s, u64 now,
     w.lastKey = 0;
     w.crc = Crc32::begin();
     w.records = 0;
-    w.resumeAt = now + opts_.warmBackoffTicks * w.attempts;
+    w.resumeAt = now + kWarmBackoffTicks * w.attempts;
 }
 
 void
@@ -211,7 +215,7 @@ Coordinator::pumpWarm(u64 now, FleetCounters &counters)
         }
         warmWriter_.beginRequestFrame();
         u32 inFrame = 0;
-        u32 left = opts_.warmPerTick;
+        u32 left = kWarmPerTick;
         bool done = false;
         const auto ship = [&] {
             if (inFrame == 0)
@@ -261,7 +265,7 @@ Coordinator::pumpWarm(u64 now, FleetCounters &counters)
             w.crc = Crc32::update(w.crc, value);
             ++w.records;
             ++counters.warmFills;
-            if (++inFrame >= opts_.warmBatch)
+            if (++inFrame >= kWarmBatch)
                 ship();
         }
         ship();
@@ -285,7 +289,7 @@ void
 Coordinator::rebalance(u64 now, FleetCounters &counters)
 {
     // Fold this round's send counts into the per-server EWMA.
-    const double a = opts_.loadAlpha;
+    const double a = kLoadAlpha;
     double sum = 0.0;
     u32 inRing = 0;
     for (ServerIdx s = 0; s < fleet_.size(); ++s) {
@@ -372,7 +376,7 @@ Coordinator::rebalance(u64 now, FleetCounters &counters)
                 ++counters.repairPushes;
             }
             overrides_[key] = target;
-            cooldown_[key] = now + opts_.keyCooldownTicks;
+            cooldown_[key] = now + kKeyCooldownTicks;
             ++counters.loadMigrations;
             ++moved;
         }
@@ -404,14 +408,14 @@ Coordinator::tick(u64 now, FleetCounters &counters)
             if (!ring_.contains(s))
                 continue;
             const RasHealthSignals h = fleet_[s]->health();
-            if (!h.healthyAbove(opts_.capacityFloor))
+            if (!h.healthyAbove(kCapacityFloor))
                 evict(s, true, counters);
         }
         if (opts_.rebalanceEnabled)
             rebalance(now, counters);
     }
     pumpWarm(now, counters);
-    pumpRepair(opts_.repairPerTick, counters);
+    pumpRepair(kRepairPerTick, counters);
 }
 
 void
@@ -486,7 +490,7 @@ Coordinator::drainElastic(u64 now, FleetCounters &counters)
 {
     // Advance a virtual clock so warm backoff windows elapse. Bounded:
     // every warm scan either finishes (finite sources x keys per
-    // attempt, <= warmMaxAttempts attempts, and the only mid-drain
+    // attempt, <= kWarmMaxAttempts attempts, and the only mid-drain
     // epoch changes are admissions — at most one per server) or
     // aborts; then it is drainRepairs().
     u64 t = now;

@@ -12,13 +12,13 @@
  * process that wakes up after eviction finds itself out of the ring
  * and serves nothing (no split brain). Eviction also fires when a
  * stack's usable capacity, reported by the degradation ladder through
- * RasHealthSignals, falls below `capacityFloor`: the fleet migrates
- * shards off degrading stacks before they fail outright.
+ * RasHealthSignals, falls below a fixed capacity floor: the fleet
+ * migrates shards off degrading stacks before they fail outright.
  *
  * Every topology change schedules a re-replication scan: surviving
  * copies of every key are pushed to the key's new replica set at a
- * bounded `repairPerTick` rate, restoring the replication factor that
- * makes the next failure survivable. Fenced servers still serve as
+ * bounded per-tick rate, restoring the replication factor that makes
+ * the next failure survivable. Fenced servers still serve as
  * repair *sources* (their state is intact — they are drained, not
  * dead); crashed servers are unreadable.
  *
@@ -41,8 +41,8 @@
  * per-server EWMA. A server whose EWMA exceeds `overloadFactor` times
  * the in-ring mean for `hotRounds` consecutive rounds (hysteresis)
  * sheds its hottest keys — at most `migratePerRound` per round (rate
- * cap), each with a per-key cooldown — to the coolest serving server
- * via a placement override applied after the pure ring walk.
+ * cap), each with a fixed per-key cooldown — to the coolest serving
+ * server via a placement override applied after the pure ring walk.
  *
  * Everything here runs in the campaign's serial phase in server-index
  * order: deterministic by construction.
@@ -62,31 +62,21 @@
 namespace citadel {
 namespace fleet {
 
-/** Coordinator tunables. */
+/** Coordinator tunables. The ring, repair, warm-fill and cooldown
+ *  rates are constants in coordinator.cc. */
 struct CoordinatorOptions
 {
     u64 healthEvery = 16;      ///< Ticks between probe rounds.
     u32 failThreshold = 3;     ///< Missed probes before eviction.
-    double capacityFloor = 0.70; ///< Migrate below this usable fraction.
-    u32 repairPerTick = 128;   ///< Keys re-replicated per tick.
-    u32 vnodes = 64;           ///< Ring points per server.
-
-    // Elasticity: warm-fill (join) pump.
-    u32 warmPerTick = 128;    ///< Source keys examined per tick per join.
-    u32 warmBatch = 64;       ///< Records per warm-fill wire frame.
-    u64 warmBackoffTicks = 8; ///< Backoff base after a warm restart.
-    u32 warmMaxAttempts = 6;  ///< Scan attempts before aborting a join.
 
     // Elasticity: load-driven rebalance (CITADEL_FLEET_REBALANCE /
     // FleetConfig turns it on; the default keeps capacity-driven
     // migration as the only mover, matching pre-elasticity behavior).
     bool rebalanceEnabled = false;
-    double loadAlpha = 0.30;      ///< EWMA smoothing per probe round.
     double overloadFactor = 1.50; ///< Hot when ewma > factor * mean.
     u32 hotRounds = 2;       ///< Consecutive hot rounds before moving.
     u32 migratePerRound = 4; ///< Hot-shard moves per round (rate cap).
     u64 minRoundLoad = 16;   ///< Mean EWMA floor: idle fleets never move.
-    u64 keyCooldownTicks = 64; ///< Per-key re-migration cooldown.
 
     void validate() const;
 };

@@ -1,7 +1,6 @@
 #include "fleet/fleet_sim.h"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 
 #include "common/log.h"
@@ -74,7 +73,6 @@ digestConfig(const FleetConfig &cfg, ByteSink &sink)
         sink.putU8(static_cast<u8>(ch));
     sink.putU32(cfg.replication);
     sink.putU32(cfg.ackQuorum);
-    sink.putU64(cfg.responseDelay);
     sink.putU64(cfg.seed);
 
     const RetryPolicy &r = cfg.retry;
@@ -89,35 +87,21 @@ digestConfig(const FleetConfig &cfg, ByteSink &sink)
     const CoordinatorOptions &c = cfg.coord;
     sink.putU64(c.healthEvery);
     sink.putU32(c.failThreshold);
-    sink.putDouble(c.capacityFloor);
-    sink.putU32(c.repairPerTick);
-    sink.putU32(c.vnodes);
-    sink.putU32(c.warmPerTick);
-    sink.putU32(c.warmBatch);
-    sink.putU64(c.warmBackoffTicks);
-    sink.putU32(c.warmMaxAttempts);
     sink.putBool(c.rebalanceEnabled);
-    sink.putDouble(c.loadAlpha);
     sink.putDouble(c.overloadFactor);
     sink.putU32(c.hotRounds);
     sink.putU32(c.migratePerRound);
     sink.putU64(c.minRoundLoad);
-    sink.putU64(c.keyCooldownTicks);
 
     // Chaos event counts and windows reach the guard through the
-    // schedule; the per-request network odds do not.
+    // schedule; the per-request drop odds do not.
     sink.putBool(cfg.chaos.enabled);
     sink.putDouble(cfg.chaos.dropProb);
-    sink.putDouble(cfg.chaos.dupProb);
 
     const ServerConfig &sv = cfg.server;
     sink.putDouble(sv.agingHours);
     sink.putU32(sv.queueCap);
-    sink.putU64(sv.cyclesPerTick);
     sink.putU64(sv.calibrationInsns);
-    sink.putU64(sv.calibrationBench.size());
-    for (const char ch : sv.calibrationBench)
-        sink.putU8(static_cast<u8>(ch));
     sink.putU32(sv.defaultServiceUnits);
 }
 
@@ -143,9 +127,6 @@ FleetConfig::validate() const
         fatal("FleetConfig: replication exceeds the server count");
     if (ackQuorum == 0 || ackQuorum > replication)
         fatal("FleetConfig: ackQuorum must be in [1, replication]");
-    if (responseDelay == 0)
-        fatal("FleetConfig: responseDelay must be >= 1 (same-tick "
-              "request/response cycles would be order-dependent)");
     if (batch == 0 || batch > kMaxFrameRecords)
         fatal("FleetConfig: batch must be in [1, %u]", kMaxFrameRecords);
     if (!traffic.empty()) {
@@ -229,8 +210,6 @@ FleetCampaign::FleetCampaign(const FleetConfig &cfg)
             fatal("FleetCampaign: traffic spec: %s", err.c_str());
         traffic_.prepare(cfg_.keySpace);
     }
-    respWheel_.resize(std::bit_ceil(cfg_.responseDelay + 2));
-    respWheelMask_ = respWheel_.size() - 1;
     seqScratch_.resize(cfg_.servers);
     // The analysis cannot propagate capabilities through the
     // type-erased std::function boundary, so each callback restates
@@ -286,19 +265,7 @@ FleetCampaign::sendToServer(const Request &r, ServerIdx s)
 }
 
 void
-FleetCampaign::pushResponse(u64 due, const Response &r)
-{
-    if (due <= tick_ || due - tick_ >= respWheel_.size())
-        panic("FleetCampaign: response due %llu outside the wheel at "
-              "tick %llu",
-              static_cast<unsigned long long>(due),
-              static_cast<unsigned long long>(tick_));
-    respWheel_[due & respWheelMask_].push_back(r);
-    ++respWheelCount_;
-}
-
-void
-FleetCampaign::flushShards(u64 tick)
+FleetCampaign::flushShards()
 {
     // Encode and ship every shard as length-prefixed request frames,
     // remembering each record's global submission sequence (frames
@@ -377,7 +344,7 @@ FleetCampaign::flushShards(u64 tick)
                   return a.first < b.first;
               });
     for (const auto &[seq, resp] : busyScratch_)
-        pushResponse(tick + cfg_.responseDelay, resp);
+        responses_.push_back(resp);
 }
 
 void
@@ -424,14 +391,12 @@ FleetCampaign::applyChaos(u64 tick, FleetCounters &c)
 void
 FleetCampaign::deliverDue(u64 tick)
 {
-    // Bucket drain is FIFO, and onResponse never schedules into the
-    // wheel (retries go to the shards), so the bucket is stable during
-    // the loop.
-    auto &bucket = respWheel_[tick & respWheelMask_];
-    for (std::size_t i = 0; i < bucket.size(); ++i)
-        client_.onResponse(bucket[i], tick);
-    respWheelCount_ -= bucket.size();
-    bucket.clear();
+    // Everything in responses_ was produced last tick. onResponse
+    // never produces a response (retries go to the shards), so the
+    // vector is stable during the loop.
+    for (const Response &r : responses_)
+        client_.onResponse(r, tick);
+    responses_.clear();
 }
 
 void
@@ -478,7 +443,7 @@ FleetCampaign::arrivals(u64 tick)
 }
 
 void
-FleetCampaign::collectOutboxes(u64 tick)
+FleetCampaign::collectOutboxes()
 {
     // Frame each server's outbox and ship it back over the same
     // transport, then deliver in server-index order.
@@ -513,8 +478,7 @@ FleetCampaign::collectOutboxes(u64 tick)
                 fatal("FleetCampaign: request frame on the client "
                       "rx path");
             for (u32 i = 0; i < view.count(); ++i)
-                pushResponse(tick + cfg_.responseDelay,
-                             view.responseAt(i));
+                responses_.push_back(view.responseAt(i));
             rx.consume(consumed);
         }
         rx.compact();
@@ -567,7 +531,7 @@ FleetCampaign::advanceTo(u64 target)
             // Ship every queued request before the coordinator
             // probes: a fence must clear the server's inbox only
             // after this tick's sends landed.
-            flushShards(tick_);
+            flushShards();
             coordinator_->tick(tick_, loopCounters_);
         }
         // Parallel phase: per-server state only; the role is dropped,
@@ -576,7 +540,7 @@ FleetCampaign::advanceTo(u64 target)
         {
             // Serial collection, server-index order.
             ThreadRoleGrant serial(kSerialPhase);
-            collectOutboxes(tick_);
+            collectOutboxes();
         }
     }
 }
@@ -590,23 +554,23 @@ FleetCampaign::finish()
     finished_ = true;
 
     // Settle: no new arrivals; run until every in-flight operation has
-    // resolved (the op deadline bounds this) and the wire is empty.
-    const u64 settle_limit =
-        cfg_.ticks + cfg_.retry.opDeadline + cfg_.responseDelay + 2;
+    // resolved (the op deadline bounds this, and its last responses
+    // land one tick later) and the wire is empty.
+    const u64 settle_limit = cfg_.ticks + cfg_.retry.opDeadline + 3;
     for (; tick_ < settle_limit; ++tick_) {
         {
             ThreadRoleGrant serial(kSerialPhase);
-            if (client_.inflight() == 0 && respWheelCount_ == 0)
+            if (client_.inflight() == 0 && responses_.empty())
                 break;
             deliverDue(tick_);
             client_.tick(tick_);
-            flushShards(tick_);
+            flushShards();
             coordinator_->tick(tick_, loopCounters_);
         }
         stepServers();
         {
             ThreadRoleGrant serial(kSerialPhase);
-            collectOutboxes(tick_);
+            collectOutboxes();
         }
     }
 
@@ -779,13 +743,9 @@ FleetCampaign::saveState(ByteSink &sink) const
     coordinator_->saveState(sink);
     for (const auto &srv : fleet_)
         srv->saveState(sink);
-    // Wheel buckets by index: with tick_ restored, (due & mask)
-    // addressing reproduces delivery exactly.
-    for (const auto &bucket : respWheel_) {
-        sink.putU64(bucket.size());
-        for (const Response &r : bucket)
-            putResponse(sink, r);
-    }
+    sink.putU64(responses_.size());
+    for (const Response &r : responses_)
+        putResponse(sink, r);
 }
 
 void
@@ -808,14 +768,10 @@ FleetCampaign::loadState(ByteSource &src)
     coordinator_->loadState(src);
     for (const auto &srv : fleet_)
         srv->loadState(src);
-    respWheelCount_ = 0;
-    for (auto &bucket : respWheel_) {
-        bucket.clear();
-        const u64 n = src.getCount(kResponseRecordBytes);
-        for (u64 i = 0; i < n; ++i)
-            bucket.push_back(getResponse(src));
-        respWheelCount_ += bucket.size();
-    }
+    responses_.clear();
+    const u64 n = src.getCount(kResponseRecordBytes);
+    for (u64 i = 0; i < n; ++i)
+        responses_.push_back(getResponse(src));
     ++loopCounters_.resumes;
 }
 

@@ -15,7 +15,7 @@
  *     datapath. Servers share nothing, so the ThreadPool may execute
  *     them in any order and any interleaving.
  *  3. Serial: outboxes are collected in server-index order and
- *     scheduled for delivery `responseDelay` ticks later.
+ *     delivered to the client at the start of the next tick.
  *
  * Because phase 2 touches only per-server state and phases 1/3 are
  * single-threaded, the campaign is bit-identical for any worker
@@ -72,10 +72,6 @@ struct FleetConfig
     /** Replication and ack discipline. */
     u32 replication = 2;
     u32 ackQuorum = 2; ///< <= replication; 2 makes crashes survivable.
-
-    /** Ticks between a server producing a response and the client
-     *  seeing it (>= 1: no same-tick request/response cycles). */
-    u64 responseDelay = 1;
 
     /**
      * How the framed request/response batches travel: in-process
@@ -215,12 +211,10 @@ class FleetCampaign
         CITADEL_REQUIRES(kSerialPhase);
     void deliverDue(u64 tick) CITADEL_REQUIRES(kSerialPhase);
     void arrivals(u64 tick) CITADEL_REQUIRES(kSerialPhase);
-    void collectOutboxes(u64 tick) CITADEL_REQUIRES(kSerialPhase);
+    void collectOutboxes() CITADEL_REQUIRES(kSerialPhase);
     void sendToServer(const Request &r, ServerIdx s)
         CITADEL_REQUIRES(kSerialPhase);
-    void flushShards(u64 tick) CITADEL_REQUIRES(kSerialPhase);
-    void pushResponse(u64 due, const Response &r)
-        CITADEL_REQUIRES(kSerialPhase);
+    void flushShards() CITADEL_REQUIRES(kSerialPhase);
     FleetResult audit(FleetCounters totals)
         CITADEL_REQUIRES(kSerialPhase);
 
@@ -252,16 +246,17 @@ class FleetCampaign
     SubmissionShards shards_;
     FrameWriter reqWriter_;
     FrameWriter respWriter_;
-    /** In-flight responses: bucket (due & mask), FIFO per bucket, so
-     *  delivery runs in (tick, insertion) order. */
-    std::vector<std::vector<Response>> respWheel_;
-    u64 respWheelMask_ = 0;
-    std::size_t respWheelCount_ = 0;
+    /** In-flight responses: filled during tick t (Busy synths, then
+     *  server outboxes) and drained in insertion order by
+     *  deliverDue(t + 1). Every response is due exactly one tick
+     *  later (never the same tick, which would make request/response
+     *  cycles order-dependent), so nothing is keyed by tick. */
+    std::vector<Response> responses_;
     /** Per-server submission sequences for the in-flight generation:
      *  maps decoded record index back to global send order. */
     std::vector<std::vector<u32>> seqScratch_;
     /** Busy synths collected during a flush, sorted by submission
-     *  sequence before entering the wheel so the client sees them in
+     *  sequence before joining responses_ so the client sees them in
      *  global send order. */
     std::vector<std::pair<u32, Response>> busyScratch_;
 

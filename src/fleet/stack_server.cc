@@ -19,6 +19,12 @@ namespace {
  *  Monte Carlo mixes so a fleet server never replays either. */
 constexpr u64 kServerSeedMix = 0xC2B2AE3D27D4EB4Full;
 
+/** Device cycles one fleet tick advances the datapath by. */
+constexpr u64 kCyclesPerTick = 512;
+
+/** Benchmark profile driving the calibration slice. */
+constexpr const char *kCalibrationBench = "mcf";
+
 } // namespace
 
 void
@@ -26,8 +32,6 @@ ServerConfig::validate() const
 {
     if (queueCap == 0)
         fatal("ServerConfig: queueCap must be >= 1");
-    if (cyclesPerTick == 0)
-        fatal("ServerConfig: cyclesPerTick must be >= 1");
     if (defaultServiceUnits == 0)
         fatal("ServerConfig: defaultServiceUnits must be >= 1");
     if (!(agingHours > 0.0))
@@ -63,14 +67,14 @@ StackServer::calibrate(u64 seed)
     SimConfig sim = cfg_.sim;
     sim.insnsPerCore = cfg_.calibrationInsns;
     sim.seed = mix64(seed ^ 0xCA11B8A7Eull);
-    SystemSim slice(sim, findBenchmark(cfg_.calibrationBench));
+    SystemSim slice(sim, findBenchmark(kCalibrationBench));
     slice.attachRas(dp_.get());
     const SimResult r = slice.run();
     baseCycle_ = r.cycles;
     const u64 reads = std::max<u64>(1, dp_->counters().demandReads);
     calibCyclesPerRead_ =
         static_cast<double>(r.cycles) / static_cast<double>(reads);
-    const double rate = static_cast<double>(cfg_.cyclesPerTick) /
+    const double rate = static_cast<double>(kCyclesPerTick) /
                         std::max(1.0, calibCyclesPerRead_);
     serviceUnits_ = static_cast<u32>(
         std::clamp(rate, 1.0, 65536.0));
@@ -91,7 +95,7 @@ StackServer::scheduleAging(u64 seed, u64 campaign_ticks)
     // way regardless of fleet size or thread count.
     Rng rng(seed ^ 0xA6E5ull);
     const double hours = cfg_.agingHours;
-    const u64 span = campaign_ticks * cfg_.cyclesPerTick;
+    const u64 span = campaign_ticks * kCyclesPerTick;
     const auto cycle_at = [&](double t_hours) {
         return baseCycle_ +
                static_cast<u64>(t_hours / hours *
@@ -114,7 +118,7 @@ StackServer::lineFor(u64 key) const
 u64
 StackServer::cycleOf(u64 tick) const
 {
-    return baseCycle_ + (tick + 1) * cfg_.cyclesPerTick;
+    return baseCycle_ + (tick + 1) * kCyclesPerTick;
 }
 
 bool

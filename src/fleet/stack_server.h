@@ -30,7 +30,6 @@
 
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "fleet/fleet_types.h"
@@ -61,15 +60,10 @@ struct ServerConfig
     /** Bounded inbox capacity; arrivals beyond it bounce as Busy. */
     u32 queueCap = 256;
 
-    /** Device cycles one fleet tick advances the datapath by. */
-    u64 cyclesPerTick = 512;
-
-    /** Instruction budget of the startup SystemSim calibration slice;
-     *  0 skips calibration and uses `defaultServiceUnits`. */
+    /** Instruction budget of the startup SystemSim calibration slice
+     *  (the mcf profile); 0 skips calibration and uses
+     *  `defaultServiceUnits`. */
     u64 calibrationInsns = 0;
-
-    /** Benchmark profile driving the calibration slice. */
-    std::string calibrationBench = "mcf";
 
     /** Service units per tick when calibration is off. */
     u32 defaultServiceUnits = 16;

@@ -94,9 +94,9 @@ SoakCampaign::SoakCampaign(const SoakConfig &cfg)
     // interval unless the caller pinned it.
     if (cfg_.ras.scrubCycles == 0) {
         const double scrub_h = std::max(cfg_.faults.scrubHours, 1e-6);
+        const double per_hour = static_cast<double>(cfg_.cyclesPerHour);
         cfg_.ras.scrubCycles =
-            std::max<u64>(1, static_cast<u64>(scrub_h *
-                                              cfg_.cyclesPerHour));
+            std::max<u64>(1, static_cast<u64>(scrub_h * per_hour));
     }
     probeEvery_ = std::max<u64>(1, cfg_.ras.scrubCycles /
                                        cfg_.probesPerEpoch);
@@ -133,7 +133,8 @@ SoakCampaign::~SoakCampaign() = default;
 u64
 SoakCampaign::cycleOf(double hours) const
 {
-    return static_cast<u64>(hours * cfg_.cyclesPerHour);
+    return static_cast<u64>(hours *
+                            static_cast<double>(cfg_.cyclesPerHour));
 }
 
 LineAddr

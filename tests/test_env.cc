@@ -158,8 +158,8 @@ TEST_P(KnobTable, RejectsEverythingElseWithAWarning)
 
 INSTANTIATE_TEST_SUITE_P(
     AllKnobs, KnobTable, ::testing::ValuesIn(kKnobs),
-    [](const ::testing::TestParamInfo<KnobSpec> &info) {
-        return std::string(info.param.name);
+    [](const ::testing::TestParamInfo<KnobSpec> &knob) {
+        return std::string(knob.param.name);
     });
 
 TEST(KnobTableRows, ValidatorRejectsBadDefaults)

