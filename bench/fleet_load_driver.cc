@@ -4,16 +4,18 @@
  * retry engine, coordinator failover, N bit-true stack-server shards —
  * under deterministic chaos at production-shaped load, and proves on
  * every run that the result is invariant across everything that must
- * not matter: worker thread count, transport (loopback / socket), and
- * wire batch size. A reduced copy of the campaign is executed across
- * the full {transport} x {batch} x {threads} grid and every cell must
- * land on the same durability-audit fingerprint.
+ * not matter: worker thread count and wire batch size. A reduced copy
+ * of the campaign is executed across the {batch 1, batch} x {1, 4
+ * threads} grid and every cell must land on the same durability-audit
+ * fingerprint.
  *
- * The serving hot path is also measured: loopback at the requested
- * batch size is timed against loopback at batch 1 (the unbatched
- * baseline) under overload, and the run reports Kops/s, the
- * batched-vs-unbatched speedup, the Busy rejection count, and acked-
- * completion latency percentiles in virtual ticks.
+ * The serving hot path is also measured: batch = `batch` is timed
+ * against batch 1 (one record per frame) under overload, and the run
+ * reports Kops/s, the batched-vs-unbatched speedup, the Busy
+ * rejection count, and acked-completion latency percentiles in virtual
+ * ticks. The steady_clock readings feed only those Kops/s report
+ * fields, never a seeded result; bit-identity of the simulated numbers
+ * is what the grid asserts, on integer fingerprints.
  *
  * Every CITADEL_FLEET_* knob, and CITADEL_SEED / CITADEL_THREADS, is
  * a row of the knob table (common/knobs.h, listed in README.md); a
@@ -26,17 +28,54 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
+#include <string>
 
 #include "common/knobs.h"
-#include "fleet_bench_util.h"
+#include "fleet/fleet_sim.h"
 
 using namespace citadel;
 using namespace citadel::fleet;
 
 namespace {
+
+/** One timed campaign: the audited result plus its wall time. */
+struct TimedRun
+{
+    FleetResult res;
+    double seconds = 0.0;
+};
+
+TimedRun
+timedCampaign(const FleetConfig &cfg)
+{
+    FleetCampaign campaign(cfg);
+    const auto t0 = std::chrono::steady_clock::now();
+    TimedRun out;
+    out.res = campaign.run();
+    const auto t1 = std::chrono::steady_clock::now();
+    out.seconds = std::chrono::duration<double>(t1 - t0).count();
+    return out;
+}
+
+/** Completed operations (acked + failed) per wall second, in Kops/s. */
+double
+kopsPerSec(const FleetResult &res, double seconds)
+{
+    const double ops = static_cast<double>(res.totals.opsAcked +
+                                           res.totals.opsFailed);
+    return seconds > 0.0 ? ops / seconds / 1000.0 : 0.0;
+}
+
+bool
+auditClean(const FleetResult &res)
+{
+    return res.lostAckedWrites == 0 && res.corruptAckedWrites == 0 &&
+           res.divergences == 0;
+}
 
 FleetConfig
 configFromEnv()
@@ -52,7 +91,6 @@ configFromEnv()
     cfg.ackQuorum = static_cast<u32>(knobU64(Knob::FleetQuorum));
     cfg.server.queueCap = static_cast<u32>(knobU64(Knob::FleetQueueCap));
     cfg.batch = static_cast<u32>(knobU64(Knob::FleetBatch));
-    cfg.transport = requestedTransportMode();
     cfg.traffic = knobText(Knob::FleetTrace);
     cfg.chaos.enabled = knobU64(Knob::FleetChaos) != 0;
     cfg.chaos.crashes = static_cast<u32>(knobU64(Knob::FleetCrashes));
@@ -98,7 +136,7 @@ FleetConfig
 gridConfig(const FleetConfig &cfg)
 {
     FleetConfig out = cfg;
-    out.traffic.clear(); // The grid varies transport, not the trace.
+    out.traffic.clear(); // The grid varies batch and threads, not the trace.
     out.ticks = std::min<u64>(cfg.ticks, 512);
     return out;
 }
@@ -142,13 +180,12 @@ main()
 
     std::cout << "fleet load driver: " << cfg.servers << " servers, "
               << cfg.ticks << " ticks, replication " << cfg.replication
-              << "/quorum " << cfg.ackQuorum << ", transport "
-              << transportModeName(cfg.transport) << ", batch "
-              << cfg.batch << ", chaos "
+              << "/quorum " << cfg.ackQuorum << ", batch " << cfg.batch
+              << ", chaos "
               << (cfg.chaos.enabled ? "on" : "off")
               << (cfg.traffic.empty() ? "" : ", trace-replay") << "\n";
 
-    // ---- Headline run: the requested transport at full length ------
+    // ---- Headline run: the requested config at full length ---------
     const TimedRun headline = timedCampaign(cfg);
     const FleetResult &res = headline.res;
     std::cout << res.summary() << "\n";
@@ -208,13 +245,12 @@ main()
         }
     }
 
-    // ---- Hot-path measurement: batched vs unbatched loopback -------
-    // Production-shaped load, loopback at batch 1 vs batch = `batch`.
-    // Batching exists to make serving cheaper; record the ratio. The
-    // config overloads the inboxes, so its Busy count shows the
-    // overload ordering path ran.
+    // ---- Hot-path measurement: batched vs unbatched -----------------
+    // Production-shaped load, batch 1 vs batch = `batch`. Batching
+    // exists to make serving cheaper; record the ratio. The config
+    // overloads the inboxes, so its Busy count shows the overload
+    // ordering path ran.
     FleetConfig unbatched = hotPathConfig(cfg);
-    unbatched.transport = TransportMode::Loopback;
     unbatched.batch = 1;
     FleetConfig batched = unbatched;
     batched.batch = cfg.batch;
@@ -225,48 +261,54 @@ main()
             ? unbatchedRun.seconds / batchedRun.seconds
             : 0.0;
     std::cout << "hot path (" << unbatched.arrivalsPerTick
-              << " arrivals/tick): loopback b=1 "
+              << " arrivals/tick): b=1 "
               << fmt1(kopsPerSec(unbatchedRun.res, unbatchedRun.seconds))
-              << " Kops/s, loopback b=" << cfg.batch << " "
+              << " Kops/s, b=" << cfg.batch << " "
               << fmt1(kopsPerSec(batchedRun.res, batchedRun.seconds))
               << " Kops/s, speedup " << fmt1(speedup) << "x, busy "
               << batchedRun.res.totals.busyRejections << "\n";
     if (unbatchedRun.res.fingerprint != batchedRun.res.fingerprint) {
-        std::cout << "FAIL: loopback b=1 and b=" << cfg.batch
+        std::cout << "FAIL: b=1 and b=" << cfg.batch
                   << " fingerprints differ on the measurement config\n";
         ok = false;
     }
 
-    // ---- Equivalence grid: transport x batch x threads -------------
+    // ---- Equivalence grid: {1, batch} x {1, 4 threads} --------------
     // Every cell must land on the same durability-audit fingerprint;
     // any mismatch means the wire path changed behavior, not just
     // performance, and the run fails.
     const FleetConfig base = gridConfig(cfg);
-    const unsigned gridThreads = 4;
     u64 refFingerprint = 0;
     bool haveRef = false;
-    for (const GridCell &cell : standardGrid(cfg.batch, gridThreads)) {
-        FleetConfig cellCfg = base;
-        cellCfg.transport = cell.mode;
-        cellCfg.batch = cell.batch;
-        cellCfg.threads = cell.threads;
-        FleetCampaign campaign(cellCfg);
-        const FleetResult r = campaign.run();
-        std::cout << "grid " << std::left << std::setw(18)
-                  << gridCellName(cell) << std::right << " fingerprint "
-                  << std::hex << r.fingerprint << std::dec << "\n";
-        if (!auditClean(r)) {
-            std::cout << "FAIL: grid cell " << gridCellName(cell)
-                      << " audit unclean\n";
-            ok = false;
-        }
-        if (!haveRef) {
-            refFingerprint = r.fingerprint;
-            haveRef = true;
-        } else if (r.fingerprint != refFingerprint) {
-            std::cout << "FAIL: grid cell " << gridCellName(cell)
-                      << " fingerprint differs from the grid baseline\n";
-            ok = false;
+    for (const u32 batch : {u32{1}, cfg.batch}) {
+        for (const unsigned threads : {1u, 4u}) {
+            FleetConfig cellCfg = base;
+            cellCfg.batch = batch;
+            cellCfg.threads = threads;
+            FleetCampaign campaign(cellCfg);
+            const FleetResult r = campaign.run();
+            // append(), not chained operator+: the latter trips GCC
+            // 12's spurious -Wrestrict (GCC bug 105651).
+            std::string cell("b");
+            cell.append(std::to_string(batch)).append(" t");
+            cell.append(std::to_string(threads));
+            std::cout << "grid " << std::left << std::setw(10) << cell
+                      << std::right << " fingerprint " << std::hex
+                      << r.fingerprint << std::dec << "\n";
+            if (!auditClean(r)) {
+                std::cout << "FAIL: grid cell " << cell
+                          << " audit unclean\n";
+                ok = false;
+            }
+            if (!haveRef) {
+                refFingerprint = r.fingerprint;
+                haveRef = true;
+            } else if (r.fingerprint != refFingerprint) {
+                std::cout << "FAIL: grid cell " << cell
+                          << " fingerprint differs from the grid "
+                             "baseline\n";
+                ok = false;
+            }
         }
     }
 

@@ -14,8 +14,13 @@
  * The fingerprint is identical for any thread count.
  */
 
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "common/knobs.h"
 #include "ras/soak.h"
@@ -52,6 +57,34 @@ configFromEnv()
     return cfg;
 }
 
+/**
+ * Write `bytes` to `path` through `<path>.tmp` and a rename, so a crash
+ * mid-write never leaves a torn file at `path`. Prints a diagnostic and
+ * returns false if the open, the write, the close or the rename fails.
+ */
+bool
+writeFileAtomically(const std::string &path, const std::vector<u8> &bytes)
+{
+    const std::string tmp = path + ".tmp";
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    out.close();
+    if (!out) {
+        std::cerr << "FAIL: could not write checkpoint blob to " << tmp
+                  << "\n";
+        std::remove(tmp.c_str());
+        return false;
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::cerr << "FAIL: could not rename " << tmp << " to " << path
+                  << ": " << std::strerror(errno) << "\n";
+        std::remove(tmp.c_str());
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 
 int
@@ -84,11 +117,8 @@ main()
 
     if (!last_ckpt.bytes().empty()) {
         if (!ckpt_file.empty()) {
-            std::ofstream out(ckpt_file, std::ios::binary);
-            out.write(reinterpret_cast<const char *>(
-                          last_ckpt.bytes().data()),
-                      static_cast<std::streamsize>(
-                          last_ckpt.bytes().size()));
+            if (!writeFileAtomically(ckpt_file, last_ckpt.bytes()))
+                return 1;
             std::cout << "checkpoint blob written to " << ckpt_file
                       << "\n";
         }

@@ -29,7 +29,7 @@ enum class Knob : u8
     Trials, Insns, Threads, Seed, Kernel,
     FleetServers, FleetTicks, FleetUsers, FleetKeyspace, FleetArrivals,
     FleetWriteFrac, FleetReplication, FleetQuorum, FleetQueueCap,
-    FleetBatch, FleetTransport, FleetTrace, FleetChaos, FleetCrashes,
+    FleetBatch, FleetTrace, FleetChaos, FleetCrashes,
     FleetDropProb, FleetJoin, FleetRebalance, FleetCheckpoint,
     FleetCalibInsns, FleetFitScale,
     SoakYears, SoakShards, SoakProbes, SoakCyclesPerHour,
@@ -136,10 +136,6 @@ inline constexpr KnobSpec kKnobs[] = {
         65536, "per-server inbox cap"),
     unsignedKnob(Knob::FleetBatch, "CITADEL_FLEET_BATCH", 32, 1, 4096,
         "wire records per frame; 1 is the unbatched baseline"),
-    choiceKnob(Knob::FleetTransport, "CITADEL_FLEET_TRANSPORT", "loopback",
-        {"loopback", "socket"},
-        "fleet wire: in-process byte streams or AF_UNIX socketpairs; "
-        "same fingerprint"),
     textKnob(Knob::FleetTrace, "CITADEL_FLEET_TRACE",
         "trace-replay spec (EXPERIMENTS.md grammar); empty = uniform "
         "arrivals"),

@@ -25,6 +25,34 @@ static_assert(kWarmBatch <= kMaxFrameRecords);
 constexpr double kLoadAlpha = 0.30;   ///< EWMA smoothing per round.
 constexpr u64 kKeyCooldownTicks = 64; ///< Per-key re-migration cooldown.
 
+/**
+ * Restore one of the rebalancer's key-ordered maps. saveState writes
+ * it in key order, so each restored key must lie in the key space and
+ * strictly follow the one before it: an out-of-order key is corrupt,
+ * and a duplicate would be silently dropped by the map.
+ */
+template <typename V, typename GetValue>
+void
+loadKeyMap(ByteSource &src, std::map<u64, V> &map, u64 key_space,
+           const char *field, GetValue &&getValue)
+{
+    map.clear();
+    const u64 n = src.getCount(sizeof(u64) + sizeof(V));
+    for (u64 i = 0; i < n; ++i) {
+        const u64 key = src.getU64();
+        if (key >= key_space)
+            fatal("Coordinator::loadState: corrupt checkpoint: %s key "
+                  "%llu outside the key space (%llu)",
+                  field, static_cast<unsigned long long>(key),
+                  static_cast<unsigned long long>(key_space));
+        if (!map.empty() && key <= map.rbegin()->first)
+            fatal("Coordinator::loadState: corrupt checkpoint: %s key "
+                  "%llu is duplicated or out of order",
+                  field, static_cast<unsigned long long>(key));
+        map.emplace_hint(map.end(), key, getValue());
+    }
+}
+
 } // namespace
 
 void
@@ -585,24 +613,18 @@ Coordinator::loadState(ByteSource &src)
         e = src.getDouble();
     for (u32 &h : hotStreak_)
         h = src.getU32();
-    keyLoad_.clear();
-    const u64 nk = src.getCount(2 * sizeof(u64));
-    for (u64 i = 0; i < nk; ++i) {
-        const u64 key = src.getU64();
-        keyLoad_.emplace_hint(keyLoad_.end(), key, src.getU64());
-    }
-    overrides_.clear();
-    const u64 no = src.getCount(sizeof(u64) + sizeof(u32));
-    for (u64 i = 0; i < no; ++i) {
-        const u64 key = src.getU64();
-        overrides_.emplace_hint(overrides_.end(), key, src.getU32());
-    }
-    cooldown_.clear();
-    const u64 nc = src.getCount(2 * sizeof(u64));
-    for (u64 i = 0; i < nc; ++i) {
-        const u64 key = src.getU64();
-        cooldown_.emplace_hint(cooldown_.end(), key, src.getU64());
-    }
+    const u64 keySpace = cacheStamp_.size();
+    const auto getU64 = [&] { return src.getU64(); };
+    loadKeyMap(src, keyLoad_, keySpace, "keyLoad", getU64);
+    loadKeyMap(src, overrides_, keySpace, "overrides", [&] {
+        const ServerIdx target = src.getU32();
+        if (target >= fleet_.size())
+            fatal("Coordinator::loadState: corrupt checkpoint: override "
+                  "target %u is not one of the %zu servers",
+                  target, fleet_.size());
+        return target;
+    });
+    loadKeyMap(src, cooldown_, keySpace, "cooldown", getU64);
     // The placement cache is a memo, not state: stamp 0 never matches
     // a real epoch (epochs start at 1), so every entry re-walks the
     // restored ring lazily and identically.

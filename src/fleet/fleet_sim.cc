@@ -54,9 +54,9 @@ clientTuning(const FleetConfig &cfg)
 
 /**
  * Fold every config field that shapes campaign state into `sink`: the
- * checkpoint guard's config half. transport, batch and threads are
- * left out on purpose: the fingerprint grid proves them neutral, so a
- * checkpoint may resume under any of them. The nested device configs
+ * checkpoint guard's config half. batch and threads are left out on
+ * purpose: the fingerprint grid proves them neutral, so a checkpoint
+ * may resume under either. The nested device configs
  * (sim, ras, faults) are not covered.
  */
 void
@@ -193,7 +193,7 @@ FleetCampaign::FleetCampaign(const FleetConfig &cfg)
       injector_(cfg_.chaos, cfg_.servers, cfg_.ticks, cfg_.seed),
       client_(cfg_.retry, cfg_.replication, cfg_.ackQuorum,
               mix64(cfg_.seed ^ 0x5A17ull), clientTuning(cfg_)),
-      transport_(makeTransport(cfg_.transport, cfg_.servers)),
+      transport_(cfg_.servers),
       shards_(cfg_.servers)
 {
     fleet_.reserve(cfg_.servers);
@@ -247,7 +247,7 @@ FleetCampaign::sendToServer(const Request &r, ServerIdx s)
         fatal("FleetCampaign: send to unknown server %u", s);
     // Load accounting sees every routed request, including ones the
     // chaos network then eats: load is what the client *sends*, so it
-    // is identical across transports and chaos outcomes.
+    // is identical across batch sizes and chaos outcomes.
     coordinator_->noteLoad(s, r.key);
     if (injector_.dropRequest(r.op, r.attempt, s)) {
         ++loopCounters_.requestsDropped;
@@ -281,15 +281,14 @@ FleetCampaign::flushShards()
             reqWriter_.add(r);
             seqScratch_[s].push_back(seq);
             if (reqWriter_.count() == cfg_.batch) {
-                transport_->sendToServer(s, reqWriter_.finish());
+                transport_.sendToServer(s, reqWriter_.finish());
                 reqWriter_.beginRequestFrame();
             }
         });
         if (reqWriter_.count() > 0)
-            transport_->sendToServer(s, reqWriter_.finish());
+            transport_.sendToServer(s, reqWriter_.finish());
     }
     shards_.nextGeneration();
-    transport_->poll();
     // Deliver into the server inboxes. A crashed server stays silent
     // (the attempt timeout covers it); a fenced or full one answers
     // Busy. Busy rejections are synthesized here and never travel on
@@ -301,7 +300,7 @@ FleetCampaign::flushShards()
     // test pins this order).
     busyScratch_.clear();
     for (u32 s = 0; s < cfg_.servers; ++s) {
-        RxStream &rx = transport_->serverRx(s);
+        RxStream &rx = transport_.serverRx(s);
         std::size_t recordIdx = 0;
         while (!rx.pending().empty()) {
             FrameView view;
@@ -406,7 +405,7 @@ FleetCampaign::arrivals(u64 tick)
         // Trace replay: the phase schedule drives rate, skew, write
         // mix, and bursts; ids stay dense counters and every per-op
         // choice is a counter hash, so the trace is bit-identical for
-        // any thread count, transport, or batch size.
+        // any thread count or batch size.
         const u32 n = traffic_.arrivalsAt(tick);
         const double wf = traffic_.writeFractionAt(tick);
         for (u32 i = 0; i < n; ++i) {
@@ -455,16 +454,15 @@ FleetCampaign::collectOutboxes()
         for (const Response &r : out) {
             respWriter_.add(r);
             if (respWriter_.count() == cfg_.batch) {
-                transport_->sendToClient(s, respWriter_.finish());
+                transport_.sendToClient(s, respWriter_.finish());
                 respWriter_.beginResponseFrame();
             }
         }
         if (respWriter_.count() > 0)
-            transport_->sendToClient(s, respWriter_.finish());
+            transport_.sendToClient(s, respWriter_.finish());
     }
-    transport_->poll();
     for (u32 s = 0; s < cfg_.servers; ++s) {
-        RxStream &rx = transport_->clientRx(s);
+        RxStream &rx = transport_.clientRx(s);
         while (!rx.pending().empty()) {
             FrameView view;
             std::size_t consumed = 0;
@@ -772,6 +770,10 @@ FleetCampaign::loadState(ByteSource &src)
     const u64 n = src.getCount(kResponseRecordBytes);
     for (u64 i = 0; i < n; ++i)
         responses_.push_back(getResponse(src));
+    if (src.remaining() != 0)
+        fatal("FleetCampaign: corrupt checkpoint: %zu trailing bytes "
+              "after the in-flight responses",
+              src.remaining());
     ++loopCounters_.resumes;
 }
 

@@ -73,15 +73,9 @@ struct FleetConfig
     u32 replication = 2;
     u32 ackQuorum = 2; ///< <= replication; 2 makes crashes survivable.
 
-    /**
-     * How the framed request/response batches travel: in-process
-     * byte streams (Loopback, the default) or real socketpairs
-     * (Socket). Both produce the same fingerprint on the same config,
-     * at any batch size — the load driver's grid enforces it.
-     */
-    TransportMode transport = TransportMode::Loopback;
-
-    /** Max records per wire frame, in [1, kMaxFrameRecords]. */
+    /** Max records per wire frame, in [1, kMaxFrameRecords]. Every
+     *  batch size produces the same fingerprint on the same config;
+     *  the load driver's grid enforces it. */
     u32 batch = 32;
 
     RetryPolicy retry;
@@ -134,8 +128,8 @@ struct FleetResult
 
     /** Order-independent digest of totals, ring, acked set + latency
      *  histogram, and every server's (kv + device) state: equal
-     *  fingerprints mean equal campaigns, whatever the thread count,
-     *  transport, or batch size. */
+     *  fingerprints mean equal campaigns, whatever the thread count
+     *  or batch size. */
     u64 fingerprint = 0;
 
     std::string summary() const;
@@ -187,8 +181,8 @@ class FleetCampaign
      * FleetConfig's scalars and trace spec, RetryPolicy,
      * CoordinatorOptions, the chaos network odds, and ServerConfig's
      * scalar fields. loadState() refuses a checkpoint whose digest
-     * differs. transport, batch and threads are deliberately left
-     * out, so a checkpoint resumes under any of them; the nested
+     * differs. batch and threads are deliberately left out, so a
+     * checkpoint resumes under any of them; the nested
      * device configs (sim, ras, faults) are not covered.
      * loadState() counts into FleetCounters::resumes, which audit()
      * zeroes for the fingerprint — a resumed campaign fingerprints
@@ -242,7 +236,7 @@ class FleetCampaign
 
     // The framed batching pipeline and its allocation-free delivery
     // structures.
-    std::unique_ptr<Transport> transport_;
+    Transport transport_;
     SubmissionShards shards_;
     FrameWriter reqWriter_;
     FrameWriter respWriter_;

@@ -474,7 +474,12 @@ StackServer::saveState(ByteSink &sink) const
 void
 StackServer::loadState(ByteSource &src)
 {
-    const ServerState st = static_cast<ServerState>(src.getU8());
+    const u8 stateByte = src.getU8();
+    if (stateByte > static_cast<u8>(ServerState::Warming))
+        fatal("StackServer::loadState: corrupt checkpoint: state byte "
+              "%u is not a server state",
+              unsigned{stateByte});
+    const ServerState st = static_cast<ServerState>(stateByte);
     stalledUntil_ = src.getU64();
     slowedUntil_ = src.getU64();
     slowDivisor_ = src.getU32();

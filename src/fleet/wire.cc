@@ -6,32 +6,8 @@
 #include "common/log.h"
 #include "ecc/crc32.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CITADEL_HAVE_SOCKETPAIR 1
-#include <cerrno>
-#include <fcntl.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#else
-#define CITADEL_HAVE_SOCKETPAIR 0
-#endif
-
 namespace citadel {
 namespace fleet {
-
-// ---- Transport selection -------------------------------------------
-
-const char *transportModeName(TransportMode mode)
-{
-    return knobSpec(Knob::FleetTransport)
-        .choices[static_cast<u8>(mode)]
-        .data();
-}
-
-TransportMode requestedTransportMode()
-{
-    return static_cast<TransportMode>(knobChoice(Knob::FleetTransport));
-}
 
 static_assert(knobSpec(Knob::FleetBatch).uHi == kMaxFrameRecords,
               "CITADEL_FLEET_BATCH's ceiling is the decoder's frame cap");
@@ -280,174 +256,39 @@ std::span<const u8> FrameWriter::finish()
     return {buf_.data(), buf_.size()};
 }
 
-// ---- Transports ----------------------------------------------------
+// ---- Transport -----------------------------------------------------
 
 Transport::Transport(u32 servers)
-    : servers_(servers), serverRx_(servers), clientRx_(servers)
+    : serverRx_(servers), clientRx_(servers)
 {
     if (servers == 0)
         fatal("Transport: zero servers");
 }
 
-Transport::~Transport() = default;
-
 RxStream &Transport::serverRx(u32 s)
 {
-    if (s >= servers_)
+    if (s >= serverRx_.size())
         panic("Transport::serverRx(%u) out of range", s);
     return serverRx_[s];
 }
 
 RxStream &Transport::clientRx(u32 s)
 {
-    if (s >= servers_)
+    if (s >= clientRx_.size())
         panic("Transport::clientRx(%u) out of range", s);
     return clientRx_[s];
 }
 
-void LoopbackTransport::sendToServer(u32 s, std::span<const u8> bytes)
+void Transport::sendToServer(u32 s, std::span<const u8> bytes)
 {
     RxStream &rx = serverRx(s);
     rx.buf.insert(rx.buf.end(), bytes.begin(), bytes.end());
 }
 
-void LoopbackTransport::sendToClient(u32 s, std::span<const u8> bytes)
+void Transport::sendToClient(u32 s, std::span<const u8> bytes)
 {
     RxStream &rx = clientRx(s);
     rx.buf.insert(rx.buf.end(), bytes.begin(), bytes.end());
-}
-
-#if CITADEL_HAVE_SOCKETPAIR
-
-namespace {
-
-void setNonBlocking(int fd)
-{
-    const int flags = fcntl(fd, F_GETFL, 0);
-    if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0)
-        fatal("SocketTransport: fcntl(O_NONBLOCK) failed");
-}
-
-} // namespace
-
-SocketTransport::SocketTransport(u32 servers)
-    : Transport(servers), scratch_(64 * 1024)
-{
-    clientFd_.resize(servers, -1);
-    serverFd_.resize(servers, -1);
-    for (u32 s = 0; s < servers; ++s) {
-        int fds[2];
-        if (socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
-            fatal("SocketTransport: socketpair failed for server %u "
-                  "(errno %d)",
-                  s, errno);
-        setNonBlocking(fds[0]);
-        setNonBlocking(fds[1]);
-        clientFd_[s] = fds[0];
-        serverFd_[s] = fds[1];
-    }
-}
-
-SocketTransport::~SocketTransport()
-{
-    for (int fd : clientFd_)
-        if (fd >= 0)
-            close(fd);
-    for (int fd : serverFd_)
-        if (fd >= 0)
-            close(fd);
-}
-
-void SocketTransport::drain(int fd, RxStream &rx)
-{
-    for (;;) {
-        const ssize_t n = read(fd, scratch_.data(), scratch_.size());
-        if (n > 0) {
-            rx.buf.insert(rx.buf.end(), scratch_.data(),
-                          scratch_.data() + n);
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            return;
-        if (n == 0)
-            fatal("SocketTransport: peer closed unexpectedly");
-        fatal("SocketTransport: read failed (errno %d)", errno);
-    }
-}
-
-void SocketTransport::sendOn(int fd, u32 s, std::span<const u8> bytes)
-{
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n =
-            write(fd, bytes.data() + off, bytes.size() - off);
-        if (n > 0) {
-            off += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            // Kernel buffer full: the only reader is this process, so
-            // make room by draining both directions of pair s. A frame
-            // larger than the socket buffer lands fragmented — the
-            // reassembly path's job.
-            drain(clientFd_[s], clientRx_[s]);
-            drain(serverFd_[s], serverRx_[s]);
-            continue;
-        }
-        fatal("SocketTransport: write failed (errno %d)", errno);
-    }
-}
-
-void SocketTransport::sendToServer(u32 s, std::span<const u8> bytes)
-{
-    if (s >= servers_)
-        panic("SocketTransport::sendToServer(%u) out of range", s);
-    sendOn(clientFd_[s], s, bytes);
-}
-
-void SocketTransport::sendToClient(u32 s, std::span<const u8> bytes)
-{
-    if (s >= servers_)
-        panic("SocketTransport::sendToClient(%u) out of range", s);
-    sendOn(serverFd_[s], s, bytes);
-}
-
-void SocketTransport::poll()
-{
-    for (u32 s = 0; s < servers_; ++s) {
-        drain(serverFd_[s], serverRx_[s]);
-        drain(clientFd_[s], clientRx_[s]);
-    }
-}
-
-#else // !CITADEL_HAVE_SOCKETPAIR
-
-SocketTransport::SocketTransport(u32 servers) : Transport(servers)
-{
-    fatal("CITADEL_FLEET_TRANSPORT=socket requires a POSIX platform");
-}
-
-SocketTransport::~SocketTransport() = default;
-void SocketTransport::sendToServer(u32, std::span<const u8>) {}
-void SocketTransport::sendToClient(u32, std::span<const u8>) {}
-void SocketTransport::poll() {}
-
-#endif
-
-std::unique_ptr<Transport> makeTransport(TransportMode mode,
-                                         u32 servers)
-{
-    switch (mode) {
-    case TransportMode::Loopback:
-        return std::make_unique<LoopbackTransport>(servers);
-    case TransportMode::Socket:
-        return std::make_unique<SocketTransport>(servers);
-    }
-    panic("makeTransport: bad mode");
 }
 
 // ---- Batched submission shards -------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
  * Fleet wire protocol: a compact binary frame format for batches of
- * `Request` / `Response` records, and the byte-stream transports that
- * carry it between the campaign's client side and its stack servers.
+ * `Request` / `Response` records, and the byte-stream transport that
+ * carries it between the campaign's client side and its stack servers.
  *
  * A frame is a 16-byte header followed by a packed array of
  * fixed-width little-endian records:
@@ -26,15 +26,11 @@
  * checkpoint ByteSource is deliberately NOT reused here — a wire peer
  * may present garbage, a checkpoint may not).
  *
- * Transports are deliberately dumb byte pipes with one duplex channel
- * per server. LoopbackTransport (the default) moves bytes with a
- * memcpy and is what the deterministic campaigns run on;
- * SocketTransport pushes the same frames through real AF_UNIX
- * socketpairs (non-blocking, drained inside the campaign's serial
- * phase) so the codec is exercised against genuine kernel-buffer
- * fragmentation. Both present received bytes as an RxStream the
- * caller reassembles frames from; because frames are length-prefixed,
- * partial reads just wait for more bytes.
+ * The transport is a deliberately dumb byte pipe with one duplex
+ * channel per server: sending a frame appends its bytes to the peer's
+ * RxStream, and the receiver reassembles frames from that stream.
+ * Because frames are length-prefixed, a partial stream just waits for
+ * more bytes.
  *
  * SubmissionShards is the batching half: a per-server arena of
  * generation-stamped request slots (the PR-4 token-arena idiom) the
@@ -50,7 +46,6 @@
 #ifndef CITADEL_FLEET_WIRE_H
 #define CITADEL_FLEET_WIRE_H
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -58,25 +53,6 @@
 
 namespace citadel {
 namespace fleet {
-
-// ---- Transport selection -------------------------------------------
-
-/** How requests and responses travel between client and servers. */
-enum class TransportMode : u8
-{
-    Loopback, ///< Framed batches through in-process byte streams
-              ///< (default: deterministic, allocation-free).
-    Socket,   ///< Framed batches through real AF_UNIX socketpairs.
-};
-
-/** Display name: the mode's CITADEL_FLEET_TRANSPORT spelling
- *  ("loopback" / "socket"), so the enum follows the knob's spelling
- *  order. */
-const char *transportModeName(TransportMode mode);
-
-/** Mode requested by CITADEL_FLEET_TRANSPORT (invalid/unset resolves
- *  to Loopback, with a warning on invalid text). */
-TransportMode requestedTransportMode();
 
 // ---- Frame format --------------------------------------------------
 
@@ -180,7 +156,7 @@ class FrameWriter
     bool open_ = false;
 };
 
-// ---- Transports ----------------------------------------------------
+// ---- Transport -----------------------------------------------------
 
 /**
  * A received byte stream awaiting frame reassembly. `pos` is the
@@ -208,86 +184,34 @@ struct RxStream
 };
 
 /**
- * One duplex byte channel per server. Everything here runs in the
- * campaign's serial phase (send and receive are two halves of the
- * same single-threaded loop), which is what keeps even the socket
- * transport deterministic: the only bytes ever read are the ones this
- * process wrote, in FIFO order.
+ * One duplex byte channel per server, in process: a send is an append
+ * to the peer's RxStream. Everything here runs in the campaign's
+ * serial phase (send and receive are two halves of the same
+ * single-threaded loop), so each stream holds exactly the bytes sent
+ * to it, in FIFO order.
  */
 class Transport
 {
   public:
     explicit Transport(u32 servers);
-    virtual ~Transport();
 
     Transport(const Transport &) = delete;
     Transport &operator=(const Transport &) = delete;
 
-    /** Queue bytes toward server `s` / toward the client side. */
-    virtual void sendToServer(u32 s, std::span<const u8> bytes)
-        CITADEL_REQUIRES(kSerialPhase) = 0;
-    virtual void sendToClient(u32 s, std::span<const u8> bytes)
-        CITADEL_REQUIRES(kSerialPhase) = 0;
-
-    /** Move any in-flight bytes into the rx streams (no-op for
-     *  loopback; drains the socketpairs for the socket transport). */
-    virtual void poll() CITADEL_REQUIRES(kSerialPhase) {}
+    /** Append bytes to server `s`'s stream / the client side's. */
+    void sendToServer(u32 s, std::span<const u8> bytes)
+        CITADEL_REQUIRES(kSerialPhase);
+    void sendToClient(u32 s, std::span<const u8> bytes)
+        CITADEL_REQUIRES(kSerialPhase);
 
     /** Bytes that have arrived at server `s` / at the client side. */
     RxStream &serverRx(u32 s) CITADEL_REQUIRES(kSerialPhase);
     RxStream &clientRx(u32 s) CITADEL_REQUIRES(kSerialPhase);
 
-    u32 servers() const { return servers_; }
-
-  protected:
-    u32 servers_;
+  private:
     std::vector<RxStream> serverRx_; ///< Client → server direction.
     std::vector<RxStream> clientRx_; ///< Server → client direction.
 };
-
-/** In-process transport: send is an append to the peer's RxStream. */
-class LoopbackTransport final : public Transport
-{
-  public:
-    explicit LoopbackTransport(u32 servers) : Transport(servers) {}
-    void sendToServer(u32 s, std::span<const u8> bytes)
-        CITADEL_REQUIRES(kSerialPhase) override;
-    void sendToClient(u32 s, std::span<const u8> bytes)
-        CITADEL_REQUIRES(kSerialPhase) override;
-};
-
-/**
- * AF_UNIX socketpair transport: one non-blocking duplex pair per
- * server. A full kernel buffer mid-send is handled by draining the
- * receive side (our own peer) and retrying, so a frame larger than
- * the socket buffer still goes through — fragmented, which is exactly
- * what the reassembly path is for.
- */
-class SocketTransport final : public Transport
-{
-  public:
-    explicit SocketTransport(u32 servers);
-    ~SocketTransport() override;
-
-    void sendToServer(u32 s, std::span<const u8> bytes)
-        CITADEL_REQUIRES(kSerialPhase) override;
-    void sendToClient(u32 s, std::span<const u8> bytes)
-        CITADEL_REQUIRES(kSerialPhase) override;
-    void poll() CITADEL_REQUIRES(kSerialPhase) override;
-
-  private:
-    void sendOn(int fd, u32 s, std::span<const u8> bytes)
-        CITADEL_REQUIRES(kSerialPhase);
-    void drain(int fd, RxStream &rx);
-
-    std::vector<int> clientFd_; ///< Campaign/client end of pair s.
-    std::vector<int> serverFd_; ///< Server end of pair s.
-    std::vector<u8> scratch_;   ///< Read buffer for drain().
-};
-
-/** Build the transport for `mode`. */
-std::unique_ptr<Transport> makeTransport(TransportMode mode,
-                                         u32 servers);
 
 // ---- Batched submission shards -------------------------------------
 

@@ -22,7 +22,6 @@
 #include "common/kernels.h"
 #include "common/knobs.h"
 #include "common/thread_pool.h"
-#include "fleet/wire.h"
 
 namespace citadel {
 namespace {
@@ -204,16 +203,9 @@ TEST(KnobTableRows, ChoiceSpellingsSelectTheirEnums)
     EXPECT_STREQ(kernelModeName(KernelMode::Scalar), "scalar");
     EXPECT_STREQ(kernelModeName(KernelMode::Vector), "vector");
     EXPECT_STREQ(kernelModeName(KernelMode::Auto), "auto");
-    EXPECT_STREQ(fleet::transportModeName(fleet::TransportMode::Loopback),
-                 "loopback");
-    EXPECT_STREQ(fleet::transportModeName(fleet::TransportMode::Socket),
-                 "socket");
     setenv("CITADEL_KERNEL", "vector", 1);
     EXPECT_EQ(requestedKernelMode(), KernelMode::Vector);
-    setenv("CITADEL_FLEET_TRANSPORT", "socket", 1);
-    EXPECT_EQ(fleet::requestedTransportMode(), fleet::TransportMode::Socket);
     unsetenv("CITADEL_KERNEL");
-    unsetenv("CITADEL_FLEET_TRANSPORT");
 }
 
 TEST(KnobGrammar, NegativePaddedAndOverflowingCountsAreRejected)

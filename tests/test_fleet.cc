@@ -579,16 +579,14 @@ TEST(FleetDeterminism, DifferentSeedsDiverge)
 }
 
 // Golden fingerprints, recorded on the unframed per-request path the
-// wire transports replaced: every transport x batch x threads cell
-// must reproduce them, which pins behaviour, not just agreement
-// between cells.
+// wire replaced: every batch x threads cell must reproduce them, which
+// pins behaviour, not just agreement between cells.
 constexpr u64 kGridFingerprint = 0x5808c7fbd9001d2aull;
 constexpr u64 kTraceFingerprint = 0x2c03dd517e3690c8ull;
 constexpr u64 kOverloadFingerprint = 0x07a840ed63c2b01dull;
 
 struct GridCell
 {
-    TransportMode mode;
     u32 batch;
     unsigned threads;
 };
@@ -596,27 +594,20 @@ struct GridCell
 std::string
 cellName(const GridCell &cell)
 {
-    std::string name(transportModeName(cell.mode));
-    name.append(" b").append(std::to_string(cell.batch));
+    std::string name("b");
+    name.append(std::to_string(cell.batch));
     name.append(" t").append(std::to_string(cell.threads));
     return name;
 }
 
-TEST(FleetDeterminism, FingerprintInvariantAcrossTransportBatchThreads)
+TEST(FleetDeterminism, FingerprintInvariantAcrossBatchThreads)
 {
-    // Framed batching is a pure transport change: in-process loopback
-    // and real socketpairs, at any batch size and thread count, land
-    // on the same campaign down to the fingerprint.
-    const GridCell cells[] = {
-        {TransportMode::Loopback, 1, 1},
-        {TransportMode::Loopback, 5, 3},
-        {TransportMode::Socket, 5, 1},
-        {TransportMode::Socket, 1, 3},
-    };
+    // Framed batching is a pure wire change: at any batch size and
+    // thread count the campaign is the same down to the fingerprint.
+    const GridCell cells[] = {{1, 1}, {5, 3}, {5, 1}, {1, 3}};
     for (const GridCell &cell : cells) {
         FleetConfig cfg = smallConfig();
         cfg.seed = 17;
-        cfg.transport = cell.mode;
         cfg.batch = cell.batch;
         cfg.threads = cell.threads;
         FleetCampaign campaign(cfg);
@@ -631,21 +622,20 @@ TEST(FleetDeterminism, FingerprintInvariantAcrossTransportBatchThreads)
     }
 }
 
-TEST(FleetDeterminism, TraceReplayIsTransportInvariant)
+TEST(FleetDeterminism, TraceReplayIsBatchAndThreadInvariant)
 {
-    // A bursty, zipf-skewed trace drives the same offered load over
-    // every transport; the trace also overrides the configured tick
-    // count with its own total length.
+    // A bursty, zipf-skewed trace drives the same offered load in
+    // every cell; the trace also overrides the configured tick count
+    // with its own total length.
     FleetConfig base = smallConfig();
     base.ticks = 1; // Overridden by the trace (96 + 64 ticks).
     base.traffic = "ticks=96,rate=3,write=0.5,zipf=0.8;"
                    "ticks=64,rate=5,burst=3,every=16,len=4";
-    for (const GridCell &cell : {GridCell{TransportMode::Loopback, 1, 1},
-                                 GridCell{TransportMode::Loopback, 7, 1},
-                                 GridCell{TransportMode::Socket, 7, 1}}) {
+    for (const GridCell &cell :
+         {GridCell{1, 1}, GridCell{7, 1}, GridCell{7, 3}}) {
         FleetConfig cfg = base;
-        cfg.transport = cell.mode;
         cfg.batch = cell.batch;
+        cfg.threads = cell.threads;
         FleetCampaign campaign(cfg);
         const FleetResult res = campaign.run();
         SCOPED_TRACE(cellName(cell));
@@ -666,14 +656,9 @@ TEST(FleetDeterminism, OverloadBusyOrderIsPinned)
     base.arrivalsPerTick = 256;
     base.keySpace = 4096;
     base.server.queueCap = 16;
-    const GridCell cells[] = {
-        {TransportMode::Loopback, 1, 1},
-        {TransportMode::Loopback, 32, 3},
-        {TransportMode::Socket, 7, 1},
-    };
+    const GridCell cells[] = {{1, 1}, {32, 3}, {7, 1}};
     for (const GridCell &cell : cells) {
         FleetConfig cfg = base;
-        cfg.transport = cell.mode;
         cfg.batch = cell.batch;
         cfg.threads = cell.threads;
         FleetCampaign campaign(cfg);

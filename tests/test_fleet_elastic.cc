@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -310,7 +311,7 @@ FleetConfig
 checkpointConfig()
 {
     // Everything on at once: chaos (crashes + derived restarts,
-    // stalls, slowdowns, drops, dups), rebalance, wire transport —
+    // stalls, slowdowns, drops, dups), rebalance, the framed wire —
     // the checkpoint must capture all of it.
     FleetConfig cfg = elasticConfig();
     cfg.ticks = 192;
@@ -389,14 +390,14 @@ TEST(ElasticCheckpoint, ChainedResumesStayBitIdentical)
     EXPECT_EQ(res.totals.resumes, 2u);
 }
 
-TEST(ElasticCheckpoint, ResumesAcrossTransportAndBatch)
+TEST(ElasticCheckpoint, ResumesAcrossBatchAndThreads)
 {
-    // Transport and batch size are fingerprint-neutral, so the
-    // checkpoint guard leaves them out: a loopback b=32 checkpoint
-    // resumes bit-identically into a socket b=1 campaign.
+    // Batch size and thread count are fingerprint-neutral, so the
+    // checkpoint guard leaves them out: a b=32 t=1 checkpoint resumes
+    // bit-identically into a b=1 t=3 campaign.
     FleetConfig cfg = checkpointConfig();
-    cfg.transport = TransportMode::Loopback;
     cfg.batch = 32;
+    cfg.threads = 1;
     FleetCampaign reference(cfg);
     const FleetResult ref = reference.run();
 
@@ -406,8 +407,8 @@ TEST(ElasticCheckpoint, ResumesAcrossTransportAndBatch)
     first.saveState(sink);
 
     FleetConfig cfg2 = cfg;
-    cfg2.transport = TransportMode::Socket;
     cfg2.batch = 1;
+    cfg2.threads = 3;
     FleetCampaign second(cfg2);
     ByteSource src(sink.bytes());
     second.loadState(src);
@@ -465,6 +466,83 @@ TEST(ElasticCheckpointDeath, MismatchedConfigIsRejected)
     rejects("users", c);
 }
 
+TEST(ElasticCheckpointDeath, CorruptRestoredFleetStateIsFatal)
+{
+    // Cut mid-rebalance, so the coordinator's key-ordered maps (load
+    // counts, overrides, cooldowns) hold entries. Each case patches one
+    // saved record, and the restore must refuse it with a diagnostic
+    // naming the field instead of resuming into broken state.
+    const FleetConfig cfg = checkpointConfig();
+    FleetCampaign first(cfg);
+    first.advanceTo(160);
+    ByteSink sink;
+    first.saveState(sink);
+    const std::vector<u8> &saved = sink.bytes();
+
+    ByteSink coord, freshCoord, server0;
+    {
+        FleetCampaign fresh(cfg);
+        ThreadRoleGrant serial(kSerialPhase);
+        first.coordinator().saveState(coord);
+        fresh.coordinator().saveState(freshCoord);
+        first.server(0).saveState(server0);
+    }
+    const auto offsetOf = [&](const std::vector<u8> &record) {
+        return std::search(saved.begin(), saved.end(), record.begin(),
+                           record.end()) -
+               saved.begin();
+    };
+    const auto u64At = [&](std::ptrdiff_t at) {
+        u64 v = 0;
+        for (int i = 0; i < 8; ++i)
+            v |= u64{saved[static_cast<std::size_t>(at + i)]} << (8 * i);
+        return v;
+    };
+    // The coordinator record ends with its three maps, each a count
+    // and then (key, value) entries in key order; everything before
+    // them is as long as in a fresh coordinator's record, whose maps
+    // are three zero counts.
+    const std::ptrdiff_t coordAt = offsetOf(coord.bytes());
+    const std::ptrdiff_t serverAt = offsetOf(server0.bytes());
+    ASSERT_LT(coordAt, static_cast<std::ptrdiff_t>(saved.size()));
+    ASSERT_LT(serverAt, static_cast<std::ptrdiff_t>(saved.size()));
+    const std::ptrdiff_t keyLoadAt =
+        coordAt +
+        static_cast<std::ptrdiff_t>(freshCoord.bytes().size() - 24);
+    const u64 nk = u64At(keyLoadAt);
+    const std::ptrdiff_t overridesAt =
+        keyLoadAt + 8 + static_cast<std::ptrdiff_t>(16 * nk);
+    ASSERT_GE(nk, 2u);
+    ASSERT_GE(u64At(overridesAt), 1u);
+    const std::ptrdiff_t firstKey = keyLoadAt + 8;
+    const std::ptrdiff_t secondKey = firstKey + 16;
+    const std::ptrdiff_t firstTarget = overridesAt + 8 + 8;
+
+    const auto dies = [&](std::vector<u8> bytes, const char *diag) {
+        SCOPED_TRACE(diag);
+        FleetCampaign second(cfg);
+        ByteSource src(bytes);
+        EXPECT_DEATH(second.loadState(src), diag);
+    };
+    const auto patched = [&](std::ptrdiff_t at, u64 v, int width) {
+        std::vector<u8> bytes = saved;
+        for (int i = 0; i < width; ++i)
+            bytes[static_cast<std::size_t>(at + i)] =
+                static_cast<u8>(v >> (8 * i));
+        return bytes;
+    };
+    dies(patched(serverAt, 6, 1), "state byte 6 is not a server state");
+    dies(patched(firstTarget, cfg.servers, 4),
+         "override target 4 is not one of the 4 servers");
+    dies(patched(firstKey, cfg.keySpace, 8),
+         "keyLoad key 96 outside the key space");
+    dies(patched(secondKey, u64At(firstKey), 8),
+         "keyLoad key [0-9]+ is duplicated or out of order");
+    std::vector<u8> trailing = saved;
+    trailing.push_back(0);
+    dies(trailing, "1 trailing bytes");
+}
+
 // Converts to any field type, so `T{AnyField{}...}` compiles exactly
 // when the brace list is no longer than T's field list.
 struct AnyField
@@ -485,11 +563,11 @@ constexpr bool kHasFields = bracesFit<T>(std::make_index_sequence<N>{}) &&
 
 // Tripwire: the checkpoint guard's config digest (digestConfig in
 // fleet_sim.cc) lists these structs' fields by hand. A new field must
-// be folded into the digest (or left out on purpose, like transport,
-// batch and threads) before these counts are bumped.
+// be folded into the digest (or left out on purpose, like batch and
+// threads) before these counts are bumped.
 TEST(ElasticCheckpoint, ConfigDigestTripwireFieldCounts)
 {
-    static_assert(kHasFields<FleetConfig, 17>,
+    static_assert(kHasFields<FleetConfig, 16>,
                   "FleetConfig changed: update digestConfig");
     static_assert(kHasFields<RetryPolicy, 7>,
                   "RetryPolicy changed: update digestConfig");

@@ -154,7 +154,7 @@ BLESSINGS = [
         ),
     ),
     Blessing(
-        file="bench/fleet_bench_util.h",
+        file="bench/fleet_load_driver.cc",
         rule="wall-clock",
         needle="std::chrono::steady_clock",
         justification=(
@@ -162,7 +162,8 @@ BLESSINGS = [
             "timing wrapper: steady_clock readings feed only wall-"
             "seconds/throughput report fields, never a seeded result "
             "-- campaign equivalence is asserted separately on integer "
-            "fingerprints across the transport/batch/thread grid"
+            "fingerprints across the {batch 1, batch} x {1, 4 threads} "
+            "grid"
         ),
     ),
 ]
