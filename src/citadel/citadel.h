@@ -33,7 +33,7 @@ struct CitadelOptions
     u32 parityDims = 3;          ///< 3DP (1/2 for the Fig 14 ablations).
     bool enableTsvSwap = true;   ///< TSV-SWAP component.
     bool enableDds = true;       ///< DDS component.
-    u32 standbyTsvsPerChannel = 4;
+    u32 standbyTsvsPerChannel = 4; ///< test-only: 1 reaches exhaustion.
     u32 spareRowsPerBank = 4;
     u32 spareBanksPerStack = 2;
 };

@@ -8,18 +8,43 @@
 
 namespace citadel {
 
+namespace {
+
+/** Fraction of control-plane upsets that are transient SRAM strikes
+ *  (clear on the scrub's read-retry). */
+constexpr double kMetaTransientFraction = 0.7;
+
+/** Fraction of control-plane upsets that hit the primary *and* the
+ *  mirror copy (common-mode: shared well / power event). These are
+ *  the ones mirroring alone cannot undo. */
+constexpr double kMetaCommonModeFraction = 0.1;
+
+/** fatal() unless `x` is finite and >= 0, or > 0 when `positive`:
+ *  a NaN or +inf rate would reach Rng::poisson. */
+void
+requireFinite(const char *field, double x, bool positive = false)
+{
+    if (!(std::isfinite(x) && (positive ? x > 0.0 : x >= 0.0)))
+        fatal("config: %s must be finite and %s 0 (got %g)", field,
+              positive ? ">" : ">=", x);
+}
+
+} // namespace
+
 void
 SystemConfig::validate() const
 {
     geom.validate();
-    if (!(lifetimeHours > 0.0))
-        fatal("config: lifetimeHours must be positive (got %g)",
-              lifetimeHours);
-    if (!(scrubHours > 0.0))
-        fatal("config: scrubHours must be positive (got %g)", scrubHours);
-    if (tsvDeviceFit < 0.0)
-        fatal("config: tsvDeviceFit must be >= 0 (got %g)", tsvDeviceFit);
-    if (subArrayFraction < 0.0 || subArrayFraction > 1.0)
+    requireFinite("lifetimeHours", lifetimeHours, /*positive=*/true);
+    requireFinite("scrubHours", scrubHours, /*positive=*/true);
+    requireFinite("tsvDeviceFit", tsvDeviceFit);
+    requireFinite("metaFit", metaFit);
+    for (const FitPair *p : {&rates.bit, &rates.word, &rates.column,
+                             &rates.row, &rates.bank}) {
+        requireFinite("FIT rates", p->transientFit);
+        requireFinite("FIT rates", p->permanentFit);
+    }
+    if (!(0.0 <= subArrayFraction && subArrayFraction <= 1.0))
         fatal("config: subArrayFraction must be in [0, 1] (got %g)",
               subArrayFraction);
     if (subArrayRows == 0 || (subArrayRows & (subArrayRows - 1)) != 0 ||
@@ -27,19 +52,6 @@ SystemConfig::validate() const
         fatal("config: subArrayRows (%u) must be a power of two <= "
               "rowsPerBank (%u)",
               subArrayRows, geom.rowsPerBank);
-    if (metaFit < 0.0)
-        fatal("config: metaFit must be >= 0 (got %g)", metaFit);
-    if (metaTransientFraction < 0.0 || metaTransientFraction > 1.0)
-        fatal("config: metaTransientFraction must be in [0, 1] (got %g)",
-              metaTransientFraction);
-    if (metaCommonModeFraction < 0.0 || metaCommonModeFraction > 1.0)
-        fatal("config: metaCommonModeFraction must be in [0, 1] (got %g)",
-              metaCommonModeFraction);
-    const FitPair *pairs[] = {&rates.bit, &rates.word, &rates.column,
-                              &rates.row, &rates.bank};
-    for (const FitPair *p : pairs)
-        if (p->transientFit < 0.0 || p->permanentFit < 0.0)
-            fatal("config: FIT rates must be >= 0");
 }
 
 FaultInjector::FaultInjector(const SystemConfig &cfg)
@@ -214,7 +226,7 @@ FaultInjector::sampleMetaLifetime(Rng &rng, const MetaGeometry &mg) const
         const u64 n = rng.poisson(lambda);
         for (u64 i = 0; i < n; ++i) {
             const double t = rng.uniform(0.0, cfg_.lifetimeHours);
-            const bool transient = rng.chance(cfg_.metaTransientFraction);
+            const bool transient = rng.chance(kMetaTransientFraction);
             out.push_back(makeMetaFault(rng, StackId{s}, mg, transient, t));
         }
     }
@@ -272,7 +284,7 @@ FaultInjector::makeMetaFault(Rng &rng, StackId stack, const MetaGeometry &mg,
     }
 
     f.flipMask = flip();
-    if (rng.chance(cfg_.metaCommonModeFraction))
+    if (rng.chance(kMetaCommonModeFraction))
         f.mirrorFlipMask = flip();
     return f;
 }

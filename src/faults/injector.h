@@ -69,15 +69,6 @@ struct SystemConfig
      */
     double metaFit = 0.0;
 
-    /** Fraction of control-plane upsets that are transient SRAM
-     *  strikes (clear on the scrub's read-retry). */
-    double metaTransientFraction = 0.7;
-
-    /** Fraction of control-plane upsets that hit the primary *and* the
-     *  mirror copy (common-mode: shared well / power event). These are
-     *  the ones mirroring alone cannot undo. */
-    double metaCommonModeFraction = 0.1;
-
     /** Dies per stack including the ECC/metadata die. */
     u32 diesPerStack() const { return geom.channelsPerStack + 1; }
 
@@ -86,9 +77,10 @@ struct SystemConfig
 
     /**
      * Check the whole experiment configuration for nonsense (zero
-     * geometry dimensions, negative rates, impossible scrub/lifetime
-     * setup). Calls fatal() with a clear message on the first problem,
-     * instead of letting it surface as undefined behavior downstream.
+     * geometry dimensions, negative or non-finite rates, impossible
+     * scrub/lifetime setup). Calls fatal() with a clear message on the
+     * first problem, instead of letting it surface as undefined
+     * behavior downstream.
      */
     void validate() const;
 };

@@ -10,6 +10,8 @@ namespace fleet {
 
 namespace {
 
+constexpr u32 kStalls = 2;         ///< Stall windows per campaign.
+constexpr u32 kSlowdowns = 2;      ///< Slowdown windows per campaign.
 constexpr u64 kStallTicks = 96;    ///< Stall window length.
 constexpr u64 kSlowTicks = 384;    ///< Slowdown window length.
 constexpr u32 kSlowFactor = 4;     ///< Service-rate divisor while slow.
@@ -34,7 +36,7 @@ coin(u64 h, double p)
 void
 ChaosOptions::validate() const
 {
-    if (dropProb < 0.0 || dropProb > 1.0)
+    if (!(0.0 <= dropProb && dropProb <= 1.0))
         fatal("ChaosOptions: dropProb must be in [0, 1]");
 }
 
@@ -79,7 +81,7 @@ FleetFaultInjector::FleetFaultInjector(const ChaosOptions &opts,
             events_.push_back(re);
         }
     }
-    for (u32 i = 0; i < opts_.stalls; ++i) {
+    for (u32 i = 0; i < kStalls; ++i) {
         ChaosEvent ev;
         ev.tick = sample_tick();
         ev.kind = ChaosEvent::Kind::Stall;
@@ -98,7 +100,7 @@ FleetFaultInjector::FleetFaultInjector(const ChaosOptions &opts,
             events_.push_back(re);
         }
     }
-    for (u32 i = 0; i < opts_.slowdowns; ++i) {
+    for (u32 i = 0; i < kSlowdowns; ++i) {
         ChaosEvent ev;
         ev.tick = sample_tick();
         ev.kind = ChaosEvent::Kind::Slow;

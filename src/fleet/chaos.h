@@ -35,12 +35,10 @@ struct ChaosOptions
 {
     bool enabled = true;
 
-    /** Scheduled event counts over the campaign (window lengths,
-     *  the slowdown divisor and the duplication odds are constants in
-     *  chaos.cc). */
+    /** Crashes scheduled over the campaign (the stall and slowdown
+     *  counts, window lengths, slowdown divisor and duplication odds
+     *  are constants in chaos.cc). */
     u32 crashes = 1;
-    u32 stalls = 2;
-    u32 slowdowns = 2;
 
     /** Per-request loss probability on the fleet network. */
     double dropProb = 0.01;

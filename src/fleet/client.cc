@@ -31,7 +31,7 @@ FleetClient::FleetClient(const RetryPolicy &policy, u32 replication,
     // wakeAt checks anyway).
     const u64 horizon =
         std::max({policy_.opDeadline, policy_.attemptTimeout,
-                  policy_.backoffCap, policy_.hedgeAfter}) +
+                  kBackoffCap, policy_.hedgeAfter}) +
         4;
     wheel_.resize(std::bit_ceil(horizon));
     wheelMask_ = wheel_.size() - 1;

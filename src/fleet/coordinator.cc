@@ -22,8 +22,12 @@ constexpr u32 kWarmMaxAttempts = 6;  ///< Scans before a join aborts.
 static_assert(kWarmBatch <= kMaxFrameRecords);
 
 // Load-driven rebalance.
-constexpr double kLoadAlpha = 0.30;   ///< EWMA smoothing per round.
-constexpr u64 kKeyCooldownTicks = 64; ///< Per-key re-migration cooldown.
+constexpr double kLoadAlpha = 0.30;      ///< EWMA smoothing per round.
+constexpr u64 kKeyCooldownTicks = 64;    ///< Per-key re-migration cooldown.
+constexpr double kOverloadFactor = 1.50; ///< Hot: ewma > factor * mean.
+constexpr u32 kHotRounds = 2;       ///< Consecutive hot rounds to move.
+constexpr u32 kMigratePerRound = 4; ///< Hot-key moves per round (cap).
+constexpr u64 kMinRoundLoad = 16;   ///< Mean EWMA floor: idle never moves.
 
 /**
  * Restore one of the rebalancer's key-ordered maps. saveState writes
@@ -62,12 +66,6 @@ CoordinatorOptions::validate() const
         fatal("CoordinatorOptions: healthEvery must be >= 1");
     if (failThreshold == 0)
         fatal("CoordinatorOptions: failThreshold must be >= 1");
-    if (overloadFactor < 1.0)
-        fatal("CoordinatorOptions: overloadFactor must be >= 1");
-    if (hotRounds == 0)
-        fatal("CoordinatorOptions: hotRounds must be >= 1");
-    if (migratePerRound == 0)
-        fatal("CoordinatorOptions: migratePerRound must be >= 1");
 }
 
 Coordinator::Coordinator(const CoordinatorOptions &opts, u32 replication,
@@ -337,7 +335,7 @@ Coordinator::rebalance(u64 now, FleetCounters &counters)
     if (inRing == 0)
         return;
     const double mean = sum / inRing;
-    if (mean < static_cast<double>(opts_.minRoundLoad)) {
+    if (mean < static_cast<double>(kMinRoundLoad)) {
         // Idle fleet: imbalance over noise-level traffic is not worth
         // moving data for (the hysteresis floor).
         std::fill(hotStreak_.begin(), hotStreak_.end(), 0);
@@ -348,11 +346,11 @@ Coordinator::rebalance(u64 now, FleetCounters &counters)
             hotStreak_[s] = 0;
             continue;
         }
-        if (ewma_[s] > opts_.overloadFactor * mean)
+        if (ewma_[s] > kOverloadFactor * mean)
             ++hotStreak_[s];
         else
             hotStreak_[s] = 0;
-        if (hotStreak_[s] < opts_.hotRounds)
+        if (hotStreak_[s] < kHotRounds)
             continue;
         hotStreak_[s] = 0; // Hysteresis: re-qualify before moving more.
         // Coolest serving target takes the heat.
@@ -378,7 +376,7 @@ Coordinator::rebalance(u64 now, FleetCounters &counters)
         u32 moved = 0;
         for (const auto &[cnt, key] : hotScratch_) {
             (void)cnt;
-            if (moved >= opts_.migratePerRound)
+            if (moved >= kMigratePerRound)
                 break; // Rate cap: rebalance cannot thrash.
             const auto cd = cooldown_.find(key);
             if (cd != cooldown_.end() && now < cd->second)

@@ -38,11 +38,12 @@
  *
  * Rebalance (off by default): when enabled, each send is counted per
  * server and per key; every probe round folds the counts into a
- * per-server EWMA. A server whose EWMA exceeds `overloadFactor` times
- * the in-ring mean for `hotRounds` consecutive rounds (hysteresis)
- * sheds its hottest keys — at most `migratePerRound` per round (rate
+ * per-server EWMA. A server whose EWMA exceeds kOverloadFactor times
+ * the in-ring mean for kHotRounds consecutive rounds (hysteresis)
+ * sheds its hottest keys — at most kMigratePerRound per round (rate
  * cap), each with a fixed per-key cooldown — to the coolest serving
  * server via a placement override applied after the pure ring walk.
+ * A mean EWMA below kMinRoundLoad moves nothing (coordinator.cc).
  *
  * Everything here runs in the campaign's serial phase in server-index
  * order: deterministic by construction.
@@ -62,21 +63,17 @@
 namespace citadel {
 namespace fleet {
 
-/** Coordinator tunables. The ring, repair, warm-fill and cooldown
+/** Coordinator tunables. The ring, repair, warm-fill and rebalance
  *  rates are constants in coordinator.cc. */
 struct CoordinatorOptions
 {
-    u64 healthEvery = 16;      ///< Ticks between probe rounds.
-    u32 failThreshold = 3;     ///< Missed probes before eviction.
+    u64 healthEvery = 16;  ///< Probe period. test-only: fixtures use 8.
+    u32 failThreshold = 3; ///< Misses to evict. test-only: fixtures use 2.
 
     // Elasticity: load-driven rebalance (CITADEL_FLEET_REBALANCE /
     // FleetConfig turns it on; the default keeps capacity-driven
     // migration as the only mover, matching pre-elasticity behavior).
     bool rebalanceEnabled = false;
-    double overloadFactor = 1.50; ///< Hot when ewma > factor * mean.
-    u32 hotRounds = 2;       ///< Consecutive hot rounds before moving.
-    u32 migratePerRound = 4; ///< Hot-shard moves per round (rate cap).
-    u64 minRoundLoad = 16;   ///< Mean EWMA floor: idle fleets never move.
 
     void validate() const;
 };

@@ -78,8 +78,6 @@ digestConfig(const FleetConfig &cfg, ByteSink &sink)
     const RetryPolicy &r = cfg.retry;
     sink.putU64(r.attemptTimeout);
     sink.putU64(r.opDeadline);
-    sink.putU64(r.backoffBase);
-    sink.putU64(r.backoffCap);
     sink.putU32(r.maxAttempts);
     sink.putU64(r.hedgeAfter);
     sink.putU64(r.seed);
@@ -88,10 +86,6 @@ digestConfig(const FleetConfig &cfg, ByteSink &sink)
     sink.putU64(c.healthEvery);
     sink.putU32(c.failThreshold);
     sink.putBool(c.rebalanceEnabled);
-    sink.putDouble(c.overloadFactor);
-    sink.putU32(c.hotRounds);
-    sink.putU32(c.migratePerRound);
-    sink.putU64(c.minRoundLoad);
 
     // Chaos event counts and windows reach the guard through the
     // schedule; the per-request drop odds do not.
@@ -119,7 +113,7 @@ FleetConfig::validate() const
         fatal("FleetConfig: users and keySpace must be >= 1");
     if (arrivalsPerTick == 0)
         fatal("FleetConfig: arrivalsPerTick must be >= 1");
-    if (writeFraction < 0.0 || writeFraction > 1.0)
+    if (!(0.0 <= writeFraction && writeFraction <= 1.0))
         fatal("FleetConfig: writeFraction must be in [0, 1]");
     if (replication == 0 || replication > 8)
         fatal("FleetConfig: replication must be in [1, 8]");

@@ -78,7 +78,7 @@ struct FleetConfig
      *  the load driver's grid enforces it. */
     u32 batch = 32;
 
-    RetryPolicy retry;
+    RetryPolicy retry; ///< test-only: carries the fixtures' timings.
     CoordinatorOptions coord;
     ChaosOptions chaos;
     ServerConfig server;

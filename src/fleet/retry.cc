@@ -1,6 +1,7 @@
 #include "fleet/retry.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.h"
 #include "common/rng.h"
@@ -12,13 +13,13 @@ u64
 RetryPolicy::backoff(u64 op, u32 attempt) const
 {
     // Window: base << (attempt-1), saturating at the cap. The shift
-    // is clamped so a pathological attempt count cannot overflow.
-    const u32 shift = std::min(attempt > 0 ? attempt - 1 : 0u, 32u);
-    u64 window = backoffBase << shift;
-    if (window > backoffCap || window < backoffBase) // shift overflow
-        window = backoffCap;
-    if (window < 2)
-        return window;
+    // stops at the cap's own, so no attempt ordinal can overflow it.
+    constexpr u32 kMaxShift =
+        static_cast<u32>(std::bit_width(kBackoffCap / kBackoffBase)) - 1;
+    static_assert(kBackoffBase >= 2 &&
+                  (kBackoffBase << kMaxShift) == kBackoffCap);
+    const u64 window =
+        kBackoffBase << std::min(attempt > 0 ? attempt - 1 : 0u, kMaxShift);
     const u64 jitter =
         mix64(seed ^ (op * 0x9E3779B97F4A7C15ull) ^ attempt) %
         (window / 2);
@@ -28,10 +29,6 @@ RetryPolicy::backoff(u64 op, u32 attempt) const
 void
 RetryPolicy::validate() const
 {
-    if (backoffBase == 0)
-        fatal("RetryPolicy: backoffBase must be >= 1");
-    if (backoffCap < backoffBase)
-        fatal("RetryPolicy: backoffCap must be >= backoffBase");
     if (maxAttempts == 0)
         fatal("RetryPolicy: maxAttempts must be >= 1");
     if (attemptTimeout == 0)

@@ -1,6 +1,7 @@
 #include "fleet/stack_server.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/log.h"
 #include "common/rng.h"
@@ -34,8 +35,8 @@ ServerConfig::validate() const
         fatal("ServerConfig: queueCap must be >= 1");
     if (defaultServiceUnits == 0)
         fatal("ServerConfig: defaultServiceUnits must be >= 1");
-    if (!(agingHours > 0.0))
-        fatal("ServerConfig: agingHours must be positive");
+    if (!(std::isfinite(agingHours) && agingHours > 0.0))
+        fatal("ServerConfig: agingHours must be positive and finite");
 }
 
 StackServer::StackServer(ServerIdx index, const ServerConfig &cfg,

@@ -45,8 +45,8 @@ struct ServerConfig
      *  server owns a bit-true model). */
     SimConfig sim;
 
-    /** Datapath options (differential validation stays on by default:
-     *  the no-overclaim invariant is part of the chaos acceptance). */
+    /** Datapath options (differential validation is always on: the
+     *  no-overclaim invariant is part of the chaos acceptance). */
     LiveRasOptions ras;
 
     /** Fault-sampling config for in-campaign aging; geom/lifetime are
@@ -65,7 +65,8 @@ struct ServerConfig
      *  `defaultServiceUnits`. */
     u64 calibrationInsns = 0;
 
-    /** Service units per tick when calibration is off. */
+    /** Service units per tick when calibration is off. test-only: the
+     *  pinned smallConfig()/elasticConfig() fixtures serve 24. */
     u32 defaultServiceUnits = 16;
 
     void validate() const;

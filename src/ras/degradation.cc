@@ -41,8 +41,6 @@ DegradationLadder::Action
 DegradationLadder::onDue(const LineCoord &c)
 {
     Action act;
-    if (!opts_.offlinePagesOnDue)
-        return act;
     if (map_.offlineRow(c.stack, c.channel, c.bank, c.row))
         act.rowOfflined = true;
     if (map_.offlinedRowsIn(c.stack, c.channel, c.bank) >=

@@ -33,22 +33,22 @@
 
 namespace citadel {
 
-/** Ladder thresholds. */
+/** Ladder thresholds. Every DUE offlines its row (page). */
 struct DegradationOptions
 {
-    /** Offline the faulting row (page) on every DUE. */
-    bool offlinePagesOnDue = true;
-
     /** Permanent single-bank fault arrivals before the bank is
-     *  proactively retired (the "re-faulting region" trigger). */
+     *  proactively retired (the "re-faulting region" trigger).
+     *  test-only: tests reach the strike rung in two faults, or set
+     *  100 to isolate spare exhaustion from it. */
     u32 strikesPerBank = 3;
 
     /** Offlined rows tolerated per bank before the whole bank is
-     *  retired. */
+     *  retired. test-only: tests reach the bank rung in two DUEs. */
     u32 pagesPerBankCap = 16;
 
     /** Retired banks tolerated per channel before the channel is
-     *  degraded. */
+     *  degraded. test-only: tests reach the channel rung in one
+     *  retired bank. */
     u32 retiredBanksPerChannelCap = 2;
 };
 
@@ -72,8 +72,8 @@ class DegradationLadder
     DegradationLadder(const StackGeometry &geom,
                       const DegradationOptions &opts);
 
-    /** A DUE was reported at `c`: offline its page, possibly escalate
-     *  (no-op when offlinePagesOnDue is false). */
+    /** A DUE was reported at `c`: offline its page, possibly
+     *  escalate. */
     Action onDue(const LineCoord &c);
 
     /** DDS refused to spare a fault contained in this bank. */

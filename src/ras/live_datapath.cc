@@ -201,6 +201,17 @@ getCounters(ByteSource &src, RasCounters &c)
 constexpr u32 kCheckpointMagic = 0x43544C52u; // "CTLR"
 constexpr u32 kCheckpointVersion = 1;
 
+/**
+ * Refuse geometries whose byte-true model would exceed this (storage
+ * is ~2x the modeled DRAM). Full HBM needs gigabytes; the live
+ * datapath is meant for reduced geometries.
+ */
+constexpr u64 kMaxModelBytes = 256ull << 20;
+
+/** Modeled cached-D1-parity ways per stack (control-plane fault
+ *  targets; contents always refetchable from the parity die). */
+constexpr u32 kParityCacheWays = 8;
+
 } // namespace
 
 LiveRasDatapath::LiveRasDatapath(const SimConfig &cfg,
@@ -209,18 +220,18 @@ LiveRasDatapath::LiveRasDatapath(const SimConfig &cfg,
       dies_(cfg.geom.channelsPerStack + 1),
       analytic_(opts.scheme.parityDims),
       ladder_(cfg.geom, opts.degrade), meta_(opts.meta),
-      poisoned_(opts.poisonMaxRuns), log_(opts.maxEvents)
+      log_(opts.maxEvents)
 {
     const StackGeometry &g = cfg_.geom;
     // Byte-true storage: data + golden + parity copies, per stack.
     const u64 model_bytes = 2 * static_cast<u64>(g.stacks) * dies_ *
                             g.banksPerChannel * g.rowsPerBank * g.rowBytes;
-    if (model_bytes > opts_.maxModelBytes)
+    if (model_bytes > kMaxModelBytes)
         fatal("LiveRasDatapath: geometry needs %llu model bytes "
               "(> %llu); use a reduced geometry such as "
               "StackGeometry::tiny()",
               static_cast<unsigned long long>(model_bytes),
-              static_cast<unsigned long long>(opts_.maxModelBytes));
+              static_cast<unsigned long long>(kMaxModelBytes));
 
     sysCfg_.geom = g;
     sysCfg_.subArrayRows = std::min<u32>(sysCfg_.subArrayRows,
@@ -245,7 +256,7 @@ LiveRasDatapath::LiveRasDatapath(const SimConfig &cfg,
     for (u32 s = 0; s < g.stacks; ++s) {
         for (u32 ch = 0; ch < g.channelsPerStack; ++ch)
             meta_.install(tsvRecordKey(StackId{s}, ChannelId{ch}), 0);
-        for (u32 w = 0; w < opts_.parityCacheWays; ++w)
+        for (u32 w = 0; w < kParityCacheWays; ++w)
             meta_.install(
                 parityCacheRecordKey(StackId{s}, MetaSlotId{w}),
                 packParityWayPayload(StackId{s}, MetaSlotId{w}));
@@ -258,7 +269,7 @@ LiveRasDatapath::metaGeometry() const
     MetaGeometry mg;
     mg.rrtSlotsPerUnit = opts_.scheme.spareRowsPerBank;
     mg.brtSlots = opts_.scheme.spareBanksPerStack;
-    mg.parityCacheWays = opts_.parityCacheWays;
+    mg.parityCacheWays = kParityCacheWays;
     return mg;
 }
 
@@ -795,8 +806,6 @@ LiveRasDatapath::rebuildEngines()
 void
 LiveRasDatapath::differentialCheck(u64 cycle)
 {
-    if (!opts_.differential)
-        return;
     const bool analytic_unc = analytic_.uncorrectable(active_);
     bool bit_unc = false;
     for (const auto &e : engines_)

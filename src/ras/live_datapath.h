@@ -15,8 +15,8 @@
  *   before they ever corrupt storage.
  *
  * An uncorrectable pattern is reported as a machine-check-style DUE
- * event with the line poisoned; the simulation continues. A
- * differential-validation mode cross-checks the bit-true verdict
+ * event with the line poisoned; the simulation continues. Differential
+ * validation cross-checks the bit-true verdict
  * (ParityEngine::peelable) against the analytic MultiDimParityScheme
  * verdict on every change of the active fault set. The analytic model
  * peels whole fault ranges and is therefore conservative: it may call
@@ -62,41 +62,24 @@ struct LiveRasOptions
     /** Scheme composition and budgets (parity dims, TSV-SWAP, DDS). */
     CitadelOptions scheme;
 
-    /** Cross-check analytic vs bit-true verdicts on every change of
-     *  the active fault set; divergences are counted and logged. */
-    bool differential = true;
-
     /** Scrub period in memory cycles; 0 disables in-run scrubs.
      *  (A real 12h scrub never fires inside a simulated slice; tests
      *  compress it.) */
     u64 scrubCycles = 0;
 
-    /** Event-log capacity (counters are always exact). */
+    /** Event-log capacity (counters are always exact). test-only: a
+     *  tiny log is how a test reaches the eviction of old events. */
     std::size_t maxEvents = 256;
 
     /** Seed for the engines' pseudo-random memory images. */
     u64 seed = 42;
 
-    /**
-     * Refuse geometries whose byte-true model would exceed this
-     * (storage is ~2x the modeled DRAM). Full HBM needs gigabytes;
-     * the live datapath is meant for reduced geometries.
-     */
-    u64 maxModelBytes = 256ull << 20;
-
     /** Degradation-ladder thresholds (page offline -> bank retire ->
-     *  channel degrade). */
+     *  channel degrade). test-only: carries the caps tests set. */
     DegradationOptions degrade;
 
     /** Control-plane self-protection (scrub retry/backoff). */
     ProtectedMetaStore::Options meta;
-
-    /** Modeled cached-D1-parity ways per stack (control-plane fault
-     *  targets; contents always refetchable from the parity die). */
-    u32 parityCacheWays = 8;
-
-    /** Run cap of the bounded poison set (see ras/poison_set.h). */
-    std::size_t poisonMaxRuns = 4096;
 };
 
 /**
@@ -222,7 +205,7 @@ class LiveRasDatapath final : public RasHook
     DegradationLadder ladder_;
     ProtectedMetaStore meta_;
 
-    BoundedPoisonSet poisoned_; ///< Lines already reported as DUE.
+    BoundedPoisonSet poisoned_; ///< DUE lines (default 4096-run cap).
     u64 lastScrub_ = 0;
     RasLog log_;
 

@@ -13,20 +13,20 @@
 
 namespace citadel {
 
-/** DRAM timing parameters in memory-controller cycles. */
-struct DramTiming
-{
-    u32 tCAS = 9;  ///< Column access (read latency to first beat).
-    u32 tRCD = 9;  ///< Row activate to column.
-    u32 tRP = 9;   ///< Precharge.
-    u32 tRAS = 36; ///< Activate to precharge (minimum row-open time).
-    u32 tWTR = 7;  ///< Write-to-read turnaround.
-    u32 tCCD = 4;  ///< Column-to-column within a bank.
-    u32 tRRD = 4;  ///< Activate-to-activate across banks of a channel.
-    u32 tBURST = 1; ///< 64B over 256 data TSVs at DDR = 2 beats = 1 cycle.
+/** DRAM timing parameters in memory-controller cycles (Table II). */
+namespace timing {
+constexpr u32 tCAS = 9;   ///< Column access (read latency to first beat).
+constexpr u32 tRCD = 9;   ///< Row activate to column.
+constexpr u32 tRP = 9;    ///< Precharge.
+constexpr u32 tRAS = 36;  ///< Activate to precharge (min row-open time).
+constexpr u32 tWTR = 7;   ///< Write-to-read turnaround.
+constexpr u32 tCCD = 4;   ///< Column-to-column within a bank.
+constexpr u32 tRRD = 4;   ///< Activate-to-activate across a channel's banks.
+constexpr u32 tBURST = 1; ///< 64B over 256 data TSVs, DDR: 2 beats, 1 cycle.
+} // namespace timing
 
-    u32 tRC() const { return tRAS + tRP; }
-};
+/** Per-channel write queue capacity in lines (backpressure threshold). */
+constexpr u32 kWriteQueueCap = 32;
 
 /** How much RAS-induced memory traffic the configuration generates. */
 enum class RasTraffic
@@ -52,7 +52,6 @@ enum class SimStepping
 struct SimConfig
 {
     StackGeometry geom;
-    DramTiming timing;
     StripingMode striping = StripingMode::SameBank;
     RasTraffic ras = RasTraffic::None;
     SimStepping stepping = SimStepping::Event;
@@ -60,19 +59,8 @@ struct SimConfig
     u32 cores = 8;
     u64 insnsPerCore = 2'000'000;
 
-    /** Retired instructions per memory cycle when unstalled: 3.2GHz
-     *  core at IPC 2 against the 800MHz memory clock. */
-    u32 insnsPerMemCycle = 8;
-
-    /** Maximum outstanding read misses per core (MLP window). */
-    u32 mlp = 8;
-
-    /** Per-channel write queue capacity (backpressure threshold). */
-    u32 writeQueueCap = 32;
-
-    /** LLC geometry: 8MB, 8-way, 64B lines (Table II). */
+    /** LLC capacity: 8MB, 64B lines (Table II; 8-way in system_sim.cc). */
     u64 llcBytes = 8ull << 20;
-    u32 llcWays = 8;
 
     u64 seed = 7;
 };

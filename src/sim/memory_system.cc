@@ -42,7 +42,7 @@ MemorySystem::MemorySystem(const SimConfig &cfg) : cfg_(cfg), map_(cfg.geom)
     }
     // The write queue holds whole-line writes; striped mappings enqueue
     // fanout sub-requests per line, so the sub-request cap scales.
-    writeCapSubs_ = static_cast<u64>(cfg_.writeQueueCap) *
+    writeCapSubs_ = static_cast<u64>(kWriteQueueCap) *
                     map_.fanout(cfg_.striping);
 }
 
@@ -293,7 +293,7 @@ u64
 MemorySystem::schedule(Channel &ch, const Slice &slice, bool write,
                        u32 bytes, u64 cycle, bool lockstep_sibling)
 {
-    const DramTiming &t = cfg_.timing;
+    using namespace timing;
     BankState &b = ch.banks[slice.bank.idx()];
     u64 done;
 
@@ -301,21 +301,21 @@ MemorySystem::schedule(Channel &ch, const Slice &slice, bool write,
     // sub-request moves lineBytes/fanout bytes in a proportionally
     // shorter burst, so its bank can accept the next CAS sooner.
     const u32 ccd =
-        std::max<u32>(1, t.tCCD * bytes / cfg_.geom.lineBytes);
+        std::max<u32>(1, tCCD * bytes / cfg_.geom.lineBytes);
 
     // Write-to-read turnaround is paid once per switch (writes batch
     // at tCCD), matching a write-buffering controller.
     auto wtr_floor = [&](u64 cas) {
-        if (!write && b.lastWriteCas + static_cast<i64>(t.tWTR) >
+        if (!write && b.lastWriteCas + static_cast<i64>(tWTR) >
                           static_cast<i64>(cas))
-            return static_cast<u64>(b.lastWriteCas + t.tWTR);
+            return static_cast<u64>(b.lastWriteCas + tWTR);
         return cas;
     };
 
     if (b.openRow == slice.row) {
         // Row hit: column access only.
         const u64 t0 = wtr_floor(std::max(cycle, b.nextCasAt));
-        done = t0 + t.tCAS + t.tBURST;
+        done = t0 + tCAS + tBURST;
         b.nextCasAt = t0 + ccd;
         if (write)
             b.lastWriteCas = static_cast<i64>(t0);
@@ -324,22 +324,22 @@ MemorySystem::schedule(Channel &ch, const Slice &slice, bool write,
         // Row miss: (precharge if open) + activate + column access.
         u64 act = std::max(cycle, b.nextActAt);
         if (b.openRow.has_value())
-            act = std::max(act, cycle + t.tRP);
+            act = std::max(act, cycle + tRP);
         // Striped sibling banks activate together (one multi-bank
         // activate command): the tRRD spacing applies per line group,
         // not per slice -- striping's cost is activation energy.
         if (!lockstep_sibling) {
-            if (ch.lastActAt + static_cast<i64>(t.tRRD) >
+            if (ch.lastActAt + static_cast<i64>(tRRD) >
                 static_cast<i64>(act))
-                act = static_cast<u64>(ch.lastActAt + t.tRRD);
+                act = static_cast<u64>(ch.lastActAt + tRRD);
             ch.lastActAt = static_cast<i64>(act);
         }
-        const u64 cas = wtr_floor(act + t.tRCD);
-        done = cas + t.tCAS + t.tBURST;
+        const u64 cas = wtr_floor(act + tRCD);
+        done = cas + tCAS + tBURST;
         b.nextCasAt = cas + ccd;
         if (write)
             b.lastWriteCas = static_cast<i64>(cas);
-        b.nextActAt = act + t.tRAS + t.tRP;
+        b.nextActAt = act + tRAS + tRP;
         b.openRow = slice.row;
         ++counters_.activates;
         ++counters_.rowMisses;
@@ -349,7 +349,7 @@ MemorySystem::schedule(Channel &ch, const Slice &slice, bool write,
     // striped sub-request drives only its slice of the lanes, so it
     // reserves a proportional share (the slices of one logical line
     // transfer in parallel, as on a conventional DIMM).
-    const double slot = static_cast<double>(t.tBURST) *
+    const double slot = static_cast<double>(tBURST) *
                         static_cast<double>(bytes) /
                         static_cast<double>(cfg_.geom.lineBytes);
     const double start =

@@ -5,7 +5,8 @@
  * (Section III-B): activation energy per row cycle, read/write energy
  * per transferred byte, and refresh at the HBM 32ms interval. The
  * evaluation reports active power (activate + read + write + refresh),
- * as the paper does (Figs 5 and 16).
+ * as the paper does (Figs 5 and 16). The energy constants (8Gb die at
+ * 1.2V, HBM-class) live in power.cc.
  */
 
 #ifndef CITADEL_SIM_POWER_H
@@ -15,26 +16,6 @@
 #include "sim/memory_system.h"
 
 namespace citadel {
-
-/** Energy/power constants for an 8Gb die at 1.2V (HBM-class). */
-struct PowerParams
-{
-    /** Joules per row activation+precharge cycle of a 2KB page
-     *  ((IDD0 - IDD3N) * tRC * VDD, TN-41-01 eq. style). */
-    double activateEnergyJ = 6.0e-9;
-
-    /** Joules per byte moved on a read (array + TSV I/O). */
-    double readEnergyPerByteJ = 1.5e-11;
-
-    /** Joules per byte moved on a write. */
-    double writeEnergyPerByteJ = 1.5e-11;
-
-    /** Refresh power for the whole memory system at tREF = 32ms. */
-    double refreshPowerW = 0.15;
-
-    /** Memory-controller cycle time (800MHz). */
-    double cycleSeconds = 1.25e-9;
-};
 
 /** Active-power breakdown for one simulation run. */
 struct PowerResult
@@ -47,8 +28,7 @@ struct PowerResult
 };
 
 /** Fold activity counters into average active power. */
-PowerResult computePower(const MemCounters &mem, u64 cycles,
-                         const PowerParams &p = {});
+PowerResult computePower(const MemCounters &mem, u64 cycles);
 
 } // namespace citadel
 

@@ -8,9 +8,23 @@
 
 namespace citadel {
 
+namespace {
+
+/** Retired instructions per memory cycle when unstalled: a 3.2GHz
+ *  core at IPC 2 against the 800MHz memory clock. */
+constexpr u64 kInsnsPerMemCycle = 8;
+
+/** Maximum outstanding read misses per core (MLP window). */
+constexpr u32 kMlp = 8;
+
+/** LLC associativity (Table II: 8-way). */
+constexpr u32 kLlcWays = 8;
+
+} // namespace
+
 SystemSim::SystemSim(const SimConfig &cfg, const BenchmarkProfile &profile)
     : cfg_(cfg), profile_(profile), mem_(cfg),
-      llc_(cfg.llcBytes, cfg.llcWays, cfg.geom.lineBytes)
+      llc_(cfg.llcBytes, kLlcWays, cfg.geom.lineBytes)
 {
     for (u32 c = 0; c < cfg_.cores; ++c) {
         Rng rng(cfg_.seed ^ (0x8CB92BA72F3D8DD7ull * (c + 1)));
@@ -197,7 +211,7 @@ SystemSim::coreTick(u32 core_idx, u64 cycle)
     if (core.retired >= cfg_.insnsPerCore)
         return;
 
-    u64 budget = cfg_.insnsPerMemCycle;
+    u64 budget = kInsnsPerMemCycle;
     while (budget > 0 && core.retired < cfg_.insnsPerCore) {
         if (core.retired < core.nextMissAt) {
             const u64 step = std::min<u64>(
@@ -207,9 +221,9 @@ SystemSim::coreTick(u32 core_idx, u64 cycle)
             continue;
         }
         // At a miss point: need an MLP slot and writeback headroom.
-        if (core.outstanding >= cfg_.mlp)
+        if (core.outstanding >= kMlp)
             break;
-        if (pendingWritebacks_.size() > 2 * cfg_.writeQueueCap)
+        if (pendingWritebacks_.size() > 2 * kWriteQueueCap)
             break; // write-buffer backpressure stalls the front-end
         issueMiss(core, core_idx, cycle);
         sampleNextMiss(core);
@@ -258,17 +272,17 @@ SystemSim::nextInterestingCycle(u64 now)
             // Parked at a miss point. If it can issue, this very cycle
             // is interesting; otherwise it wakes on a completion or a
             // writeback drain, both covered by the memory events below.
-            if (core.outstanding < cfg_.mlp &&
-                pendingWritebacks_.size() <= 2 * cfg_.writeQueueCap)
+            if (core.outstanding < kMlp &&
+                pendingWritebacks_.size() <= 2 * kWriteQueueCap)
                 return now;
             continue;
         }
-        // Retiring insnsPerMemCycle per cycle, the core reaches its
+        // Retiring kInsnsPerMemCycle per cycle, the core reaches its
         // stop point (miss issue, or budget end flipping all_done)
         // within this many cycles; the cycle it does so is interesting.
         const u64 gap = stop - core.retired;
         const u64 cycles =
-            (gap + cfg_.insnsPerMemCycle - 1) / cfg_.insnsPerMemCycle;
+            (gap + kInsnsPerMemCycle - 1) / kInsnsPerMemCycle;
         next = std::min(next, now + cycles - 1);
     }
 
@@ -291,7 +305,7 @@ SystemSim::nextInterestingCycle(u64 now)
 void
 SystemSim::advanceIdle(u64 cycles)
 {
-    const u64 insns = cycles * cfg_.insnsPerMemCycle;
+    const u64 insns = cycles * kInsnsPerMemCycle;
     for (Core &core : cores_) {
         if (core.retired >= cfg_.insnsPerCore)
             continue;

@@ -25,6 +25,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "citadel/parity_engine.h"
 #include "citadel/three_d_parity.h"
 #include "common/rng.h"
@@ -350,6 +352,43 @@ TEST(ConfigValidation, RejectsBadSubArraySetup)
     cfg = SystemConfig{};
     cfg.subArrayRows = 3;
     EXPECT_DEATH(cfg.validate(), "power of two");
+}
+
+TEST(ConfigValidation, RejectsNonFiniteValues)
+{
+    // NaN slips past `x < 0` and `x < lo || x > hi`, +inf past
+    // `!(x > 0)`; either would reach Rng::poisson as a rate.
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+        SCOPED_TRACE(bad);
+        SystemConfig cfg;
+        cfg.tsvDeviceFit = bad;
+        EXPECT_DEATH(cfg.validate(), "tsvDeviceFit");
+
+        cfg = SystemConfig{};
+        cfg.metaFit = bad;
+        EXPECT_DEATH(cfg.validate(), "metaFit");
+
+        cfg = SystemConfig{};
+        cfg.lifetimeHours = bad;
+        EXPECT_DEATH(cfg.validate(), "lifetimeHours");
+
+        cfg = SystemConfig{};
+        cfg.scrubHours = bad;
+        EXPECT_DEATH(cfg.validate(), "scrubHours");
+
+        cfg = SystemConfig{};
+        cfg.subArrayFraction = bad;
+        EXPECT_DEATH(cfg.validate(), "subArrayFraction");
+
+        cfg = SystemConfig{};
+        cfg.rates.bank.transientFit = bad;
+        EXPECT_DEATH(cfg.validate(), "FIT rates");
+
+        cfg = SystemConfig{};
+        cfg.rates.bit.permanentFit = bad;
+        EXPECT_DEATH(cfg.validate(), "FIT rates");
+    }
 }
 
 TEST(ConfigValidation, RejectsZeroGeometryDimensions)

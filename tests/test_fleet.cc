@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -766,6 +767,32 @@ TEST(KeySpaceDeath, OutOfRangeKeysAreFatal)
     std::vector<ServerIdx> out;
     EXPECT_DEATH(campaign.coordinator().placement(cfg.keySpace, out),
                  "outside the declared key space");
+}
+
+// A NaN slips past `x < lo || x > hi` and `!(x > 0)` lets +inf
+// through; validate() must reject both in every double setting.
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(ConfigDeath, FleetConfigRejectsNonFiniteWriteFraction)
+{
+    FleetConfig cfg = smallConfig();
+    cfg.writeFraction = kNaN;
+    EXPECT_DEATH(cfg.validate(), "writeFraction");
+}
+
+TEST(ConfigDeath, ChaosOptionsRejectsNonFiniteDropProb)
+{
+    ChaosOptions opts;
+    opts.dropProb = kNaN;
+    EXPECT_DEATH(opts.validate(), "dropProb");
+}
+
+TEST(ConfigDeath, ServerConfigRejectsInfiniteAgingHours)
+{
+    ServerConfig cfg;
+    cfg.agingHours = kInf;
+    EXPECT_DEATH(cfg.validate(), "agingHours");
 }
 
 } // namespace

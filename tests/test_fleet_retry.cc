@@ -40,40 +40,43 @@ TEST(RetryPolicy, BackoffIsDeterministic)
 TEST(RetryPolicy, BackoffJitterStaysInWindow)
 {
     RetryPolicy p;
-    p.backoffBase = 4;
-    p.backoffCap = 256;
     p.seed = 99;
     for (u64 op = 0; op < 64; ++op) {
         for (u32 attempt = 1; attempt < 10; ++attempt) {
-            u64 window = p.backoffBase << (attempt - 1);
-            window = std::min(window, p.backoffCap);
+            u64 window = kBackoffBase << (attempt - 1);
+            window = std::min(window, kBackoffCap);
             const u64 d = p.backoff(op, attempt);
             EXPECT_GE(d, window / 2) << "op " << op << " a " << attempt;
-            EXPECT_LT(d, std::max<u64>(window, 1) + 1);
+            EXPECT_LT(d, window);
         }
     }
 }
 
 TEST(RetryPolicy, BackoffGrowsThenCaps)
 {
+    static_assert(kBackoffBase == 4 && kBackoffCap == 256);
     RetryPolicy p;
-    p.backoffBase = 8;
-    p.backoffCap = 64;
     p.seed = 5;
-    // Window sequence: 8, 16, 32, 64, 64, ... jitter keeps delays in
-    // [w/2, w), so attempt 10's delay is bounded by the cap.
-    EXPECT_LT(p.backoff(3, 1), 8u);
-    EXPECT_GE(p.backoff(3, 4), 32u);
-    EXPECT_LT(p.backoff(3, 40), 64u);
-    EXPECT_GE(p.backoff(3, 40), 32u);
+    // Window sequence: 4, 8, 16, 32, 64, 128, 256, 256, ... jitter
+    // keeps delays in [w/2, w), so attempt 40's delay is bounded by
+    // the cap.
+    EXPECT_LT(p.backoff(3, 1), 4u);
+    EXPECT_GE(p.backoff(3, 4), 16u);
+    EXPECT_LT(p.backoff(3, 4), 32u);
+    EXPECT_GE(p.backoff(3, 7), 128u);
+    EXPECT_LT(p.backoff(3, 40), 256u);
+    EXPECT_GE(p.backoff(3, 40), 128u);
 }
 
 TEST(RetryPolicy, HugeAttemptOrdinalDoesNotOverflow)
 {
     RetryPolicy p;
-    p.backoffCap = 1024;
-    const u64 d = p.backoff(1, 200); // 4 << 199 would overflow.
-    EXPECT_LT(d, 1024u);
+    // 4 << 199 (or << 2^32 - 2) would overflow; the shift saturates.
+    for (const u32 attempt : {200u, 0xFFFFFFFFu}) {
+        const u64 d = p.backoff(1, attempt);
+        EXPECT_LT(d, kBackoffCap);
+        EXPECT_GE(d, kBackoffCap / 2);
+    }
 }
 
 // ---- Scripted client harness ---------------------------------------
@@ -126,8 +129,6 @@ testPolicy()
     RetryPolicy p;
     p.attemptTimeout = 10;
     p.opDeadline = 200;
-    p.backoffBase = 4;
-    p.backoffCap = 32;
     p.maxAttempts = 4;
     p.hedgeAfter = 6;
     p.seed = 1234;

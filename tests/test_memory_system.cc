@@ -122,7 +122,7 @@ TEST_F(MemTest, AcrossBanksActivatesInLockstep)
     MemorySystem mem(cfg_);
     const u64 token = mem.issueRead(LineAddr{0}, 0);
     const u64 done = runUntilDone(mem, token);
-    EXPECT_LE(done, 19u + cfg_.timing.tBURST);
+    EXPECT_LE(done, 19u + timing::tBURST);
     EXPECT_EQ(mem.counters().activates, cfg_.geom.banksPerChannel);
 }
 
@@ -141,7 +141,7 @@ TEST_F(MemTest, AcrossBanksConflictsAcrossRequests)
     const u64 t2 = mem.issueRead(map.coordToLine(b), 0);
     (void)t1;
     const u64 done = runUntilDone(mem, t2);
-    EXPECT_GE(done, cfg_.timing.tRAS); // waited for the row cycle
+    EXPECT_GE(done, timing::tRAS); // waited for the row cycle
 }
 
 TEST_F(MemTest, WritesAreAcceptedUpToCap)
@@ -152,7 +152,7 @@ TEST_F(MemTest, WritesAreAcceptedUpToCap)
         mem.issueWrite(LineAddr{0}, 0);
         ++accepted;
     }
-    EXPECT_EQ(accepted, cfg_.writeQueueCap);
+    EXPECT_EQ(accepted, kWriteQueueCap);
 }
 
 TEST_F(MemTest, WritesDrainEventually)

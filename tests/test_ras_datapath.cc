@@ -188,29 +188,6 @@ TEST_F(LiveRasTest, TripleBankPatternReportsDueAndContinues)
               DemandOutcome::Kind::Clean);
 }
 
-TEST_F(LiveRasTest, PoisonedLineRereadsWithoutOfflining)
-{
-    // With page offlining disabled the legacy semantics hold: every
-    // re-read of a poisoned line is another poisoned read.
-    LiveRasOptions opts;
-    opts.degrade.offlinePagesOnDue = false;
-    LiveRasDatapath dp(cfg_, opts);
-    dp.scheduleFault(bankFault(0, 0, 0), 0);
-    dp.scheduleFault(bankFault(0, 0, 1), 0);
-    dp.scheduleFault(bankFault(0, 1, 0), 0);
-    dp.tick(0);
-
-    const LineAddr line = lineAt(0, 0, 9, 1);
-    EXPECT_EQ(dp.onDemandRead(line, 1).kind,
-              DemandOutcome::Kind::Uncorrectable);
-    EXPECT_EQ(dp.onDemandRead(line, 2).kind,
-              DemandOutcome::Kind::Uncorrectable);
-    EXPECT_EQ(dp.counters().due, 1u);
-    EXPECT_EQ(dp.counters().dueReads, 2u);
-    EXPECT_EQ(dp.counters().pagesOfflined, 0u);
-    EXPECT_EQ(dp.counters().offlinedReads, 0u);
-}
-
 TEST_F(LiveRasTest, TsvFaultAbsorbedBySwap)
 {
     LiveRasDatapath dp(cfg_);

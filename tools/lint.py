@@ -29,6 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import lint_determinism  # noqa: E402
 import lint_index_safety  # noqa: E402
+import lint_settings  # noqa: E402
 from lint_common import REPO, Blessing  # noqa: E402
 
 FIXTURES = REPO / "tests" / "lint_fixtures"
@@ -38,6 +39,7 @@ MARKER_RE = re.compile(r"//\s*expect-lint:\s*([\w-]+)")
 ALL_RULES = {r.slug for r in lint_determinism.RULES} | {
     lint_index_safety.RULE_PARAM,
     lint_index_safety.RULE_UNWRAP,
+    lint_settings.RULE,
 }
 
 
@@ -51,7 +53,52 @@ def scan_fixture(
         fired.add((v.line, v.rule))
     for v in lint_index_safety.lint_lines(rel, lines, blessed=False):
         fired.add((v.line, v.rule))
+    for v in lint_settings.lint_fixture(rel, lines):
+        fired.add((v.line, v.rule))
     return fired
+
+
+def settings_selftest() -> list[str]:
+    """Tree mode of the settings rule on a synthetic tree: a write
+    under tests/ or in the struct's own header does not keep a field;
+    a write anywhere else, or a test-only reason, does."""
+    header = "src/demo/demo.h"
+    struct = [
+        "struct DemoConfig",
+        "{",
+        "    unsigned ways = 8;",
+        "};",
+    ]
+    reasoned = (
+        struct[:2]
+        + ["    /** test-only: a test reaches one way. */"]
+        + struct[2:]
+    )
+    cases = [
+        ("only tests/ write it", struct, {"tests/t.cc": "c.ways = 1;"}, 1),
+        ("only its header writes it", struct + ["d.ways = 2;"], {}, 1),
+        ("it is only compared", struct, {"src/a.cc": "c.ways == 1"}, 1),
+        ("src/ writes it", struct, {"src/a.cc": "c.ways = 1;"}, 0),
+        ("bench/ writes through it", struct, {"bench/b.cc": "o.ways = 2;"}, 0),
+        ("it has a test-only reason", reasoned, {}, 0),
+    ]
+    problems = []
+    for what, lines, others, want in cases:
+        sources = {header: "\n".join(lines), **others}
+        got = len(
+            lint_settings.lint_struct(
+                header,
+                lines,
+                "DemoConfig",
+                lint_settings.writer_texts(sources, header),
+            )
+        )
+        if got != want:
+            problems.append(
+                f"settings selftest: when {what}, expected {want} "
+                f"violation(s), got {got}"
+            )
+    return problems
 
 
 def selftest() -> int:
@@ -131,6 +178,8 @@ def selftest() -> int:
             f"stale-blessing detector would misfire"
         )
 
+    problems.extend(settings_selftest())
+
     if problems:
         print("\n".join(problems), file=sys.stderr)
         print(
@@ -150,6 +199,7 @@ def main(argv: list[str]) -> int:
     status = 0
     status |= lint_index_safety.main()
     status |= lint_determinism.main()
+    status |= lint_settings.main()
     return status
 
 
