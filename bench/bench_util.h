@@ -15,6 +15,7 @@
 #ifndef CITADEL_BENCH_BENCH_UTIL_H
 #define CITADEL_BENCH_BENCH_UTIL_H
 
+#include <bit>
 #include <iostream>
 #include <map>
 #include <string>
@@ -63,25 +64,46 @@ runTiming(const BenchmarkProfile &profile, StripingMode mode,
     return sim.run();
 }
 
-/** Bit-exact equality of two timing runs (every reported integer). */
+/** Every field of a timing run as one 64-bit word, doubles by their
+ *  bit pattern (the runs are deterministic, so they match exactly). */
+inline std::vector<u64>
+resultWords(const SimResult &r)
+{
+    // Each field is one word: a field added to SimResult or its parts
+    // changes the size and fails here until it is listed below.
+    static_assert(sizeof(SimResult) == 23 * sizeof(u64));
+    const MemCounters &m = r.mem;
+    const LlcStats &l = r.llc;
+    return {r.cycles,
+            r.insnsRetired,
+            m.activates,
+            m.readBursts,
+            m.writeBursts,
+            m.rowHits,
+            m.rowMisses,
+            m.bytesRead,
+            m.bytesWritten,
+            m.rasReads,
+            m.steeredReads,
+            m.steeredWrites,
+            l.dataFills,
+            l.dirtyDataEvictions,
+            l.parityProbes,
+            l.parityHits,
+            l.parityFills,
+            l.dirtyParityEvictions,
+            std::bit_cast<u64>(r.power.activateW),
+            std::bit_cast<u64>(r.power.readWriteW),
+            std::bit_cast<u64>(r.power.refreshW),
+            r.retiredLines,
+            std::bit_cast<u64>(r.capacityFraction)};
+}
+
+/** Bit-exact equality of two timing runs (every field). */
 inline bool
 identicalResults(const SimResult &a, const SimResult &b)
 {
-    return a.cycles == b.cycles && a.insnsRetired == b.insnsRetired &&
-           a.mem.activates == b.mem.activates &&
-           a.mem.readBursts == b.mem.readBursts &&
-           a.mem.writeBursts == b.mem.writeBursts &&
-           a.mem.rowHits == b.mem.rowHits &&
-           a.mem.rowMisses == b.mem.rowMisses &&
-           a.mem.bytesRead == b.mem.bytesRead &&
-           a.mem.bytesWritten == b.mem.bytesWritten &&
-           a.mem.rasReads == b.mem.rasReads &&
-           a.llc.dataFills == b.llc.dataFills &&
-           a.llc.dirtyDataEvictions == b.llc.dirtyDataEvictions &&
-           a.llc.parityProbes == b.llc.parityProbes &&
-           a.llc.parityHits == b.llc.parityHits &&
-           a.llc.parityFills == b.llc.parityFills &&
-           a.llc.dirtyParityEvictions == b.llc.dirtyParityEvictions;
+    return resultWords(a) == resultWords(b);
 }
 
 /** Timing results for every benchmark under one configuration, run

@@ -11,36 +11,31 @@ Llc::Llc(u64 capacity_bytes, u32 ways, u32 line_bytes) : ways_(ways)
         fatal("Llc: bad geometry (capacity %llu, ways %u)",
               static_cast<unsigned long long>(capacity_bytes), ways_);
     sets_ = static_cast<u32>(lines / ways_);
-    lines_.resize(lines);
+    tags_.assign(lines, kEmpty);
+    lastUse_.assign(lines, 0);
+    flags_.assign(lines, 0);
 }
 
-u32
-Llc::setOf(LineAddr addr) const
+u64
+Llc::setBase(LineAddr addr) const
 {
-    return static_cast<u32>(addr.value() % sets_);
-}
-
-Llc::Way *
-Llc::findLine(LineAddr addr)
-{
-    Way *base = &lines_[static_cast<u64>(setOf(addr)) * ways_];
-    for (u32 w = 0; w < ways_; ++w)
-        if (base[w].valid && base[w].tag == addr.value())
-            return &base[w];
-    return nullptr;
+    return (addr.value() % sets_) * ways_;
 }
 
 bool
 Llc::probeParity(LineAddr addr)
 {
     ++stats_.parityProbes;
-    Way *way = findLine(addr);
-    if (!way)
-        return false;
-    ++stats_.parityHits;
-    way->dirty = true;
-    way->lastUse = ++useClock_;
-    return true;
+    const u64 base = setBase(addr);
+    for (u64 i = base; i < base + ways_ && tags_[i] != kEmpty; ++i) {
+        if (tags_[i] == addr.value()) {
+            ++stats_.parityHits;
+            flags_[i] |= kDirty;
+            lastUse_[i] = ++useClock_;
+            return true;
+        }
+    }
+    return false;
 }
 
 Llc::Victim
@@ -51,44 +46,44 @@ Llc::fill(LineAddr addr, bool dirty, bool parity)
     else
         ++stats_.dataFills;
 
-    Way *base = &lines_[static_cast<u64>(setOf(addr)) * ways_];
-
-    // Refill of a resident line just updates state.
-    if (Way *hit = findLine(addr)) {
-        hit->dirty = hit->dirty || dirty;
-        hit->lastUse = ++useClock_;
-        return {};
-    }
-
-    Way *victim = &base[0];
-    for (u32 w = 0; w < ways_; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
+    // One pass: a resident line is refilled in place (no later way can
+    // hold it once an empty way is seen); otherwise the victim is the
+    // first empty way, else the least recently used.
+    const u64 base = setBase(addr);
+    u64 v = base;
+    for (u64 i = base; i < base + ways_; ++i) {
+        if (tags_[i] == addr.value()) {
+            if (dirty)
+                flags_[i] |= kDirty;
+            lastUse_[i] = ++useClock_;
+            return {};
+        }
+        if (tags_[i] == kEmpty) {
+            v = i;
             break;
         }
-        if (base[w].lastUse < victim->lastUse)
-            victim = &base[w];
+        if (lastUse_[i] < lastUse_[v])
+            v = i;
     }
 
     Victim out;
-    if (victim->valid) {
+    if (tags_[v] != kEmpty) {
         out.valid = true;
-        out.addr = LineAddr{victim->tag};
-        out.dirty = victim->dirty;
-        out.parity = victim->parity;
-        if (victim->dirty) {
-            if (victim->parity)
+        out.addr = LineAddr{tags_[v]};
+        out.dirty = (flags_[v] & kDirty) != 0;
+        out.parity = (flags_[v] & kParity) != 0;
+        if (out.dirty) {
+            if (out.parity)
                 ++stats_.dirtyParityEvictions;
             else
                 ++stats_.dirtyDataEvictions;
         }
     }
 
-    victim->valid = true;
-    victim->tag = addr.value();
-    victim->dirty = dirty;
-    victim->parity = parity;
-    victim->lastUse = ++useClock_;
+    tags_[v] = addr.value();
+    flags_[v] = static_cast<u8>((dirty ? kDirty : 0) |
+                                (parity ? kParity : 0));
+    lastUse_[v] = ++useClock_;
     return out;
 }
 

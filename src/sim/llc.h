@@ -8,6 +8,14 @@
  * the paper evaluates: Dimension-1 parity lines cached on demand
  * (Section VI-C, Fig 12/13) contend with data fills, which determines
  * the parity-update hit rate and hence 3DP's performance overhead.
+ *
+ * Layout: per-way state lives in three parallel arrays indexed by
+ * set * ways + way. Tags are kept alone, so the tags of one 8-way set
+ * fill one 64-byte host cache line and a lookup touches nothing else;
+ * recency and the dirty/parity flags are read only on a hit or while
+ * choosing a victim. A way fills once and is never invalidated,
+ * so a set's empty ways are always a suffix and the first one ends
+ * every scan.
  */
 
 #ifndef CITADEL_SIM_LLC_H
@@ -66,23 +74,21 @@ class Llc
     u32 sets() const { return sets_; }
 
   private:
-    struct Way
-    {
-        bool valid = false;
-        u64 tag = 0;
-        bool dirty = false;
-        bool parity = false;
-        u64 lastUse = 0;
-    };
+    /** Tag of an empty way (no line address comes near 2^64 - 1). */
+    static constexpr u64 kEmpty = ~0ull;
+    static constexpr u8 kDirty = 1;
+    static constexpr u8 kParity = 2;
 
     u32 ways_;
     u32 sets_;
-    std::vector<Way> lines_; ///< sets_ x ways_, row-major.
+    std::vector<u64> tags_;    ///< Line address per way, or kEmpty.
+    std::vector<u64> lastUse_; ///< useClock_ at the last touch.
+    std::vector<u8> flags_;    ///< kDirty | kParity.
     u64 useClock_ = 0;
     LlcStats stats_;
 
-    u32 setOf(LineAddr addr) const;
-    Way *findLine(LineAddr addr);
+    /** Index of the first way of `addr`'s set. */
+    u64 setBase(LineAddr addr) const;
 };
 
 } // namespace citadel

@@ -153,6 +153,7 @@ MemorySystem::enqueue(const LineCoord &line, bool write, u64 token,
         q.perBank[b].push_back({openSlot, sliceIdx});
         q.bankWords[b / 64] |= 1ull << (b % 64);
         ++q.liveSlices;
+        q.wakeAt = 0;
         ++pendingOps_;
     }
 }
@@ -203,6 +204,9 @@ MemorySystem::routeCoord(const LineCoord &coord) const
 MemorySystem::Pick
 MemorySystem::pickCandidate(Channel &ch, GroupQueue &q, u64 cycle)
 {
+    if (q.liveSlices == 0 || cycle < q.wakeAt)
+        return {};
+
     // FR-FCFS: oldest ready row-hit first, else the oldest whose bank
     // can start an activation (or whose open row will accept a later
     // CAS). Oldest = smallest channel-local group seq, which equals
@@ -211,6 +215,7 @@ MemorySystem::pickCandidate(Channel &ch, GroupQueue &q, u64 cycle)
     u64 candSeq = kNoEvent;
     u32 hitSlot = kInvalidSlot;
     u32 candSlot = kInvalidSlot;
+    u64 wake = kNoEvent;
 
     for (std::size_t w = 0; w < q.bankWords.size(); ++w) {
         u64 word = q.bankWords[w];
@@ -225,6 +230,7 @@ MemorySystem::pickCandidate(Channel &ch, GroupQueue &q, u64 cycle)
                 continue;
             }
             const BankState &bs = ch.banks[b];
+            wake = std::min(wake, bs.nextActAt);
             const bool act_ready = cycle >= bs.nextActAt;
             if (act_ready) {
                 // Every queued row qualifies; the bank's oldest is its
@@ -272,6 +278,10 @@ MemorySystem::pickCandidate(Channel &ch, GroupQueue &q, u64 cycle)
     if (candSlot != kInvalidSlot)
         return {candSlot,
                 primarySlice(ch, q.pool[candSlot], /*hit=*/false, cycle)};
+    // No candidate: every bank with work is waiting on nextActAt and
+    // holds no reference to its open row, so until the earliest
+    // nextActAt only an enqueue or an issue can create one.
+    q.wakeAt = wake;
     return {};
 }
 
@@ -395,6 +405,10 @@ MemorySystem::issueGroup(Channel &ch, GroupQueue &q, const Pick &pick,
     pendingOps_ -= g.slices.size();
     q.liveSlices -= g.slices.size();
     g.live = false; // bank-queue refs drain lazily
+    // schedule() moved this channel's bank state, which both queues'
+    // wake bounds were derived from.
+    ch.reads.wakeAt = 0;
+    ch.writes.wakeAt = 0;
 }
 
 void
@@ -410,7 +424,7 @@ MemorySystem::serviceChannel(Channel &ch, u64 cycle)
     if (!write_pressure) {
         pick = pickCandidate(ch, ch.reads, cycle);
         q = &ch.reads;
-        if (!pick.valid() && ch.writes.liveSlices > 0) {
+        if (!pick.valid()) {
             pick = pickCandidate(ch, ch.writes, cycle);
             q = &ch.writes;
         }
@@ -462,53 +476,18 @@ MemorySystem::drainCompletedReads()
 }
 
 u64
-MemorySystem::queueNextEvent(Channel &ch, GroupQueue &q, u64 now)
-{
-    u64 next = kNoEvent;
-    for (std::size_t w = 0; w < q.bankWords.size(); ++w) {
-        u64 word = q.bankWords[w];
-        while (word != 0) {
-            const std::size_t b =
-                w * 64 + static_cast<std::size_t>(std::countr_zero(word));
-            word &= word - 1;
-            auto &dq = q.perBank[b];
-            popDeadHeads(q, dq);
-            if (dq.empty()) {
-                q.bankWords[w] &= ~(1ull << (b % 64));
-                continue;
-            }
-            const BankState &bs = ch.banks[b];
-            if (bs.nextActAt <= now)
-                return now; // the head is already a candidate
-            if (bs.openRow.has_value()) {
-                // An open-row match is a candidate every cycle.
-                for (const BankRef &ref : dq) {
-                    const Group &g = q.pool[ref.slot];
-                    if (!g.live)
-                        continue;
-                    if (g.slices[ref.slice].row == *bs.openRow)
-                        return now;
-                }
-            }
-            next = std::min(next, bs.nextActAt);
-        }
-    }
-    return next;
-}
-
-u64
-MemorySystem::nextEventCycle(u64 now)
+MemorySystem::nextEventCycle(u64 now) const
 {
     u64 next = kNoEvent;
     if (!completions_.empty())
         next = std::max(now, completions_.top().done);
-    for (auto &ch : channels_) {
-        for (GroupQueue *q : {&ch.reads, &ch.writes}) {
+    for (const auto &ch : channels_) {
+        for (const GroupQueue *q : {&ch.reads, &ch.writes}) {
             if (q->liveSlices == 0)
                 continue;
-            next = std::min(next, queueNextEvent(ch, *q, now));
-            if (next <= now)
+            if (q->wakeAt <= now)
                 return now;
+            next = std::min(next, q->wakeAt);
         }
     }
     return next;

@@ -14,10 +14,14 @@
  *  - per-bank sub-queues (slot references into a group pool) plus a
  *    ready-bank bitmask, so the FR-FCFS pick visits only banks that
  *    have work instead of walking the whole channel queue;
+ *  - a per-queue wake bound: a pick that finds nothing records the
+ *    earliest cycle a candidate can appear, and later picks return at
+ *    once until that cycle or until an enqueue or an issue in the
+ *    channel resets it. nextEventCycle(), the contract the
+ *    event-driven SystemSim loop uses to skip cycles in which tick()
+ *    would provably do nothing, reads the same bound;
  *  - a token arena with generation-tagged slots, so completion
- *    tracking is a flat vector lookup rather than an unordered_map;
- *  - nextEventCycle(), the contract the event-driven SystemSim loop
- *    uses to skip cycles in which tick() would provably do nothing.
+ *    tracking is a flat vector lookup rather than an unordered_map.
  *
  * Determinism audit (DESIGN.md section 13): this file holds no
  * std::unordered_* container — the token arena above removed the last
@@ -99,12 +103,12 @@ class MemorySystem
 
     /**
      * Earliest cycle >= `now` at which tick() could change any state:
-     * a pending completion matures, or some queued sub-request becomes
-     * an FR-FCFS candidate (its bank's open row matches, or the bank
-     * reaches nextActAt). Strictly between `now` and the returned
-     * cycle, tick() is a no-op; kNoEvent when fully idle.
+     * a pending completion matures, or a queue's wake bound passes
+     * (`now` for a queue whose bound was reset and not yet re-derived
+     * by a pick). Strictly between `now` and the returned cycle,
+     * tick() is a no-op; kNoEvent when fully idle.
      */
-    u64 nextEventCycle(u64 now);
+    u64 nextEventCycle(u64 now) const;
 
     /** Requests still queued (not yet issued to a bank). */
     u64 pending() const { return pendingOps_; }
@@ -177,6 +181,11 @@ class MemorySystem
         std::vector<std::deque<BankRef>> perBank;
         std::vector<u64> bankWords; ///< Ready-bank index (1 bit/bank).
         u64 liveSlices = 0;         ///< Queued sub-request count.
+        /** Wake bound: no FR-FCFS candidate exists before this cycle.
+         *  Set by a pick that finds nothing; reset to 0 by an enqueue
+         *  into this queue and by any issue in its channel, the only
+         *  changes that could create a candidate sooner. */
+        u64 wakeAt = 0;
     };
 
     struct BankState
@@ -267,7 +276,8 @@ class MemorySystem
                  bool ras);
     void serviceChannel(Channel &ch, u64 cycle);
 
-    /** FR-FCFS candidate in `q` at `cycle`; invalid Pick if none. */
+    /** FR-FCFS candidate in `q` at `cycle`; invalid Pick if none
+     *  (then `q.wakeAt` holds the earliest cycle one can appear). */
     Pick pickCandidate(Channel &ch, GroupQueue &q, u64 cycle);
 
     /** First slice of `g` satisfying the pick predicate (flat order). */
@@ -285,9 +295,6 @@ class MemorySystem
      *         multi-bank activate), so it skips the tRRD chain. */
     u64 schedule(Channel &ch, const Slice &slice, bool write, u32 bytes,
                  u64 cycle, bool lockstep_sibling = false);
-
-    /** Earliest cycle >= now at which `q` has an FR-FCFS candidate. */
-    u64 queueNextEvent(Channel &ch, GroupQueue &q, u64 now);
 };
 
 } // namespace citadel

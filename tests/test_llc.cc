@@ -94,6 +94,30 @@ TEST(Llc, RefillOfResidentLineNoEviction)
     EXPECT_TRUE(v2.dirty);
 }
 
+TEST(Llc, EightWayEvictsInTouchOrder)
+{
+    // One set of 8 ways (Table II associativity): every line maps to
+    // it. Touch all 8 residents in a permuted order, alternating refill
+    // and parity probe, then 8 new fills must evict in touch order.
+    Llc c(8 * 64, 8);
+    ASSERT_EQ(c.sets(), 1u);
+    for (u64 a = 0; a < 8; ++a)
+        EXPECT_FALSE(c.fill(LineAddr{a}, false, false).valid);
+    const u64 touch[8] = {5, 2, 7, 0, 3, 6, 1, 4};
+    for (std::size_t i = 0; i < 8; ++i) {
+        if (i % 2 == 0)
+            EXPECT_FALSE(c.fill(LineAddr{touch[i]}, false, false).valid);
+        else
+            EXPECT_TRUE(c.probeParity(LineAddr{touch[i]}));
+    }
+    for (std::size_t i = 0; i < 8; ++i) {
+        const auto v = c.fill(LineAddr{100 + i}, false, false);
+        ASSERT_TRUE(v.valid) << i;
+        EXPECT_EQ(v.addr, LineAddr{touch[i]}) << i;
+        EXPECT_EQ(v.dirty, i % 2 == 1) << i; // probes mark dirty
+    }
+}
+
 TEST(Llc, StatsCountFills)
 {
     Llc c(8 * 64, 2);

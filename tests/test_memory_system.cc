@@ -201,6 +201,70 @@ TEST_F(MemTest, IndependentChannelsProceedInParallel)
     EXPECT_EQ(last, 19u); // all in parallel, same latency
 }
 
+TEST_F(MemTest, ArrivalWakesSleepingQueue)
+{
+    // Row Q of a bank opens at cycle 0; the bank cannot activate again
+    // before nextActAt = tRAS + tRP. A read to another row of the bank
+    // is then no candidate, so the pick at cycle 1 finds nothing and
+    // the read queue sleeps until nextActAt. A read to the open row Q
+    // arriving meanwhile is a candidate at once: it must issue on its
+    // arrival tick, as a row hit, long before nextActAt.
+    MemorySystem mem(cfg_);
+    AddressMap map(cfg_.geom);
+    const LineCoord open = map.lineToCoord(LineAddr{0});
+    LineCoord miss = open;
+    miss.row = RowId{open.row.value() + 1};
+    LineCoord hit = open;
+    hit.col = ColId{open.col.value() + 1};
+
+    mem.issueRead(map.coordToLine(open), 0);
+    mem.tick(0);
+    mem.issueRead(map.coordToLine(miss), 1);
+    mem.tick(1);
+    mem.tick(2);
+    ASSERT_EQ(mem.counters().readBursts, 1u);
+
+    mem.issueRead(map.coordToLine(hit), 3);
+    EXPECT_EQ(mem.nextEventCycle(3), 3u);
+    mem.tick(3);
+    EXPECT_EQ(mem.counters().readBursts, 2u);
+    EXPECT_EQ(mem.counters().rowHits, 1u);
+    EXPECT_EQ(mem.pending(), 1u); // the row-miss read still waits
+}
+
+TEST_F(MemTest, WriteIssueWakesReadQueue)
+{
+    // Row Q of a bank opens at cycle 0, and a read to row R of the same
+    // bank then sleeps until the bank's nextActAt. Half a write queue
+    // of writes to R arrives, so writes pick first: at nextActAt a
+    // write, not the older read, opens R. The queued read now targets
+    // the open row and must issue on the very next tick, as a row hit.
+    MemorySystem mem(cfg_);
+    AddressMap map(cfg_.geom);
+    const LineCoord q = map.lineToCoord(LineAddr{0});
+    LineCoord r = q;
+    r.row = RowId{q.row.value() + 1};
+
+    mem.issueRead(map.coordToLine(q), 0);
+    mem.tick(0);
+    mem.issueRead(map.coordToLine(r), 1);
+    mem.tick(1);
+    for (u32 i = 0; i < kWriteQueueCap / 2; ++i)
+        mem.issueWrite(map.coordToLine(r), 2);
+
+    u64 cycle = 2;
+    while (mem.counters().writeBursts == 0 && cycle < 1000)
+        mem.tick(cycle++);
+    EXPECT_EQ(cycle - 1, timing::tRAS + timing::tRP); // nextActAt
+    ASSERT_EQ(mem.counters().readBursts, 1u);
+
+    EXPECT_EQ(mem.nextEventCycle(cycle), cycle);
+    mem.tick(cycle);
+    EXPECT_EQ(mem.counters().readBursts, 2u);
+    EXPECT_EQ(mem.counters().writeBursts, 1u);
+    EXPECT_EQ(mem.counters().rowHits, 1u);
+}
+
 TEST_F(MemTest, PendingTracksQueueDepth)
 {
     MemorySystem mem(cfg_);
