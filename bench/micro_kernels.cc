@@ -167,9 +167,16 @@ BM_SampleLifetime(benchmark::State &state)
     SystemConfig cfg;
     cfg.tsvDeviceFit = 1430.0;
     FaultInjector inj(cfg);
-    Rng rng(4);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(inj.sampleLifetime(rng));
+    // As MonteCarlo::runRange: a counter-derived Rng per lifetime and
+    // one reused fault vector.
+    std::vector<Fault> events;
+    u64 t = 0;
+    for (auto _ : state) {
+        Rng rng(mix64(++t));
+        inj.sampleLifetime(rng, events);
+        benchmark::DoNotOptimize(events.data());
+        benchmark::ClobberMemory();
+    }
 }
 BENCHMARK(BM_SampleLifetime);
 

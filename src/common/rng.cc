@@ -23,33 +23,6 @@ Rng::Rng(u64 seed)
 }
 
 u64
-Rng::next()
-{
-    const u64 result = rotl(s_[1] * 5, 7) * 9;
-    const u64 t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1); 53 bits fit a double exactly.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
-u64
 Rng::below(u64 n)
 {
     assert(n > 0);
@@ -111,44 +84,6 @@ Rng::poisson(double lambda)
     double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
     double v = mu + sigma * z + 0.5;
     return v <= 0.0 ? 0 : static_cast<u64>(v);
-}
-
-u64
-Rng::poissonKnuth(double exp_neg_lambda)
-{
-    // Knuth: multiply uniforms until the product drops below e^-lambda.
-    u64 k = 0;
-    double p = 1.0;
-    do {
-        ++k;
-        p *= uniform();
-    } while (p > exp_neg_lambda);
-    return k - 1;
-}
-
-std::size_t
-Rng::discrete(const std::vector<double> &weights)
-{
-    double total = 0.0;
-    for (double w : weights) {
-        assert(w >= 0.0);
-        total += w;
-    }
-    if (total <= 0.0)
-        throw std::invalid_argument("discrete(): all weights are zero");
-    double r = uniform() * total;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        r -= weights[i];
-        if (r < 0.0)
-            return i;
-    }
-    return weights.size() - 1;
-}
-
-Rng
-Rng::split()
-{
-    return Rng(next() ^ 0xD2B74407B1CE6E93ull);
 }
 
 std::array<u64, 4>

@@ -1,8 +1,8 @@
 /**
  * @file
  * Deterministic pseudo-random number generation and the samplers the
- * Monte Carlo fault engine needs (uniform, exponential, Poisson,
- * geometric and discrete distributions).
+ * Monte Carlo fault engine needs (uniform, Bernoulli, exponential and
+ * Poisson).
  *
  * We use xoshiro256** rather than std::mt19937_64: it is ~4x faster,
  * has a tiny state, and gives us bit-for-bit reproducible streams across
@@ -49,13 +49,30 @@ class Rng
     explicit Rng(u64 seed = 0x9E3779B97F4A7C15ull);
 
     /** Next raw 64 random bits. */
-    u64 next();
+    u64
+    next()
+    {
+        const u64 result = rotl(s_[1] * 5, 7) * 9;
+        const u64 t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 high bits -> double in [0, 1); 53 bits fit a double exactly.
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi);
+    double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
     /** Uniform integer in [0, n) for n > 0, without modulo bias. */
     u64 below(u64 n);
@@ -81,20 +98,25 @@ class Rng
      * Small-lambda Poisson draw from a precomputed limit =
      * exp(-lambda), for 0 < lambda < 30: draw-for-draw identical to
      * poisson(lambda) on its Knuth path (poisson() itself delegates
-     * here), so hot samplers can hoist the std::exp out of their
-     * per-trial loop without perturbing the stream. Caller guarantees
-     * the lambda range; limit must be exp(-lambda) exactly.
+     * here). Caller guarantees the lambda range; limit must be
+     * exp(-lambda) exactly. The count is 0 exactly when the first
+     * uniform is <= the limit, which is the test the fault injector
+     * inlines per rate cell before continuing this product itself
+     * (DESIGN.md section 9).
      */
-    u64 poissonKnuth(double exp_neg_lambda);
-
-    /**
-     * Sample an index from an unnormalized weight vector.
-     * @param weights Non-negative weights; at least one must be positive.
-     */
-    std::size_t discrete(const std::vector<double> &weights);
-
-    /** Split off an independently seeded child stream. */
-    Rng split();
+    u64
+    poissonKnuth(double exp_neg_lambda)
+    {
+        // Knuth: multiply uniforms until the product drops below
+        // e^-lambda.
+        u64 k = 0;
+        double p = 1.0;
+        do {
+            ++k;
+            p *= uniform();
+        } while (p > exp_neg_lambda);
+        return k - 1;
+    }
 
     /**
      * The full 256-bit generator state, for checkpointing: a stream

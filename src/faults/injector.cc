@@ -19,6 +19,13 @@ constexpr double kMetaTransientFraction = 0.7;
  *  the ones mirroring alone cannot undo. */
 constexpr double kMetaCommonModeFraction = 0.1;
 
+/** Most faults a config may expect per lifetime, on the data plane and
+ *  on the control plane each. Far above any studied rate (no config in
+ *  the tree expects more than ~800), and low enough that one
+ *  lifetime's fault vector stays small and Rng::poisson's count stays
+ *  far inside a u64. */
+constexpr double kMaxFaultsPerLifetime = 1e5;
+
 /** fatal() unless `x` is finite and >= 0, or > 0 when `positive`:
  *  a NaN or +inf rate would reach Rng::poisson. */
 void
@@ -27,6 +34,16 @@ requireFinite(const char *field, double x, bool positive = false)
     if (!(std::isfinite(x) && (positive ? x > 0.0 : x >= 0.0)))
         fatal("config: %s must be finite and %s 0 (got %g)", field,
               positive ? ">" : ">=", x);
+}
+
+/** fatal() unless `expected` faults per lifetime, from the rates in
+ *  `fields`, is within kMaxFaultsPerLifetime. */
+void
+requireFaultCap(const char *fields, double expected)
+{
+    if (!(expected <= kMaxFaultsPerLifetime))
+        fatal("config: %s give %g expected faults per lifetime (limit %g)",
+              fields, expected, kMaxFaultsPerLifetime);
 }
 
 } // namespace
@@ -52,6 +69,15 @@ SystemConfig::validate() const
         fatal("config: subArrayRows (%u) must be a power of two <= "
               "rowsPerBank (%u)",
               subArrayRows, geom.rowsPerBank);
+
+    // Every die's classes plus TSV per stack, and separately the
+    // control-plane upsets per stack.
+    const double stack_lifetimes = geom.stacks * lifetimeHours;
+    requireFaultCap("FIT rates and tsvDeviceFit",
+                    fitToPerHour(diesPerStack() * rates.totalFit() +
+                                 tsvDeviceFit) *
+                        stack_lifetimes);
+    requireFaultCap("metaFit", fitToPerHour(metaFit) * stack_lifetimes);
 }
 
 FaultInjector::FaultInjector(const SystemConfig &cfg)
@@ -86,37 +112,6 @@ FaultInjector::FaultInjector(const SystemConfig &cfg)
     tsvCell_ = makeCell(FaultClass::DataTsv, cfg_.tsvDeviceFit, false);
 }
 
-u64
-FaultInjector::drawCount(Rng &rng, const RateCell &cell)
-{
-    // Mirror Rng::poisson's branch structure exactly: zero rate draws
-    // nothing, the small-lambda Knuth path reuses the cached
-    // exp(-lambda), and the (test-only) large-lambda normal
-    // approximation falls back to the uncached entry point.
-    if (cell.lambda == 0.0)
-        return 0;
-    if (cell.lambda < 30.0)
-        return rng.poissonKnuth(cell.expNegLambda);
-    return rng.poisson(cell.lambda);
-}
-
-void
-FaultInjector::sampleClass(Rng &rng, std::vector<Fault> &out,
-                           const RateCell &cell, StackId stack,
-                           ChannelId channel) const
-{
-    const u64 n = drawCount(rng, cell);
-    for (u64 i = 0; i < n; ++i) {
-        const double t = rng.uniform(0.0, cfg_.lifetimeHours);
-        FaultClass effective = cell.cls;
-        if (cell.cls == FaultClass::Bank &&
-            rng.chance(cfg_.subArrayFraction))
-            effective = FaultClass::SubArray;
-        out.push_back(
-            makeFault(rng, effective, stack, channel, cell.transient, t));
-    }
-}
-
 std::vector<Fault>
 FaultInjector::sampleLifetime(Rng &rng) const
 {
@@ -129,20 +124,67 @@ void
 FaultInjector::sampleLifetime(Rng &rng, std::vector<Fault> &out) const
 {
     out.clear();
+    // One Poisson draw per cell, in the frozen order: per stack, every
+    // die's [Bit..Bank] x {transient, permanent}, then the stack's TSV
+    // cell. Knuth's first factor is the first uniform, so a cell draws
+    // zero faults exactly when u1 <= exp(-lambda): that test is all a
+    // cell costs unless it hits (DESIGN.md section 9).
+    auto sampleCell = [&](const RateCell &cell, StackId stack,
+                          ChannelId channel) {
+        if (cell.lambda == 0.0)
+            return; // poisson(0) draws nothing
+        if (cell.lambda >= 30.0) {
+            sampleHits(rng, out, cell, stack, channel, 0.0);
+            return;
+        }
+        const double u1 = rng.uniform();
+        if (u1 > cell.expNegLambda)
+            sampleHits(rng, out, cell, stack, channel, u1);
+    };
     for (u32 s = 0; s < cfg_.geom.stacks; ++s) {
         for (u32 ch = 0; ch < cfg_.diesPerStack(); ++ch)
             for (const RateCell &cell : dieCells_)
-                sampleClass(rng, out, cell, StackId{s}, ChannelId{ch});
-        // TSV faults: per-stack device rate, permanent.
-        const u64 n = drawCount(rng, tsvCell_);
-        for (u64 i = 0; i < n; ++i)
-            out.push_back(makeTsvFault(
-                rng, StackId{s}, rng.uniform(0.0, cfg_.lifetimeHours)));
+                sampleCell(cell, StackId{s}, ChannelId{ch});
+        // TSV faults draw their own channel.
+        sampleCell(tsvCell_, StackId{s}, ChannelId{0});
     }
 
     std::sort(out.begin(), out.end(), [](const Fault &a, const Fault &b) {
         return a.timeHours < b.timeHours;
     });
+}
+
+void
+FaultInjector::sampleHits(Rng &rng, std::vector<Fault> &out,
+                          const RateCell &cell, StackId stack,
+                          ChannelId channel, double u1) const
+{
+    u64 n = 0;
+    if (cell.lambda < 30.0) {
+        // Rng::poissonKnuth's loop, resumed after its first factor:
+        // k - 1 there is n here.
+        double p = u1;
+        do {
+            ++n;
+            p *= rng.uniform();
+        } while (p > cell.expNegLambda);
+    } else {
+        n = rng.poisson(cell.lambda);
+    }
+    const bool tsv = cell.cls == FaultClass::DataTsv;
+    for (u64 i = 0; i < n; ++i) {
+        const double t = rng.uniform(0.0, cfg_.lifetimeHours);
+        if (tsv) {
+            out.push_back(makeTsvFault(rng, stack, t));
+            continue;
+        }
+        FaultClass effective = cell.cls;
+        if (cell.cls == FaultClass::Bank &&
+            rng.chance(cfg_.subArrayFraction))
+            effective = FaultClass::SubArray;
+        out.push_back(
+            makeFault(rng, effective, stack, channel, cell.transient, t));
+    }
 }
 
 Fault

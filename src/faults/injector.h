@@ -134,14 +134,13 @@ class FaultInjector
 
   private:
     /**
-     * One Poisson process of the per-die sampling loop, with its
-     * arrival rate — and, for the dominant small-lambda Knuth path,
-     * exp(-lambda) — precomputed at construction. Rng::poisson
-     * recomputes std::exp(-lambda) on every call; a lifetime draws
-     * from ~180 of these cells (2 stacks x 9 dies x 5 classes x
-     * {transient, permanent}), so hoisting the exp is the single
-     * biggest serial-path win. Draw-for-draw stream-identical to
-     * calling poisson(lambda) (see Rng::poissonKnuth).
+     * One Poisson process of the sampling loop, with its arrival rate
+     * and, for the small-lambda Knuth path, exp(-lambda) precomputed
+     * at construction. A lifetime visits 182 of these cells (2 stacks
+     * x (9 dies x 5 classes x {transient, permanent} + 1 TSV cell));
+     * about 99.6% of them draw zero faults, which the cached limit
+     * decides with one uniform and one compare. Draw-for-draw
+     * stream-identical to calling Rng::poisson(lambda) per cell.
      */
     struct RateCell
     {
@@ -156,12 +155,15 @@ class FaultInjector
     std::vector<RateCell> dieCells_;
     RateCell tsvCell_;
 
-    /** Poisson count for a cell, branch-identical to Rng::poisson. */
-    static u64 drawCount(Rng &rng, const RateCell &cell);
-
-    void sampleClass(Rng &rng, std::vector<Fault> &out,
-                     const RateCell &cell, StackId stack,
-                     ChannelId channel) const;
+    /**
+     * The faults of a cell that did not draw zero: for lambda < 30,
+     * Knuth's product resumed from its first factor `u1` (already
+     * known to exceed exp(-lambda)); above, Rng::poisson's normal
+     * path. Each fault then draws its time, the Bank -> SubArray split
+     * and its location, in the order the determinism contract froze.
+     */
+    void sampleHits(Rng &rng, std::vector<Fault> &out, const RateCell &cell,
+                    StackId stack, ChannelId channel, double u1) const;
 };
 
 } // namespace citadel

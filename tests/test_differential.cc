@@ -391,6 +391,41 @@ TEST(ConfigValidation, RejectsNonFiniteValues)
     }
 }
 
+TEST(ConfigValidation, RejectsRatesBeyondFaultCap)
+{
+    // Finite but absurd rates: 1e12 FIT asks one lifetime for ~1e8
+    // faults, 1e25 FIT for a count past what Rng::poisson can convert
+    // to a u64.
+    for (const double fit : {1e12, 1e25}) {
+        SCOPED_TRACE(fit);
+        SystemConfig cfg;
+        cfg.tsvDeviceFit = fit;
+        EXPECT_DEATH(cfg.validate(), "tsvDeviceFit");
+
+        cfg = SystemConfig{};
+        cfg.rates.bit.transientFit = fit;
+        EXPECT_DEATH(cfg.validate(), "FIT rates");
+
+        cfg = SystemConfig{};
+        cfg.metaFit = fit;
+        EXPECT_DEATH(cfg.validate(), "metaFit");
+    }
+
+    // The cap counts every stack and the whole lifetime: rates that
+    // pass on one stack for seven years fail on 1000 stacks or for
+    // 1000 times as long.
+    SystemConfig cfg;
+    cfg.metaFit = 5e8; // ~6.1e4 upsets per lifetime on 2 stacks
+    cfg.validate();
+    cfg.geom.stacks = 2000;
+    EXPECT_DEATH(cfg.validate(), "metaFit");
+    cfg = SystemConfig{};
+    cfg.tsvDeviceFit = 5e8;
+    cfg.validate();
+    cfg.lifetimeHours *= 1000.0;
+    EXPECT_DEATH(cfg.validate(), "tsvDeviceFit");
+}
+
 TEST(ConfigValidation, RejectsZeroGeometryDimensions)
 {
     SystemConfig cfg;

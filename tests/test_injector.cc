@@ -2,12 +2,18 @@
  * @file
  * Tests for the fault injector: arrival statistics match the FIT
  * rates, fault ranges are well-formed per class, TSV faults follow the
- * severity model.
+ * severity model, and the sampler's draw stream matches a one-
+ * Rng::poisson-per-cell reference fault for fault.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
 #include <map>
+#include <vector>
 
 #include "faults/injector.h"
 
@@ -176,6 +182,188 @@ TEST_F(InjectorTest, TransientPermanentMixFollowsRates)
         static_cast<double>(transients) /
         static_cast<double>(transients + permanents);
     EXPECT_NEAR(got_frac, expect_frac, 0.02);
+}
+
+/**
+ * The reference sampler sampleLifetime must reproduce draw for draw:
+ * per stack, every die's [Bit, Word, Column, Row, Bank] x {transient,
+ * permanent} cells, then the stack's TSV cell, each counted by one
+ * Rng::poisson(lambda) call and materialized as time, Bank -> SubArray
+ * split, location.
+ */
+void
+referenceLifetime(const FaultInjector &inj, Rng &rng, std::vector<Fault> &out)
+{
+    const SystemConfig &cfg = inj.config();
+    const FitTable &r = cfg.rates;
+    const struct { FaultClass cls; const FitPair *fit; } classes[] = {
+        {FaultClass::Bit, &r.bit},       {FaultClass::Word, &r.word},
+        {FaultClass::Column, &r.column}, {FaultClass::Row, &r.row},
+        {FaultClass::Bank, &r.bank},
+    };
+    auto count = [&](double fit) {
+        return rng.poisson(fitToPerHour(fit) * cfg.lifetimeHours);
+    };
+    out.clear();
+    for (u32 s = 0; s < cfg.geom.stacks; ++s) {
+        for (u32 ch = 0; ch < cfg.diesPerStack(); ++ch) {
+            for (const auto &c : classes) {
+                for (const bool transient : {true, false}) {
+                    const u64 n = count(transient ? c.fit->transientFit
+                                                  : c.fit->permanentFit);
+                    for (u64 i = 0; i < n; ++i) {
+                        const double t =
+                            rng.uniform(0.0, cfg.lifetimeHours);
+                        FaultClass cls = c.cls;
+                        if (cls == FaultClass::Bank &&
+                            rng.chance(cfg.subArrayFraction))
+                            cls = FaultClass::SubArray;
+                        out.push_back(inj.makeFault(rng, cls, StackId{s},
+                                                    ChannelId{ch},
+                                                    transient, t));
+                    }
+                }
+            }
+        }
+        const u64 n = count(cfg.tsvDeviceFit);
+        for (u64 i = 0; i < n; ++i) {
+            const double t = rng.uniform(0.0, cfg.lifetimeHours);
+            out.push_back(inj.makeTsvFault(rng, StackId{s}, t));
+        }
+    }
+    std::sort(out.begin(), out.end(), [](const Fault &a, const Fault &b) {
+        return a.timeHours < b.timeHours;
+    });
+}
+
+bool
+sameFault(const Fault &a, const Fault &b)
+{
+    return a.stack == b.stack && a.channel == b.channel &&
+           a.bank == b.bank && a.row == b.row && a.col == b.col &&
+           a.bit == b.bit && a.cls == b.cls && a.transient == b.transient &&
+           a.fromTsv == b.fromTsv &&
+           std::bit_cast<u64>(a.timeHours) ==
+               std::bit_cast<u64>(b.timeHours) &&
+           a.tsvIndex == b.tsvIndex;
+}
+
+/** sampleLifetime and the reference, both started from `state`, agree
+ *  on every fault, their order and the generator's end state. `got`
+ *  and `want` are reused across seeds. */
+::testing::AssertionResult
+matchesReference(const FaultInjector &inj, const std::array<u64, 4> &state,
+                 std::vector<Fault> &got, std::vector<Fault> &want)
+{
+    Rng fast(0);
+    fast.restoreState(state);
+    inj.sampleLifetime(fast, got);
+    Rng ref(0);
+    ref.restoreState(state);
+    referenceLifetime(inj, ref, want);
+    if (got.size() != want.size())
+        return ::testing::AssertionFailure()
+               << got.size() << " faults, reference " << want.size();
+    for (std::size_t i = 0; i < got.size(); ++i)
+        if (!sameFault(got[i], want[i]))
+            return ::testing::AssertionFailure()
+                   << "fault " << i << " of " << got.size() << " differs";
+    if (fast.saveState() != ref.saveState())
+        return ::testing::AssertionFailure() << "Rng end state differs";
+    return ::testing::AssertionSuccess();
+}
+
+/** Every counter-derived seed in [0, seeds) matches the reference;
+ *  returns the faults sampled in total. */
+u64
+expectStreamIdentity(const SystemConfig &cfg, u64 salt, u64 seeds)
+{
+    const FaultInjector inj(cfg);
+    std::vector<Fault> got;
+    std::vector<Fault> want;
+    u64 faults = 0;
+    for (u64 i = 0; i < seeds; ++i) {
+        const std::array<u64, 4> state = Rng(mix64(salt + i)).saveState();
+        EXPECT_TRUE(matchesReference(inj, state, got, want)) << "seed " << i;
+        if (::testing::Test::HasFailure())
+            break;
+        faults += got.size();
+    }
+    return faults;
+}
+
+constexpr u64 kOracleSeeds = 10000;
+
+TEST_F(InjectorTest, StreamMatchesReferenceAtPaperRates)
+{
+    cfg_.tsvDeviceFit = 1430.0;
+    EXPECT_GT(expectStreamIdentity(cfg_, 0x1000, kOracleSeeds), 0u);
+}
+
+TEST_F(InjectorTest, StreamMatchesReferenceWithZeroRateCells)
+{
+    // Zero-rate cells must consume no draw at all, as poisson(0) does.
+    cfg_.rates.word = FitPair{0.0, 0.0};
+    cfg_.tsvDeviceFit = 0.0;
+    expectStreamIdentity(cfg_, 0x2000, kOracleSeeds);
+}
+
+TEST_F(InjectorTest, StreamMatchesReferenceWithMultiHitCells)
+{
+    // ~630 faults per lifetime, every cell still on the Knuth path
+    // (lambda up to ~9): multi-hit cells, and ~95 Bank-class faults
+    // per lifetime for the SubArray split. At x1e4 the largest cells
+    // would leave Knuth for the normal path, which the next test
+    // covers.
+    cfg_.rates = cfg_.rates.scaledBy(1e3);
+    cfg_.tsvDeviceFit = 1430.0 * 1e3;
+    EXPECT_GT(expectStreamIdentity(cfg_, 0x3000, kOracleSeeds),
+              kOracleSeeds * 500);
+}
+
+TEST_F(InjectorTest, StreamMatchesReferenceOnNormalApproximationPath)
+{
+    cfg_.rates.row.permanentFit = 7e5; // lambda ~43 per die
+    ASSERT_GE(fitToPerHour(cfg_.rates.row.permanentFit) * cfg_.lifetimeHours,
+              30.0);
+    cfg_.tsvDeviceFit = 1430.0;
+    expectStreamIdentity(cfg_, 0x4000, kOracleSeeds);
+}
+
+/** Inverse of an odd `a` modulo 2^64 (Newton iteration). */
+constexpr u64
+inverseOdd(u64 a)
+{
+    u64 x = a;
+    for (int i = 0; i < 6; ++i)
+        x *= 2 - a * x;
+    return x;
+}
+
+TEST_F(InjectorTest, FirstFactorEqualToLimitDrawsZero)
+{
+    // Knuth stops once the product is <= exp(-lambda), so a first
+    // uniform exactly at the limit means zero faults and no further
+    // draw. Craft a generator state whose first uniform is exactly the
+    // first cell's limit (Bit, transient; in [0.5, 1) every double is a
+    // multiple of 2^-53, so uniform() can return it).
+    cfg_.tsvDeviceFit = 1430.0;
+    const FaultInjector inj(cfg_);
+    const double limit = std::exp(
+        -fitToPerHour(cfg_.rates.bit.transientFit) * cfg_.lifetimeHours);
+    ASSERT_GE(limit, 0.5);
+    const u64 out = static_cast<u64>(limit * 0x1.0p53) << 11;
+    // xoshiro256** outputs rotl(s1 * 5, 7) * 9; solve for s1.
+    const u64 r = out * inverseOdd(9);
+    std::array<u64, 4> state = Rng(7).saveState();
+    state[1] = ((r >> 7) | (r << 57)) * inverseOdd(5);
+    Rng probe(0);
+    probe.restoreState(state);
+    ASSERT_EQ(probe.uniform(), limit);
+
+    std::vector<Fault> got;
+    std::vector<Fault> want;
+    EXPECT_TRUE(matchesReference(inj, state, got, want));
 }
 
 TEST_F(InjectorTest, RejectsBadSubArrayConfig)

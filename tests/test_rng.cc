@@ -175,37 +175,5 @@ TEST(Rng, PoissonLargeLambdaNormalPath)
     EXPECT_NEAR(s.stddev(), std::sqrt(lambda), 0.6);
 }
 
-TEST(Rng, DiscreteRespectsWeights)
-{
-    Rng r(21);
-    std::vector<double> w = {1.0, 0.0, 3.0};
-    std::vector<int> counts(3, 0);
-    const int trials = 40000;
-    for (int i = 0; i < trials; ++i)
-        ++counts[r.discrete(w)];
-    EXPECT_EQ(counts[1], 0);
-    EXPECT_NEAR(counts[0] / static_cast<double>(trials), 0.25, 0.01);
-    EXPECT_NEAR(counts[2] / static_cast<double>(trials), 0.75, 0.01);
-}
-
-TEST(Rng, DiscreteAllZeroThrows)
-{
-    Rng r(22);
-    std::vector<double> w = {0.0, 0.0};
-    EXPECT_THROW(r.discrete(w), std::invalid_argument);
-}
-
-TEST(Rng, SplitProducesIndependentStream)
-{
-    Rng a(33);
-    Rng child = a.split();
-    // The child must neither mirror the parent nor collapse.
-    int same = 0;
-    for (int i = 0; i < 64; ++i)
-        if (a.next() == child.next())
-            ++same;
-    EXPECT_LT(same, 2);
-}
-
 } // namespace
 } // namespace citadel
