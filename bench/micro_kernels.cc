@@ -212,6 +212,9 @@ BM_MonteCarloFullRun(benchmark::State &state)
 }
 BENCHMARK(BM_MonteCarloFullRun)->Arg(1000);
 
+// Times the whole-model reconstruction only: the rebuild between
+// iterations (restore + corrupt) is paused, which is the cost
+// BM_ParityEngineCorrectedRead keeps in.
 void
 BM_ParityEngineReconstructRow(benchmark::State &state)
 {
@@ -233,6 +236,39 @@ BM_ParityEngineReconstructRow(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ParityEngineReconstructRow);
+
+// The live datapath's engine work per corrected demand read on an aged
+// device: correct the line, rebuild the fault set (restore + corrupt)
+// and re-check it (peelable). Nothing is paused. The bank fault has no
+// spare to go to, so every read walks a different line of it.
+void
+BM_ParityEngineCorrectedRead(benchmark::State &state)
+{
+    const StackGeometry geom = StackGeometry::tiny();
+    ParityEngine eng(geom);
+    Fault f;
+    f.cls = FaultClass::Bank;
+    f.stack = DimSpec::exact(0);
+    f.channel = DimSpec::exact(1);
+    f.bank = DimSpec::exact(1);
+    f.row = DimSpec::wild();
+    f.col = DimSpec::wild();
+    f.bit = DimSpec::wild();
+    const std::vector<Fault> faults{f};
+    eng.corrupt(faults);
+    u32 line = 0;
+    for (auto _ : state) {
+        const RowId row{line / geom.linesPerRow() % geom.rowsPerBank};
+        const ColId col{line % geom.linesPerRow()};
+        benchmark::DoNotOptimize(
+            eng.correctLine(DieId{1}, BankId{1}, row, col, 3));
+        eng.restore();
+        eng.corrupt(faults);
+        benchmark::DoNotOptimize(eng.peelable(3));
+        ++line;
+    }
+}
+BENCHMARK(BM_ParityEngineCorrectedRead);
 
 void
 BM_LlcFillProbe(benchmark::State &state)

@@ -5,10 +5,110 @@
 
 #include "common/log.h"
 #include "common/rng.h"
+#include "common/serialize.h"
 #include "common/xor_fold.h"
 #include "ecc/crc32.h"
 
 namespace citadel {
+
+/**
+ * The corrupt lines of one peel, in storage-line order, with each
+ * line's parity-group corrupt counts: D1 by (row, col), D2 by
+ * (die, col) with the parity unit at die dies_, D3 by (bank, col)
+ * with the parity unit at bank 0. A line peels in a dimension when it
+ * is the only corrupt member of its group there, so peelDim() is O(1).
+ */
+class ParityEngine::Peel
+{
+  public:
+    Peel(const StackGeometry &g, u32 dies)
+        : cols_(g.linesPerRow()),
+          d1_(static_cast<std::size_t>(g.rowsPerBank) * cols_, 0),
+          d2_(static_cast<std::size_t>(dies + 1) * cols_, 0),
+          d3_(static_cast<std::size_t>(g.banksPerChannel) * cols_, 0)
+    {
+    }
+
+    void reserve(std::size_t n) { lines_.reserve(n); live_.reserve(n); }
+
+    void
+    add(const CorruptLine &l)
+    {
+        lines_.push_back(l);
+        live_.push_back(1);
+        ++left_;
+        count(l, 1);
+    }
+
+    /** Peel line i, which must be live. */
+    void
+    remove(std::size_t i)
+    {
+        live_[i] = 0;
+        --left_;
+        count(lines_[i], -1);
+        while (head_ < lines_.size() && !live_[head_])
+            ++head_;
+    }
+
+    /** Lowest dimension (<= dims; D1 always) rebuilding live line i
+     *  from the other lines of its group; 0 when none can. */
+    u32
+    peelDim(std::size_t i, u32 dims) const
+    {
+        const CorruptLine &l = lines_[i];
+        const u32 c = l.col.value();
+        if (d1_[static_cast<std::size_t>(l.row.value()) * cols_ + c] == 1)
+            return 1;
+        if (dims >= 2 &&
+            d2_[static_cast<std::size_t>(l.die.value()) * cols_ + c] == 1)
+            return 2;
+        if (dims >= 3 &&
+            d3_[static_cast<std::size_t>(l.bank.value()) * cols_ + c] == 1)
+            return 3;
+        return 0;
+    }
+
+    /** First live, peelable line in scan order; size() when none. */
+    std::size_t
+    firstPeelable(u32 dims) const
+    {
+        for (std::size_t i = head_; i < lines_.size(); ++i)
+            if (live_[i] && peelDim(i, dims) != 0)
+                return i;
+        return lines_.size();
+    }
+
+    std::size_t size() const { return lines_.size(); }
+    std::size_t left() const { return left_; }
+    bool live(std::size_t i) const { return live_[i] != 0; }
+    const CorruptLine &operator[](std::size_t i) const { return lines_[i]; }
+
+    /** Index of a line in scan order; size() when not corrupt. */
+    std::size_t
+    find(const CorruptLine &l) const
+    {
+        return static_cast<std::size_t>(
+            std::find(lines_.begin(), lines_.end(), l) - lines_.begin());
+    }
+
+  private:
+    u32 cols_;
+    std::vector<CorruptLine> lines_;
+    std::vector<u8> live_;
+    std::size_t left_ = 0;
+    std::size_t head_ = 0; ///< Lines before it are all peeled.
+    std::vector<i32> d1_, d2_, d3_;
+
+    void
+    count(const CorruptLine &l, i32 delta)
+    {
+        const u32 c = l.col.value();
+        d1_[static_cast<std::size_t>(l.row.value()) * cols_ + c] += delta;
+        d2_[static_cast<std::size_t>(l.die.value()) * cols_ + c] += delta;
+        d3_[static_cast<std::size_t>(l.bank.value()) * cols_ + c] += delta;
+    }
+};
 
 ParityEngine::ParityEngine(const StackGeometry &geom, u64 seed) : geom_(geom)
 {
@@ -17,19 +117,20 @@ ParityEngine::ParityEngine(const StackGeometry &geom, u64 seed) : geom_(geom)
         fatal("ParityEngine: single-stack geometries only");
     dies_ = geom_.channelsPerStack + 1;
 
-    const u64 bytes = static_cast<u64>(dies_) * geom_.banksPerChannel *
-                      geom_.rowsPerBank * geom_.rowBytes;
-    data_.resize(bytes);
+    const u64 lines = totalLines() +
+                      static_cast<u64>(geom_.rowsPerBank) * geom_.linesPerRow();
+    golden_.assign(lines * geom_.lineBytes, 0);
     Rng rng(seed);
-    for (auto &b : data_)
-        b = static_cast<u8>(rng.next());
-    golden_ = data_;
-
-    crc_.resize(totalLines());
-    for (u64 l = 0; l < totalLines(); ++l)
-        crc_[l] = Crc32::lineCrc(l, {linePtr(golden_, l), geom_.lineBytes});
-
+    const auto data_end =
+        golden_.begin() + static_cast<long>(totalLines() * geom_.lineBytes);
+    for (auto b = golden_.begin(); b != data_end; ++b)
+        *b = static_cast<u8>(rng.next());
     buildParity();
+
+    crc_.resize(lines);
+    for (u64 l = 0; l < lines; ++l)
+        crc_[l] = Crc32::lineCrc(l, {linePtr(golden_, l), geom_.lineBytes});
+    data_ = golden_;
 }
 
 u64
@@ -58,6 +159,19 @@ ParityEngine::parityIndex(RowId row, ColId col) const
                          col.value()};
 }
 
+u64
+ParityEngine::parityLine(RowId row, ColId col) const
+{
+    return totalLines() + parityIndex(row, col).value();
+}
+
+u64
+ParityEngine::storageLine(const CorruptLine &l) const
+{
+    return l.die == parityDie() ? parityLine(l.row, l.col)
+                                : lineIndex(l.die, l.bank, l.row, l.col);
+}
+
 u8 *
 ParityEngine::linePtr(std::vector<u8> &buf, u64 storage_line)
 {
@@ -70,37 +184,18 @@ ParityEngine::linePtr(const std::vector<u8> &buf, u64 storage_line) const
     return buf.data() + storage_line * geom_.lineBytes;
 }
 
-u32
-ParityEngine::computeCrc(u64 storage_line) const
-{
-    return Crc32::lineCrc(storage_line,
-                          {linePtr(data_, storage_line), geom_.lineBytes});
-}
-
 bool
 ParityEngine::lineCorrupt(u64 storage_line) const
 {
-    return computeCrc(storage_line) != crc_[storage_line];
-}
-
-bool
-ParityEngine::parityLineCorrupt(RowId row, ColId col) const
-{
-    const u64 idx = parityIndex(row, col).value();
-    // Parity lines get CRC addresses above the data line space so a
-    // misdirected read can never alias a data CRC.
-    const u32 crc = Crc32::lineCrc(totalLines() + idx,
-                                   {linePtr(parity1_, idx),
-                                    geom_.lineBytes});
-    return crc != parityCrc_[idx];
+    return Crc32::lineCrc(storage_line, {linePtr(data_, storage_line),
+                                         geom_.lineBytes}) !=
+           crc_[storage_line];
 }
 
 bool
 ParityEngine::isCorrupt(const CorruptLine &l) const
 {
-    if (l.die == parityDie())
-        return parityLineCorrupt(l.row, l.col);
-    return lineCorrupt(lineIndex(l.die, l.bank, l.row, l.col));
+    return lineCorrupt(storageLine(l));
 }
 
 void
@@ -125,7 +220,6 @@ ParityEngine::buildParity()
     const u32 banks = geom_.banksPerChannel;
     const u32 rows = geom_.rowsPerBank;
 
-    parity1_.assign(static_cast<u64>(rows) * cols * lb, 0);
     parity2_.assign(static_cast<u64>(dies_ + 1) * cols * lb, 0);
     parity3_.assign(static_cast<u64>(banks) * cols * lb, 0);
 
@@ -134,7 +228,8 @@ ParityEngine::buildParity()
     // exact bytes, so regrouping the old per-source loop is
     // byte-identical; tests pin the images).
 
-    // D1: a (row, col) slot folds all its (die, bank) lines.
+    // D1: a (row, col) slot folds all its (die, bank) lines into the
+    // (zeroed) parity store.
     for (u32 r = 0; r < rows; ++r)
         for (u32 c = 0; c < cols; ++c) {
             foldSrcs_.clear();
@@ -143,8 +238,7 @@ ParityEngine::buildParity()
                     foldSrcs_.push_back(linePtr(
                         golden_, lineIndex(DieId{d}, BankId{b}, RowId{r},
                                            ColId{c})));
-            xorFoldN(parity1_.data() +
-                         (static_cast<u64>(r) * cols + c) * lb,
+            xorFoldN(linePtr(golden_, parityLine(RowId{r}, ColId{c})),
                      foldSrcs_.data(), foldSrcs_.size(), lb);
         }
 
@@ -177,23 +271,13 @@ ParityEngine::buildParity()
                      foldSrcs_.data(), foldSrcs_.size(), lb);
         }
 
-    goldenParity1_ = parity1_;
-    parityCrc_.resize(static_cast<u64>(rows) * cols);
-    for (u32 r = 0; r < rows; ++r)
-        for (u32 c = 0; c < cols; ++c) {
-            const u64 idx = parityIndex(RowId{r}, ColId{c}).value();
-            parityCrc_[idx] =
-                Crc32::lineCrc(totalLines() + idx,
-                               {linePtr(goldenParity1_, idx), lb});
-        }
-
     // The parity unit participates in D2 (its own fold, die slot
     // dies_) and in the D3 group of bank position 0.
     for (u32 c = 0; c < cols; ++c) {
         foldSrcs_.clear();
         for (u32 r = 0; r < rows; ++r)
-            foldSrcs_.push_back(linePtr(
-                goldenParity1_, parityIndex(RowId{r}, ColId{c}).value()));
+            foldSrcs_.push_back(
+                linePtr(golden_, parityLine(RowId{r}, ColId{c})));
         xorFoldN(parity2_.data() +
                      (static_cast<u64>(dies_) * cols + c) * lb,
                  foldSrcs_.data(), foldSrcs_.size(), lb);
@@ -202,58 +286,107 @@ ParityEngine::buildParity()
     }
 }
 
+namespace {
+
+/** Call fn(v) for every v < n that `spec` matches. */
+template <class Fn>
+void
+forEachMatch(const DimSpec &spec, u32 n, Fn &&fn)
+{
+    if (spec.mask == 0xFFFFFFFFu) {
+        if (spec.value < n)
+            fn(spec.value);
+        return;
+    }
+    for (u32 v = 0; v < n; ++v)
+        if (spec.matches(v))
+            fn(v);
+}
+
+bool
+coversLine(const Fault &f, u32 d, u32 b, u32 r, u32 c)
+{
+    return f.channel.matches(d) && f.bank.matches(b) && f.row.matches(r) &&
+           f.col.matches(c);
+}
+
+} // namespace
+
 void
 ParityEngine::corrupt(const std::vector<Fault> &faults)
 {
     // Flip the *union* of covered bits: two faults overlapping on a bit
     // both corrupt it (physical faults do not cancel each other out).
-    const u32 cols = geom_.linesPerRow();
-    auto flipCovered = [&](u32 d, u32 b, u32 r, u32 c, u8 *ln) {
-        bool any = false;
-        for (const Fault &f : faults)
-            if (f.channel.matches(d) && f.bank.matches(b) &&
-                f.row.matches(r) && f.col.matches(c)) {
-                any = true;
-                break;
-            }
-        if (!any)
-            return;
-        for (u32 bit = 0; bit < geom_.bitsPerLine(); ++bit) {
-            bool covered = false;
-            for (const Fault &f : faults)
-                if (f.channel.matches(d) && f.bank.matches(b) &&
-                    f.row.matches(r) && f.col.matches(c) &&
-                    f.bit.matches(bit)) {
-                    covered = true;
-                    break;
+    // Each fault's line mask is built once; a line is visited from the
+    // first fault that flips any of its bits, ORs in the masks of the
+    // later faults covering it, and takes the union in one XOR.
+    const u32 lb = geom_.lineBytes;
+    faultMasks_.assign(faults.size() * lb, 0);
+    std::vector<u8> flips(faults.size(), 0);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+        u8 *mask = faultMasks_.data() + i * lb;
+        for (u32 bit = 0; bit < geom_.bitsPerLine(); ++bit)
+            if (faults[i].bit.matches(bit))
+                mask[bit / 8] |= static_cast<u8>(1u << (bit % 8));
+        flips[i] = std::any_of(mask, mask + lb, [](u8 v) { return v != 0; });
+    }
+
+    accScratch_.resize(lb);
+    auto flipLine = [&](std::size_t i, u32 d, u32 b, u32 r, u32 c) {
+        for (std::size_t j = 0; j < i; ++j)
+            if (flips[j] && coversLine(faults[j], d, b, r, c))
+                return; // flipped with the first fault covering it
+        const u8 *mask = faultMasks_.data() + i * lb;
+        for (std::size_t j = i + 1; j < faults.size(); ++j)
+            if (flips[j] && coversLine(faults[j], d, b, r, c)) {
+                if (mask != accScratch_.data()) {
+                    std::memcpy(accScratch_.data(), mask, lb);
+                    mask = accScratch_.data();
                 }
-            if (covered)
-                ln[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
-        }
+                for (u32 k = 0; k < lb; ++k)
+                    accScratch_[k] |= faultMasks_[j * lb + k];
+            }
+        // The parity store is addressed as die parityDie(), bank 0.
+        const CorruptLine at{DieId{d}, BankId{b}, RowId{r}, ColId{c}};
+        const u64 line = storageLine(at);
+        xorFold(linePtr(data_, line), mask, lb);
+        dirty_.push_back({line, at});
     };
 
-    for (u32 d = 0; d < dies_; ++d)
-        for (u32 b = 0; b < geom_.banksPerChannel; ++b)
-            for (u32 r = 0; r < geom_.rowsPerBank; ++r)
-                for (u32 c = 0; c < cols; ++c)
-                    flipCovered(d, b, r, c,
-                                linePtr(data_,
-                                        lineIndex(DieId{d}, BankId{b},
-                                                  RowId{r}, ColId{c})));
-
-    // The parity store is addressed as die parityDie(), bank 0.
-    for (u32 r = 0; r < geom_.rowsPerBank; ++r)
-        for (u32 c = 0; c < cols; ++c)
-            flipCovered(dies_, 0, r, c,
-                        linePtr(parity1_,
-                                parityIndex(RowId{r}, ColId{c}).value()));
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+        if (!flips[i])
+            continue;
+        const Fault &f = faults[i];
+        forEachMatch(f.channel, dies_ + 1, [&](u32 d) {
+            const u32 banks = d == dies_ ? 1 : geom_.banksPerChannel;
+            forEachMatch(f.bank, banks, [&](u32 b) {
+                forEachMatch(f.row, geom_.rowsPerBank, [&](u32 r) {
+                    forEachMatch(f.col, geom_.linesPerRow(), [&](u32 c) {
+                        flipLine(i, d, b, r, c);
+                    });
+                });
+            });
+        });
+    }
+    // One fault's lines come out in storage order; several faults, or
+    // a second corrupt() before restore(), need a sort and a merge.
+    auto byLine = [](const DirtyLine &x, const DirtyLine &y) {
+        return x.line < y.line;
+    };
+    if (!std::is_sorted(dirty_.begin(), dirty_.end(), byLine))
+        std::sort(dirty_.begin(), dirty_.end(), byLine);
+    dirty_.erase(std::unique(dirty_.begin(), dirty_.end(),
+                             [](const DirtyLine &x, const DirtyLine &y) {
+                                 return x.line == y.line;
+                             }),
+                 dirty_.end());
 }
 
 void
 ParityEngine::fixViaD1(DieId die, BankId bank, RowId row, ColId col)
 {
     const u32 lb = geom_.lineBytes;
-    const u64 pidx = parityIndex(row, col).value();
+    const u64 pline = parityLine(row, col);
     if (die == parityDie()) {
         // Rebuild the parity line itself from all data units.
         accScratch_.assign(lb, 0);
@@ -263,11 +396,10 @@ ParityEngine::fixViaD1(DieId die, BankId bank, RowId row, ColId col)
                 foldSrcs_.push_back(
                     linePtr(data_, lineIndex(DieId{d}, BankId{b}, row, col)));
         xorFoldN(accScratch_.data(), foldSrcs_.data(), foldSrcs_.size(), lb);
-        std::memcpy(linePtr(parity1_, pidx), accScratch_.data(), lb);
+        std::memcpy(linePtr(data_, pline), accScratch_.data(), lb);
         return;
     }
-    accScratch_.assign(parity1_.begin() + static_cast<long>(pidx * lb),
-                       parity1_.begin() + static_cast<long>((pidx + 1) * lb));
+    accScratch_.assign(linePtr(data_, pline), linePtr(data_, pline) + lb);
     foldSrcs_.clear();
     for (u32 d = 0; d < dies_; ++d)
         for (u32 b = 0; b < geom_.banksPerChannel; ++b) {
@@ -297,12 +429,11 @@ ParityEngine::fixViaD2(DieId die, BankId bank, RowId row, ColId col)
             const RowId rr{r};
             if (rr == row)
                 continue;
-            foldSrcs_.push_back(
-                linePtr(parity1_, parityIndex(rr, col).value()));
+            foldSrcs_.push_back(linePtr(data_, parityLine(rr, col)));
         }
         xorFoldN(accScratch_.data(), foldSrcs_.data(), foldSrcs_.size(), lb);
-        std::memcpy(linePtr(parity1_, parityIndex(row, col).value()),
-                    accScratch_.data(), lb);
+        std::memcpy(linePtr(data_, parityLine(row, col)), accScratch_.data(),
+                    lb);
         return;
     }
     for (u32 b = 0; b < geom_.banksPerChannel; ++b)
@@ -341,92 +472,33 @@ ParityEngine::fixViaD3(DieId die, BankId bank, RowId row, ColId col)
             const RowId rr{r};
             if (die == parityDie() && rr == row)
                 continue;
-            foldSrcs_.push_back(
-                linePtr(parity1_, parityIndex(rr, col).value()));
+            foldSrcs_.push_back(linePtr(data_, parityLine(rr, col)));
         }
     }
     xorFoldN(accScratch_.data(), foldSrcs_.data(), foldSrcs_.size(), lb);
-    u8 *dst = die == parityDie()
-                  ? linePtr(parity1_, parityIndex(row, col).value())
-                  : linePtr(data_, lineIndex(die, bank, row, col));
-    std::memcpy(dst, accScratch_.data(), lb);
+    std::memcpy(linePtr(data_, storageLine({die, bank, row, col})),
+                accScratch_.data(), lb);
 }
 
 u64
 ParityEngine::corruptLineCount() const
 {
-    u64 n = 0;
-    for (u64 l = 0; l < totalLines(); ++l)
-        if (lineCorrupt(l))
-            ++n;
-    for (u32 r = 0; r < geom_.rowsPerBank; ++r)
-        for (u32 c = 0; c < geom_.linesPerRow(); ++c)
-            if (parityLineCorrupt(RowId{r}, ColId{c}))
-                ++n;
-    return n;
+    return static_cast<u64>(
+        std::count_if(dirty_.begin(), dirty_.end(),
+                      [&](const DirtyLine &l) { return lineCorrupt(l.line); }));
 }
 
-std::vector<ParityEngine::CorruptLine>
+ParityEngine::Peel
 ParityEngine::collectCorrupt() const
 {
-    const u32 cols = geom_.linesPerRow();
-    std::vector<CorruptLine> corrupt;
-    for (u32 d = 0; d < dies_; ++d)
-        for (u32 b = 0; b < geom_.banksPerChannel; ++b)
-            for (u32 r = 0; r < geom_.rowsPerBank; ++r)
-                for (u32 c = 0; c < cols; ++c) {
-                    const CorruptLine l{DieId{d}, BankId{b}, RowId{r},
-                                        ColId{c}};
-                    if (lineCorrupt(lineIndex(l.die, l.bank, l.row,
-                                              l.col)))
-                        corrupt.push_back(l);
-                }
-    for (u32 r = 0; r < geom_.rowsPerBank; ++r)
-        for (u32 c = 0; c < cols; ++c)
-            if (parityLineCorrupt(RowId{r}, ColId{c}))
-                corrupt.push_back(
-                    {parityDie(), BankId{0}, RowId{r}, ColId{c}});
-    return corrupt;
-}
-
-u32
-ParityEngine::peelDim(const CorruptLine &L,
-                      const std::vector<CorruptLine> &corrupt,
-                      u32 dims) const
-{
-    // D1: only unknown (die, bank) unit in its (row, col) group? The
-    // parity unit (die dies_, bank 0) is one more group member.
-    u32 units = 0;
-    for (const auto &o : corrupt)
-        if (o.row == L.row && o.col == L.col &&
-            !(o.die == L.die && o.bank == L.bank))
-            ++units;
-    if (units == 0)
-        return 1;
-
-    if (dims >= 2) {
-        // D2: only unknown (bank, row) slice of its die at col?
-        u32 slices = 0;
-        for (const auto &o : corrupt)
-            if (o.die == L.die && o.col == L.col &&
-                !(o.bank == L.bank && o.row == L.row))
-                ++slices;
-        if (slices == 0)
-            return 2;
-    }
-
-    if (dims >= 3) {
-        // D3: only unknown (die, row) slice of its bank position at
-        // col? Bank position 0 includes the parity unit.
-        u32 s3 = 0;
-        for (const auto &o : corrupt)
-            if (o.bank == L.bank && o.col == L.col &&
-                !(o.die == L.die && o.row == L.row))
-                ++s3;
-        if (s3 == 0)
-            return 3;
-    }
-    return 0;
+    // A line corrupt() never flipped equals golden, so its CRC matches
+    // by construction: only the dirty lines need a CRC.
+    Peel peel(geom_, dies_);
+    peel.reserve(dirty_.size());
+    for (const DirtyLine &l : dirty_)
+        if (lineCorrupt(l.line))
+            peel.add(l.at);
+    return peel;
 }
 
 void
@@ -475,42 +547,38 @@ ParityEngine::groupReadCost(const CorruptLine &L, u32 dim) const
 bool
 ParityEngine::reconstruct(u32 dims)
 {
-    std::vector<CorruptLine> corrupt = collectCorrupt();
-
-    bool progress = true;
-    while (progress && !corrupt.empty()) {
-        progress = false;
-        for (std::size_t i = 0; i < corrupt.size(); ++i) {
-            const u32 dim = peelDim(corrupt[i], corrupt, dims);
-            if (dim == 0)
-                continue;
-            fixLine(corrupt[i], dim);
-            corrupt.erase(corrupt.begin() + static_cast<long>(i));
-            progress = true;
-            break;
-        }
+    // Fix the first peelable line in scan order, then rescan: the
+    // order every fix is made in stays that of a restarting scan.
+    Peel peel = collectCorrupt();
+    for (std::size_t i = peel.firstPeelable(dims); i < peel.size();
+         i = peel.firstPeelable(dims)) {
+        fixLine(peel[i], peel.peelDim(i, dims));
+        peel.remove(i);
     }
-
-    return corrupt.empty() && data_ == golden_ &&
-           parity1_ == goldenParity1_;
+    if (peel.left() != 0)
+        return false;
+    return std::all_of(dirty_.begin(), dirty_.end(), [&](const DirtyLine &l) {
+        return std::memcmp(linePtr(data_, l.line), linePtr(golden_, l.line),
+                           geom_.lineBytes) == 0;
+    });
 }
 
 bool
 ParityEngine::peelable(u32 dims) const
 {
-    std::vector<CorruptLine> corrupt = collectCorrupt();
+    // Peeling only ever unblocks groups, so the verdict does not depend
+    // on the order lines are peeled in: sweep without restarting.
+    Peel peel = collectCorrupt();
     bool progress = true;
-    while (progress && !corrupt.empty()) {
+    while (progress && peel.left() != 0) {
         progress = false;
-        for (std::size_t i = 0; i < corrupt.size(); ++i) {
-            if (peelDim(corrupt[i], corrupt, dims) == 0)
-                continue;
-            corrupt.erase(corrupt.begin() + static_cast<long>(i));
-            progress = true;
-            break;
-        }
+        for (std::size_t i = 0; i < peel.size(); ++i)
+            if (peel.live(i) && peel.peelDim(i, dims) != 0) {
+                peel.remove(i);
+                progress = true;
+            }
     }
-    return corrupt.empty();
+    return peel.left() == 0;
 }
 
 bool
@@ -526,15 +594,15 @@ ParityEngine::lineMatchesGolden(DieId die, BankId bank, RowId row,
                                 ColId col) const
 {
     checkCoord(die, bank, row, col);
-    const u32 lb = geom_.lineBytes;
-    if (die == parityDie()) {
-        const u64 idx = parityIndex(row, col).value();
-        return std::memcmp(linePtr(parity1_, idx),
-                           linePtr(goldenParity1_, idx), lb) == 0;
-    }
-    const u64 idx = lineIndex(die, bank, row, col);
-    return std::memcmp(linePtr(data_, idx), linePtr(golden_, idx), lb) ==
-           0;
+    const u64 line = storageLine({die, bank, row, col});
+    return std::memcmp(linePtr(data_, line), linePtr(golden_, line),
+                       geom_.lineBytes) == 0;
+}
+
+u64
+ParityEngine::imageDigest() const
+{
+    return fnv1a(data_);
 }
 
 ParityEngine::DemandFix
@@ -549,53 +617,37 @@ ParityEngine::correctLine(DieId die, BankId bank, RowId row, ColId col,
         return fix;
     }
 
-    std::vector<CorruptLine> corrupt = collectCorrupt();
-    auto targetPending = [&] {
-        return std::find(corrupt.begin(), corrupt.end(), target) !=
-               corrupt.end();
-    };
-
-    bool progress = true;
-    while (progress && targetPending()) {
-        progress = false;
-        // Prefer solving the target directly; otherwise peel any
+    Peel peel = collectCorrupt();
+    const std::size_t t = peel.find(target);
+    if (t == peel.size())
+        panic("ParityEngine: corrupt line outside the dirty set");
+    while (peel.live(t)) {
+        // Prefer solving the target directly; otherwise peel the first
         // solvable dependency and retry.
-        std::size_t pick = corrupt.size();
-        u32 pick_dim = 0;
-        for (std::size_t i = 0; i < corrupt.size(); ++i) {
-            const u32 dim = peelDim(corrupt[i], corrupt, dims);
-            if (dim == 0)
-                continue;
-            if (corrupt[i] == target) {
-                pick = i;
-                pick_dim = dim;
-                break;
-            }
-            if (pick == corrupt.size()) {
-                pick = i;
-                pick_dim = dim;
-            }
-        }
-        if (pick == corrupt.size())
+        std::size_t pick = peel.peelDim(t, dims) != 0 ? t
+                                                  : peel.firstPeelable(dims);
+        if (pick == peel.size())
             break;
-        fixLine(corrupt[pick], pick_dim);
-        fix.groupReads += groupReadCost(corrupt[pick], pick_dim);
+        const u32 dim = peel.peelDim(pick, dims);
+        fixLine(peel[pick], dim);
+        fix.groupReads += groupReadCost(peel[pick], dim);
         ++fix.linesFixed;
-        if (corrupt[pick] == target)
-            fix.dimUsed = pick_dim;
-        corrupt.erase(corrupt.begin() + static_cast<long>(pick));
-        progress = true;
+        if (pick == t)
+            fix.dimUsed = dim;
+        peel.remove(pick);
     }
 
-    fix.corrected = !targetPending();
+    fix.corrected = !peel.live(t);
     return fix;
 }
 
 void
 ParityEngine::restore()
 {
-    data_ = golden_;
-    parity1_ = goldenParity1_;
+    for (const DirtyLine &l : dirty_)
+        std::memcpy(linePtr(data_, l.line), linePtr(golden_, l.line),
+                    geom_.lineBytes);
+    dirty_.clear();
 }
 
 } // namespace citadel

@@ -43,9 +43,10 @@ class ParityEngine
     ParityEngine(const StackGeometry &geom, u64 seed = 42);
 
     /**
-     * Flip every bit covered by each fault (stack coordinate 0).
-     * Faults whose channel matches parityDie() (with bank 0) corrupt
-     * the D1 parity store instead of data.
+     * Flip every bit covered by each fault (stack coordinate 0); a bit
+     * covered by several faults flips once. Faults whose channel
+     * matches parityDie() (with bank 0) corrupt the D1 parity store
+     * instead of data. Costs O(lines covered x faults).
      */
     void corrupt(const std::vector<Fault> &faults);
 
@@ -70,7 +71,8 @@ class ParityEngine
     /** Total data lines in the modeled stack (excludes parity store). */
     u64 totalLines() const;
 
-    /** Restore the pristine image (for reuse across test cases). */
+    /** Restore the pristine image, copying back only the lines
+     *  corrupt() flipped. */
     void restore();
 
     /** Die index addressing the D1 parity unit in this model. */
@@ -82,6 +84,10 @@ class ParityEngine
     /** Byte-exact comparison against the golden image. */
     bool lineMatchesGolden(DieId die, BankId bank, RowId row,
                            ColId col) const;
+
+    /** FNV-1a digest of the live byte image: data lines, then the D1
+     *  parity store. Tests pin it. */
+    u64 imageDigest() const;
 
     /** Outcome of a demand-time single-line correction. */
     struct DemandFix
@@ -112,18 +118,28 @@ class ParityEngine
         bool operator==(const CorruptLine &) const = default;
     };
 
+    class Peel;
+
     StackGeometry geom_;
     u32 dies_;
 
+    // Storage lines: the data lines by lineIndex(), then the live D1
+    // parity store (one more (die, bank) unit, faultable) by
+    // parityLine(). A storage line's ordinal is also its CRC address,
+    // which keeps parity CRCs from aliasing data CRCs.
     std::vector<u8> data_;
     std::vector<u8> golden_;
-    std::vector<u32> crc_; ///< Golden CRC-32 per data line.
+    std::vector<u32> crc_; ///< Golden CRC-32 per storage line.
 
-    // Live D1 parity store (one more (die, bank) unit, faultable),
-    // with its golden copy and per-line CRCs.
-    std::vector<u8> parity1_;
-    std::vector<u8> goldenParity1_;
-    std::vector<u32> parityCrc_;
+    // Storage lines corrupt() flipped since the last restore(), sorted
+    // by storage line, each once. Every other line equals golden, so
+    // restore() and CRC detection visit only these.
+    struct DirtyLine
+    {
+        u64 line;
+        CorruptLine at;
+    };
+    std::vector<DirtyLine> dirty_;
 
     // SRAM parity (Section VI-B), modeled fault-free. parity2_ has one
     // extra segment (index dies_) folding the parity store's rows;
@@ -132,29 +148,25 @@ class ParityEngine
     std::vector<u8> parity2_; ///< [die][col][byte] folding all rows.
     std::vector<u8> parity3_; ///< [bank][col][byte] folding dies+rows.
 
-    /** Storage offset (engine-local line ordinal) of a data line. */
+    /** Storage line of a data line. */
     u64 lineIndex(DieId die, BankId bank, RowId row, ColId col) const;
     /** D1 parity group of a (row, col) slot; doubles as the ordinal of
      *  the group's line in the parity store. */
     ParityGroupId parityIndex(RowId row, ColId col) const;
+    /** Storage line of the D1 parity line of a (row, col) slot. */
+    u64 parityLine(RowId row, ColId col) const;
+    u64 storageLine(const CorruptLine &l) const;
     u8 *linePtr(std::vector<u8> &buf, u64 storage_line);
     const u8 *linePtr(const std::vector<u8> &buf, u64 storage_line) const;
 
-    u32 computeCrc(u64 storage_line) const;
     bool lineCorrupt(u64 storage_line) const;
-    bool parityLineCorrupt(RowId row, ColId col) const;
     bool isCorrupt(const CorruptLine &l) const;
     void checkCoord(DieId die, BankId bank, RowId row, ColId col) const;
 
     void buildParity();
-    std::vector<CorruptLine> collectCorrupt() const;
+    /** CRC-detected corrupt lines, in storage-line order. */
+    Peel collectCorrupt() const;
 
-    /**
-     * Lowest parity dimension (<= dims) able to rebuild `l` given the
-     * other corrupt lines; 0 when none can.
-     */
-    u32 peelDim(const CorruptLine &l,
-                const std::vector<CorruptLine> &corrupt, u32 dims) const;
     void fixLine(const CorruptLine &l, u32 dim);
     u32 groupReadCost(const CorruptLine &l, u32 dim) const;
 
@@ -170,6 +182,8 @@ class ParityEngine
     // largest parity group.
     std::vector<const u8 *> foldSrcs_;
     std::vector<u8> accScratch_;
+    /** corrupt() scratch: one line bit mask per fault. */
+    std::vector<u8> faultMasks_;
 };
 
 } // namespace citadel

@@ -307,11 +307,16 @@ LiveRasDatapath::logEvent(RasEvent ev)
     log_.append(std::move(ev));
 }
 
+bool
+LiveRasDatapath::onOneStack(const Fault &f) const
+{
+    return f.stack.mask == 0xFFFFFFFFu && f.stack.value < cfg_.geom.stacks;
+}
+
 void
 LiveRasDatapath::scheduleFault(const Fault &fault, u64 cycle)
 {
-    if (fault.stack.mask != 0xFFFFFFFFu ||
-        fault.stack.value >= cfg_.geom.stacks)
+    if (!onOneStack(fault))
         fatal("scheduleFault: fault must name one existing stack (%s)",
               fault.describe().c_str());
     pending_.emplace(cycle, fault);
@@ -794,12 +799,12 @@ void
 LiveRasDatapath::rebuildEngines()
 {
     for (u32 s = 0; s < cfg_.geom.stacks; ++s) {
-        std::vector<Fault> local;
+        stackFaults_.clear();
         for (const Fault &f : active_)
             if (f.stack.matches(s))
-                local.push_back(f);
+                stackFaults_.push_back(f);
         engines_[s]->restore();
-        engines_[s]->corrupt(local);
+        engines_[s]->corrupt(stackFaults_);
     }
 }
 
@@ -1068,16 +1073,27 @@ LiveRasDatapath::loadState(ByteSource &src)
     if (src.getU32() != kCheckpointVersion)
         fatal("LiveRasDatapath: unsupported checkpoint version");
 
+    // Every stored fault must pass scheduleFault()'s rule: the stack
+    // tables are indexed by its stack coordinate.
+    auto loadFault = [&](const char *field) {
+        const Fault f = getFault(src);
+        if (!onOneStack(f))
+            fatal("LiveRasDatapath: checkpoint %s fault must name one "
+                  "existing stack (%s)",
+                  field, f.describe().c_str());
+        return f;
+    };
+
     active_.clear();
     u64 n = src.getCount(kFaultBytes);
     for (u64 i = 0; i < n; ++i)
-        active_.push_back(getFault(src));
+        active_.push_back(loadFault("active"));
 
     pending_.clear();
     n = src.getCount(8 + kFaultBytes);
     for (u64 i = 0; i < n; ++i) {
         const u64 cyc = src.getU64();
-        pending_.emplace(cyc, getFault(src));
+        pending_.emplace(cyc, loadFault("pending"));
     }
 
     pendingMeta_.clear();
@@ -1108,7 +1124,7 @@ LiveRasDatapath::loadState(ByteSource &src)
     n = src.getCount(8 + kFaultBytes);
     for (u64 i = 0; i < n; ++i) {
         const u64 k = src.getU64();
-        rrtSpared_.emplace(k, getFault(src));
+        rrtSpared_.emplace(k, loadFault("rrtSpared"));
     }
     brtSpared_.clear();
     n = src.getCount(8 + 4 + 8); // key + unit + inner count at minimum
@@ -1118,7 +1134,7 @@ LiveRasDatapath::loadState(ByteSource &src)
         st.unit = src.getU32();
         const u64 m = src.getCount(kFaultBytes);
         for (u64 j = 0; j < m; ++j)
-            st.faults.push_back(getFault(src));
+            st.faults.push_back(loadFault("brtSpared"));
         brtSpared_.emplace(k, std::move(st));
     }
     absorbedTsv_.clear();
@@ -1128,7 +1144,7 @@ LiveRasDatapath::loadState(ByteSource &src)
         const u64 m = src.getCount(kFaultBytes);
         std::vector<Fault> faults;
         for (u64 j = 0; j < m; ++j)
-            faults.push_back(getFault(src));
+            faults.push_back(loadFault("absorbedTsv"));
         absorbedTsv_.emplace(k, std::move(faults));
     }
 

@@ -175,6 +175,7 @@ class LiveRasDatapath final : public RasHook
 
     // One bit-true model per stack (the engine is single-stack).
     std::vector<std::unique_ptr<ParityEngine>> engines_;
+    std::vector<Fault> stackFaults_; ///< rebuildEngines() scratch.
 
     // Analytic counterpart for differential validation.
     SystemConfig sysCfg_;
@@ -210,6 +211,8 @@ class LiveRasDatapath final : public RasHook
     RasLog log_;
 
     UnitId unitId(ChannelId channel, BankId bank) const;
+    /** Does the fault name exactly one existing stack? */
+    bool onOneStack(const Fault &f) const;
     bool coordRemapped(const LineCoord &c) const;
     bool inSparedBank(const Fault &f) const;
     void materialize(const Fault &f, u64 cycle);

@@ -11,6 +11,7 @@
 
 #include "citadel/citadel.h"
 #include "fault_builders.h"
+#include "common/serialize.h"
 #include "ras/live_datapath.h"
 #include "sim/system_sim.h"
 
@@ -290,6 +291,40 @@ TEST_F(LiveRasTest, RejectsWildStackFault)
     Fault f = rowFault(0, 0, 0, 1);
     f.stack = DimSpec::wild();
     EXPECT_DEATH(dp.scheduleFault(f, 0), "stack");
+}
+
+TEST_F(LiveRasTest, LoadStateRejectsFaultOnMissingStack)
+{
+    // A saved pending bank fault whose stack coordinate is patched to a
+    // stack that does not exist must be refused by loadState, not
+    // indexed into the per-stack tables when it materializes.
+    LiveRasDatapath dp(cfg_);
+    dp.scheduleFault(bankFault(0, 1, 1), 100);
+    ByteSink sink;
+    dp.saveState(sink);
+    std::vector<u8> bytes = sink.bytes();
+
+    // Magic, version, active count (0), pending count (1), the fault's
+    // cycle, then its stack (value, mask), little-endian.
+    constexpr std::size_t kStackValue = 4 + 4 + 8 + 8 + 8;
+    ASSERT_GT(bytes.size(), kStackValue + 8);
+    for (std::size_t i = 0; i < 4; ++i) {
+        ASSERT_EQ(bytes[kStackValue + i], 0u);
+        ASSERT_EQ(bytes[kStackValue + 4 + i], 0xFFu);
+    }
+    {
+        LiveRasDatapath intact(cfg_);
+        ByteSource src(bytes);
+        intact.loadState(src);
+        EXPECT_EQ(intact.stateFingerprint(), dp.stateFingerprint());
+    }
+
+    const u32 missing = 1'000'000;
+    for (std::size_t i = 0; i < 4; ++i)
+        bytes[kStackValue + i] = static_cast<u8>(missing >> (8 * i));
+    LiveRasDatapath other(cfg_);
+    ByteSource src(bytes);
+    EXPECT_DEATH(other.loadState(src), "checkpoint pending fault");
 }
 
 // ---------------------------------------------------------------------
