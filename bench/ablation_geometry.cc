@@ -45,14 +45,9 @@ main()
             makeSymbolBaseline(StripingMode::AcrossChannels, true);
         const McResult rc = mc.run(*cit, n, 97);
         const McResult rs = mc.run(*ssc, n, 97);
-        const double pc = rc.probFail().estimate;
-        const double ps = rs.probFail().estimate;
         t.addRow({o.name, probCell(rc.probFail()),
                   probCell(rs.probFail()),
-                  pc > 0.0 ? factorCell(ps, pc)
-                           : ">" + Table::num(
-                                       ps / rc.probFail().hi95, 1) +
-                                 "x"});
+                  ratioCell(rs.probFail(), rc.probFail())});
     }
     t.print(std::cout);
 

@@ -40,13 +40,26 @@ probCell(const Proportion &p)
     return Table::prob(p.estimate);
 }
 
-/** Improvement factor a/b with divide-by-zero care. */
+/**
+ * How many times more often `base` fails than `better`, with the log
+ * 95% interval of that ratio: "1101.1x [918.5x, 1319.9x]". With no
+ * failures on one side there is no interval, and the cell states the
+ * one-sided bound that side's Wilson hi95 allows, labelled as a bound.
+ */
 inline std::string
-factorCell(double base, double better)
+ratioCell(const Proportion &base, const Proportion &better)
 {
-    if (better <= 0.0)
-        return ">" + Table::num(base > 0 ? base / 1e-9 : 0.0, 0);
-    return Table::num(base / better, 1) + "x";
+    auto times = [](double v) { return Table::num(v, 1) + "x"; };
+    if (const auto r = ratioInterval(base, better))
+        return times(r->ratio) + " [" + times(r->lo95) + ", " +
+               times(r->hi95) + "]";
+    if (base.successes == 0 && better.successes == 0)
+        return "n/a (no failures on either side)";
+    if (better.successes == 0)
+        return ">" + times(base.estimate / better.hi95) +
+               " (bound: 0 failures, Wilson hi95)";
+    return "<" + times(base.hi95 / better.estimate) +
+           " (bound: 0 baseline failures, Wilson hi95)";
 }
 
 /** One timing run of `profile` under (mode, ras), starting from the

@@ -58,14 +58,13 @@ main()
                   probCell(rs.probFailByYear(y))});
     t.print(std::cout);
 
-    const double p1 = r1.probFail().estimate;
-    const double p2 = r2.probFail().estimate;
-    const double p3 = r3.probFail().estimate;
-    const double ps = rs.probFail().estimate;
     std::cout << "\nAt year 7:  1DP->2DP improvement "
-              << factorCell(p1, p2) << " (paper ~100x),  2DP->3DP "
-              << factorCell(p2, p3) << ",\n  3DP vs striped symbol "
-              << factorCell(ps, p3) << " (paper ~7x; strict "
+              << ratioCell(r1.probFail(), r2.probFail())
+              << " (paper ~100x),\n  2DP->3DP "
+              << ratioCell(r2.probFail(), r3.probFail())
+              << ",\n  3DP vs striped symbol "
+              << ratioCell(rs.probFail(), r3.probFail())
+              << " (paper ~7x; strict "
               << "accumulation floors all parity schemes --\n  see the "
               << "repair-on-correction column and EXPERIMENTS.md).\n";
     return 0;

@@ -41,10 +41,6 @@ main()
                   probCell(rs.probFailByYear(y))});
     t.print(std::cout);
 
-    const double pf = rf.probFail().estimate;
-    const double ps = rs.probFail().estimate;
-    const double pf_bound =
-        pf > 0.0 ? pf : rf.probFail().hi95; // conservative when 0 fails
     printBanner(std::cout, "Failure attribution (class of the fault "
                            "completing the fatal pattern)");
     Table a({"scheme", "attribution"});
@@ -61,8 +57,7 @@ main()
     a.print(std::cout);
 
     std::cout << "\nAt year 7: Citadel vs striped symbol code = "
-              << (pf > 0.0 ? factorCell(ps, pf)
-                           : ">" + Table::num(ps / pf_bound, 1) + "x")
+              << ratioCell(rs.probFail(), rf.probFail())
               << "  (paper: ~700x)\n"
               << "Citadel failures: " << rf.failures << "/" << n
               << ", symbol-code failures: " << rs.failures << "/" << n

@@ -40,14 +40,10 @@ main()
                   probCell(rc.probFailByYear(y))});
     t.print(std::cout);
 
-    const double pb = rb.probFail().estimate;
-    const double pr = rr.probFail().estimate;
-    const double pc = rc.probFail().estimate;
-    const double pc_bound = pc > 0.0 ? pc : rc.probFail().hi95;
-    std::cout << "\nAt year 7: RAID-5 over 6EC7ED = " << factorCell(pb, pr)
-              << " (paper ~89x);  Citadel over RAID-5 = "
-              << (pc > 0.0 ? factorCell(pr, pc)
-                           : ">" + Table::num(pr / pc_bound, 1) + "x")
+    std::cout << "\nAt year 7: RAID-5 over 6EC7ED = "
+              << ratioCell(rb.probFail(), rr.probFail())
+              << " (paper ~89x);\n  Citadel over RAID-5 = "
+              << ratioCell(rr.probFail(), rc.probFail())
               << " (paper ~1000x)\n";
     return 0;
 }

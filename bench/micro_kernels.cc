@@ -8,6 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "citadel/citadel.h"
 #include "citadel/parity_engine.h"
 #include "common/kernels.h"
@@ -179,6 +181,30 @@ BM_SampleLifetime(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SampleLifetime);
+
+void
+BM_SampleLifetimeLanes(benchmark::State &state)
+{
+    SystemConfig cfg;
+    cfg.tsvDeviceFit = 1430.0;
+    FaultInjector inj(cfg);
+    // As MonteCarlo::runRange: four counter-derived Rngs per call to
+    // the lane sampler and four reused fault vectors.
+    std::array<std::vector<Fault>, FaultInjector::kLanes> events;
+    u64 t = 0;
+    for (auto _ : state) {
+        std::array<Rng, FaultInjector::kLanes> rngs{
+            Rng(mix64(t + 1)), Rng(mix64(t + 2)), Rng(mix64(t + 3)),
+            Rng(mix64(t + 4))};
+        t += FaultInjector::kLanes;
+        inj.sampleLifetime(rngs, events);
+        benchmark::DoNotOptimize(events.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * FaultInjector::kLanes);
+    state.SetLabel(zeroScanOps().path);
+}
+BENCHMARK(BM_SampleLifetimeLanes);
 
 void
 BM_MonteCarloTrialCitadel(benchmark::State &state)

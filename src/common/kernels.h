@@ -1,11 +1,12 @@
 /**
  * @file
  * Runtime kernel dispatch (DESIGN.md section 14). The three byte-level
- * hot kernels (xorFold, xorFoldN, CRC-32 bulk update) each have a
- * scalar proof implementation and one or more wide implementations
- * (GCC/Clang vector extensions, PCLMULQDQ, ARMv8 CRC). Every variant
- * is value-pure over the same bytes — a pure function of its input
- * buffer — so which one runs can never change a seeded result; the
+ * hot kernels (xorFold, xorFoldN, CRC-32 bulk update) and the Monte
+ * Carlo sampler's zero-cell scan each have a scalar proof
+ * implementation and one or more wide implementations (GCC/Clang
+ * vector extensions, PCLMULQDQ, ARMv8 CRC). Every variant is
+ * value-pure — a pure function of its input buffer or generator
+ * states — so which one runs can never change a seeded result; the
  * dispatch layer here only picks the fastest available one.
  *
  * Selection happens once at startup from the CITADEL_KERNEL env knob
@@ -21,6 +22,7 @@
 
 #include <cstddef>
 
+#include "common/rng.h"
 #include "common/types.h"
 
 namespace citadel {
@@ -29,8 +31,12 @@ namespace citadel {
 enum class KernelMode
 {
     Scalar, ///< Force the scalar proof baselines (u64 xorFold, slice8 CRC).
-    Vector, ///< Force the wide paths (vector xorFold; hw CRC if present).
-    Auto,   ///< Best available: vector xorFold, hw CRC when the CPU has it.
+    /// Force the portable vector-extension bodies (xorFold, xorFoldN,
+    /// zero-cell scan) without their AVX2 recompiles; hw CRC if present.
+    Vector,
+    /// Best available: the AVX2 recompiles of the vector bodies and hw
+    /// CRC when the CPU has them.
+    Auto,
 };
 
 /** Display name: the mode's CITADEL_KERNEL spelling ("scalar" /
@@ -70,11 +76,92 @@ struct XorKernelOps
 {
     XorFoldFn fold;
     XorFoldNFn foldN;
-    const char *path; ///< "scalar-u64" or "vector32", for bench reporting.
+    /// "scalar-u64", "vector32" or "vector32-avx2", for bench reporting.
+    const char *path;
 };
 
 /** Active XOR kernels; revalidated against kernelModeEpoch() per call. */
 const XorKernelOps &xorKernelOps();
+
+/** The largest zeroMax of a cell that draws: unitThreshold(1.0). */
+constexpr u64 kZeroMaxLimit = u64{1} << 53;
+
+/** zeroMax of a cell that takes no draw and never hits: a Poisson
+ *  count of mean 0, which Rng::poisson returns without drawing. */
+constexpr u64 kZeroScanSkip = ~u64{0};
+
+/** zeroMax of a cell that takes no draw and hits in every lane: a
+ *  cell with no first-uniform zero test (Rng::poisson's normal path,
+ *  lambda >= 30). */
+constexpr u64 kZeroScanHitAll = ~u64{0} - 1;
+
+/** Where a zero-cell scan stopped. */
+struct ZeroScanHit
+{
+    u32 lanes = 0; ///< Bit i set: lane i hit.
+    /** Each lane's raw draw at that cell; unset for a cell that takes
+     *  no draw. */
+    u64 draws[RngLanes::kLanes] = {};
+};
+
+/**
+ * The zero-cell scan: walk cells [0, n) in order, each lane drawing
+ * one Rng::next() per cell whose zeroMax is <= kZeroMaxLimit (and none
+ * for the two sentinels). A lane hits a cell when its draw's 53 high
+ * bits exceed zeroMax, i.e. unit(draw) > exp(-lambda) when zeroMax =
+ * Rng::unitThreshold(exp(-lambda)): its Poisson count is not zero.
+ * Returns the first cell at which any lane hits, with `hit` filled
+ * and every lane advanced exactly through that cell's draw; returns n
+ * when no lane hits, with every lane advanced through all n cells.
+ *
+ * This body is the scalar proof, one Rng::next per lane per cell; L =
+ * 1 is the sampler's one-generator path, L = 4 the proof of the
+ * dispatched 4-lane scan.
+ */
+template <unsigned L>
+[[gnu::always_inline]] inline u32
+zeroScanRng(Rng *rngs, const u64 *zeroMax, u32 n, ZeroScanHit &hit)
+{
+    for (u32 i = 0; i < n; ++i) {
+        const u64 zm = zeroMax[i];
+        if (zm > kZeroMaxLimit) [[unlikely]] {
+            if (zm == kZeroScanSkip)
+                continue;
+            hit.lanes = (1u << L) - 1;
+            return i;
+        }
+        u32 lanes = 0;
+        u64 draws[L];
+        for (unsigned l = 0; l < L; ++l) {
+            draws[l] = rngs[l].next();
+            lanes |= static_cast<u32>((draws[l] >> 11) > zm) << l;
+        }
+        if (lanes != 0) [[unlikely]] {
+            hit.lanes = lanes;
+            for (unsigned l = 0; l < L; ++l)
+                hit.draws[l] = draws[l];
+            return i;
+        }
+    }
+    return n;
+}
+
+/** The dispatched 4-lane zero-cell scan over RngLanes; same contract
+ *  and the same result as zeroScanRng<4> over the lanes' Rngs. */
+using ZeroScanFn = u32 (*)(RngLanes &lanes, const u64 *zeroMax, u32 n,
+                           ZeroScanHit &hit);
+
+/** Resolved zero-cell scan for the active mode. */
+struct ZeroScanOps
+{
+    ZeroScanFn scan;
+    /// "scalar-rng", "vector4x64" or "vector4x64-avx2", for reporting.
+    const char *path;
+};
+
+/** Active zero-cell scan; revalidated against kernelModeEpoch() per
+ *  call. */
+const ZeroScanOps &zeroScanOps();
 
 } // namespace citadel
 

@@ -114,8 +114,9 @@ inline constexpr KnobSpec kKnobs[] = {
         "soak and fleet campaign master seed"),
     choiceKnob(Knob::Kernel, "CITADEL_KERNEL", "auto",
         {"scalar", "vector", "auto"},
-        "hot-kernel dispatch: scalar proofs, wide paths, or the best "
-        "the CPU has; all bit-identical"),
+        "hot-kernel dispatch: scalar proofs, portable vector bodies, "
+        "or the best the CPU has (AVX2 recompiles, hw CRC); all "
+        "bit-identical"),
     unsignedKnob(Knob::FleetServers, "CITADEL_FLEET_SERVERS", 8, 2, 64,
         "stack servers"),
     unsignedKnob(Knob::FleetTicks, "CITADEL_FLEET_TICKS", 2048, 64,

@@ -86,19 +86,6 @@ Rng::poisson(double lambda)
     return v <= 0.0 ? 0 : static_cast<u64>(v);
 }
 
-std::array<u64, 4>
-Rng::saveState() const
-{
-    return {s_[0], s_[1], s_[2], s_[3]};
-}
-
-void
-Rng::restoreState(const std::array<u64, 4> &state)
-{
-    for (std::size_t i = 0; i < 4; ++i)
-        s_[i] = state[i];
-}
-
 ZipfCdf::ZipfCdf(u64 n, double theta) : n_(n), theta_(theta)
 {
     if (n == 0)

@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -39,6 +40,32 @@ mix64(u64 x)
 }
 
 /**
+ * One xoshiro256** step over state words s0..s3, writing the output
+ * rotl(s1 * 5, 7) * 9 to `out`. `W` is u64 for one generator, or a
+ * GCC/Clang vector of u64 lanes for several generators stepped
+ * together (the zero-cell scan, common/kernels.h): each lane is an
+ * independent generator, since every operation is lane-wise. The
+ * multiplies are written as shift-adds, which are the same values mod
+ * 2^64 and need no 64-bit lane multiply. Every W is passed by
+ * reference, so no vector value crosses a call boundary.
+ */
+template <typename W>
+[[gnu::always_inline]] inline void
+xoshiroStep(W &s0, W &s1, W &s2, W &s3, W &out)
+{
+    const W x5 = (s1 << 2) + s1;
+    const W r = (x5 << 7) | (x5 >> 57);
+    out = (r << 3) + r;
+    const W t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = (s3 << 45) | (s3 >> 19);
+}
+
+/**
  * xoshiro256** generator (Blackman & Vigna). Seeded through splitmix64 so
  * that any 64-bit seed, including 0, produces a well-mixed state.
  */
@@ -52,24 +79,34 @@ class Rng
     u64
     next()
     {
-        const u64 result = rotl(s_[1] * 5, 7) * 9;
-        const u64 t = s_[1] << 17;
-        s_[2] ^= s_[0];
-        s_[3] ^= s_[1];
-        s_[1] ^= s_[2];
-        s_[0] ^= s_[3];
-        s_[2] ^= t;
-        s_[3] = rotl(s_[3], 45);
-        return result;
+        u64 out;
+        xoshiroStep(s_[0], s_[1], s_[2], s_[3], out);
+        return out;
+    }
+
+    /** The uniform in [0, 1) a raw draw maps to: its 53 high bits,
+     *  which a double holds exactly. */
+    static double
+    unit(u64 bits)
+    {
+        return static_cast<double>(bits >> 11) * 0x1.0p-53;
+    }
+
+    /**
+     * The integer form of the test unit(x) <= p, for p in [0, 1]:
+     * unit(x) <= p exactly when (x >> 11) <= unitThreshold(p). Both
+     * sides of the double test scale by 2^53 exactly, and the left
+     * side is then the integer x >> 11, which is <= p * 2^53 exactly
+     * when it is <= floor(p * 2^53).
+     */
+    static u64
+    unitThreshold(double p)
+    {
+        return static_cast<u64>(std::floor(p * 0x1.0p53));
     }
 
     /** Uniform double in [0, 1). */
-    double
-    uniform()
-    {
-        // 53 high bits -> double in [0, 1); 53 bits fit a double exactly.
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
-    }
+    double uniform() { return unit(next()); }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
@@ -100,9 +137,9 @@ class Rng
      * poisson(lambda) on its Knuth path (poisson() itself delegates
      * here). Caller guarantees the lambda range; limit must be
      * exp(-lambda) exactly. The count is 0 exactly when the first
-     * uniform is <= the limit, which is the test the fault injector
-     * inlines per rate cell before continuing this product itself
-     * (DESIGN.md section 9).
+     * uniform is <= the limit, which the fault injector tests per rate
+     * cell as an integer compare (unitThreshold) before continuing
+     * this product itself (DESIGN.md section 9).
      */
     u64
     poissonKnuth(double exp_neg_lambda)
@@ -123,16 +160,54 @@ class Rng
      * restored via restoreState() continues bit-identically from the
      * saved point.
      */
-    std::array<u64, 4> saveState() const;
+    std::array<u64, 4>
+    saveState() const
+    {
+        return {s_[0], s_[1], s_[2], s_[3]};
+    }
 
     /** Resume from a saveState() snapshot. */
-    void restoreState(const std::array<u64, 4> &state);
+    void
+    restoreState(const std::array<u64, 4> &state)
+    {
+        for (std::size_t k = 0; k < 4; ++k)
+            s_[k] = state[k];
+    }
 
   private:
     u64 s_[4];
 
     static u64 splitmix64(u64 &x);
-    static u64 rotl(u64 x, int k) { return (x << k) | (x >> (64 - k)); }
+};
+
+/**
+ * Four generators' states stored word-major, the layout the zero-cell
+ * scan (common/kernels.h) loads as four 4-lane vectors: s[k][i] is
+ * word k of lane i's state. load() and store() move one lane to and
+ * from an Rng bit for bit, so a lane can leave the group, draw on its
+ * own and rejoin with its stream intact.
+ */
+struct RngLanes
+{
+    static constexpr unsigned kLanes = 4;
+
+    alignas(32) u64 s[4][kLanes];
+
+    /** Lane i takes `rng`'s state. */
+    void
+    load(unsigned i, const Rng &rng)
+    {
+        const std::array<u64, 4> state = rng.saveState();
+        for (std::size_t k = 0; k < 4; ++k)
+            s[k][i] = state[k];
+    }
+
+    /** `rng` takes lane i's state. */
+    void
+    store(unsigned i, Rng &rng) const
+    {
+        rng.restoreState({s[0][i], s[1][i], s[2][i], s[3][i]});
+    }
 };
 
 /**

@@ -60,6 +60,23 @@ wilson(u64 successes, u64 trials)
     return p;
 }
 
+std::optional<RatioInterval>
+ratioInterval(const Proportion &num, const Proportion &den)
+{
+    if (num.successes == 0 || den.successes == 0)
+        return std::nullopt;
+    const double z = 1.959963984540054;
+    auto inv = [](u64 x) { return 1.0 / static_cast<double>(x); };
+    const double var = inv(num.successes) - inv(num.trials) +
+                       inv(den.successes) - inv(den.trials);
+    const double half = z * std::sqrt(std::max(0.0, var));
+    RatioInterval r;
+    r.ratio = num.estimate / den.estimate;
+    r.lo95 = r.ratio * std::exp(-half);
+    r.hi95 = r.ratio * std::exp(half);
+    return r;
+}
+
 double
 geomean(const std::vector<double> &xs)
 {

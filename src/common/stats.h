@@ -1,14 +1,16 @@
 /**
  * @file
  * Small statistics toolkit: streaming moments, binomial proportion
- * confidence intervals for Monte Carlo failure probabilities, and the
- * geometric mean used for normalized execution-time summaries.
+ * confidence intervals for Monte Carlo failure probabilities and for
+ * ratios of them, and the geometric mean used for normalized
+ * execution-time summaries.
  */
 
 #ifndef CITADEL_COMMON_STATS_H
 #define CITADEL_COMMON_STATS_H
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "common/types.h"
@@ -58,6 +60,26 @@ struct Proportion
 
 /** Wilson score interval at 95% confidence. */
 Proportion wilson(u64 successes, u64 trials);
+
+/** A ratio of two binomial proportions with its 95% interval. */
+struct RatioInterval
+{
+    double ratio = 0.0;
+    double lo95 = 0.0;
+    double hi95 = 0.0;
+};
+
+/**
+ * The ratio num.estimate / den.estimate with its log-scale (Katz) 95%
+ * interval: ln of the ratio is about normal with variance 1/x1 - 1/n1
+ * + 1/x2 - 1/n2 for x successes in n trials. How many times more often
+ * one scheme fails than another, with the spread both failure counts
+ * allow. Empty when either side has no success, where the log ratio
+ * is undefined; a caller then states a one-sided bound from the
+ * Wilson interval instead.
+ */
+std::optional<RatioInterval> ratioInterval(const Proportion &num,
+                                           const Proportion &den);
 
 /** Geometric mean of strictly positive values. */
 double geomean(const std::vector<double> &xs);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 
+#include "common/kernels.h"
 #include "common/log.h"
 
 namespace citadel {
@@ -96,21 +97,63 @@ FaultInjector::FaultInjector(const SystemConfig &cfg)
         {FaultClass::Column, &r.column}, {FaultClass::Row, &r.row},
         {FaultClass::Bank, &r.bank},
     };
-    auto makeCell = [&](FaultClass cls, double fit, bool transient) {
-        RateCell cell;
+    u32 next = 0;
+    auto addCell = [&](FaultClass cls, double fit, bool transient) {
+        RateCell &cell = cells_[next];
         cell.cls = cls;
         cell.transient = transient;
         cell.lambda = fitToPerHour(fit) * cfg_.lifetimeHours;
-        if (cell.lambda > 0.0 && cell.lambda < 30.0)
+        if (cell.lambda == 0.0) {
+            zeroMax_[next] = kZeroScanSkip;
+        } else if (cell.lambda >= 30.0) {
+            zeroMax_[next] = kZeroScanHitAll;
+        } else {
             cell.expNegLambda = std::exp(-cell.lambda);
-        return cell;
+            zeroMax_[next] = Rng::unitThreshold(cell.expNegLambda);
+        }
+        ++next;
     };
     for (const auto &c : classes) {
-        dieCells_.push_back(makeCell(c.cls, c.fit->transientFit, true));
-        dieCells_.push_back(makeCell(c.cls, c.fit->permanentFit, false));
+        addCell(c.cls, c.fit->transientFit, true);
+        addCell(c.cls, c.fit->permanentFit, false);
     }
-    tsvCell_ = makeCell(FaultClass::DataTsv, cfg_.tsvDeviceFit, false);
+    addCell(FaultClass::DataTsv, cfg_.tsvDeviceFit, false);
 }
+
+template <typename Scan, typename OnHit>
+void
+FaultInjector::walkCells(Scan &&scan, OnHit &&onHit) const
+{
+    ZeroScanHit hit;
+    auto scanCells = [&](u32 first, u32 end, StackId stack,
+                         ChannelId channel) {
+        for (u32 i = first; i < end; ++i) {
+            i += scan(zeroMax_.data() + i, end - i, hit);
+            if (i == end)
+                return;
+            onHit(cells_[i], stack, channel, hit);
+        }
+    };
+    for (u32 s = 0; s < cfg_.geom.stacks; ++s) {
+        for (u32 ch = 0; ch < cfg_.diesPerStack(); ++ch)
+            scanCells(0, kDieCells, StackId{s}, ChannelId{ch});
+        // TSV faults draw their own channel.
+        scanCells(kDieCells, kDieCells + 1, StackId{s}, ChannelId{0});
+    }
+}
+
+namespace {
+
+void
+sortByTime(std::vector<Fault> &faults)
+{
+    std::sort(faults.begin(), faults.end(),
+              [](const Fault &a, const Fault &b) {
+                  return a.timeHours < b.timeHours;
+              });
+}
+
+} // namespace
 
 std::vector<Fault>
 FaultInjector::sampleLifetime(Rng &rng) const
@@ -124,34 +167,55 @@ void
 FaultInjector::sampleLifetime(Rng &rng, std::vector<Fault> &out) const
 {
     out.clear();
-    // One Poisson draw per cell, in the frozen order: per stack, every
-    // die's [Bit..Bank] x {transient, permanent}, then the stack's TSV
-    // cell. Knuth's first factor is the first uniform, so a cell draws
-    // zero faults exactly when u1 <= exp(-lambda): that test is all a
-    // cell costs unless it hits (DESIGN.md section 9).
-    auto sampleCell = [&](const RateCell &cell, StackId stack,
-                          ChannelId channel) {
-        if (cell.lambda == 0.0)
-            return; // poisson(0) draws nothing
-        if (cell.lambda >= 30.0) {
-            sampleHits(rng, out, cell, stack, channel, 0.0);
-            return;
-        }
-        const double u1 = rng.uniform();
-        if (u1 > cell.expNegLambda)
-            sampleHits(rng, out, cell, stack, channel, u1);
-    };
-    for (u32 s = 0; s < cfg_.geom.stacks; ++s) {
-        for (u32 ch = 0; ch < cfg_.diesPerStack(); ++ch)
-            for (const RateCell &cell : dieCells_)
-                sampleCell(cell, StackId{s}, ChannelId{ch});
-        // TSV faults draw their own channel.
-        sampleCell(tsvCell_, StackId{s}, ChannelId{0});
-    }
+    // One Poisson draw per cell, in the frozen order. Knuth's first
+    // factor is the first uniform, so a cell draws zero faults exactly
+    // when u1 <= exp(-lambda), i.e. when the draw's 53 high bits are
+    // <= the cell's zeroMax: that test is all a cell costs unless it
+    // hits (DESIGN.md section 9).
+    walkCells(
+        [&rng](const u64 *zeroMax, u32 n, ZeroScanHit &hit) {
+            return zeroScanRng<1>(&rng, zeroMax, n, hit);
+        },
+        [&](const RateCell &cell, StackId stack, ChannelId channel,
+            const ZeroScanHit &hit) {
+            sampleHits(rng, out, cell, stack, channel,
+                       Rng::unit(hit.draws[0]));
+        });
+    sortByTime(out);
+}
 
-    std::sort(out.begin(), out.end(), [](const Fault &a, const Fault &b) {
-        return a.timeHours < b.timeHours;
-    });
+void
+FaultInjector::sampleLifetime(
+    std::span<Rng, kLanes> rngs,
+    std::span<std::vector<Fault>, kLanes> outs) const
+{
+    RngLanes lanes;
+    for (unsigned l = 0; l < kLanes; ++l) {
+        outs[l].clear();
+        lanes.load(l, rngs[l]);
+    }
+    const ZeroScanFn scan = zeroScanOps().scan;
+    walkCells(
+        [&](const u64 *zeroMax, u32 n, ZeroScanHit &hit) {
+            return scan(lanes, zeroMax, n, hit);
+        },
+        [&](const RateCell &cell, StackId stack, ChannelId channel,
+            const ZeroScanHit &hit) {
+            // Each hit lane draws its faults from its own stream and
+            // rejoins the group where that stream left off.
+            for (unsigned l = 0; l < kLanes; ++l) {
+                if ((hit.lanes >> l & 1u) == 0)
+                    continue;
+                lanes.store(l, rngs[l]);
+                sampleHits(rngs[l], outs[l], cell, stack, channel,
+                           Rng::unit(hit.draws[l]));
+                lanes.load(l, rngs[l]);
+            }
+        });
+    for (unsigned l = 0; l < kLanes; ++l) {
+        lanes.store(l, rngs[l]);
+        sortByTime(outs[l]);
+    }
 }
 
 void

@@ -8,6 +8,8 @@
 #ifndef CITADEL_FAULTS_INJECTOR_H
 #define CITADEL_FAULTS_INJECTOR_H
 
+#include <array>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -108,6 +110,21 @@ class FaultInjector
      */
     void sampleLifetime(Rng &rng, std::vector<Fault> &out) const;
 
+    /** Lifetimes the lane sampler draws at once. */
+    static constexpr unsigned kLanes = RngLanes::kLanes;
+
+    /**
+     * Four lifetimes at once, one per lane: lane i leaves outs[i] and
+     * rngs[i] exactly as sampleLifetime(rngs[i], outs[i]) would. The
+     * four generators step together through the dispatched zero-cell
+     * scan (common/kernels.h); a lane whose cell draws faults leaves
+     * the group, draws them on its own Rng and rejoins (DESIGN.md
+     * section 9). The one-generator overload above is the same walk
+     * with a one-lane scan.
+     */
+    void sampleLifetime(std::span<Rng, kLanes> rngs,
+                        std::span<std::vector<Fault>, kLanes> outs) const;
+
     /** Materialize a random fault of a class in a given die. */
     Fault makeFault(Rng &rng, FaultClass cls, StackId stack,
                     ChannelId channel, bool transient,
@@ -138,9 +155,10 @@ class FaultInjector
      * and, for the small-lambda Knuth path, exp(-lambda) precomputed
      * at construction. A lifetime visits 182 of these cells (2 stacks
      * x (9 dies x 5 classes x {transient, permanent} + 1 TSV cell));
-     * about 99.6% of them draw zero faults, which the cached limit
-     * decides with one uniform and one compare. Draw-for-draw
-     * stream-identical to calling Rng::poisson(lambda) per cell.
+     * about 99.6% of them draw zero faults, which the cell's zeroMax_
+     * entry decides with one draw and one integer compare.
+     * Draw-for-draw stream-identical to calling Rng::poisson(lambda)
+     * per cell.
      */
     struct RateCell
     {
@@ -150,10 +168,27 @@ class FaultInjector
         double expNegLambda = 1.0;
     };
 
+    /** Cells per die: [Bit, Word, Column, Row, Bank] x {transient,
+     *  permanent}. */
+    static constexpr u32 kDieCells = 10;
+
     SystemConfig cfg_;
     TsvMap tsvMap_;
-    std::vector<RateCell> dieCells_;
-    RateCell tsvCell_;
+    /** A die's cells in draw order, then the stack's TSV cell. */
+    std::array<RateCell, kDieCells + 1> cells_;
+    /** Each cell's zero-cell scan threshold, in cells_ order:
+     *  Rng::unitThreshold(exp(-lambda)), or kZeroScanSkip for lambda
+     *  = 0 and kZeroScanHitAll for lambda >= 30. */
+    std::array<u64, kDieCells + 1> zeroMax_;
+
+    /**
+     * The frozen cell walk both overloads share: per stack, every
+     * die's cells, then the stack's TSV cell. `scan(zeroMax, n, hit)`
+     * is a zero-cell scan over the lanes (common/kernels.h);
+     * `onHit(cell, stack, channel, hit)` draws the hit lanes' faults.
+     */
+    template <typename Scan, typename OnHit>
+    void walkCells(Scan &&scan, OnHit &&onHit) const;
 
     /**
      * The faults of a cell that did not draw zero: for lambda < 30,

@@ -77,15 +77,16 @@ MonteCarlo::runTrial(RasScheme &scheme, std::span<const Fault> events,
 
 void
 MonteCarlo::runRange(RasScheme &scheme, u64 begin, u64 end, u64 seed,
-                     u32 years, Shard &shard, std::vector<Fault> &events,
+                     u32 years, Shard &shard, LaneEvents &events,
                      std::vector<Fault> &active) const
 {
-    for (u64 t = begin; t < end; ++t) {
-        Rng rng(seed ^ (kSeedMix * (t + 1)));
-        injector_.sampleLifetime(rng, events);
-        shard.totalFaults += events.size();
+    auto trialRng = [seed](u64 t) {
+        return Rng(seed ^ (kSeedMix * (t + 1)));
+    };
+    auto execute = [&](const std::vector<Fault> &lifetime) {
+        shard.totalFaults += lifetime.size();
         FaultClass trigger = FaultClass::Bit;
-        const double fail_at = runTrial(scheme, events, &trigger, active);
+        const double fail_at = runTrial(scheme, lifetime, &trigger, active);
         if (fail_at >= 0.0) {
             ++shard.failures;
             ++shard.failuresByClass[trigger];
@@ -95,6 +96,21 @@ MonteCarlo::runRange(RasScheme &scheme, u64 begin, u64 end, u64 seed,
             for (u32 y = year; y < years; ++y)
                 ++shard.failuresByYear[y];
         }
+    };
+    constexpr unsigned kLanes = FaultInjector::kLanes;
+    static_assert(kLanes == 4, "one trialRng per lane below");
+    u64 t = begin;
+    for (; end - t >= kLanes; t += kLanes) {
+        std::array<Rng, kLanes> rngs{trialRng(t), trialRng(t + 1),
+                                     trialRng(t + 2), trialRng(t + 3)};
+        injector_.sampleLifetime(rngs, events);
+        for (const std::vector<Fault> &lifetime : events)
+            execute(lifetime);
+    }
+    for (; t < end; ++t) {
+        Rng rng = trialRng(t);
+        injector_.sampleLifetime(rng, events[0]);
+        execute(events[0]);
     }
 }
 
@@ -118,7 +134,7 @@ MonteCarlo::run(RasScheme &scheme, u64 trials, u64 seed,
         // (no clone needed) with scratch reuse across trials.
         shards.resize(1);
         shards[0].failuresByYear.assign(years, 0);
-        std::vector<Fault> events;
+        LaneEvents events;
         std::vector<Fault> active;
         runRange(scheme, 0, trials, seed, years, shards[0], events, active);
     } else {
@@ -134,14 +150,19 @@ MonteCarlo::run(RasScheme &scheme, u64 trials, u64 seed,
         // runOnWorkers() returns, which is the joining barrier.
         ThreadPool pool(nthreads);
         shards.resize(pool.size());
-        const u64 chunk = std::max<u64>(
-            1, std::min<u64>(1024, trials / (pool.size() * 8ull) + 1));
+        // A multiple of the sampler's lane count, so only a run's last
+        // chunk can leave trials for the one-lane path.
+        const u64 lanes = FaultInjector::kLanes;
+        const u64 chunk =
+            (std::min<u64>(1024, trials / (pool.size() * 8ull) + 1) +
+             lanes - 1) /
+            lanes * lanes;
         std::atomic<u64> next{0};
         pool.runOnWorkers([&](unsigned worker) {
             Shard &shard = shards[worker];
             shard.failuresByYear.assign(years, 0);
             const SchemePtr local = scheme.clone();
-            std::vector<Fault> events;
+            LaneEvents events;
             std::vector<Fault> active;
             for (;;) {
                 const u64 begin =

@@ -10,6 +10,7 @@
 #ifndef CITADEL_FAULTS_MONTE_CARLO_H
 #define CITADEL_FAULTS_MONTE_CARLO_H
 
+#include <array>
 #include <functional>
 #include <map>
 #include <span>
@@ -104,14 +105,18 @@ class MonteCarlo
         std::map<FaultClass, u64> failuresByClass;
     };
 
+    /** One fault vector per lane of the sampler, reused across trials. */
+    using LaneEvents = std::array<std::vector<Fault>, FaultInjector::kLanes>;
+
     /**
-     * Run trials [begin, end) into `shard`, one at a time: seed the
-     * trial's Rng, sample its lifetime into `events`, execute it.
-     * Bookkeeping runs in ascending trial order; the merge in run()
-     * is order-independent anyway.
+     * Run trials [begin, end) into `shard`: seed each trial's Rng,
+     * sample four lifetimes at once into `events` through the lane
+     * sampler (fewer than four left over go one at a time), execute
+     * them. Bookkeeping runs in ascending trial order; the merge in
+     * run() is order-independent anyway.
      */
     void runRange(RasScheme &scheme, u64 begin, u64 end, u64 seed,
-                  u32 years, Shard &shard, std::vector<Fault> &events,
+                  u32 years, Shard &shard, LaneEvents &events,
                   std::vector<Fault> &active) const;
 
     SystemConfig cfg_;

@@ -2,8 +2,9 @@
  * @file
  * Tests for the fault injector: arrival statistics match the FIT
  * rates, fault ranges are well-formed per class, TSV faults follow the
- * severity model, and the sampler's draw stream matches a one-
- * Rng::poisson-per-cell reference fault for fault.
+ * severity model, and the sampler's draw stream — one generator at a
+ * time or four lanes at once — matches a one-Rng::poisson-per-cell
+ * reference fault for fault.
  */
 
 #include <gtest/gtest.h>
@@ -248,19 +249,12 @@ sameFault(const Fault &a, const Fault &b)
            a.tsvIndex == b.tsvIndex;
 }
 
-/** sampleLifetime and the reference, both started from `state`, agree
- *  on every fault, their order and the generator's end state. `got`
- *  and `want` are reused across seeds. */
+/** A sampled lifetime and its generator's end state agree with the
+ *  reference's: every fault, their order and the state. */
 ::testing::AssertionResult
-matchesReference(const FaultInjector &inj, const std::array<u64, 4> &state,
-                 std::vector<Fault> &got, std::vector<Fault> &want)
+sameLifetime(const std::vector<Fault> &got, const Rng &gotRng,
+             const std::vector<Fault> &want, const Rng &wantRng)
 {
-    Rng fast(0);
-    fast.restoreState(state);
-    inj.sampleLifetime(fast, got);
-    Rng ref(0);
-    ref.restoreState(state);
-    referenceLifetime(inj, ref, want);
     if (got.size() != want.size())
         return ::testing::AssertionFailure()
                << got.size() << " faults, reference " << want.size();
@@ -268,26 +262,84 @@ matchesReference(const FaultInjector &inj, const std::array<u64, 4> &state,
         if (!sameFault(got[i], want[i]))
             return ::testing::AssertionFailure()
                    << "fault " << i << " of " << got.size() << " differs";
-    if (fast.saveState() != ref.saveState())
+    if (gotRng.saveState() != wantRng.saveState())
         return ::testing::AssertionFailure() << "Rng end state differs";
     return ::testing::AssertionSuccess();
 }
 
-/** Every counter-derived seed in [0, seeds) matches the reference;
- *  returns the faults sampled in total. */
+using State = std::array<u64, 4>;
+using LaneStates = std::array<State, FaultInjector::kLanes>;
+using LaneEvents = std::array<std::vector<Fault>, FaultInjector::kLanes>;
+
+/** The reference lifetime from `state`, with its generator. */
+Rng
+referenceFrom(const FaultInjector &inj, const State &state,
+              std::vector<Fault> &want)
+{
+    Rng ref(0);
+    ref.restoreState(state);
+    referenceLifetime(inj, ref, want);
+    return ref;
+}
+
+/** The one-generator sampler and the reference, both started from
+ *  `state`, agree. `got` and `want` are reused across seeds. */
+::testing::AssertionResult
+matchesReference(const FaultInjector &inj, const State &state,
+                 std::vector<Fault> &got, std::vector<Fault> &want)
+{
+    Rng fast(0);
+    fast.restoreState(state);
+    inj.sampleLifetime(fast, got);
+    const Rng ref = referenceFrom(inj, state, want);
+    return sameLifetime(got, fast, want, ref);
+}
+
+/** The lane sampler started from four states: each lane agrees with
+ *  the reference started from its state. */
+::testing::AssertionResult
+lanesMatchReference(const FaultInjector &inj, const LaneStates &states,
+                    LaneEvents &got, std::vector<Fault> &want)
+{
+    std::array<Rng, FaultInjector::kLanes> rngs;
+    for (unsigned l = 0; l < FaultInjector::kLanes; ++l)
+        rngs[l].restoreState(states[l]);
+    inj.sampleLifetime(rngs, got);
+    for (unsigned l = 0; l < FaultInjector::kLanes; ++l) {
+        const Rng ref = referenceFrom(inj, states[l], want);
+        ::testing::AssertionResult same =
+            sameLifetime(got[l], rngs[l], want, ref);
+        if (!same)
+            return same << " (lane " << l << ")";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** Every counter-derived seed in [0, seeds) matches the reference,
+ *  once through the one-generator sampler and once as a lane of the
+ *  lane sampler (seeds in groups of four); returns the faults sampled
+ *  in total. */
 u64
 expectStreamIdentity(const SystemConfig &cfg, u64 salt, u64 seeds)
 {
     const FaultInjector inj(cfg);
     std::vector<Fault> got;
     std::vector<Fault> want;
+    LaneEvents lanes;
     u64 faults = 0;
-    for (u64 i = 0; i < seeds; ++i) {
-        const std::array<u64, 4> state = Rng(mix64(salt + i)).saveState();
-        EXPECT_TRUE(matchesReference(inj, state, got, want)) << "seed " << i;
+    for (u64 i = 0; i + FaultInjector::kLanes <= seeds;
+         i += FaultInjector::kLanes) {
+        LaneStates states;
+        for (unsigned l = 0; l < FaultInjector::kLanes; ++l) {
+            states[l] = Rng(mix64(salt + i + l)).saveState();
+            EXPECT_TRUE(matchesReference(inj, states[l], got, want))
+                << "seed " << i + l;
+            faults += got.size();
+        }
+        EXPECT_TRUE(lanesMatchReference(inj, states, lanes, want))
+            << "seeds " << i << ".." << i + FaultInjector::kLanes - 1;
         if (::testing::Test::HasFailure())
             break;
-        faults += got.size();
     }
     return faults;
 }
@@ -311,8 +363,9 @@ TEST_F(InjectorTest, StreamMatchesReferenceWithZeroRateCells)
 TEST_F(InjectorTest, StreamMatchesReferenceWithMultiHitCells)
 {
     // ~630 faults per lifetime, every cell still on the Knuth path
-    // (lambda up to ~9): multi-hit cells, and ~95 Bank-class faults
-    // per lifetime for the SubArray split. At x1e4 the largest cells
+    // (lambda up to ~9): multi-hit cells, several lanes hitting the
+    // same cell, and ~95 Bank-class faults per lifetime for the
+    // SubArray split. At x1e4 the largest cells
     // would leave Knuth for the normal path, which the next test
     // covers.
     cfg_.rates = cfg_.rates.scaledBy(1e3);
@@ -364,6 +417,12 @@ TEST_F(InjectorTest, FirstFactorEqualToLimitDrawsZero)
     std::vector<Fault> got;
     std::vector<Fault> want;
     EXPECT_TRUE(matchesReference(inj, state, got, want));
+    // The same state as one lane of the lane sampler, beside lanes
+    // that draw normally.
+    LaneEvents lanes;
+    const LaneStates states{Rng(1).saveState(), Rng(2).saveState(), state,
+                            Rng(3).saveState()};
+    EXPECT_TRUE(lanesMatchReference(inj, states, lanes, want));
 }
 
 TEST_F(InjectorTest, RejectsBadSubArrayConfig)

@@ -1,16 +1,20 @@
 /**
  * @file
  * Kernel-equivalence property suite (DESIGN.md section 14): every
- * dispatched implementation of the three hot kernels — xorFold,
- * xorFoldN, CRC-32 bulk update — must be bit-identical to its scalar
- * proof over random lengths, all byte misalignments, multi-source
- * counts, and mid-stream state splits. The dispatch layer itself is
+ * dispatched implementation of the hot kernels — xorFold, xorFoldN,
+ * CRC-32 bulk update, the sampler's zero-cell scan — must be
+ * bit-identical to its scalar proof over random lengths, all byte
+ * misalignments, multi-source counts, mid-stream state splits and
+ * mixed cell thresholds. The dispatch layer itself is
  * tested too: forced modes resolve to the expected paths, the epoch
  * invalidates cached pointers, and every mode produces the same bytes.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -42,6 +46,17 @@ class KernelModeGuard
   private:
     KernelMode saved_;
 };
+
+/** Whether Auto should resolve to the AVX2 recompiles on this host. */
+bool
+hostHasAvx2()
+{
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+    return __builtin_cpu_supports("avx2") != 0;
+#else
+    return false;
+#endif
+}
 
 // The interesting lengths around every internal boundary: empty, the
 // sub-u64 tail, the u64/32-byte/64-byte lane splits, and multi-lane
@@ -133,14 +148,15 @@ TEST(Kernels, DispatchResolvesForcedModes)
     EXPECT_STREQ(xorKernelOps().path, "scalar-u64");
     EXPECT_GT(kernelModeEpoch(), epoch0);
 
+    // Vector is the portable body on every host; Auto takes the AVX2
+    // recompile where the CPU has it.
     setKernelMode(KernelMode::Vector);
     EXPECT_EQ(activeKernelMode(), KernelMode::Vector);
-    EXPECT_TRUE(std::string_view(xorKernelOps().path)
-                    .starts_with("vector32"));
+    EXPECT_STREQ(xorKernelOps().path, "vector32");
 
     setKernelMode(KernelMode::Auto);
-    EXPECT_TRUE(std::string_view(xorKernelOps().path)
-                    .starts_with("vector32"));
+    EXPECT_STREQ(xorKernelOps().path,
+                 hostHasAvx2() ? "vector32-avx2" : "vector32");
 }
 
 TEST(Kernels, EveryDispatchModeProducesIdenticalBytes)
@@ -251,6 +267,136 @@ TEST(Kernels, Crc32DispatchFollowsMode)
     else
         EXPECT_STREQ(Crc32::activePathName(), "slice8");
     EXPECT_EQ(Crc32::update(Crc32::begin(), buf), scalar_crc);
+}
+
+/** A cell threshold mix for the zero-cell scan: mostly rare hits (a
+ *  paper-rate cell), with cells that hit about half the time, both
+ *  no-draw sentinels and the 2^53 limit that never hits. */
+std::vector<u64>
+scanThresholds(Rng &rng, std::size_t n)
+{
+    std::vector<u64> zm(n);
+    for (u64 &z : zm) {
+        switch (rng.below(16)) {
+          case 0:
+            z = kZeroScanSkip;
+            break;
+          case 1:
+            z = kZeroScanHitAll;
+            break;
+          case 2:
+            z = kZeroMaxLimit;
+            break;
+          case 3:
+          case 4:
+            z = Rng::unitThreshold(0.5);
+            break;
+          default:
+            z = Rng::unitThreshold(std::exp(-0.004 * rng.uniform()));
+            break;
+        }
+    }
+    return zm;
+}
+
+TEST(Kernels, ZeroScanMatchesFourScalarStreamsInEveryMode)
+{
+    // The dispatched scan against four plain Rng::next streams stepped
+    // cell by cell: the same stop, hit lanes and raw draws at every
+    // stop, and the same generator states after it.
+    KernelModeGuard guard;
+    for (const KernelMode mode :
+         {KernelMode::Scalar, KernelMode::Vector, KernelMode::Auto}) {
+        setKernelMode(mode);
+        SCOPED_TRACE(kernelModeName(mode));
+        Rng gen(31);
+        u64 hits = 0;
+        u64 multiLaneHits = 0;
+        for (int round = 0; round < 200; ++round) {
+            std::vector<u64> zm = scanThresholds(gen, 64);
+            std::array<Rng, RngLanes::kLanes> want{
+                Rng(gen.next()), Rng(gen.next()), Rng(gen.next()),
+                Rng(gen.next())};
+            // Put some thresholds exactly at, or one below, a lane's
+            // draw for that cell (the scan takes one draw per lane per
+            // drawing cell, here with nothing drawn between stops): at
+            // the threshold the lane must not hit, one below it must.
+            std::array<Rng, RngLanes::kLanes> ahead = want;
+            for (u64 &z : zm) {
+                if (z > kZeroMaxLimit)
+                    continue;
+                const unsigned lane =
+                    static_cast<unsigned>(gen.below(RngLanes::kLanes));
+                for (unsigned l = 0; l < RngLanes::kLanes; ++l) {
+                    const u64 top = ahead[l].next() >> 11;
+                    if (l == lane && top > 0 && gen.below(4) == 0)
+                        z = top - gen.below(2);
+                }
+            }
+            RngLanes lanes;
+            for (unsigned l = 0; l < RngLanes::kLanes; ++l)
+                lanes.load(l, want[l]);
+            u32 first = 0;
+            while (first < zm.size()) {
+                const u32 n = static_cast<u32>(zm.size()) - first;
+                ZeroScanHit hit;
+                const u32 stop =
+                    zeroScanOps().scan(lanes, zm.data() + first, n, hit);
+                // The expected stop, cell by cell.
+                u32 cell = 0;
+                u32 wantLanes = 0;
+                std::array<u64, RngLanes::kLanes> draws{};
+                for (; cell < n; ++cell) {
+                    const u64 z = zm[first + cell];
+                    if (z == kZeroScanSkip)
+                        continue;
+                    if (z == kZeroScanHitAll) {
+                        wantLanes = 0xF;
+                        break;
+                    }
+                    for (unsigned l = 0; l < RngLanes::kLanes; ++l) {
+                        draws[l] = want[l].next();
+                        if ((draws[l] >> 11) > z)
+                            wantLanes |= 1u << l;
+                    }
+                    if (wantLanes != 0)
+                        break;
+                }
+                ASSERT_EQ(stop, cell) << "round " << round;
+                for (unsigned l = 0; l < RngLanes::kLanes; ++l) {
+                    Rng got(0);
+                    lanes.store(l, got);
+                    ASSERT_EQ(got.saveState(), want[l].saveState())
+                        << "round " << round << " lane " << l;
+                }
+                if (stop == n)
+                    break;
+                ASSERT_EQ(hit.lanes, wantLanes) << "round " << round;
+                if (zm[first + stop] != kZeroScanHitAll) {
+                    for (unsigned l = 0; l < RngLanes::kLanes; ++l)
+                        ASSERT_EQ(hit.draws[l], draws[l]) << "lane " << l;
+                    ++hits;
+                    multiLaneHits += std::popcount(hit.lanes) > 1;
+                }
+                first += stop + 1;
+            }
+        }
+        // Both a lone lane and several lanes hitting one cell occur.
+        EXPECT_GT(hits, multiLaneHits);
+        EXPECT_GT(multiLaneHits, 100u);
+    }
+}
+
+TEST(Kernels, ZeroScanDispatchFollowsMode)
+{
+    KernelModeGuard guard;
+    setKernelMode(KernelMode::Scalar);
+    EXPECT_STREQ(zeroScanOps().path, "scalar-rng");
+    setKernelMode(KernelMode::Vector);
+    EXPECT_STREQ(zeroScanOps().path, "vector4x64");
+    setKernelMode(KernelMode::Auto);
+    EXPECT_STREQ(zeroScanOps().path,
+                 hostHasAvx2() ? "vector4x64-avx2" : "vector4x64");
 }
 
 } // namespace

@@ -243,41 +243,80 @@ TEST(MonteCarloParallel, PinnedResultsAtOneAndFourThreads)
     }
 }
 
-TEST(MonteCarloParallel, PublicApiReplayReproducesPinnedResults)
+/**
+ * MonteCarlo::run's result rebuilt one trial at a time through the
+ * public one-generator sampler and runTrial, with the engine's
+ * bookkeeping.
+ */
+McResult
+publicApiReplay(const MonteCarlo &mc, RasScheme &scheme, u64 trials,
+                u64 seed)
 {
-    // The same lifetimes replayed one trial at a time through the
-    // public sampler and trial calls, with the engine's bookkeeping.
-    const SystemConfig cfg = pinnedConfig();
-    const MonteCarlo mc(cfg);
+    const SystemConfig &cfg = mc.config();
     const FaultInjector injector(cfg);
     const u32 years =
         static_cast<u32>(std::ceil(cfg.lifetimeHours / kHoursPerYear));
     std::vector<Fault> events;
     std::vector<Fault> active;
+    McResult r;
+    r.trials = trials;
+    r.failuresByYear.assign(years, 0);
+    u64 faults = 0;
+    for (u64 t = 0; t < trials; ++t) {
+        Rng rng(seed ^ (kPinSeedMix * (t + 1)));
+        injector.sampleLifetime(rng, events);
+        faults += events.size();
+        FaultClass trigger = FaultClass::Bit;
+        const double at = mc.runTrial(scheme, events, &trigger, active);
+        if (at < 0.0)
+            continue;
+        ++r.failures;
+        ++r.failuresByClass[trigger];
+        const u32 year = std::min(
+            years - 1, static_cast<u32>(std::floor(at / kHoursPerYear)));
+        for (u32 y = year; y < years; ++y)
+            ++r.failuresByYear[y];
+    }
+    r.meanFaultsPerTrial =
+        trials ? static_cast<double>(faults) / static_cast<double>(trials)
+               : 0.0;
+    return r;
+}
+
+TEST(MonteCarloParallel, PublicApiReplayReproducesPinnedResults)
+{
+    // The same lifetimes replayed one trial at a time through the
+    // public sampler and trial calls, with the engine's bookkeeping.
+    const MonteCarlo mc(pinnedConfig());
     for (const Pin &pin : pins()) {
         const SchemePtr scheme = pin.make();
-        McResult r;
-        r.trials = kPinTrials;
-        r.failuresByYear.assign(years, 0);
-        u64 faults = 0;
-        for (u64 t = 0; t < kPinTrials; ++t) {
-            Rng rng(kPinSeed ^ (kPinSeedMix * (t + 1)));
-            injector.sampleLifetime(rng, events);
-            faults += events.size();
-            FaultClass trigger = FaultClass::Bit;
-            const double at = mc.runTrial(*scheme, events, &trigger, active);
-            if (at < 0.0)
-                continue;
-            ++r.failures;
-            ++r.failuresByClass[trigger];
-            const u32 year = std::min(
-                years - 1, static_cast<u32>(std::floor(at / kHoursPerYear)));
-            for (u32 y = year; y < years; ++y)
-                ++r.failuresByYear[y];
+        expectPinned(pin, publicApiReplay(mc, *scheme, kPinTrials, kPinSeed));
+    }
+}
+
+TEST(MonteCarloParallel, LaneRemaindersMatchPublicApiReplay)
+{
+    // run() samples four trials at a time and the last one to three
+    // of a range one at a time; every split of a trial count into
+    // lanes and remainder, serial and sharded, must give the replay's
+    // result bit for bit. 4099 leaves a remainder at one thread and
+    // spreads chunks over four.
+    const MonteCarlo mc(pinnedConfig());
+    for (const Pin &pin : pins()) {
+        SCOPED_TRACE(pin.name);
+        const SchemePtr scheme = pin.make();
+        for (const u64 trials : {1ull, 3ull, 5ull, 4099ull}) {
+            const McResult want =
+                publicApiReplay(mc, *scheme, trials, kPinSeed);
+            for (unsigned t : {1u, 4u}) {
+                SCOPED_TRACE(testing::Message() << trials << " trials, "
+                                                << t << " threads");
+                const McResult got = mc.run(*scheme, trials, kPinSeed, t);
+                expectIdentical(want, got);
+                EXPECT_EQ(std::bit_cast<u64>(got.meanFaultsPerTrial),
+                          std::bit_cast<u64>(want.meanFaultsPerTrial));
+            }
         }
-        r.meanFaultsPerTrial =
-            static_cast<double>(faults) / static_cast<double>(kPinTrials);
-        expectPinned(pin, r);
     }
 }
 

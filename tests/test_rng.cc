@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -173,6 +174,73 @@ TEST(Rng, PoissonLargeLambdaNormalPath)
         s.add(static_cast<double>(r.poisson(lambda)));
     EXPECT_NEAR(s.mean(), lambda, 1.0);
     EXPECT_NEAR(s.stddev(), std::sqrt(lambda), 0.6);
+}
+
+TEST(Rng, NextMatchesTextbookXoshiro)
+{
+    // xoshiroStep writes the multiplies as shift-adds; the stream must
+    // still be Blackman & Vigna's, multiplies and all.
+    Rng r(21);
+    std::array<u64, 4> s = r.saveState();
+    auto rotl = [](u64 x, int k) { return (x << k) | (x >> (64 - k)); };
+    for (int i = 0; i < 10000; ++i) {
+        const u64 want = rotl(s[1] * 5, 7) * 9;
+        const u64 t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = rotl(s[3], 45);
+        ASSERT_EQ(r.next(), want) << "draw " << i;
+    }
+    EXPECT_EQ(r.saveState(), s);
+}
+
+TEST(Rng, UnitThresholdIsTheIntegerFormOfTheUniformTest)
+{
+    // unit(x) <= p exactly when (x >> 11) <= unitThreshold(p), at the
+    // draws on both sides of p's threshold and for p on and off the
+    // 2^-53 grid (below 0.5 a double is finer than the grid).
+    Rng r(22);
+    auto agree = [](u64 x, double p) {
+        return (Rng::unit(x) <= p) ==
+               ((x >> 11) <= Rng::unitThreshold(p));
+    };
+    for (int i = 0; i < 20000; ++i) {
+        double p = r.uniform();
+        if (i % 4 == 1)
+            p = std::exp(-30.0 * r.uniform()); // a cell's exp(-lambda)
+        if (i % 4 == 2)
+            p = Rng::unit(r.next()); // exactly on the grid
+        if (i % 4 == 3)
+            p = std::nextafter(Rng::unit(r.next()), 0.0);
+        const u64 k = Rng::unitThreshold(p);
+        for (const u64 top : {k - 1, k, k + 1}) {
+            if (top >= (u64{1} << 53))
+                continue;
+            const u64 low = r.next() & 0x7FF; // bits unit() drops
+            ASSERT_TRUE(agree((top << 11) | low, p)) << p;
+        }
+    }
+    EXPECT_EQ(Rng::unitThreshold(1.0), u64{1} << 53);
+    EXPECT_EQ(Rng::unitThreshold(0.0), 0u);
+}
+
+TEST(Rng, LanesMoveStateBitForBit)
+{
+    RngLanes lanes;
+    Rng a(23);
+    for (unsigned l = 0; l < RngLanes::kLanes; ++l)
+        lanes.load(l, Rng(100 + l));
+    lanes.load(2, a);
+    Rng b(0);
+    lanes.store(2, b);
+    EXPECT_EQ(b.saveState(), a.saveState());
+    EXPECT_EQ(b.next(), a.next());
+    Rng other(0);
+    lanes.store(3, other);
+    EXPECT_EQ(other.saveState(), Rng(103).saveState());
 }
 
 } // namespace

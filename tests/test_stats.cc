@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests for the statistics toolkit (streaming moments, Wilson CI,
- * geometric mean).
+ * the ratio-of-proportions interval, geometric mean).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "common/rng.h"
 #include "common/stats.h"
 
 namespace citadel {
@@ -94,6 +95,65 @@ TEST(Wilson, IntervalShrinksWithTrials)
     const Proportion small = wilson(5, 100);
     const Proportion big = wilson(500, 10000);
     EXPECT_LT(big.hi95 - big.lo95, small.hi95 - small.lo95);
+}
+
+TEST(RatioInterval, KnownValue)
+{
+    // 100/1000 over 10/1000: ratio 10, ln-variance 1/100 - 1/1000 +
+    // 1/10 - 1/1000 = 0.108.
+    const auto r = ratioInterval(wilson(100, 1000), wilson(10, 1000));
+    ASSERT_TRUE(r.has_value());
+    const double half = 1.959963984540054 * std::sqrt(0.108);
+    EXPECT_NEAR(r->ratio, 10.0, 1e-12);
+    EXPECT_NEAR(r->lo95, 10.0 * std::exp(-half), 1e-9);
+    EXPECT_NEAR(r->hi95, 10.0 * std::exp(half), 1e-9);
+}
+
+TEST(RatioInterval, SwappingSidesInvertsTheInterval)
+{
+    const Proportion a = wilson(128825, 100000000);
+    const Proportion b = wilson(117, 100000000);
+    const auto ab = ratioInterval(a, b);
+    const auto ba = ratioInterval(b, a);
+    ASSERT_TRUE(ab && ba);
+    EXPECT_NEAR(ab->ratio * ba->ratio, 1.0, 1e-12);
+    EXPECT_NEAR(ab->lo95 * ba->hi95, 1.0, 1e-12);
+    EXPECT_NEAR(ab->hi95 * ba->lo95, 1.0, 1e-12);
+    EXPECT_LT(ab->lo95, ab->ratio);
+    EXPECT_GT(ab->hi95, ab->ratio);
+}
+
+TEST(RatioInterval, UndefinedWithoutSuccessOnEitherSide)
+{
+    EXPECT_FALSE(ratioInterval(wilson(5, 100), wilson(0, 100)));
+    EXPECT_FALSE(ratioInterval(wilson(0, 100), wilson(5, 100)));
+    EXPECT_TRUE(ratioInterval(wilson(100, 100), wilson(1, 100)));
+}
+
+TEST(RatioInterval, CoversTheTrueRatio)
+{
+    // Binomial draws at a known ratio of 4: the interval holds it in
+    // about 95% of replications.
+    Rng rng(41);
+    const double p1 = 0.04;
+    const double p2 = 0.01;
+    const u64 n = 4000;
+    const int reps = 2000;
+    int covered = 0;
+    for (int i = 0; i < reps; ++i) {
+        u64 x1 = 0;
+        u64 x2 = 0;
+        for (u64 k = 0; k < n; ++k) {
+            x1 += rng.chance(p1);
+            x2 += rng.chance(p2);
+        }
+        const auto r = ratioInterval(wilson(x1, n), wilson(x2, n));
+        ASSERT_TRUE(r.has_value());
+        covered += r->lo95 <= p1 / p2 && p1 / p2 <= r->hi95;
+    }
+    const double coverage = static_cast<double>(covered) / reps;
+    EXPECT_GT(coverage, 0.93);
+    EXPECT_LT(coverage, 0.975);
 }
 
 TEST(Geomean, Basics)
