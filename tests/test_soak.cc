@@ -173,6 +173,20 @@ TEST(SoakTest, DoubleCheckpointAcrossThreadCountsStaysIdentical)
     EXPECT_EQ(c.result().fingerprint, want);
 }
 
+// The exact bytes of a mid-life campaign checkpoint. Sizes and
+// fingerprints alone pass a symmetric reorder of two fields; this
+// digest does not. Captured before the save and load field lists were
+// merged into one: a checkpoint layout change must move it on purpose.
+TEST(SoakTest, CheckpointBytesArePinned)
+{
+    SoakCampaign campaign(smallCampaign(5));
+    campaign.advanceTo(campaign.lifetimeHours() * 0.37);
+    ByteSink sink;
+    campaign.save(sink);
+    EXPECT_EQ(sink.bytes().size(), 17076u);
+    EXPECT_EQ(fnv1a(sink.bytes()), 0x5baec44475ba5247ull);
+}
+
 TEST(SoakTest, NoOverclaimAcrossSeedsWithControlPlaneFaults)
 {
     // The differential invariant extended to control-plane campaigns:
