@@ -107,33 +107,27 @@ RowRemapTable::clear()
 }
 
 void
-RowRemapTable::serialize(ByteSink &sink) const
+RowRemapTable::fields(auto &io, auto &self)
 {
-    sink.putU32(numBanks_);
-    sink.putU32(entriesPerBank_);
-    for (const auto &e : entries_) {
-        sink.putBool(e.valid);
-        sink.putBool(e.dead);
-        sink.putU32(e.sourceRow);
-        sink.putU32(e.spareRow);
-    }
+    io.expect(self.numBanks_, "RRT checkpoint bank count does not "
+                              "match the configured table");
+    io.expect(self.entriesPerBank_, "RRT checkpoint entries per bank do "
+                                    "not match the configured table");
+    io.fixed(self.entries_);
 }
 
 void
-RowRemapTable::deserialize(ByteSource &src)
+RowRemapTable::saveState(ByteSink &sink) const
 {
-    const u32 banks = src.getU32();
-    const u32 per = src.getU32();
-    if (banks != numBanks_ || per != entriesPerBank_)
-        fatal("RRT checkpoint shape (%u x %u) does not match the "
-              "configured table (%u x %u)",
-              banks, per, numBanks_, entriesPerBank_);
-    for (auto &e : entries_) {
-        e.valid = src.getBool();
-        e.dead = src.getBool();
-        e.sourceRow = src.getU32();
-        e.spareRow = src.getU32();
-    }
+    Writer out(sink);
+    fields(out, *this);
+}
+
+void
+RowRemapTable::loadState(ByteSource &src)
+{
+    Reader in(src);
+    fields(in, *this);
 }
 
 BankRemapTable::BankRemapTable(u32 num_entries)
@@ -225,31 +219,26 @@ BankRemapTable::clear()
 }
 
 void
-BankRemapTable::serialize(ByteSink &sink) const
+BankRemapTable::fields(auto &io, auto &self)
 {
-    sink.putU32(static_cast<u32>(entries_.size()));
-    for (const auto &e : entries_) {
-        sink.putBool(e.valid);
-        sink.putBool(e.dead);
-        sink.putU32(e.failedBank);
-        sink.putU32(e.spareId);
-    }
+    io.expect(static_cast<u32>(self.entries_.size()),
+              "BRT checkpoint entry count does not match the configured "
+              "table");
+    io.fixed(self.entries_);
 }
 
 void
-BankRemapTable::deserialize(ByteSource &src)
+BankRemapTable::saveState(ByteSink &sink) const
 {
-    const u32 n = src.getU32();
-    if (n != entries_.size())
-        fatal("BRT checkpoint has %u entries; the configured table has "
-              "%zu",
-              n, entries_.size());
-    for (auto &e : entries_) {
-        e.valid = src.getBool();
-        e.dead = src.getBool();
-        e.failedBank = src.getU32();
-        e.spareId = src.getU32();
-    }
+    Writer out(sink);
+    fields(out, *this);
+}
+
+void
+BankRemapTable::loadState(ByteSource &src)
+{
+    Reader in(src);
+    fields(in, *this);
 }
 
 } // namespace citadel

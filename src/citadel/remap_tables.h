@@ -70,11 +70,11 @@ class RowRemapTable
     void clear();
 
     /** Checkpoint the full table (dimensions + every entry). */
-    void serialize(ByteSink &sink) const;
+    void saveState(ByteSink &sink) const;
 
     /** Restore from a checkpoint; fatal if the stored dimensions do
      *  not match this table's configuration. */
-    void deserialize(ByteSource &src);
+    void loadState(ByteSource &src);
 
   private:
     struct Entry
@@ -83,7 +83,15 @@ class RowRemapTable
         bool dead = false; ///< Slot retired by the meta-protection scrub.
         u32 sourceRow = 0;
         u32 spareRow = 0;
+
+        friend void fields(auto &io, Of<Entry> auto &e)
+        {
+            io(e.valid, e.dead, e.sourceRow, e.spareRow);
+        }
     };
+
+    /** The checkpoint field list (common/serialize.h). */
+    static void fields(auto &io, auto &self);
 
     Entry &slotAt(UnitId unit, MetaSlotId slot);
 
@@ -128,8 +136,9 @@ class BankRemapTable
     u64 storageBits() const;
     void clear();
 
-    void serialize(ByteSink &sink) const;
-    void deserialize(ByteSource &src);
+    /** Checkpoint / restore every entry; fatal on a size mismatch. */
+    void saveState(ByteSink &sink) const;
+    void loadState(ByteSource &src);
 
   private:
     struct Entry
@@ -138,7 +147,15 @@ class BankRemapTable
         bool dead = false; ///< Slot retired by the meta-protection scrub.
         u32 failedBank = 0;
         u32 spareId = 0;
+
+        friend void fields(auto &io, Of<Entry> auto &e)
+        {
+            io(e.valid, e.dead, e.failedBank, e.spareId);
+        }
     };
+
+    /** The checkpoint field list (common/serialize.h). */
+    static void fields(auto &io, auto &self);
 
     std::vector<Entry> entries_;
 };

@@ -24,6 +24,7 @@
 
 #include <string>
 
+#include "common/serialize.h"
 #include "stack/geometry.h"
 
 namespace citadel {
@@ -135,6 +136,22 @@ struct Fault
 
     std::string describe() const;
 };
+
+/** Checkpoint field lists (common/serialize.h). */
+void
+fields(auto &io, Of<DimSpec> auto &d)
+{
+    io(d.value, d.mask);
+}
+
+void
+fields(auto &io, Of<Fault> auto &f)
+{
+    io(f.stack, f.channel, f.bank, f.row, f.col, f.bit);
+    io.enumByte(f.cls, FaultClass::AddrTsvBank,
+                "corrupt checkpoint: unknown fault class %u");
+    io(f.transient, f.fromTsv, f.timeHours, f.tsvIndex);
+}
 
 } // namespace citadel
 

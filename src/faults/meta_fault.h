@@ -26,6 +26,7 @@
 
 #include <string>
 
+#include "common/serialize.h"
 #include "common/strong_id.h"
 
 namespace citadel {
@@ -67,6 +68,16 @@ struct MetaFault
 
     std::string describe() const;
 };
+
+/** Checkpoint field list (common/serialize.h). */
+void
+fields(auto &io, Of<MetaFault> auto &f)
+{
+    io.enumByte(f.target, MetaTarget::ParityCacheLine,
+                "corrupt checkpoint: unknown meta-fault target %u");
+    io(f.stack, f.channel, f.unit, f.slot, f.flipMask, f.mirrorFlipMask,
+       f.transient, f.timeHours);
+}
 
 } // namespace citadel
 

@@ -398,129 +398,73 @@ FleetClient::finish()
         bucket.clear();
 }
 
+template <class Client>
 void
-FleetClient::putOp(ByteSink &sink, const Op &op)
+FleetClient::SavedOps<Client>::saveState(ByteSink &sink) const
 {
-    sink.putU8(static_cast<u8>(op.kind));
-    sink.putU64(op.key);
-    sink.putU64(op.version);
-    sink.putU64(op.value);
-    sink.putU64(op.issuedAt);
-    sink.putU64(op.deadline);
-    sink.putU32(op.attempts);
-    sink.putU64(op.lastSentAt);
-    sink.putU64(op.retryAt);
-    sink.putBool(op.hedged);
-    sink.putU32(op.mainServer);
-    sink.putU32(op.hedgeServer);
-    sink.putU64(op.ackMask);
-    sink.putU32(op.acks);
+    Writer out(sink);
+    out(static_cast<u64>(client.live_));
+    for (const OpSlot &slot : client.slots_)
+        if (slot.live)
+            out(slot.id, slot.op);
 }
 
-FleetClient::Op
-FleetClient::getOp(ByteSource &src)
+template <class Client>
+void
+FleetClient::SavedOps<Client>::loadState(ByteSource &src)
 {
-    Op op;
-    const u8 kind = src.getU8();
-    if (kind > static_cast<u8>(OpKind::Write))
-        fatal("FleetClient: corrupt checkpoint: unknown op kind %u",
-              static_cast<unsigned>(kind));
-    op.kind = static_cast<OpKind>(kind);
-    op.key = src.getU64();
-    op.version = src.getU64();
-    op.value = src.getU64();
-    op.issuedAt = src.getU64();
-    op.deadline = src.getU64();
-    op.attempts = src.getU32();
-    op.lastSentAt = src.getU64();
-    op.retryAt = src.getU64();
-    op.hedged = src.getBool();
-    op.mainServer = src.getU32();
-    op.hedgeServer = src.getU32();
-    op.ackMask = src.getU64();
-    op.acks = src.getU32();
-    return op;
+    Reader in(src);
+    for (OpSlot &slot : client.slots_)
+        slot.live = false;
+    client.live_ = 0;
+    const u64 n = in.count<std::pair<u64, Op>>();
+    for (u64 i = 0; i < n; ++i) {
+        u64 id = 0;
+        Op op;
+        in(id, op);
+        if (op.key >= client.versions_.size())
+            fatal("FleetClient: corrupt checkpoint: op %llu key %llu "
+                  "outside the key space (%zu)",
+                  static_cast<unsigned long long>(id),
+                  static_cast<unsigned long long>(op.key),
+                  client.versions_.size());
+        client.insertOp(id, op);
+    }
+}
+
+void
+FleetClient::fields(auto &io, auto &self)
+{
+    SavedOps ops{self};
+    io(self.counters_, self.ackedCount_);
+    io.fixed(self.hist_, self.versions_, self.acked_);
+    // Buckets are restored by wheel index: together with
+    // lastProcessed_ that reproduces the exact drain behavior.
+    io(ops, self.lastProcessed_);
+    io.fixed(self.wheel_);
 }
 
 void
 FleetClient::saveState(ByteSink &sink) const
 {
-    counters_.serialize(sink);
-    sink.putU64(ackedCount_);
-    for (const u64 bucket : hist_)
-        sink.putU64(bucket);
-    for (const u64 v : versions_)
-        sink.putU64(v);
-    for (const AckedWrite &aw : acked_) {
-        sink.putU64(aw.version);
-        sink.putU64(aw.value);
-    }
-    sink.putU64(static_cast<u64>(live_));
-    for (const OpSlot &slot : slots_) {
-        if (!slot.live)
-            continue;
-        sink.putU64(slot.id);
-        putOp(sink, slot.op);
-    }
-    sink.putU64(lastProcessed_);
-    // Buckets are restored by wheel index: together with
-    // lastProcessed_ that reproduces the exact drain behavior.
-    for (const auto &bucket : wheel_) {
-        sink.putU64(bucket.size());
-        for (const u64 id : bucket)
-            sink.putU64(id);
-    }
+    Writer out(sink);
+    fields(out, *this);
 }
 
 void
 FleetClient::loadState(ByteSource &src)
 {
-    counters_.deserialize(src);
-    ackedCount_ = src.getU64();
-    for (u64 &bucket : hist_)
-        bucket = src.getU64();
-    for (u64 &v : versions_)
-        v = src.getU64();
-    for (AckedWrite &aw : acked_) {
-        aw.version = src.getU64();
-        aw.value = src.getU64();
-    }
-    for (OpSlot &slot : slots_)
-        slot.live = false;
-    live_ = 0;
-    const u64 nl = src.getCount(sizeof(u64));
-    for (u64 i = 0; i < nl; ++i) {
-        const u64 id = src.getU64();
-        const Op op = getOp(src);
-        if (op.key >= versions_.size())
-            fatal("FleetClient: corrupt checkpoint: op %llu key %llu "
-                  "outside the key space (%zu)",
-                  static_cast<unsigned long long>(id),
-                  static_cast<unsigned long long>(op.key),
-                  versions_.size());
-        insertOp(id, op);
-    }
-    lastProcessed_ = src.getU64();
-    for (auto &bucket : wheel_) {
-        bucket.clear();
-        const u64 n = src.getCount(sizeof(u64));
-        for (u64 i = 0; i < n; ++i)
-            bucket.push_back(src.getU64());
-    }
+    Reader in(src);
+    fields(in, *this);
 }
 
 void
 FleetClient::serialize(ByteSink &sink) const
 {
-    sink.putU64(ackedCount_);
-    forEachAcked([&](u64 key, const AckedWrite &aw) {
-        sink.putU64(key);
-        sink.putU64(aw.version);
-        sink.putU64(aw.value);
-    });
-    sink.putU64(hist_.size());
-    for (u64 bucket : hist_)
-        sink.putU64(bucket);
+    Writer out(sink);
+    out(ackedCount_);
+    forEachAcked([&](u64 key, const AckedWrite &aw) { out(key, aw); });
+    out(hist_);
 }
 
 } // namespace fleet

@@ -29,34 +29,6 @@ constexpr u32 kHotRounds = 2;       ///< Consecutive hot rounds to move.
 constexpr u32 kMigratePerRound = 4; ///< Hot-key moves per round (cap).
 constexpr u64 kMinRoundLoad = 16;   ///< Mean EWMA floor: idle never moves.
 
-/**
- * Restore one of the rebalancer's key-ordered maps. saveState writes
- * it in key order, so each restored key must lie in the key space and
- * strictly follow the one before it: an out-of-order key is corrupt,
- * and a duplicate would be silently dropped by the map.
- */
-template <typename V, typename GetValue>
-void
-loadKeyMap(ByteSource &src, std::map<u64, V> &map, u64 key_space,
-           const char *field, GetValue &&getValue)
-{
-    map.clear();
-    const u64 n = src.getCount(sizeof(u64) + sizeof(V));
-    for (u64 i = 0; i < n; ++i) {
-        const u64 key = src.getU64();
-        if (key >= key_space)
-            fatal("Coordinator::loadState: corrupt checkpoint: %s key "
-                  "%llu outside the key space (%llu)",
-                  field, static_cast<unsigned long long>(key),
-                  static_cast<unsigned long long>(key_space));
-        if (!map.empty() && key <= map.rbegin()->first)
-            fatal("Coordinator::loadState: corrupt checkpoint: %s key "
-                  "%llu is duplicated or out of order",
-                  field, static_cast<unsigned long long>(key));
-        map.emplace_hint(map.end(), key, getValue());
-    }
-}
-
 } // namespace
 
 void
@@ -531,98 +503,42 @@ Coordinator::drainElastic(u64 now, FleetCounters &counters)
 }
 
 void
-Coordinator::serialize(ByteSink &sink) const
+Coordinator::fields(auto &io, auto &self)
 {
-    // The fingerprint is the full control-plane state: anything that
-    // could steer a future placement, repair, join, or migration.
-    saveState(sink);
+    // The rebalancer's maps are saved in key order; a restored key
+    // must lie in the key space and strictly follow the one before
+    // it (a duplicate would be silently dropped by the map).
+    const u64 keySpace = self.cacheStamp_.size();
+    io(self.ring_);
+    io.fixed(self.missed_);
+    io(self.rescanNeeded_, self.scanning_, self.scanServer_,
+       self.haveLastKey_, self.lastKey_);
+    io.fixed(self.warm_, self.roundLoad_, self.ewma_, self.hotStreak_);
+    io.boundedMap(self.keyLoad_, keySpace,
+                  "Coordinator::loadState: corrupt checkpoint: keyLoad");
+    io.boundedMap(self.overrides_, keySpace,
+                  "Coordinator::loadState: corrupt checkpoint: overrides");
+    io.boundedMap(self.cooldown_, keySpace,
+                  "Coordinator::loadState: corrupt checkpoint: cooldown");
 }
 
 void
 Coordinator::saveState(ByteSink &sink) const
 {
-    ring_.saveState(sink);
-    for (const u32 m : missed_)
-        sink.putU32(m);
-    sink.putBool(rescanNeeded_);
-    sink.putBool(scanning_);
-    sink.putU32(scanServer_);
-    sink.putBool(haveLastKey_);
-    sink.putU64(lastKey_);
-    for (const WarmState &w : warm_) {
-        sink.putBool(w.active);
-        sink.putU32(w.attempts);
-        sink.putU64(w.resumeAt);
-        sink.putU64(w.epochAtStart);
-        sink.putU32(w.srcServer);
-        sink.putBool(w.haveLast);
-        sink.putU64(w.lastKey);
-        sink.putU32(w.crc);
-        sink.putU64(w.records);
-    }
-    for (const u64 l : roundLoad_)
-        sink.putU64(l);
-    for (const double e : ewma_)
-        sink.putDouble(e);
-    for (const u32 h : hotStreak_)
-        sink.putU32(h);
-    sink.putU64(keyLoad_.size());
-    for (const auto &[key, cnt] : keyLoad_) {
-        sink.putU64(key);
-        sink.putU64(cnt);
-    }
-    sink.putU64(overrides_.size());
-    for (const auto &[key, target] : overrides_) {
-        sink.putU64(key);
-        sink.putU32(target);
-    }
-    sink.putU64(cooldown_.size());
-    for (const auto &[key, until] : cooldown_) {
-        sink.putU64(key);
-        sink.putU64(until);
-    }
+    Writer out(sink);
+    fields(out, *this);
 }
 
 void
 Coordinator::loadState(ByteSource &src)
 {
-    ring_.loadState(src);
-    for (u32 &m : missed_)
-        m = src.getU32();
-    rescanNeeded_ = src.getBool();
-    scanning_ = src.getBool();
-    scanServer_ = src.getU32();
-    haveLastKey_ = src.getBool();
-    lastKey_ = src.getU64();
-    for (WarmState &w : warm_) {
-        w.active = src.getBool();
-        w.attempts = src.getU32();
-        w.resumeAt = src.getU64();
-        w.epochAtStart = src.getU64();
-        w.srcServer = src.getU32();
-        w.haveLast = src.getBool();
-        w.lastKey = src.getU64();
-        w.crc = src.getU32();
-        w.records = src.getU64();
-    }
-    for (u64 &l : roundLoad_)
-        l = src.getU64();
-    for (double &e : ewma_)
-        e = src.getDouble();
-    for (u32 &h : hotStreak_)
-        h = src.getU32();
-    const u64 keySpace = cacheStamp_.size();
-    const auto getU64 = [&] { return src.getU64(); };
-    loadKeyMap(src, keyLoad_, keySpace, "keyLoad", getU64);
-    loadKeyMap(src, overrides_, keySpace, "overrides", [&] {
-        const ServerIdx target = src.getU32();
+    Reader in(src);
+    fields(in, *this);
+    for (const auto &[key, target] : overrides_)
         if (target >= fleet_.size())
             fatal("Coordinator::loadState: corrupt checkpoint: override "
                   "target %u is not one of the %zu servers",
                   target, fleet_.size());
-        return target;
-    });
-    loadKeyMap(src, cooldown_, keySpace, "cooldown", getU64);
     // The placement cache is a memo, not state: stamp 0 never matches
     // a real epoch (epochs start at 1), so every entry re-walks the
     // restored ring lazily and identically.

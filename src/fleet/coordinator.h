@@ -147,12 +147,11 @@ class Coordinator
     void noteLoad(ServerIdx server, u64 key)
         CITADEL_REQUIRES(kSerialPhase);
 
-    void serialize(ByteSink &sink) const CITADEL_REQUIRES(kSerialPhase);
-
     /** Checkpoint the full coordinator state (ring membership + epoch,
      *  probe misses, repair cursor, warm scans, load/EWMA/override
      *  state). The placement cache is not state — it is rebuilt
-     *  lazily and bit-identically after loadState(). */
+     *  lazily and bit-identically after loadState(). The state is
+     *  also the coordinator's share of the campaign fingerprint. */
     void saveState(ByteSink &sink) const CITADEL_REQUIRES(kSerialPhase);
     void loadState(ByteSource &src) CITADEL_REQUIRES(kSerialPhase);
 
@@ -170,7 +169,16 @@ class Coordinator
         u64 lastKey = 0;
         u32 crc = 0;      ///< Coordinator-side streamed-record CRC.
         u64 records = 0;  ///< Records streamed this scan.
+
+        friend void fields(auto &io, Of<WarmState> auto &w)
+        {
+            io(w.active, w.attempts, w.resumeAt, w.epochAtStart,
+               w.srcServer, w.haveLast, w.lastKey, w.crc, w.records);
+        }
     };
+
+    /** The checkpoint field list (common/serialize.h). */
+    static void fields(auto &io, auto &self);
 
     void evict(ServerIdx s, bool capacity, FleetCounters &counters)
         CITADEL_REQUIRES(kSerialPhase);

@@ -99,6 +99,26 @@ digestConfig(const FleetConfig &cfg, ByteSink &sink)
     sink.putU32(sv.defaultServiceUnits);
 }
 
+/**
+ * Nest a serial-phase member (client, coordinator, server) in the
+ * campaign's field list. The generic codecs cannot carry the role its
+ * saveState/loadState require, so the list, which holds the role,
+ * nests it through these instead.
+ */
+template <class T>
+void
+nestSerial(Writer &out, const T &v) CITADEL_REQUIRES(kSerialPhase)
+{
+    v.saveState(out.sink());
+}
+
+template <class T>
+void
+nestSerial(Reader &in, T &v) CITADEL_REQUIRES(kSerialPhase)
+{
+    v.loadState(in.source());
+}
+
 } // namespace
 
 void
@@ -689,8 +709,8 @@ FleetCampaign::audit(FleetCounters totals)
     // uninterrupted one, whatever the cut point.
     FleetCounters fpTotals = res.totals;
     fpTotals.resumes = 0;
-    fpTotals.serialize(sink);
-    coordinator_->serialize(sink);
+    Writer{sink}(fpTotals);
+    coordinator_->saveState(sink);
     client_.serialize(sink);
     for (u32 s = 0; s < cfg_.servers; ++s)
         fleet_[s]->serialize(sink);
@@ -714,6 +734,20 @@ FleetCampaign::checkpointGuard() const
 }
 
 void
+FleetCampaign::fields(auto &io, auto &self)
+{
+    io.expect(self.checkpointGuard(),
+              "FleetCampaign: checkpoint does not match this campaign "
+              "(different config, seed, or chaos schedule)");
+    io(self.tick_, self.nextOp_, self.nextEvent_, self.loopCounters_);
+    nestSerial(io, self.client_);
+    nestSerial(io, *self.coordinator_);
+    for (const auto &srv : self.fleet_)
+        nestSerial(io, *srv);
+    io(self.responses_);
+}
+
+void
 FleetCampaign::saveState(ByteSink &sink) const
 {
     if (finished_)
@@ -725,19 +759,8 @@ FleetCampaign::saveState(ByteSink &sink) const
         if (shards_.count(s) != 0)
             fatal("FleetCampaign: saveState with undrained submission "
                   "shards (not at a tick boundary)");
-
-    sink.putU64(checkpointGuard());
-    sink.putU64(tick_);
-    sink.putU64(nextOp_);
-    sink.putU64(nextEvent_);
-    loopCounters_.serialize(sink);
-    client_.saveState(sink);
-    coordinator_->saveState(sink);
-    for (const auto &srv : fleet_)
-        srv->saveState(sink);
-    sink.putU64(responses_.size());
-    for (const Response &r : responses_)
-        putResponse(sink, r);
+    Writer out(sink);
+    fields(out, *this);
 }
 
 void
@@ -746,24 +769,10 @@ FleetCampaign::loadState(ByteSource &src)
     if (finished_)
         fatal("FleetCampaign: loadState after finish()");
     ThreadRoleGrant serial(kSerialPhase);
-
-    if (src.getU64() != checkpointGuard())
-        fatal("FleetCampaign: checkpoint does not match this campaign "
-              "(different config, seed, or chaos schedule)");
-    tick_ = src.getU64();
-    nextOp_ = src.getU64();
-    nextEvent_ = src.getU64();
+    Reader in(src);
+    fields(in, *this);
     if (tick_ > cfg_.ticks || nextEvent_ > injector_.schedule().size())
         fatal("FleetCampaign: corrupt checkpoint cursors");
-    loopCounters_.deserialize(src);
-    client_.loadState(src);
-    coordinator_->loadState(src);
-    for (const auto &srv : fleet_)
-        srv->loadState(src);
-    responses_.clear();
-    const u64 n = src.getCount(kResponseRecordBytes);
-    for (u64 i = 0; i < n; ++i)
-        responses_.push_back(getResponse(src));
     if (src.remaining() != 0)
         fatal("FleetCampaign: corrupt checkpoint: %zu trailing bytes "
               "after the in-flight responses",

@@ -220,6 +220,10 @@ class FleetCampaign
      *  schedule and the state-shaping config (see saveState). */
     u64 checkpointGuard() const;
 
+    /** The checkpoint field list (common/serialize.h). */
+    static void fields(auto &io, auto &self)
+        CITADEL_REQUIRES(kSerialPhase);
+
     static FleetConfig normalized(const FleetConfig &cfg);
 
     FleetConfig cfg_;

@@ -1,6 +1,5 @@
 #include "fleet/fleet_types.h"
 
-#include <cstring>
 #include <sstream>
 
 namespace citadel {
@@ -107,60 +106,6 @@ FleetCounters::add(const FleetCounters &c)
     deviceCorrected += c.deviceCorrected;
 }
 
-void
-FleetCounters::serialize(ByteSink &sink) const
-{
-    // Field order is part of the fingerprint contract: append-only.
-    sink.putU64(opsIssued);
-    sink.putU64(opsAcked);
-    sink.putU64(opsFailed);
-    sink.putU64(opsUnresolved);
-    sink.putU64(writesAcked);
-    sink.putU64(readsDue);
-    sink.putU64(attempts);
-    sink.putU64(retries);
-    sink.putU64(backoffTicks);
-    sink.putU64(attemptTimeouts);
-    sink.putU64(hedges);
-    sink.putU64(hedgeWins);
-    sink.putU64(duplicatesSuppressed);
-    sink.putU64(busyRejections);
-    sink.putU64(dueFailovers);
-    sink.putU64(requestsDropped);
-    sink.putU64(requestsDuplicated);
-    sink.putU64(serverCrashes);
-    sink.putU64(serverStalls);
-    sink.putU64(serverSlowdowns);
-    sink.putU64(healthProbes);
-    sink.putU64(probesMissed);
-    sink.putU64(failovers);
-    sink.putU64(capacityMigrations);
-    sink.putU64(repairPushes);
-    sink.putU64(serverJoins);
-    sink.putU64(warmFills);
-    sink.putU64(warmRestarts);
-    sink.putU64(warmAborts);
-    sink.putU64(loadMigrations);
-    sink.putU64(resumes);
-    sink.putU64(requestsServed);
-    sink.putU64(serviceUnitsSpent);
-    sink.putU64(queueRejections);
-    sink.putU64(deviceDueReads);
-    sink.putU64(deviceCorrected);
-}
-
-void
-FleetCounters::deserialize(ByteSource &src)
-{
-    // serialize() writes every field, in declaration order, as u64 —
-    // the tripwire test pins that — so the struct can be rebuilt with
-    // a flat copy that a new field automatically flows through.
-    u64 fields[kFleetCounterFields];
-    for (u64 &f : fields)
-        f = src.getU64();
-    std::memcpy(this, fields, sizeof(*this));
-}
-
 std::string
 FleetCounters::summary() const
 {
@@ -177,58 +122,6 @@ FleetCounters::summary() const
        << resumes << " resumes | device: "
        << deviceCorrected << " CE, " << deviceDueReads << " DUE reads";
     return os.str();
-}
-
-void
-putRequest(ByteSink &sink, const Request &r)
-{
-    sink.putU64(r.op);
-    sink.putU32(r.attempt);
-    sink.putU32(r.replica);
-    sink.putU8(static_cast<u8>(r.kind));
-    sink.putU64(r.key);
-    sink.putU64(r.version);
-    sink.putU64(r.value);
-}
-
-Request
-getRequest(ByteSource &src)
-{
-    Request r;
-    r.op = src.getU64();
-    r.attempt = src.getU32();
-    r.replica = src.getU32();
-    r.kind = static_cast<OpKind>(src.getU8());
-    r.key = src.getU64();
-    r.version = src.getU64();
-    r.value = src.getU64();
-    return r;
-}
-
-void
-putResponse(ByteSink &sink, const Response &r)
-{
-    sink.putU64(r.op);
-    sink.putU32(r.attempt);
-    sink.putU32(r.replica);
-    sink.putU8(static_cast<u8>(r.status));
-    sink.putU64(r.version);
-    sink.putU64(r.value);
-    sink.putU32(r.from);
-}
-
-Response
-getResponse(ByteSource &src)
-{
-    Response r;
-    r.op = src.getU64();
-    r.attempt = src.getU32();
-    r.replica = src.getU32();
-    r.status = static_cast<Status>(src.getU8());
-    r.version = src.getU64();
-    r.value = src.getU64();
-    r.from = src.getU32();
-    return r;
 }
 
 } // namespace fleet

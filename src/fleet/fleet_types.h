@@ -85,6 +85,17 @@ struct Request
     u64 value = 0;   ///< Writes: payload digest.
 };
 
+/** Checkpoint field list (common/serialize.h). The wire's frame
+ *  records (wire.cc) use their own, different field order. */
+void
+fields(auto &io, Of<Request> auto &r)
+{
+    io(r.op, r.attempt, r.replica);
+    io.enumByte(r.kind, OpKind::Write,
+                "corrupt checkpoint: unknown request kind %u");
+    io(r.key, r.version, r.value);
+}
+
 /** One response on the wire. */
 struct Response
 {
@@ -96,6 +107,16 @@ struct Response
     u64 value = 0;   ///< Reads: payload digest served.
     ServerIdx from = kNoServer;
 };
+
+/** Checkpoint field list (common/serialize.h). */
+void
+fields(auto &io, Of<Response> auto &r)
+{
+    io(r.op, r.attempt, r.replica);
+    io.enumByte(r.status, Status::Busy,
+                "corrupt checkpoint: unknown response status %u");
+    io(r.version, r.value, r.from);
+}
 
 /** Lifecycle of one stack server as the chaos campaign sees it. */
 enum class ServerState : u8
@@ -192,36 +213,40 @@ struct FleetCounters
     u64 deviceCorrected = 0;   ///< onDemandRead verdicts corrected.
 
     void add(const FleetCounters &c);
-    void serialize(ByteSink &sink) const;
-
-    /** Inverse of serialize(). Relies on serialize() writing the
-     *  fields in declaration order — pinned by the tripwire test. */
-    void deserialize(ByteSource &src);
 
     std::string summary() const;
 };
 
+/** Checkpoint field list (common/serialize.h), in declaration order.
+ *  Field order is part of the fingerprint contract: append-only. */
+void
+fields(auto &io, Of<FleetCounters> auto &c)
+{
+    io(c.opsIssued, c.opsAcked, c.opsFailed, c.opsUnresolved,
+       c.writesAcked, c.readsDue, c.attempts, c.retries, c.backoffTicks,
+       c.attemptTimeouts, c.hedges, c.hedgeWins, c.duplicatesSuppressed,
+       c.busyRejections, c.dueFailovers, c.requestsDropped,
+       c.requestsDuplicated, c.serverCrashes, c.serverStalls,
+       c.serverSlowdowns, c.healthProbes, c.probesMissed, c.failovers,
+       c.capacityMigrations, c.repairPushes, c.serverJoins, c.warmFills,
+       c.warmRestarts, c.warmAborts, c.loadMigrations, c.resumes,
+       c.requestsServed, c.serviceUnitsSpent, c.queueRejections,
+       c.deviceDueReads, c.deviceCorrected);
+}
+
 /**
  * Tripwire for the PR-9-style silent-omission bug class: FleetCounters
  * must stay a flat struct of exactly this many u64 fields, and both
- * add() and serialize() must cover every one of them. The static
+ * add() and the field list must cover every one of them. The static
  * asserts below catch a field added to the struct; the property test
  * in tests/test_fleet.cc (FleetCountersTripwire) catches one added to
- * the struct but missed in add()/putU64 serialization.
+ * the struct but missed in add() or the field list.
  */
 constexpr std::size_t kFleetCounterFields = 36;
 static_assert(sizeof(FleetCounters) == kFleetCounterFields * sizeof(u64),
               "FleetCounters changed: update kFleetCounterFields, add(), "
-              "serialize(), and the tripwire test together");
+              "fields(), and the tripwire test together");
 static_assert(std::is_trivially_copyable_v<FleetCounters>);
-
-// Wire-independent value serialization of requests/responses, used by
-// the warm-fill stream framing and the campaign checkpoint. Field
-// order is part of the checkpoint format: append-only.
-void putRequest(ByteSink &sink, const Request &r);
-Request getRequest(ByteSource &src);
-void putResponse(ByteSink &sink, const Response &r);
-Response getResponse(ByteSource &src);
 
 } // namespace fleet
 } // namespace citadel

@@ -151,39 +151,40 @@ HashRing::primary(u64 key) const
 }
 
 void
-HashRing::serialize(ByteSink &sink) const
+HashRing::fields(auto &io, auto &self)
 {
-    sink.putU64(inRing_.size());
-    for (bool b : inRing_)
-        sink.putBool(b);
-    sink.putU64(epoch_);
+    io.expect(static_cast<u64>(self.inRing_.size()),
+              "HashRing::loadState: fleet size mismatch");
+    io.fixed(self.inRing_);
+    io(self.epoch_);
 }
 
 void
 HashRing::saveState(ByteSink &sink) const
 {
-    serialize(sink);
+    Writer out(sink);
+    fields(out, *this);
 }
 
 void
 HashRing::loadState(ByteSource &src)
 {
-    const u64 servers = src.getU64();
-    if (servers != inRing_.size())
-        fatal("HashRing::loadState: fleet size mismatch");
-    live_ = 0;
-    for (std::size_t s = 0; s < servers; ++s) {
-        inRing_[s] = src.getBool();
-        if (inRing_[s])
-            ++live_;
-    }
-    epoch_ = src.getU64();
+    Reader in(src);
+    fields(in, *this);
+    // Epochs start at 1, and the placement memo treats stamp 0 as
+    // "never walked": a restored epoch 0 would make every empty memo
+    // entry look current.
+    if (epoch_ == 0)
+        fatal("HashRing::loadState: corrupt checkpoint: ring epoch 0 "
+              "(epochs start at 1)");
     // Rebuild live points from the canonical sets; membership plus
     // the construction-time salting fully determines them.
+    live_ = 0;
     points_.clear();
-    for (std::size_t s = 0; s < servers; ++s) {
+    for (std::size_t s = 0; s < inRing_.size(); ++s) {
         if (!inRing_[s])
             continue;
+        ++live_;
         for (u64 h : canonical_[s])
             points_.push_back({h, static_cast<ServerIdx>(s)});
     }

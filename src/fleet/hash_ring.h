@@ -84,15 +84,16 @@ class HashRing
     /** Convenience: the key's primary, or kNoServer. */
     ServerIdx primary(u64 key) const;
 
-    /** Mix the live set and epoch into a fingerprint. */
-    void serialize(ByteSink &sink) const;
-
     /** Checkpoint membership + epoch (points are canonical, so the
-     *  live set is the whole mutable state). */
+     *  live set is the whole mutable state). loadState() rebuilds the
+     *  live points and rejects epoch 0, which no ring ever has. */
     void saveState(ByteSink &sink) const;
     void loadState(ByteSource &src);
 
   private:
+    /** The checkpoint field list (common/serialize.h). */
+    static void fields(auto &io, auto &self);
+
     struct Point
     {
         u64 hash;

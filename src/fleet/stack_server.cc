@@ -410,114 +410,106 @@ StackServer::step(u64 tick)
     }
 }
 
+template <class Server>
+void
+StackServer::SavedInbox<Server>::saveState(ByteSink &sink) const
+{
+    Writer out(sink);
+    out(server.inboxCount_);
+    for (u32 i = 0; i < server.inboxCount_; ++i)
+        out(server.inbox_[(server.inboxHead_ + i) % server.cfg_.queueCap]);
+}
+
+template <class Server>
+void
+StackServer::SavedInbox<Server>::loadState(ByteSource &src)
+{
+    Reader in(src);
+    server.inboxHead_ = 0;
+    in(server.inboxCount_);
+    if (server.inboxCount_ > server.cfg_.queueCap)
+        fatal("StackServer::loadState: inbox count %u > queueCap %u",
+              server.inboxCount_, server.cfg_.queueCap);
+    for (u32 i = 0; i < server.inboxCount_; ++i)
+        in(server.inbox_[i]);
+}
+
+template <class Server>
+void
+StackServer::SavedKv<Server>::saveState(ByteSink &sink) const
+{
+    Writer out(sink);
+    out(server.kvCount_);
+    u64 emitted = 0;
+    for (u64 key = 0; key < server.kv_.size(); ++key) {
+        if (server.kv_[key].first == 0)
+            continue;
+        out(key, server.kv_[key]);
+        ++emitted;
+    }
+    if (emitted != server.kvCount_)
+        fatal("StackServer::saveState: kvCount_ %llu != scanned %llu",
+              static_cast<unsigned long long>(server.kvCount_),
+              static_cast<unsigned long long>(emitted));
+}
+
+template <class Server>
+void
+StackServer::SavedKv<Server>::loadState(ByteSource &src)
+{
+    Reader in(src);
+    server.kv_.assign(server.kv_.size(), {0, 0});
+    server.kvCount_ = 0;
+    const u64 n = in.count<std::pair<u64, std::pair<u64, u64>>>();
+    for (u64 i = 0; i < n; ++i) {
+        u64 key = 0;
+        std::pair<u64, u64> entry;
+        in(key, entry);
+        server.storeLocal(key, entry.first, entry.second);
+    }
+    if (server.kvCount_ != n)
+        fatal("StackServer::loadState: duplicate or absent KV entries");
+}
+
+void
+StackServer::fields(auto &io, auto &self)
+{
+    SavedInbox inbox{self};
+    SavedKv kv{self};
+    // A checkpoint restores the state byte directly, bypassing the
+    // transition table: it restores a state, it does not take an edge.
+    io.enumByte(self.state_, ServerState::Warming,
+                "StackServer::loadState: corrupt checkpoint: state byte "
+                "%u is not a server state");
+    io(self.stalledUntil_, self.slowedUntil_, self.slowDivisor_,
+       self.lastCycle_, self.warmCrc_, self.stats_, inbox, self.outbox_,
+       kv, self.dp_);
+}
+
 void
 StackServer::serialize(ByteSink &sink) const
 {
-    sink.putU8(static_cast<u8>(state_));
-    sink.putU64(stats_.served);
-    sink.putU64(stats_.unitsSpent);
-    sink.putU64(stats_.rejected);
-    sink.putU64(stats_.dueReads);
-    sink.putU64(stats_.corrected);
-    sink.putU64(kvCount_);
-    for (u64 key = 0; key < kv_.size(); ++key) {
-        if (kv_[key].first == 0)
-            continue;
-        sink.putU64(key);
-        sink.putU64(kv_[key].first);
-        sink.putU64(kv_[key].second);
-    }
+    Writer out(sink);
+    SavedKv kv{*this};
+    out(static_cast<u8>(state_), stats_, kv);
     // Crashed devices are unreachable; their state is not part of the
     // surviving-service fingerprint.
-    sink.putU64(state_ == ServerState::Crashed ? 0
-                                               : dp_->stateFingerprint());
+    out(state_ == ServerState::Crashed ? u64{0}
+                                       : dp_->stateFingerprint());
 }
 
 void
 StackServer::saveState(ByteSink &sink) const
 {
-    sink.putU8(static_cast<u8>(state_));
-    sink.putU64(stalledUntil_);
-    sink.putU64(slowedUntil_);
-    sink.putU32(slowDivisor_);
-    sink.putU64(lastCycle_);
-    sink.putU32(warmCrc_);
-    sink.putU64(stats_.served);
-    sink.putU64(stats_.unitsSpent);
-    sink.putU64(stats_.rejected);
-    sink.putU64(stats_.dueReads);
-    sink.putU64(stats_.corrected);
-    // Inbox in FIFO order (head/count collapse to a plain sequence).
-    sink.putU32(inboxCount_);
-    for (u32 i = 0; i < inboxCount_; ++i)
-        putRequest(sink, inbox_[(inboxHead_ + i) % cfg_.queueCap]);
-    sink.putU64(static_cast<u64>(outbox_.size()));
-    for (const Response &r : outbox_)
-        putResponse(sink, r);
-    sink.putU64(kvCount_);
-    u64 key = 0, version = 0, value = 0;
-    bool have = false;
-    u64 emitted = 0;
-    while (kvScan(have, key, key, version, value)) {
-        have = true;
-        sink.putU64(key);
-        sink.putU64(version);
-        sink.putU64(value);
-        ++emitted;
-    }
-    if (emitted != kvCount_)
-        fatal("StackServer::saveState: kvCount_ %llu != scanned %llu",
-              static_cast<unsigned long long>(kvCount_),
-              static_cast<unsigned long long>(emitted));
-    dp_->saveState(sink);
+    Writer out(sink);
+    fields(out, *this);
 }
 
 void
 StackServer::loadState(ByteSource &src)
 {
-    const u8 stateByte = src.getU8();
-    if (stateByte > static_cast<u8>(ServerState::Warming))
-        fatal("StackServer::loadState: corrupt checkpoint: state byte "
-              "%u is not a server state",
-              unsigned{stateByte});
-    const ServerState st = static_cast<ServerState>(stateByte);
-    stalledUntil_ = src.getU64();
-    slowedUntil_ = src.getU64();
-    slowDivisor_ = src.getU32();
-    lastCycle_ = src.getU64();
-    warmCrc_ = src.getU32();
-    stats_.served = src.getU64();
-    stats_.unitsSpent = src.getU64();
-    stats_.rejected = src.getU64();
-    stats_.dueReads = src.getU64();
-    stats_.corrected = src.getU64();
-    inboxHead_ = 0;
-    inboxCount_ = src.getU32();
-    if (inboxCount_ > cfg_.queueCap)
-        fatal("StackServer::loadState: inbox count %u > queueCap %u",
-              inboxCount_, cfg_.queueCap);
-    for (u32 i = 0; i < inboxCount_; ++i)
-        inbox_[i] = getRequest(src);
-    outbox_.clear();
-    const u64 outCount = src.getCount(kResponseRecordBytes);
-    outbox_.reserve(outCount);
-    for (u64 i = 0; i < outCount; ++i)
-        outbox_.push_back(getResponse(src));
-    kv_.assign(kv_.size(), {0, 0});
-    kvCount_ = 0;
-    const u64 kvN = src.getCount(3 * sizeof(u64));
-    for (u64 i = 0; i < kvN; ++i) {
-        const u64 key = src.getU64();
-        const u64 version = src.getU64();
-        const u64 value = src.getU64();
-        storeLocal(key, version, value);
-    }
-    if (kvCount_ != kvN)
-        fatal("StackServer::loadState: duplicate or absent KV entries");
-    dp_->loadState(src);
-    // Bypass the transition table: a checkpoint restores a state, it
-    // does not take an edge.
-    state_ = st;
+    Reader in(src);
+    fields(in, *this);
 }
 
 } // namespace fleet

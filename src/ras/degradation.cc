@@ -79,26 +79,23 @@ DegradationLadder::degradeChannel(StackId stack, ChannelId channel)
 }
 
 void
-DegradationLadder::serialize(ByteSink &sink) const
+DegradationLadder::fields(auto &io, auto &self)
 {
-    map_.serialize(sink);
-    sink.putU64(strikes_.size());
-    for (const auto &[key, n] : strikes_) {
-        sink.putU64(key);
-        sink.putU32(n);
-    }
+    io(self.map_, self.strikes_);
 }
 
 void
-DegradationLadder::deserialize(ByteSource &src)
+DegradationLadder::saveState(ByteSink &sink) const
 {
-    map_.deserialize(src);
-    strikes_.clear();
-    const u64 n = src.getCount(12);
-    for (u64 i = 0; i < n; ++i) {
-        const u64 key = src.getU64();
-        strikes_[key] = src.getU32();
-    }
+    Writer out(sink);
+    fields(out, *this);
+}
+
+void
+DegradationLadder::loadState(ByteSource &src)
+{
+    Reader in(src);
+    fields(in, *this);
 }
 
 } // namespace citadel

@@ -91,10 +91,13 @@ class DegradationLadder
 
     const DegradationOptions &options() const { return opts_; }
 
-    void serialize(ByteSink &sink) const;
-    void deserialize(ByteSource &src);
+    void saveState(ByteSink &sink) const;
+    void loadState(ByteSource &src);
 
   private:
+    /** The checkpoint field list (common/serialize.h). */
+    static void fields(auto &io, auto &self);
+
     DegradationOptions opts_;
     StackGeometry geom_;
     RetirementMap map_;

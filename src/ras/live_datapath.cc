@@ -72,132 +72,6 @@ brtSparedKey(u32 stack, MetaSlotId slot)
     return (static_cast<u64>(stack) << 8) | slot.value();
 }
 
-void
-putDim(ByteSink &sink, const DimSpec &d)
-{
-    sink.putU32(d.value);
-    sink.putU32(d.mask);
-}
-
-DimSpec
-getDim(ByteSource &src)
-{
-    DimSpec d;
-    d.value = src.getU32();
-    d.mask = src.getU32();
-    return d;
-}
-
-void
-putFault(ByteSink &sink, const Fault &f)
-{
-    putDim(sink, f.stack);
-    putDim(sink, f.channel);
-    putDim(sink, f.bank);
-    putDim(sink, f.row);
-    putDim(sink, f.col);
-    putDim(sink, f.bit);
-    sink.putU8(static_cast<u8>(f.cls));
-    sink.putBool(f.transient);
-    sink.putBool(f.fromTsv);
-    sink.putDouble(f.timeHours);
-    sink.putU32(f.tsvIndex.value());
-}
-
-Fault
-getFault(ByteSource &src)
-{
-    Fault f;
-    f.stack = getDim(src);
-    f.channel = getDim(src);
-    f.bank = getDim(src);
-    f.row = getDim(src);
-    f.col = getDim(src);
-    f.bit = getDim(src);
-    f.cls = static_cast<FaultClass>(src.getU8());
-    f.transient = src.getBool();
-    f.fromTsv = src.getBool();
-    f.timeHours = src.getDouble();
-    f.tsvIndex = TsvLane{src.getU32()};
-    return f;
-}
-
-/** Serialized Fault size: 6 dims x 8 + 1 + 1 + 1 + 8 + 4. */
-constexpr std::size_t kFaultBytes = 6 * 8 + 3 + 8 + 4;
-
-/** Serialized MetaFault size: 1 + 4 x 4 + 8 + 8 + 1 + 8. */
-constexpr std::size_t kMetaFaultBytes = 1 + 4 * 4 + 8 + 8 + 1 + 8;
-
-void
-putMetaFault(ByteSink &sink, const MetaFault &f)
-{
-    sink.putU8(static_cast<u8>(f.target));
-    sink.putU32(f.stack.value());
-    sink.putU32(f.channel.value());
-    sink.putU32(f.unit.value());
-    sink.putU32(f.slot.value());
-    sink.putU64(f.flipMask);
-    sink.putU64(f.mirrorFlipMask);
-    sink.putBool(f.transient);
-    sink.putDouble(f.timeHours);
-}
-
-MetaFault
-getMetaFault(ByteSource &src)
-{
-    MetaFault f;
-    f.target = static_cast<MetaTarget>(src.getU8());
-    f.stack = StackId{src.getU32()};
-    f.channel = ChannelId{src.getU32()};
-    f.unit = UnitId{src.getU32()};
-    f.slot = MetaSlotId{src.getU32()};
-    f.flipMask = src.getU64();
-    f.mirrorFlipMask = src.getU64();
-    f.transient = src.getBool();
-    f.timeHours = src.getDouble();
-    return f;
-}
-
-void
-putCounters(ByteSink &sink, const RasCounters &c)
-{
-    const u64 fields[] = {c.faultsInjected, c.faultsAbsorbed,
-                          c.demandReads, c.remappedReads, c.crcDetects,
-                          c.retries, c.ce, c.due, c.dueReads, c.sdc,
-                          c.parityGroupReads, c.linesReconstructed,
-                          c.rowsSpared, c.banksSpared, c.sparingDenied,
-                          c.tsvRepairs, c.pagesOfflined, c.banksRetired,
-                          c.channelsDegraded, c.retiredAbsorbed,
-                          c.offlinedReads, c.metaFaultsInjected,
-                          c.metaCorrected, c.metaMirrorRestored,
-                          c.metaRecordsLost, c.metaScrubRetries,
-                          c.metaBackoffCycles, c.parityCacheRefetches,
-                          c.faultsReactivated, c.divergences,
-                          c.analyticConservative};
-    for (u64 v : fields)
-        sink.putU64(v);
-}
-
-void
-getCounters(ByteSource &src, RasCounters &c)
-{
-    u64 *fields[] = {&c.faultsInjected, &c.faultsAbsorbed,
-                     &c.demandReads, &c.remappedReads, &c.crcDetects,
-                     &c.retries, &c.ce, &c.due, &c.dueReads, &c.sdc,
-                     &c.parityGroupReads, &c.linesReconstructed,
-                     &c.rowsSpared, &c.banksSpared, &c.sparingDenied,
-                     &c.tsvRepairs, &c.pagesOfflined, &c.banksRetired,
-                     &c.channelsDegraded, &c.retiredAbsorbed,
-                     &c.offlinedReads, &c.metaFaultsInjected,
-                     &c.metaCorrected, &c.metaMirrorRestored,
-                     &c.metaRecordsLost, &c.metaScrubRetries,
-                     &c.metaBackoffCycles, &c.parityCacheRefetches,
-                     &c.faultsReactivated, &c.divergences,
-                     &c.analyticConservative};
-    for (u64 *v : fields)
-        *v = src.getU64();
-}
-
 constexpr u32 kCheckpointMagic = 0x43544C52u; // "CTLR"
 constexpr u32 kCheckpointVersion = 1;
 
@@ -1001,158 +875,52 @@ LiveRasDatapath::onDemandRead(LineAddr line, u64 cycle)
 }
 
 void
+LiveRasDatapath::fields(auto &io, auto &self)
+{
+    io.expect(kCheckpointMagic, "LiveRasDatapath: bad checkpoint magic");
+    io.expect(kCheckpointVersion,
+              "LiveRasDatapath: unsupported checkpoint version");
+    io(self.active_, self.pending_, self.pendingMeta_);
+    for (u32 s = 0; s < self.cfg_.geom.stacks; ++s)
+        io(self.rrt_[s], self.brt_[s], self.spareRowCursor_[s]);
+    io(self.tsvUsed_, self.tsvBroken_, self.rrtSpared_, self.brtSpared_,
+       self.absorbedTsv_, self.poisoned_, self.lastScrub_, self.ladder_,
+       self.meta_, self.log_.counters);
+}
+
+void
 LiveRasDatapath::saveState(ByteSink &sink) const
 {
-    sink.putU32(kCheckpointMagic);
-    sink.putU32(kCheckpointVersion);
-
-    sink.putU64(active_.size());
-    for (const Fault &f : active_)
-        putFault(sink, f);
-
-    sink.putU64(pending_.size());
-    for (const auto &[cyc, f] : pending_) {
-        sink.putU64(cyc);
-        putFault(sink, f);
-    }
-
-    sink.putU64(pendingMeta_.size());
-    for (const auto &[cyc, f] : pendingMeta_) {
-        sink.putU64(cyc);
-        putMetaFault(sink, f);
-    }
-
-    for (u32 s = 0; s < cfg_.geom.stacks; ++s) {
-        rrt_[s].serialize(sink);
-        brt_[s].serialize(sink);
-        sink.putU32(spareRowCursor_[s]);
-    }
-
-    sink.putU64(tsvUsed_.size());
-    for (const auto &[k, v] : tsvUsed_) {
-        sink.putU64(k);
-        sink.putU32(v);
-    }
-    sink.putU64(tsvBroken_.size());
-    for (u64 k : tsvBroken_)
-        sink.putU64(k);
-
-    sink.putU64(rrtSpared_.size());
-    for (const auto &[k, f] : rrtSpared_) {
-        sink.putU64(k);
-        putFault(sink, f);
-    }
-    sink.putU64(brtSpared_.size());
-    for (const auto &[k, st] : brtSpared_) {
-        sink.putU64(k);
-        sink.putU32(st.unit);
-        sink.putU64(st.faults.size());
-        for (const Fault &f : st.faults)
-            putFault(sink, f);
-    }
-    sink.putU64(absorbedTsv_.size());
-    for (const auto &[k, faults] : absorbedTsv_) {
-        sink.putU64(k);
-        sink.putU64(faults.size());
-        for (const Fault &f : faults)
-            putFault(sink, f);
-    }
-
-    poisoned_.serialize(sink);
-    sink.putU64(lastScrub_);
-    ladder_.serialize(sink);
-    meta_.serialize(sink);
-    putCounters(sink, log_.counters);
+    Writer out(sink);
+    fields(out, *this);
 }
 
 void
 LiveRasDatapath::loadState(ByteSource &src)
 {
-    if (src.getU32() != kCheckpointMagic)
-        fatal("LiveRasDatapath: bad checkpoint magic");
-    if (src.getU32() != kCheckpointVersion)
-        fatal("LiveRasDatapath: unsupported checkpoint version");
+    Reader in(src);
+    fields(in, *this);
 
     // Every stored fault must pass scheduleFault()'s rule: the stack
     // tables are indexed by its stack coordinate.
-    auto loadFault = [&](const char *field) {
-        const Fault f = getFault(src);
+    const auto check = [&](const Fault &f, const char *field) {
         if (!onOneStack(f))
             fatal("LiveRasDatapath: checkpoint %s fault must name one "
                   "existing stack (%s)",
                   field, f.describe().c_str());
-        return f;
     };
-
-    active_.clear();
-    u64 n = src.getCount(kFaultBytes);
-    for (u64 i = 0; i < n; ++i)
-        active_.push_back(loadFault("active"));
-
-    pending_.clear();
-    n = src.getCount(8 + kFaultBytes);
-    for (u64 i = 0; i < n; ++i) {
-        const u64 cyc = src.getU64();
-        pending_.emplace(cyc, loadFault("pending"));
-    }
-
-    pendingMeta_.clear();
-    n = src.getCount(8 + kMetaFaultBytes);
-    for (u64 i = 0; i < n; ++i) {
-        const u64 cyc = src.getU64();
-        pendingMeta_.emplace(cyc, getMetaFault(src));
-    }
-
-    for (u32 s = 0; s < cfg_.geom.stacks; ++s) {
-        rrt_[s].deserialize(src);
-        brt_[s].deserialize(src);
-        spareRowCursor_[s] = src.getU32();
-    }
-
-    tsvUsed_.clear();
-    n = src.getCount(12);
-    for (u64 i = 0; i < n; ++i) {
-        const u64 k = src.getU64();
-        tsvUsed_[k] = src.getU32();
-    }
-    tsvBroken_.clear();
-    n = src.getCount(8);
-    for (u64 i = 0; i < n; ++i)
-        tsvBroken_.insert(src.getU64());
-
-    rrtSpared_.clear();
-    n = src.getCount(8 + kFaultBytes);
-    for (u64 i = 0; i < n; ++i) {
-        const u64 k = src.getU64();
-        rrtSpared_.emplace(k, loadFault("rrtSpared"));
-    }
-    brtSpared_.clear();
-    n = src.getCount(8 + 4 + 8); // key + unit + inner count at minimum
-    for (u64 i = 0; i < n; ++i) {
-        const u64 k = src.getU64();
-        BrtSlotState st;
-        st.unit = src.getU32();
-        const u64 m = src.getCount(kFaultBytes);
-        for (u64 j = 0; j < m; ++j)
-            st.faults.push_back(loadFault("brtSpared"));
-        brtSpared_.emplace(k, std::move(st));
-    }
-    absorbedTsv_.clear();
-    n = src.getCount(8 + 8); // key + inner count at minimum
-    for (u64 i = 0; i < n; ++i) {
-        const u64 k = src.getU64();
-        const u64 m = src.getCount(kFaultBytes);
-        std::vector<Fault> faults;
-        for (u64 j = 0; j < m; ++j)
-            faults.push_back(loadFault("absorbedTsv"));
-        absorbedTsv_.emplace(k, std::move(faults));
-    }
-
-    poisoned_.deserialize(src);
-    lastScrub_ = src.getU64();
-    ladder_.deserialize(src);
-    meta_.deserialize(src);
-    getCounters(src, log_.counters);
+    for (const Fault &f : active_)
+        check(f, "active");
+    for (const auto &[cyc, f] : pending_)
+        check(f, "pending");
+    for (const auto &[k, f] : rrtSpared_)
+        check(f, "rrtSpared");
+    for (const auto &[k, st] : brtSpared_)
+        for (const Fault &f : st.faults)
+            check(f, "brtSpared");
+    for (const auto &[k, faults] : absorbedTsv_)
+        for (const Fault &f : faults)
+            check(f, "absorbedTsv");
 
     // Engine state is derived (golden XOR the active set), never
     // stored: rebuild it from what we just loaded.

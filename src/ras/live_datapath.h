@@ -199,6 +199,11 @@ class LiveRasDatapath final : public RasHook
     {
         u32 unit = 0; ///< Decommissioned stack-global bank ordinal.
         std::vector<Fault> faults;
+
+        friend void fields(auto &io, Of<BrtSlotState> auto &st)
+        {
+            io(st.unit, st.faults);
+        }
     };
     std::map<u64, BrtSlotState> brtSpared_;       ///< (stack, slot) key.
     std::map<u64, std::vector<Fault>> absorbedTsv_; ///< tsvUsed_ keys.
@@ -209,6 +214,9 @@ class LiveRasDatapath final : public RasHook
     BoundedPoisonSet poisoned_; ///< DUE lines (default 4096-run cap).
     u64 lastScrub_ = 0;
     RasLog log_;
+
+    /** The checkpoint field list (common/serialize.h). */
+    static void fields(auto &io, auto &self);
 
     UnitId unitId(ChannelId channel, BankId bank) const;
     /** Does the fault name exactly one existing stack? */

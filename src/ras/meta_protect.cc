@@ -52,20 +52,19 @@ void
 ProtectedMetaStore::install(const RecordKey &key, u64 payload)
 {
     Record rec;
+    rec.key = key;
     rec.payload = payload;
     rec.primary = payload;
     rec.mirror = payload;
     rec.primaryCheck = Secded::encode(payload);
     rec.mirrorCheck = rec.primaryCheck;
     records_[key.packed()] = rec;
-    keys_[key.packed()] = key;
 }
 
 void
 ProtectedMetaStore::remove(const RecordKey &key)
 {
     records_.erase(key.packed());
-    keys_.erase(key.packed());
 }
 
 bool
@@ -173,64 +172,35 @@ ProtectedMetaStore::scrub()
             rec.primaryTransient = rec.mirrorTransient = 0;
             rec.primaryCheckTransient = rec.mirrorCheckTransient = 0;
         } else {
-            out.lost.push_back(keys_.at(packed));
+            out.lost.push_back(rec.key);
             dead.push_back(packed);
         }
     }
 
-    for (u64 packed : dead) {
+    for (u64 packed : dead)
         records_.erase(packed);
-        keys_.erase(packed);
-    }
     return out;
 }
 
 void
-ProtectedMetaStore::serialize(ByteSink &sink) const
+ProtectedMetaStore::saveState(ByteSink &sink) const
 {
-    sink.putU64(records_.size());
-    for (const auto &[packed, rec] : records_) {
-        const RecordKey &key = keys_.at(packed);
-        sink.putU8(static_cast<u8>(key.target));
-        sink.putU32(key.stack.value());
-        sink.putU32(key.unit.value());
-        sink.putU32(key.slot.value());
-        sink.putU64(rec.payload);
-        sink.putU64(rec.primary);
-        sink.putU64(rec.mirror);
-        sink.putU8(rec.primaryCheck);
-        sink.putU8(rec.mirrorCheck);
-        sink.putU64(rec.primaryTransient);
-        sink.putU64(rec.mirrorTransient);
-        sink.putU8(rec.primaryCheckTransient);
-        sink.putU8(rec.mirrorCheckTransient);
-    }
+    Writer out(sink);
+    out(static_cast<u64>(records_.size()));
+    for (const auto &[packed, rec] : records_)
+        out(rec);
 }
 
 void
-ProtectedMetaStore::deserialize(ByteSource &src)
+ProtectedMetaStore::loadState(ByteSource &src)
 {
+    Reader in(src);
     records_.clear();
-    keys_.clear();
-    const u64 n = src.getCount(57); // exact serialized record size
+    const u64 n = in.count<Record>();
     for (u64 i = 0; i < n; ++i) {
-        RecordKey key;
-        key.target = static_cast<MetaTarget>(src.getU8());
-        key.stack = StackId{src.getU32()};
-        key.unit = UnitId{src.getU32()};
-        key.slot = MetaSlotId{src.getU32()};
         Record rec;
-        rec.payload = src.getU64();
-        rec.primary = src.getU64();
-        rec.mirror = src.getU64();
-        rec.primaryCheck = src.getU8();
-        rec.mirrorCheck = src.getU8();
-        rec.primaryTransient = src.getU64();
-        rec.mirrorTransient = src.getU64();
-        rec.primaryCheckTransient = src.getU8();
-        rec.mirrorCheckTransient = src.getU8();
-        records_[key.packed()] = rec;
-        keys_[key.packed()] = key;
+        in(rec);
+        records_.emplace(rec.key.packed(), rec);
     }
 }
 

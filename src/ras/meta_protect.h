@@ -64,6 +64,14 @@ class ProtectedMetaStore
         MetaSlotId slot{};
 
         u64 packed() const;
+
+        friend void fields(auto &io, Of<RecordKey> auto &k)
+        {
+            io.enumByte(k.target, MetaTarget::ParityCacheLine,
+                        "ProtectedMetaStore: corrupt checkpoint: unknown "
+                        "record target %u");
+            io(k.stack, k.unit, k.slot);
+        }
     };
 
     /** What applying one MetaFault did. */
@@ -111,12 +119,15 @@ class ProtectedMetaStore
 
     const Options &options() const { return opts_; }
 
-    void serialize(ByteSink &sink) const;
-    void deserialize(ByteSource &src);
+    /** Checkpoint / restore every record. The saved form is the
+     *  records alone, each carrying its key; the map key is derived. */
+    void saveState(ByteSink &sink) const;
+    void loadState(ByteSource &src);
 
   private:
     struct Record
     {
+        RecordKey key;
         u64 payload = 0; ///< Canonical logical content.
         u64 primary = 0;
         u64 mirror = 0;
@@ -128,11 +139,17 @@ class ProtectedMetaStore
         u64 mirrorTransient = 0;
         u8 primaryCheckTransient = 0;
         u8 mirrorCheckTransient = 0;
+
+        friend void fields(auto &io, Of<Record> auto &r)
+        {
+            io(r.key, r.payload, r.primary, r.mirror, r.primaryCheck,
+               r.mirrorCheck, r.primaryTransient, r.mirrorTransient,
+               r.primaryCheckTransient, r.mirrorCheckTransient);
+        }
     };
 
     Options opts_;
-    std::map<u64, Record> records_; ///< packed key -> record.
-    std::map<u64, RecordKey> keys_; ///< packed key -> full key.
+    std::map<u64, Record> records_; ///< key.packed() -> record.
 
     static RecordKey keyOf(const MetaFault &f);
 

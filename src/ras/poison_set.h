@@ -97,28 +97,25 @@ class BoundedPoisonSet
         overApprox_ = false;
     }
 
-    void serialize(ByteSink &sink) const
+    void saveState(ByteSink &sink) const
     {
-        sink.putBool(overApprox_);
-        sink.putU64(runs_.size());
-        for (const auto &[lo, hi] : runs_) {
-            sink.putU64(lo);
-            sink.putU64(hi);
-        }
+        Writer out(sink);
+        fields(out, *this);
     }
 
-    void deserialize(ByteSource &src)
+    void loadState(ByteSource &src)
     {
-        clear();
-        overApprox_ = src.getBool();
-        const u64 n = src.getCount(2 * sizeof(u64));
-        for (u64 i = 0; i < n; ++i) {
-            const u64 lo = src.getU64();
-            runs_[lo] = src.getU64();
-        }
+        Reader in(src);
+        fields(in, *this);
     }
 
   private:
+    /** The checkpoint field list (common/serialize.h). */
+    static void fields(auto &io, auto &self)
+    {
+        io(self.overApprox_, self.runs_);
+    }
+
     void enforceCap()
     {
         while (runs_.size() > maxRuns_) {

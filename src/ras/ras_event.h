@@ -119,6 +119,21 @@ struct RasCounters
     std::string summary() const;
 };
 
+/** Checkpoint field list (common/serialize.h). */
+void
+fields(auto &io, Of<RasCounters> auto &c)
+{
+    io(c.faultsInjected, c.faultsAbsorbed, c.demandReads, c.remappedReads,
+       c.crcDetects, c.retries, c.ce, c.due, c.dueReads, c.sdc,
+       c.parityGroupReads, c.linesReconstructed, c.rowsSpared,
+       c.banksSpared, c.sparingDenied, c.tsvRepairs, c.pagesOfflined,
+       c.banksRetired, c.channelsDegraded, c.retiredAbsorbed,
+       c.offlinedReads, c.metaFaultsInjected, c.metaCorrected,
+       c.metaMirrorRestored, c.metaRecordsLost, c.metaScrubRetries,
+       c.metaBackoffCycles, c.parityCacheRefetches, c.faultsReactivated,
+       c.divergences, c.analyticConservative);
+}
+
 /**
  * Bounded event log: keeps the first `capacity` events and counts the
  * rest, so a fault storm cannot blow up memory while the counters stay

@@ -222,32 +222,28 @@ SoakCampaign::result() const
 }
 
 void
+SoakCampaign::fields(auto &io, auto &self)
+{
+    io.expect(kSoakMagic, "SoakCampaign: bad checkpoint magic");
+    io.expect(kSoakVersion, "SoakCampaign: unsupported checkpoint version");
+    io.expect(self.cfg_.shards,
+              "SoakCampaign: checkpoint shard count mismatch");
+    io(self.hoursDone_);
+    io.fixed(self.shards_);
+}
+
+void
 SoakCampaign::save(ByteSink &sink) const
 {
-    sink.putU32(kSoakMagic);
-    sink.putU32(kSoakVersion);
-    sink.putU32(cfg_.shards);
-    sink.putDouble(hoursDone_);
-    for (const Shard &sh : shards_) {
-        sink.putU64(sh.cycle);
-        sh.dp->saveState(sink);
-    }
+    Writer out(sink);
+    fields(out, *this);
 }
 
 void
 SoakCampaign::load(ByteSource &src)
 {
-    if (src.getU32() != kSoakMagic)
-        fatal("SoakCampaign: bad checkpoint magic");
-    if (src.getU32() != kSoakVersion)
-        fatal("SoakCampaign: unsupported checkpoint version");
-    if (src.getU32() != cfg_.shards)
-        fatal("SoakCampaign: checkpoint shard count mismatch");
-    hoursDone_ = src.getDouble();
-    for (Shard &sh : shards_) {
-        sh.cycle = src.getU64();
-        sh.dp->loadState(src);
-    }
+    Reader in(src);
+    fields(in, *this);
 }
 
 } // namespace citadel

@@ -126,7 +126,15 @@ class SoakCampaign
     {
         std::unique_ptr<LiveRasDatapath> dp;
         u64 cycle = 0; ///< Stepper position (the only loop state).
+
+        friend void fields(auto &io, Of<Shard> auto &sh)
+        {
+            io(sh.cycle, sh.dp);
+        }
     };
+
+    /** The checkpoint field list (common/serialize.h). */
+    static void fields(auto &io, auto &self);
 
     SoakConfig cfg_;
     double lifetimeHours_;

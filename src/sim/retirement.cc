@@ -187,32 +187,23 @@ RetirementMap::clear()
 }
 
 void
-RetirementMap::serialize(ByteSink &sink) const
+RetirementMap::fields(auto &io, auto &self)
 {
-    sink.putU64(offlineRows_.size());
-    for (u64 k : offlineRows_)
-        sink.putU64(k);
-    sink.putU64(retiredBanks_.size());
-    for (u64 k : retiredBanks_)
-        sink.putU64(k);
-    sink.putU64(degradedChannels_.size());
-    for (u64 k : degradedChannels_)
-        sink.putU64(k);
+    io(self.offlineRows_, self.retiredBanks_, self.degradedChannels_);
 }
 
 void
-RetirementMap::deserialize(ByteSource &src)
+RetirementMap::saveState(ByteSink &sink) const
 {
-    clear();
-    u64 n = src.getCount(sizeof(u64));
-    for (u64 i = 0; i < n; ++i)
-        offlineRows_.insert(src.getU64());
-    n = src.getCount(sizeof(u64));
-    for (u64 i = 0; i < n; ++i)
-        retiredBanks_.insert(src.getU64());
-    n = src.getCount(sizeof(u64));
-    for (u64 i = 0; i < n; ++i)
-        degradedChannels_.insert(src.getU64());
+    Writer out(sink);
+    fields(out, *this);
+}
+
+void
+RetirementMap::loadState(ByteSource &src)
+{
+    Reader in(src);
+    fields(in, *this);
 }
 
 } // namespace citadel

@@ -93,10 +93,13 @@ class RetirementMap
 
     void clear();
 
-    void serialize(ByteSink &sink) const;
-    void deserialize(ByteSource &src);
+    void saveState(ByteSink &sink) const;
+    void loadState(ByteSource &src);
 
   private:
+    /** The checkpoint field list (common/serialize.h). */
+    static void fields(auto &io, auto &self);
+
     StackGeometry geom_;
 
     // Ordered sets so iteration (serialization, fingerprints) is

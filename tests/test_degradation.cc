@@ -90,11 +90,11 @@ TEST_F(RetirementMapTest, SerializeRoundTripsExactly)
     map_.offlineRow(StackId{0}, ChannelId{0}, BankId{1}, RowId{7});
     map_.retireBank(StackId{0}, ChannelId{1}, BankId{1});
     ByteSink sink;
-    map_.serialize(sink);
+    map_.saveState(sink);
 
     RetirementMap other(geom_);
     ByteSource src(sink.bytes());
-    other.deserialize(src);
+    other.loadState(src);
     EXPECT_EQ(src.remaining(), 0u);
     EXPECT_TRUE(other.rowOffline(StackId{0}, ChannelId{0}, BankId{1},
                                  RowId{7}));
@@ -102,7 +102,7 @@ TEST_F(RetirementMapTest, SerializeRoundTripsExactly)
     EXPECT_EQ(other.retiredLines(), map_.retiredLines());
 
     ByteSink again;
-    other.serialize(again);
+    other.saveState(again);
     EXPECT_EQ(again.bytes(), sink.bytes());
 }
 
@@ -178,10 +178,10 @@ TEST(DegradationLadderTest, SerializeRoundTripsStrikes)
                   ColId{0}});
 
     ByteSink sink;
-    ladder.serialize(sink);
+    ladder.saveState(sink);
     DegradationLadder other(StackGeometry::tiny(), opts);
     ByteSource src(sink.bytes());
-    other.deserialize(src);
+    other.loadState(src);
     EXPECT_EQ(src.remaining(), 0u);
 
     // The restored ladder is one strike away from retirement, exactly
@@ -255,16 +255,16 @@ TEST(BoundedPoisonSetTest, SerializeRoundTripsExactly)
     for (u64 a : {5u, 6u, 90u, 200u, 300u, 400u})
         set.insert(LineAddr{a});
     ByteSink sink;
-    set.serialize(sink);
+    set.saveState(sink);
 
     BoundedPoisonSet other(4);
     ByteSource src(sink.bytes());
-    other.deserialize(src);
+    other.loadState(src);
     EXPECT_EQ(src.remaining(), 0u);
     EXPECT_EQ(other.runCount(), set.runCount());
     EXPECT_EQ(other.overApproximated(), set.overApproximated());
     ByteSink again;
-    other.serialize(again);
+    other.saveState(again);
     EXPECT_EQ(again.bytes(), sink.bytes());
 }
 
@@ -387,10 +387,10 @@ TEST_F(MetaStoreTest, SerializeCarriesPendingCorruption)
     store.applyFault(hit(0, 1, 0b11, 0b101, /*transient=*/false));
 
     ByteSink sink;
-    store.serialize(sink);
+    store.saveState(sink);
     ProtectedMetaStore other;
     ByteSource src(sink.bytes());
-    other.deserialize(src);
+    other.loadState(src);
     EXPECT_EQ(src.remaining(), 0u);
     EXPECT_EQ(other.size(), 2u);
 
@@ -400,6 +400,24 @@ TEST_F(MetaStoreTest, SerializeCarriesPendingCorruption)
     ASSERT_EQ(out.lost.size(), 1u);
     EXPECT_EQ(out.lost[0].packed(), rrtKey(0, 1).packed());
     EXPECT_TRUE(other.exists(rrtKey(0, 0)));
+}
+
+TEST_F(MetaStoreTest, LoadRejectsUnknownRecordTarget)
+{
+    // A record is saved as its key, target byte first, after the
+    // record count; one past the last MetaTarget must be refused, not
+    // restored as a target no scrub or fault path knows.
+    ProtectedMetaStore store;
+    store.install(rrtKey(0, 0), 0x42u);
+    ByteSink sink;
+    store.saveState(sink);
+    std::vector<u8> bytes = sink.bytes();
+    ASSERT_EQ(bytes[8], static_cast<u8>(MetaTarget::RrtEntry));
+    bytes[8] = static_cast<u8>(MetaTarget::ParityCacheLine) + 1;
+
+    ProtectedMetaStore other;
+    ByteSource src(bytes);
+    EXPECT_DEATH(other.loadState(src), "unknown record target 4");
 }
 
 // ------------------------------------------------------------------

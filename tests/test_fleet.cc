@@ -277,9 +277,9 @@ TEST(HashRing, PlacementPlusPredictsPostAdmissionOwnership)
 // ---- FleetCounters tripwire ----------------------------------------
 
 // Catches a counter added to the struct but missed in add() or the
-// putU64 serialization: fill the struct with distinct non-zero values
+// checkpoint field list: fill the struct with distinct non-zero values
 // via its flat-u64 layout (the static_asserts in fleet_types.h pin
-// it), then demand that serialize() emits exactly those values in
+// it), then demand that the field list writes exactly those values in
 // declaration order and that add() doubles every one of them.
 TEST(FleetCounters, TripwireEveryFieldSerializedAndMerged)
 {
@@ -293,10 +293,10 @@ TEST(FleetCounters, TripwireEveryFieldSerializedAndMerged)
     std::memcpy(&c, fill, sizeof(c));
 
     ByteSink sink;
-    c.serialize(sink);
+    Writer{sink}(c);
     ASSERT_EQ(sink.bytes().size(), sizeof(FleetCounters))
-        << "serialize() writes a different number of fields than the "
-           "struct declares";
+        << "the field list writes a different number of fields than "
+           "the struct declares";
     ByteSource src(sink.bytes());
     for (std::size_t i = 0; i < kFleetCounterFields; ++i)
         EXPECT_EQ(src.getU64(), i + 1)
@@ -307,19 +307,19 @@ TEST(FleetCounters, TripwireEveryFieldSerializedAndMerged)
     FleetCounters sum = c;
     sum.add(c);
     ByteSink sink2;
-    sum.serialize(sink2);
+    Writer{sink2}(sum);
     ByteSource src2(sink2.bytes());
     for (std::size_t i = 0; i < kFleetCounterFields; ++i)
         EXPECT_EQ(src2.getU64(), 2 * (i + 1))
             << "field " << i << " missed by add()";
 
-    // deserialize() is the exact inverse.
+    // Loading is the exact inverse.
     FleetCounters back;
     ByteSource src3(sink.bytes());
-    back.deserialize(src3);
+    Reader{src3}(back);
     EXPECT_EQ(src3.remaining(), 0u);
     ByteSink sink4;
-    back.serialize(sink4);
+    Writer{sink4}(back);
     EXPECT_EQ(sink4.bytes(), sink.bytes());
 }
 
