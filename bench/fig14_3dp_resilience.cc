@@ -66,6 +66,8 @@ main()
               << ratioCell(rs.probFail(), r3.probFail())
               << " (paper ~7x; strict "
               << "accumulation floors all parity schemes --\n  see the "
-              << "repair-on-correction column and EXPERIMENTS.md).\n";
+              << "repair-on-correction column and EXPERIMENTS.md),\n"
+              << "  3DP (repair-on-corr) vs striped symbol "
+              << ratioCell(rs.probFail(), r3r.probFail()) << ".\n";
     return 0;
 }
