@@ -1,9 +1,9 @@
 /**
  * @file
  * Google-benchmark micro-kernels for the hot paths of the library:
- * CRC-32, Reed-Solomon encode/decode, fault-lifetime sampling, Monte
- * Carlo trials, 3DP bit-true reconstruction and LLC operations. These
- * quantify the cost of the machinery behind the figure benches.
+ * CRC-32, fault-lifetime sampling, Monte Carlo trials, 3DP bit-true
+ * reconstruction and LLC operations. These quantify the cost of the
+ * machinery behind the figure benches.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,7 +16,6 @@
 #include "common/rng.h"
 #include "common/xor_fold.h"
 #include "ecc/crc32.h"
-#include "ecc/reed_solomon.h"
 #include "sim/llc.h"
 
 namespace citadel {
@@ -131,37 +130,6 @@ BM_Crc32Line(benchmark::State &state)
         static_cast<int64_t>(state.iterations()) * 64);
 }
 BENCHMARK(BM_Crc32Line);
-
-void
-BM_RsEncode(benchmark::State &state)
-{
-    RsCode rs(72, 64);
-    Rng rng(2);
-    std::vector<u8> data(64);
-    for (auto &b : data)
-        b = static_cast<u8>(rng.next());
-    for (auto _ : state)
-        benchmark::DoNotOptimize(rs.encode(data));
-    state.SetBytesProcessed(
-        static_cast<int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_RsEncode);
-
-void
-BM_RsDecodeWithErrors(benchmark::State &state)
-{
-    RsCode rs(72, 64);
-    Rng rng(3);
-    std::vector<u8> data(64);
-    for (auto &b : data)
-        b = static_cast<u8>(rng.next());
-    auto cw = rs.encode(data);
-    cw[5] ^= 0x5A;
-    cw[40] ^= 0xC3;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(rs.decode(cw));
-}
-BENCHMARK(BM_RsDecodeWithErrors);
 
 void
 BM_SampleLifetime(benchmark::State &state)

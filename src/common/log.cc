@@ -46,13 +46,4 @@ warn(const char *fmt, ...)
     va_end(ap);
 }
 
-void
-inform(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("info", fmt, ap);
-    va_end(ap);
-}
-
 } // namespace citadel

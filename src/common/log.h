@@ -2,7 +2,7 @@
  * @file
  * gem5-style status/error reporting: panic() for internal invariant
  * violations, fatal() for unrecoverable user/configuration errors,
- * warn()/inform() for advisories. All are printf-style free functions.
+ * warn() for advisories. All are printf-style free functions.
  */
 
 #ifndef CITADEL_COMMON_LOG_H
@@ -28,9 +28,6 @@ namespace citadel {
 
 /** Advisory: something is approximated or suspicious but survivable. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Plain status message to stderr. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 } // namespace citadel
 

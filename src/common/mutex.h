@@ -51,11 +51,6 @@ class CITADEL_CAPABILITY("mutex") Mutex
     {
         m_.unlock();
     }
-    bool tryLock() CITADEL_TRY_ACQUIRE(true)
-        CITADEL_NO_THREAD_SAFETY_ANALYSIS
-    {
-        return m_.try_lock();
-    }
 
     /** Native handle for CondVar's adopt-and-release wait. */
     std::mutex &native() { return m_; }
@@ -109,7 +104,6 @@ class CondVar
         native.release();
     }
 
-    void notifyOne() { cv_.notify_one(); }
     void notifyAll() { cv_.notify_all(); }
 
   private:

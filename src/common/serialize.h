@@ -43,9 +43,10 @@
  * its raw value; an enum as one range-checked byte; std::vector,
  * std::map, std::multimap and std::set as a u64 count and then their
  * elements in order, read through getCount() so a corrupt count fails
- * before it allocates; fixed() for a sequence whose length the reader
- * already knows, written without a count; std::pair as first, second;
- * std::unique_ptr as its pointee.
+ * before it allocates (a std::map or std::set key not strictly above
+ * its predecessor fails rather than being dropped); fixed() for a
+ * sequence whose length the reader already knows, written without a
+ * count; std::pair as first, second; std::unique_ptr as its pointee.
  */
 
 #ifndef CITADEL_COMMON_SERIALIZE_H
@@ -129,6 +130,9 @@ class ByteSource
     /** Bytes not yet consumed. */
     std::size_t remaining() const { return bytes_.size() - pos_; }
 
+    /** Bytes consumed so far: where the next read starts. */
+    std::size_t offset() const { return pos_; }
+
     /**
      * Container length guard: a corrupt length field must fail here,
      * not as a multi-gigabyte allocation. Each element needs at least
@@ -186,6 +190,25 @@ struct Element<T>
 {
     using type = std::pair<typename T::key_type, typename T::mapped_type>;
 };
+
+/** std::map and std::set: ordered, and insert() reports whether the
+ *  key was new, since a key may appear only once. */
+template <class T>
+concept UniqueKeys = requires(T &c, const typename T::value_type &e) {
+    c.key_comp();
+    { c.insert(e) } -> std::same_as<std::pair<typename T::iterator, bool>>;
+};
+
+/** The key of a map entry or set element of container C. */
+template <class C, class E>
+const auto &
+keyOf(const E &e)
+{
+    if constexpr (requires { typename C::mapped_type; })
+        return e.first;
+    else
+        return e;
+}
 
 template <class T>
 concept Id = requires { typename T::tag_type; };
@@ -337,15 +360,17 @@ class Reader
         m.clear();
         const u64 n = count<Entry>();
         for (u64 i = 0; i < n; ++i) {
+            const std::size_t at = src_.offset();
             Entry e{};
             get(e);
             if (e.first >= bound)
                 fatal("%s key %llu outside the key space (%llu)", what,
                       static_cast<unsigned long long>(e.first),
                       static_cast<unsigned long long>(bound));
-            if (!m.empty() && e.first <= m.rbegin()->first)
-                fatal("%s key %llu is duplicated or out of order", what,
-                      static_cast<unsigned long long>(e.first));
+            if (!inKeyOrder(m, e))
+                fatal("%s key %llu is duplicated or out of order "
+                      "(offset %zu)",
+                      what, static_cast<unsigned long long>(e.first), at);
             m.insert(m.end(), std::move(e));
         }
     }
@@ -359,6 +384,20 @@ class Reader
     ByteSource &source() { return src_; }
 
   private:
+    /** May `e` follow the container's last element? A std::map or
+     *  std::set needs its key strictly above the last under key_comp():
+     *  insert() would drop a duplicate, and the loaded state would not
+     *  re-save to the bytes it came from. Other containers take any. */
+    template <class C, class E> static bool inKeyOrder(const C &c, const E &e)
+    {
+        using namespace serialize_detail;
+        if constexpr (UniqueKeys<C>)
+            return c.empty() ||
+                   c.key_comp()(keyOf<C>(*c.rbegin()), keyOf<C>(e));
+        else
+            return true;
+    }
+
     template <class Seq> void getEach(Seq &seq)
     {
         for (auto &&e : seq)
@@ -387,8 +426,13 @@ class Reader
             v.clear();
             const u64 n = count<E>();
             for (u64 i = 0; i < n; ++i) {
+                const std::size_t at = src_.offset();
                 E e{};
                 get(e);
+                if (!inKeyOrder(v, e))
+                    fatal("checkpoint: key at offset %zu is duplicated or "
+                          "out of order",
+                          at);
                 v.insert(v.end(), std::move(e));
             }
         } else if constexpr (Pair<T>) {

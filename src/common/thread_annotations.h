@@ -18,8 +18,8 @@
  *  - CITADEL_GUARDED_BY(cap): this field may only be read or written
  *    while `cap` is held.
  *  - CITADEL_REQUIRES(cap): callers must hold `cap` before calling.
- *  - CITADEL_ACQUIRE / CITADEL_RELEASE / CITADEL_TRY_ACQUIRE: this
- *    function takes / drops / conditionally takes the capability.
+ *  - CITADEL_ACQUIRE / CITADEL_RELEASE: this function takes / drops
+ *    the capability.
  *  - CITADEL_EXCLUDES(cap): callers must NOT hold `cap` (used to keep
  *    parallel-phase entry points out of serial-phase scopes).
  *  - CITADEL_ASSERT_CAPABILITY(cap): runtime boundary assertion; the
@@ -64,9 +64,6 @@
 
 #define CITADEL_RELEASE(...) \
     CITADEL_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-
-#define CITADEL_TRY_ACQUIRE(...) \
-    CITADEL_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
 #define CITADEL_EXCLUDES(...) \
     CITADEL_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))

@@ -8,6 +8,9 @@ namespace citadel {
 
 namespace {
 
+/** The paper's symbol width: an "8-bit symbol-based code". */
+constexpr u32 kSymbolBits = 8;
+
 /** Exact-channel helper: all injected faults carry an exact channel. */
 u32
 channelOf(const Fault &f)
@@ -35,13 +38,6 @@ shareLine(const Fault &a, const Fault &b)
 
 } // namespace
 
-SymbolStripedScheme::SymbolStripedScheme(StripingMode mode, u32 symbol_bits)
-    : mode_(mode), symbolBits_(symbol_bits)
-{
-    if (symbol_bits == 0 || (symbol_bits & (symbol_bits - 1)) != 0)
-        fatal("SymbolStripedScheme: symbol width must be a power of two");
-}
-
 std::string
 SymbolStripedScheme::name() const
 {
@@ -51,10 +47,10 @@ SymbolStripedScheme::name() const
 u64
 SymbolStripedScheme::symbolsPerLine(const Fault &f) const
 {
-    // Symbol index = bit >> log2(symbolBits_); count distinct symbol
+    // Symbol index = bit >> log2(kSymbolBits); count distinct symbol
     // indices admitted by the bit-dimension range.
     const u32 bit_bits = cfg_->geom.bitBits();
-    const u32 sym_shift = static_cast<u32>(std::countr_zero(symbolBits_));
+    const u32 sym_shift = static_cast<u32>(std::countr_zero(kSymbolBits));
     const u32 sym_bits = bit_bits - sym_shift;
     const u32 sym_mask_space = (1u << sym_bits) - 1;
     const u32 significant = static_cast<u32>(

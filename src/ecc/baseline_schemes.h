@@ -14,9 +14,8 @@
  *    with CRC-based error location (Section VIII-F, Fig 19).
  *
  * Evaluators answer "does the concurrent fault set contain a pattern
- * the code cannot correct?" over FaultRange algebra; the bit-true
- * Reed-Solomon codec in ecc/reed_solomon.h validates the symbol-code
- * abstraction in tests.
+ * the code cannot correct?" over FaultRange algebra. They are analytic
+ * models: no bit-true decoder checks them.
  */
 
 #ifndef CITADEL_ECC_BASELINE_SCHEMES_H
@@ -31,15 +30,12 @@ namespace citadel {
 class SymbolStripedScheme : public RasScheme
 {
   public:
-    /**
-     * @param mode Data mapping for the cache line.
-     * @param symbol_bits Symbol width (8 in the paper).
-     */
-    explicit SymbolStripedScheme(StripingMode mode, u32 symbol_bits = 8);
+    /** @param mode Data mapping for the cache line. */
+    explicit SymbolStripedScheme(StripingMode mode) : mode_(mode) {}
 
     SchemePtr clone() const override
     {
-        return std::make_unique<SymbolStripedScheme>(mode_, symbolBits_);
+        return std::make_unique<SymbolStripedScheme>(mode_);
     }
 
     std::string name() const override;
@@ -49,7 +45,6 @@ class SymbolStripedScheme : public RasScheme
 
   private:
     StripingMode mode_;
-    u32 symbolBits_;
 
     bool uncSameBank(const std::vector<Fault> &active) const;
     bool uncAcrossBanks(const std::vector<Fault> &active) const;

@@ -104,20 +104,6 @@ struct Fault
     /** Do two fault ranges overlap anywhere? */
     bool intersects(const Fault &o) const;
 
-    /**
-     * Do the ranges overlap when projected onto a subset of dimensions?
-     * Used by scheme evaluators that compare faults within a parity
-     * group or codeword (e.g., same (row, col) across banks).
-     */
-    bool intersectsRows(const Fault &o) const
-    {
-        return row.intersects(o.row);
-    }
-    bool intersectsCols(const Fault &o) const
-    {
-        return col.intersects(o.col) && bit.intersects(o.bit);
-    }
-
     /** Number of distinct rows covered within one bank. */
     u64 rowsCovered(const StackGeometry &geom) const;
     /** Number of distinct banks covered within one channel. */

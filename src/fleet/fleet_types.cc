@@ -6,22 +6,6 @@ namespace citadel {
 namespace fleet {
 
 const char *
-statusName(Status s)
-{
-    switch (s) {
-    case Status::Ok:
-        return "Ok";
-    case Status::NotFound:
-        return "NotFound";
-    case Status::DueData:
-        return "DueData";
-    case Status::Busy:
-        return "Busy";
-    }
-    return "?";
-}
-
-const char *
 serverStateName(ServerState s)
 {
     switch (s) {

@@ -66,8 +66,6 @@ enum class Status : u8
     Busy,     ///< Bounded queue full, or the server has been fenced.
 };
 
-const char *statusName(Status s);
-
 /**
  * One request on the wire. Requests are value types: duplication (a
  * chaos mode) and hedging both re-send the same bytes, and idempotence

@@ -58,7 +58,6 @@ class HashRing
 
     bool contains(ServerIdx s) const;
     u32 liveCount() const { return live_; }
-    u32 serverCount() const { return static_cast<u32>(inRing_.size()); }
 
     /** Membership generation: starts at 1, +1 per remove() or add().
      *  Placement caches and warm scans are invalidated by epoch. */

@@ -73,10 +73,10 @@ StackServer::calibrate(u64 seed)
     const SimResult r = slice.run();
     baseCycle_ = r.cycles;
     const u64 reads = std::max<u64>(1, dp_->counters().demandReads);
-    calibCyclesPerRead_ =
+    const double cycles_per_read =
         static_cast<double>(r.cycles) / static_cast<double>(reads);
     const double rate = static_cast<double>(kCyclesPerTick) /
-                        std::max(1.0, calibCyclesPerRead_);
+                        std::max(1.0, cycles_per_read);
     serviceUnits_ = static_cast<u32>(
         std::clamp(rate, 1.0, 65536.0));
 }

@@ -147,9 +147,6 @@ class StackServer
     u32 warmFrame(std::span<const u8> frame)
         CITADEL_REQUIRES(kSerialPhase);
 
-    /** Running CRC over the warm stream's (key, version, value)s. */
-    u32 warmCrc() const { return warmCrc_; }
-
     /**
      * Admission handshake: Warming -> Up, the single re-entry into
      * Serving. `expectedCrc` is the coordinator's record CRC over
@@ -209,7 +206,6 @@ class StackServer
 
     const LiveRasDatapath &datapath() const { return *dp_; }
     u32 serviceUnitsPerTick() const { return serviceUnits_; }
-    double calibratedCyclesPerRead() const { return calibCyclesPerRead_; }
 
     /** Fold KV state, device state and stats into a fingerprint. */
     void serialize(ByteSink &sink) const CITADEL_REQUIRES(kSerialPhase);
@@ -291,7 +287,6 @@ class StackServer
     u32 slowDivisor_ = 1;
 
     u32 serviceUnits_;
-    double calibCyclesPerRead_ = 0.0;
     u64 baseCycle_ = 0; ///< Datapath cycles consumed by calibration.
     u64 lastCycle_ = 0; ///< Monotonic tick guard for the datapath.
 

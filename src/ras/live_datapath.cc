@@ -197,36 +197,40 @@ LiveRasDatapath::scheduleFault(const Fault &fault, u64 cycle)
 }
 
 void
-LiveRasDatapath::scheduleMetaFault(const MetaFault &fault, u64 cycle)
+LiveRasDatapath::checkMetaFault(const MetaFault &f, const char *who) const
 {
     const MetaGeometry mg = metaGeometry();
     const StackGeometry &g = cfg_.geom;
-    if (fault.stack.value() >= g.stacks)
-        fatal("scheduleMetaFault: stack out of range (%s)",
-              fault.describe().c_str());
-    switch (fault.target) {
+    const char *bad = nullptr;
+    switch (f.target) {
       case MetaTarget::RrtEntry:
-        if (fault.unit.value() >= dies_ * g.banksPerChannel ||
-            fault.slot.value() >= mg.rrtSlotsPerUnit)
-            fatal("scheduleMetaFault: RRT coordinate out of range (%s)",
-                  fault.describe().c_str());
+        if (f.unit.value() >= dies_ * g.banksPerChannel ||
+            f.slot.value() >= mg.rrtSlotsPerUnit)
+            bad = "RRT coordinate";
         break;
       case MetaTarget::BrtEntry:
-        if (fault.slot.value() >= mg.brtSlots)
-            fatal("scheduleMetaFault: BRT slot out of range (%s)",
-                  fault.describe().c_str());
+        if (f.slot.value() >= mg.brtSlots)
+            bad = "BRT slot";
         break;
       case MetaTarget::TsvRegister:
-        if (fault.channel.value() >= g.channelsPerStack)
-            fatal("scheduleMetaFault: channel out of range (%s)",
-                  fault.describe().c_str());
+        if (f.channel.value() >= g.channelsPerStack)
+            bad = "channel";
         break;
       case MetaTarget::ParityCacheLine:
-        if (fault.slot.value() >= mg.parityCacheWays)
-            fatal("scheduleMetaFault: parity way out of range (%s)",
-                  fault.describe().c_str());
+        if (f.slot.value() >= mg.parityCacheWays)
+            bad = "parity way";
         break;
     }
+    if (f.stack.value() >= g.stacks)
+        bad = "stack";
+    if (bad)
+        fatal("%s: %s out of range (%s)", who, bad, f.describe().c_str());
+}
+
+void
+LiveRasDatapath::scheduleMetaFault(const MetaFault &fault, u64 cycle)
+{
+    checkMetaFault(fault, "scheduleMetaFault");
     pendingMeta_.emplace(cycle, fault);
 }
 
@@ -901,8 +905,9 @@ LiveRasDatapath::loadState(ByteSource &src)
     Reader in(src);
     fields(in, *this);
 
-    // Every stored fault must pass scheduleFault()'s rule: the stack
-    // tables are indexed by its stack coordinate.
+    // Every stored fault must pass scheduleFault()'s or
+    // scheduleMetaFault()'s rule: the per-stack tables are indexed by
+    // its coordinates.
     const auto check = [&](const Fault &f, const char *field) {
         if (!onOneStack(f))
             fatal("LiveRasDatapath: checkpoint %s fault must name one "
@@ -913,6 +918,8 @@ LiveRasDatapath::loadState(ByteSource &src)
         check(f, "active");
     for (const auto &[cyc, f] : pending_)
         check(f, "pending");
+    for (const auto &[cyc, f] : pendingMeta_)
+        checkMetaFault(f, "LiveRasDatapath: checkpoint pending meta fault");
     for (const auto &[k, f] : rrtSpared_)
         check(f, "rrtSpared");
     for (const auto &[k, st] : brtSpared_)

@@ -221,6 +221,9 @@ class LiveRasDatapath final : public RasHook
     UnitId unitId(ChannelId channel, BankId bank) const;
     /** Does the fault name exactly one existing stack? */
     bool onOneStack(const Fault &f) const;
+    /** Fatal, prefixed by `who`, unless every coordinate of the meta
+     *  fault exists in this device's metadata geometry. */
+    void checkMetaFault(const MetaFault &f, const char *who) const;
     bool coordRemapped(const LineCoord &c) const;
     bool inSparedBank(const Fault &f) const;
     void materialize(const Fault &f, u64 cycle);

@@ -72,10 +72,6 @@ class RetirementMap
                degradedChannels_.empty();
     }
 
-    u64 offlinedRowCount() const { return offlineRows_.size(); }
-    u64 retiredBankCount() const { return retiredBanks_.size(); }
-    u64 degradedChannelCount() const { return degradedChannels_.size(); }
-
     /** Retired banks within one channel (ladder escalation input). */
     u32 retiredBanksIn(StackId stack, ChannelId channel) const;
 

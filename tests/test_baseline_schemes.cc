@@ -257,11 +257,5 @@ TEST_F(BaselineTest, EmptyFaultSetCorrectableEverywhere)
     EXPECT_FALSE(unc(raid, {}));
 }
 
-TEST(SymbolScheme, RejectsNonPowerOfTwoSymbol)
-{
-    EXPECT_DEATH(SymbolStripedScheme s(StripingMode::SameBank, 6),
-                 "power of two");
-}
-
 } // namespace
 } // namespace citadel

@@ -295,36 +295,56 @@ TEST_F(LiveRasTest, RejectsWildStackFault)
 
 TEST_F(LiveRasTest, LoadStateRejectsFaultOnMissingStack)
 {
-    // A saved pending bank fault whose stack coordinate is patched to a
-    // stack that does not exist must be refused by loadState, not
-    // indexed into the per-stack tables when it materializes.
-    LiveRasDatapath dp(cfg_);
-    dp.scheduleFault(bankFault(0, 1, 1), 100);
-    ByteSink sink;
-    dp.saveState(sink);
-    std::vector<u8> bytes = sink.bytes();
+    // A saved pending fault, data or meta, whose stack coordinate is
+    // patched to a stack that does not exist must be refused by
+    // loadState, not indexed into the per-stack tables when it
+    // materializes. `stack_at` is the offset of the fault's u32 stack
+    // value; the four bytes after it read `next` in the saved state.
+    const auto refused = [&](const auto &schedule, std::size_t stack_at,
+                             u8 next, const char *diag) {
+        LiveRasDatapath dp(cfg_);
+        schedule(dp);
+        ByteSink sink;
+        dp.saveState(sink);
+        std::vector<u8> bytes = sink.bytes();
+
+        ASSERT_GT(bytes.size(), stack_at + 8);
+        for (std::size_t i = 0; i < 4; ++i) {
+            ASSERT_EQ(bytes[stack_at + i], 0u);
+            ASSERT_EQ(bytes[stack_at + 4 + i], next);
+        }
+        {
+            LiveRasDatapath intact(cfg_);
+            ByteSource src(bytes);
+            intact.loadState(src);
+            EXPECT_EQ(intact.stateFingerprint(), dp.stateFingerprint());
+        }
+
+        const u32 missing = 1'000'000;
+        for (std::size_t i = 0; i < 4; ++i)
+            bytes[stack_at + i] = static_cast<u8>(missing >> (8 * i));
+        LiveRasDatapath other(cfg_);
+        ByteSource src(bytes);
+        EXPECT_DEATH(other.loadState(src), diag);
+    };
 
     // Magic, version, active count (0), pending count (1), the fault's
     // cycle, then its stack (value, mask), little-endian.
-    constexpr std::size_t kStackValue = 4 + 4 + 8 + 8 + 8;
-    ASSERT_GT(bytes.size(), kStackValue + 8);
-    for (std::size_t i = 0; i < 4; ++i) {
-        ASSERT_EQ(bytes[kStackValue + i], 0u);
-        ASSERT_EQ(bytes[kStackValue + 4 + i], 0xFFu);
-    }
-    {
-        LiveRasDatapath intact(cfg_);
-        ByteSource src(bytes);
-        intact.loadState(src);
-        EXPECT_EQ(intact.stateFingerprint(), dp.stateFingerprint());
-    }
+    refused([](LiveRasDatapath &dp) {
+        dp.scheduleFault(bankFault(0, 1, 1), 100);
+    }, 4 + 4 + 8 + 8 + 8, 0xFF, "checkpoint pending fault");
 
-    const u32 missing = 1'000'000;
-    for (std::size_t i = 0; i < 4; ++i)
-        bytes[kStackValue + i] = static_cast<u8>(missing >> (8 * i));
-    LiveRasDatapath other(cfg_);
-    ByteSource src(bytes);
-    EXPECT_DEATH(other.loadState(src), "checkpoint pending fault");
+    // Magic, version, active and pending counts (0), pending-meta count
+    // (1), the fault's cycle and target byte, then its stack and
+    // channel.
+    refused([](LiveRasDatapath &dp) {
+        MetaFault mf;
+        mf.target = MetaTarget::BrtEntry;
+        mf.stack = StackId{0};
+        mf.flipMask = 1;
+        dp.scheduleMetaFault(mf, 100);
+    }, 4 + 4 + 8 + 8 + 8 + 8 + 1, 0x00,
+            "checkpoint pending meta fault: stack out of range");
 }
 
 TEST_F(LiveRasTest, LoadStateRejectsUnknownFaultClass)

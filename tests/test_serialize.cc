@@ -242,5 +242,34 @@ TEST(CodecsDeath, BoundedMapRejectsKeysOutOfRangeOrOrder)
     EXPECT_DEATH(load({4, 2}), "demo map key 2 is duplicated or out of");
 }
 
+TEST(CodecsDeath, CountedMapAndSetRejectDuplicateKeys)
+{
+    // A count, then each key, with a zero value after it in a map.
+    const auto load = [](auto container, std::initializer_list<u64> keys) {
+        using C = decltype(container);
+        ByteSink sink;
+        sink.putU64(keys.size());
+        for (u64 k : keys) {
+            sink.putU64(k);
+            if constexpr (requires { typename C::mapped_type; })
+                sink.putU64(0);
+        }
+        ByteSource src(sink.bytes());
+        Reader{src}(container);
+        return container.size();
+    };
+    using Map = std::map<u64, u64>;
+    using Set = std::set<u64>;
+    EXPECT_EQ(load(Map{}, {1, 4, 9}), 3u);
+    EXPECT_EQ(load(Set{}, {1, 4, 9}), 3u);
+    EXPECT_EQ(load(std::multimap<u64, u64>{}, {4, 4, 2}), 3u);
+    // The second element starts after the count and the first one.
+    EXPECT_DEATH(load(Map{}, {4, 4}),
+                 "checkpoint: key at offset 24 is duplicated or out of order");
+    EXPECT_DEATH(load(Map{}, {4, 2}), "key at offset 24 is duplicated");
+    EXPECT_DEATH(load(Set{}, {3, 3}), "key at offset 16 is duplicated");
+    EXPECT_DEATH(load(Set{}, {3, 1}), "key at offset 16 is duplicated");
+}
+
 } // namespace
 } // namespace citadel
