@@ -3,19 +3,17 @@
  * Fleet load driver: runs the memory-pool service campaign — client
  * retry engine, coordinator failover, N bit-true stack-server shards —
  * under deterministic chaos at production-shaped load, and proves on
- * every run that the result is invariant across everything that must
- * not matter: worker thread count and wire batch size. A reduced copy
- * of the campaign is executed across the {batch 1, batch} x {1, 4
- * threads} grid and every cell must land on the same durability-audit
- * fingerprint.
+ * every run that the result does not depend on the worker thread
+ * count: a reduced copy of the campaign runs on 1 and 4 threads and
+ * both cells must land on the same durability-audit fingerprint.
  *
- * The serving hot path is also measured: batch = `batch` is timed
- * against batch 1 (one record per frame) under overload, and the run
- * reports Kops/s, the batched-vs-unbatched speedup, the Busy
- * rejection count, and acked-completion latency percentiles in virtual
- * ticks. The steady_clock readings feed only those Kops/s report
- * fields, never a seeded result; bit-identity of the simulated numbers
- * is what the grid asserts, on integer fingerprints.
+ * The serving hot path is also measured: one run under overload is
+ * timed, and the driver reports its Kops/s and Busy rejection count
+ * next to the headline's Kops/s and acked-completion latency
+ * percentiles in virtual ticks. The steady_clock readings feed only
+ * those Kops/s report fields, never a seeded result; bit-identity of
+ * the simulated numbers is what the grid asserts, on integer
+ * fingerprints.
  *
  * Every CITADEL_FLEET_* knob, and CITADEL_SEED / CITADEL_THREADS, is
  * a row of the knob table (common/knobs.h, listed in README.md); a
@@ -90,7 +88,6 @@ configFromEnv()
     cfg.replication = static_cast<u32>(knobU64(Knob::FleetReplication));
     cfg.ackQuorum = static_cast<u32>(knobU64(Knob::FleetQuorum));
     cfg.server.queueCap = static_cast<u32>(knobU64(Knob::FleetQueueCap));
-    cfg.batch = static_cast<u32>(knobU64(Knob::FleetBatch));
     cfg.traffic = knobText(Knob::FleetTrace);
     cfg.chaos.enabled = knobU64(Knob::FleetChaos) != 0;
     cfg.chaos.crashes = static_cast<u32>(knobU64(Knob::FleetCrashes));
@@ -136,19 +133,17 @@ FleetConfig
 gridConfig(const FleetConfig &cfg)
 {
     FleetConfig out = cfg;
-    out.traffic.clear(); // The grid varies batch and threads, not the trace.
+    out.traffic.clear(); // The grid varies threads, not the trace.
     out.ticks = std::min<u64>(cfg.ticks, 512);
     return out;
 }
 
 /**
- * Production-shaped config for the hot-path measurement: the wire
- * path exists to amortize per-request serving overhead, which only
- * shows up when each tick carries real batch pressure. Light configs
- * are dominated by the per-tick datapath step and the SystemSim
- * calibration slice, so the measurement floors the arrival rate,
- * widens the keyspace, and drops the calibration cost that both
- * sides pay identically.
+ * Production-shaped config for the hot-path measurement: per-request
+ * serving cost only shows up when each tick carries real load. Light
+ * configs are dominated by the per-tick datapath step and the
+ * SystemSim calibration slice, so the measurement floors the arrival
+ * rate, widens the keyspace, and drops the calibration cost.
  */
 FleetConfig
 hotPathConfig(const FleetConfig &cfg)
@@ -180,8 +175,7 @@ main()
 
     std::cout << "fleet load driver: " << cfg.servers << " servers, "
               << cfg.ticks << " ticks, replication " << cfg.replication
-              << "/quorum " << cfg.ackQuorum << ", batch " << cfg.batch
-              << ", chaos "
+              << "/quorum " << cfg.ackQuorum << ", chaos "
               << (cfg.chaos.enabled ? "on" : "off")
               << (cfg.traffic.empty() ? "" : ", trace-replay") << "\n";
 
@@ -245,76 +239,53 @@ main()
         }
     }
 
-    // ---- Hot-path measurement: batched vs unbatched -----------------
-    // Production-shaped load, batch 1 vs batch = `batch`. Batching
-    // exists to make serving cheaper; record the ratio. The config
+    // ---- Hot-path measurement -------------------------------------
+    // One timed run at a production-shaped arrival rate. The config
     // overloads the inboxes, so its Busy count shows the overload
     // ordering path ran.
-    FleetConfig unbatched = hotPathConfig(cfg);
-    unbatched.batch = 1;
-    FleetConfig batched = unbatched;
-    batched.batch = cfg.batch;
-    const TimedRun unbatchedRun = timedCampaign(unbatched);
-    const TimedRun batchedRun = timedCampaign(batched);
-    const double speedup =
-        batchedRun.seconds > 0.0
-            ? unbatchedRun.seconds / batchedRun.seconds
-            : 0.0;
-    std::cout << "hot path (" << unbatched.arrivalsPerTick
-              << " arrivals/tick): b=1 "
-              << fmt1(kopsPerSec(unbatchedRun.res, unbatchedRun.seconds))
-              << " Kops/s, b=" << cfg.batch << " "
-              << fmt1(kopsPerSec(batchedRun.res, batchedRun.seconds))
-              << " Kops/s, speedup " << fmt1(speedup) << "x, busy "
-              << batchedRun.res.totals.busyRejections << "\n";
-    if (unbatchedRun.res.fingerprint != batchedRun.res.fingerprint) {
-        std::cout << "FAIL: b=1 and b=" << cfg.batch
-                  << " fingerprints differ on the measurement config\n";
-        ok = false;
-    }
+    const FleetConfig hot = hotPathConfig(cfg);
+    const TimedRun hotRun = timedCampaign(hot);
+    std::cout << "hot path (" << hot.arrivalsPerTick << " arrivals/tick): "
+              << fmt1(kopsPerSec(hotRun.res, hotRun.seconds))
+              << " Kops/s, busy " << hotRun.res.totals.busyRejections
+              << "\n";
 
-    // ---- Equivalence grid: {1, batch} x {1, 4 threads} --------------
-    // Every cell must land on the same durability-audit fingerprint;
-    // any mismatch means the wire path changed behavior, not just
+    // ---- Equivalence grid: {1, 4 threads} ---------------------------
+    // Both cells must land on the same durability-audit fingerprint;
+    // a mismatch means the thread count changed behavior, not just
     // performance, and the run fails.
     const FleetConfig base = gridConfig(cfg);
     u64 refFingerprint = 0;
     bool haveRef = false;
-    for (const u32 batch : {u32{1}, cfg.batch}) {
-        for (const unsigned threads : {1u, 4u}) {
-            FleetConfig cellCfg = base;
-            cellCfg.batch = batch;
-            cellCfg.threads = threads;
-            FleetCampaign campaign(cellCfg);
-            const FleetResult r = campaign.run();
-            // append(), not chained operator+: the latter trips GCC
-            // 12's spurious -Wrestrict (GCC bug 105651).
-            std::string cell("b");
-            cell.append(std::to_string(batch)).append(" t");
-            cell.append(std::to_string(threads));
-            std::cout << "grid " << std::left << std::setw(10) << cell
-                      << std::right << " fingerprint " << std::hex
-                      << r.fingerprint << std::dec << "\n";
-            if (!auditClean(r)) {
-                std::cout << "FAIL: grid cell " << cell
-                          << " audit unclean\n";
-                ok = false;
-            }
-            if (!haveRef) {
-                refFingerprint = r.fingerprint;
-                haveRef = true;
-            } else if (r.fingerprint != refFingerprint) {
-                std::cout << "FAIL: grid cell " << cell
-                          << " fingerprint differs from the grid "
-                             "baseline\n";
-                ok = false;
-            }
+    for (const unsigned threads : {1u, 4u}) {
+        FleetConfig cellCfg = base;
+        cellCfg.threads = threads;
+        FleetCampaign campaign(cellCfg);
+        const FleetResult r = campaign.run();
+        // append(), not operator+: the latter trips GCC 12's spurious
+        // -Wrestrict (GCC bug 105651).
+        std::string cell("t");
+        cell.append(std::to_string(threads));
+        std::cout << "grid " << std::left << std::setw(10) << cell
+                  << std::right << " fingerprint " << std::hex
+                  << r.fingerprint << std::dec << "\n";
+        if (!auditClean(r)) {
+            std::cout << "FAIL: grid cell " << cell << " audit unclean\n";
+            ok = false;
+        }
+        if (!haveRef) {
+            refFingerprint = r.fingerprint;
+            haveRef = true;
+        } else if (r.fingerprint != refFingerprint) {
+            std::cout << "FAIL: grid cell " << cell
+                      << " fingerprint differs from the grid baseline\n";
+            ok = false;
         }
     }
 
     if (ok)
         std::cout << "OK: deterministic chaos campaign survivable, "
-                     "wire path fingerprint-equivalent across the grid "
+                     "fingerprint-equivalent on 1 and 4 threads "
                      "(fingerprint 0x"
                   << std::hex << res.fingerprint << std::dec << ")\n";
     return ok ? 0 : 1;

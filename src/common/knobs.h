@@ -29,7 +29,7 @@ enum class Knob : u8
     Trials, Insns, Threads, Seed, Kernel,
     FleetServers, FleetTicks, FleetUsers, FleetKeyspace, FleetArrivals,
     FleetWriteFrac, FleetReplication, FleetQuorum, FleetQueueCap,
-    FleetBatch, FleetTrace, FleetChaos, FleetCrashes,
+    FleetTrace, FleetChaos, FleetCrashes,
     FleetDropProb, FleetJoin, FleetRebalance, FleetCheckpoint,
     FleetCalibInsns, FleetFitScale,
     SoakYears, SoakShards, SoakProbes, SoakCyclesPerHour,
@@ -135,8 +135,6 @@ inline constexpr KnobSpec kKnobs[] = {
         "write-ack quorum"),
     unsignedKnob(Knob::FleetQueueCap, "CITADEL_FLEET_QUEUE_CAP", 256, 1,
         65536, "per-server inbox cap"),
-    unsignedKnob(Knob::FleetBatch, "CITADEL_FLEET_BATCH", 32, 1, 4096,
-        "wire records per frame; 1 is the unbatched baseline"),
     textKnob(Knob::FleetTrace, "CITADEL_FLEET_TRACE",
         "trace-replay spec (EXPERIMENTS.md grammar); empty = uniform "
         "arrivals"),

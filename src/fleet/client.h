@@ -121,7 +121,7 @@ class FleetClient
      * Completion-latency histogram in virtual ticks: bucket d counts
      * acked operations that completed d ticks after issue (the last
      * bucket accumulates everything >= its index). Part of the
-     * fingerprint, so a batching change that shifted a single
+     * fingerprint, so a wire change that shifted a single
      * completion tick would be caught.
      */
     const std::vector<u64> &latencyHist() const { return hist_; }

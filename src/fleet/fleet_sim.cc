@@ -33,16 +33,12 @@ coin(u64 h, double p)
  * id span is bounded by the peak arrival rate times the op lifetime.
  */
 ClientTuning
-clientTuning(const FleetConfig &cfg)
+clientTuning(const FleetConfig &cfg, const TrafficModel &traffic)
 {
     u64 maxRate = cfg.arrivalsPerTick;
-    if (!cfg.traffic.empty()) {
-        TrafficModel model;
-        std::string err;
-        if (!TrafficModel::parse(cfg.traffic, model, &err))
-            fatal("FleetConfig: bad traffic spec: %s", err.c_str());
+    if (traffic.active()) {
         maxRate = 0;
-        for (const TrafficPhase &phase : model.phases())
+        for (const TrafficPhase &phase : traffic.phases())
             maxRate = std::max<u64>(
                 maxRate, u64(phase.rate) * phase.burstMult);
     }
@@ -52,12 +48,36 @@ clientTuning(const FleetConfig &cfg)
     return t;
 }
 
+/** Validate `cfg` and parse its trace spec (empty: an inactive
+ *  model): the campaign's one parse of it. */
+TrafficModel
+validatedTraffic(const FleetConfig &cfg)
+{
+    cfg.validate();
+    TrafficModel model;
+    std::string err;
+    if (!cfg.traffic.empty() &&
+        !TrafficModel::parse(cfg.traffic, model, &err))
+        fatal("FleetConfig: traffic spec: %s", err.c_str());
+    return model;
+}
+
+/** `cfg` with a trace's total length in place of `ticks`. */
+FleetConfig
+normalized(const FleetConfig &cfg, const TrafficModel &traffic)
+{
+    FleetConfig out = cfg;
+    if (traffic.active())
+        out.ticks = traffic.totalTicks();
+    return out;
+}
+
 /**
  * Fold every config field that shapes campaign state into `sink`: the
- * checkpoint guard's config half. batch and threads are left out on
- * purpose: the fingerprint grid proves them neutral, so a checkpoint
- * may resume under either. The nested device configs
- * (sim, ras, faults) are not covered.
+ * checkpoint guard's config half. threads is left out on purpose: the
+ * fingerprint grid proves it neutral, so a checkpoint may resume under
+ * any thread count. The nested device configs (sim, ras, faults) are
+ * not covered.
  */
 void
 digestConfig(const FleetConfig &cfg, ByteSink &sink)
@@ -141,14 +161,6 @@ FleetConfig::validate() const
         fatal("FleetConfig: replication exceeds the server count");
     if (ackQuorum == 0 || ackQuorum > replication)
         fatal("FleetConfig: ackQuorum must be in [1, replication]");
-    if (batch == 0 || batch > kMaxFrameRecords)
-        fatal("FleetConfig: batch must be in [1, %u]", kMaxFrameRecords);
-    if (!traffic.empty()) {
-        TrafficModel model;
-        std::string err;
-        if (!TrafficModel::parse(traffic, model, &err))
-            fatal("FleetConfig: traffic spec: %s", err.c_str());
-    }
     retry.validate();
     coord.validate();
     chaos.validate();
@@ -187,28 +199,20 @@ FleetResult::summary() const
     return os.str();
 }
 
-FleetConfig
-FleetCampaign::normalized(const FleetConfig &cfg)
+FleetCampaign::FleetCampaign(const FleetConfig &cfg)
+    : FleetCampaign(cfg, validatedTraffic(cfg))
 {
-    cfg.validate();
-    FleetConfig out = cfg;
-    if (!out.traffic.empty()) {
-        TrafficModel model;
-        std::string err;
-        if (!TrafficModel::parse(out.traffic, model, &err))
-            fatal("FleetConfig: traffic spec: %s", err.c_str());
-        out.ticks = model.totalTicks();
-    }
-    return out;
 }
 
-FleetCampaign::FleetCampaign(const FleetConfig &cfg)
-    : cfg_(normalized(cfg)),
+FleetCampaign::FleetCampaign(const FleetConfig &cfg, TrafficModel traffic)
+    : cfg_(normalized(cfg, traffic)),
       injector_(cfg_.chaos, cfg_.servers, cfg_.ticks, cfg_.seed),
       client_(cfg_.retry, cfg_.replication, cfg_.ackQuorum,
-              mix64(cfg_.seed ^ 0x5A17ull), clientTuning(cfg_)),
+              mix64(cfg_.seed ^ 0x5A17ull), clientTuning(cfg_, traffic)),
+      traffic_(std::move(traffic)),
       transport_(cfg_.servers),
-      shards_(cfg_.servers)
+      reqFrames_(cfg_.servers),
+      seqScratch_(cfg_.servers)
 {
     fleet_.reserve(cfg_.servers);
     for (u32 s = 0; s < cfg_.servers; ++s)
@@ -218,13 +222,8 @@ FleetCampaign::FleetCampaign(const FleetConfig &cfg)
         cfg_.coord, cfg_.replication, mix64(cfg_.seed ^ 0x419Cull),
         cfg_.keySpace, fleet_);
     pool_ = std::make_unique<ThreadPool>(cfg_.threads);
-    if (!cfg_.traffic.empty()) {
-        std::string err;
-        if (!TrafficModel::parse(cfg_.traffic, traffic_, &err))
-            fatal("FleetCampaign: traffic spec: %s", err.c_str());
+    if (traffic_.active())
         traffic_.prepare(cfg_.keySpace);
-    }
-    seqScratch_.resize(cfg_.servers);
     // The analysis cannot propagate capabilities through the
     // type-erased std::function boundary, so each callback restates
     // its contract: it is only ever invoked from the client, which is
@@ -261,7 +260,7 @@ FleetCampaign::sendToServer(const Request &r, ServerIdx s)
         fatal("FleetCampaign: send to unknown server %u", s);
     // Load accounting sees every routed request, including ones the
     // chaos network then eats: load is what the client *sends*, so it
-    // is identical across batch sizes and chaos outcomes.
+    // is identical across chaos outcomes.
     coordinator_->noteLoad(s, r.key);
     if (injector_.dropRequest(r.op, r.attempt, s)) {
         ++loopCounters_.requestsDropped;
@@ -272,44 +271,38 @@ FleetCampaign::sendToServer(const Request &r, ServerIdx s)
         ++loopCounters_.requestsDuplicated;
         copies = 2;
     }
-    // Queue into the per-server submission shard; flushShards frames
-    // and ships whole batches after arrivals.
-    for (u32 i = 0; i < copies; ++i)
-        shards_.add(s, r);
+    // Append to the server's open request frame and remember the
+    // record's global send sequence (frames keep send order, so the
+    // server's i-th decoded record is its i-th send). A full frame
+    // ships at once; flushFrames ships the partial ones after
+    // arrivals.
+    FrameWriter &frame = reqFrames_[s];
+    for (u32 i = 0; i < copies; ++i) {
+        if (!frame.open())
+            frame.beginRequestFrame();
+        frame.add(r);
+        seqScratch_[s].push_back(seqNext_++);
+        if (frame.count() == kFrameRecords)
+            transport_.sendToServer(s, frame.finish());
+    }
 }
 
 void
-FleetCampaign::flushShards()
+FleetCampaign::flushFrames()
 {
-    // Encode and ship every shard as length-prefixed request frames,
-    // remembering each record's global submission sequence (frames
-    // preserve drain order, so the server's i-th decoded record is the
-    // shard's i-th slot).
-    for (u32 s = 0; s < cfg_.servers; ++s) {
-        seqScratch_[s].clear();
-        if (shards_.count(s) == 0)
-            continue;
-        reqWriter_.beginRequestFrame();
-        shards_.drain(s, [&](const Request &r, u32 seq) {
-            assertRoleHeld(kSerialPhase);
-            reqWriter_.add(r);
-            seqScratch_[s].push_back(seq);
-            if (reqWriter_.count() == cfg_.batch) {
-                transport_.sendToServer(s, reqWriter_.finish());
-                reqWriter_.beginRequestFrame();
-            }
-        });
-        if (reqWriter_.count() > 0)
-            transport_.sendToServer(s, reqWriter_.finish());
-    }
-    shards_.nextGeneration();
+    // Ship every server's partial request frame; the full ones left
+    // as they filled.
+    for (u32 s = 0; s < cfg_.servers; ++s)
+        if (reqFrames_[s].open())
+            transport_.sendToServer(s, reqFrames_[s].finish());
+    seqNext_ = 0;
     // Deliver into the server inboxes. A crashed server stays silent
     // (the attempt timeout covers it); a fenced or full one answers
     // Busy. Busy rejections are synthesized here and never travel on
     // the wire. Invariant: the client sees each tick's Busy responses
     // in global send order, not grouped by server, and all of them
     // before this tick's server responses. Server-grouped order would
-    // be batch-invariant too, but it reorders the client's backoff
+    // be deterministic too, but it reorders the client's backoff
     // wakeups and so changes the campaign (the overload fingerprint
     // test pins this order).
     busyScratch_.clear();
@@ -350,6 +343,7 @@ FleetCampaign::flushShards()
             panic("FleetCampaign: server %u decoded %zu records but "
                   "%zu were framed",
                   s, recordIdx, seqScratch_[s].size());
+        seqScratch_[s].clear();
         rx.compact();
     }
     std::sort(busyScratch_.begin(), busyScratch_.end(),
@@ -405,7 +399,7 @@ void
 FleetCampaign::deliverDue(u64 tick)
 {
     // Everything in responses_ was produced last tick. onResponse
-    // never produces a response (retries go to the shards), so the
+    // never produces a response (retries go to the open frames), so the
     // vector is stable during the loop.
     for (const Response &r : responses_)
         client_.onResponse(r, tick);
@@ -419,7 +413,7 @@ FleetCampaign::arrivals(u64 tick)
         // Trace replay: the phase schedule drives rate, skew, write
         // mix, and bursts; ids stay dense counters and every per-op
         // choice is a counter hash, so the trace is bit-identical for
-        // any thread count or batch size.
+        // any thread count.
         const u32 n = traffic_.arrivalsAt(tick);
         const double wf = traffic_.writeFractionAt(tick);
         for (u32 i = 0; i < n; ++i) {
@@ -467,7 +461,7 @@ FleetCampaign::collectOutboxes()
         respWriter_.beginResponseFrame();
         for (const Response &r : out) {
             respWriter_.add(r);
-            if (respWriter_.count() == cfg_.batch) {
+            if (respWriter_.count() == kFrameRecords) {
                 transport_.sendToClient(s, respWriter_.finish());
                 respWriter_.beginResponseFrame();
             }
@@ -543,7 +537,7 @@ FleetCampaign::advanceTo(u64 target)
             // Ship every queued request before the coordinator
             // probes: a fence must clear the server's inbox only
             // after this tick's sends landed.
-            flushShards();
+            flushFrames();
             coordinator_->tick(tick_, loopCounters_);
         }
         // Parallel phase: per-server state only; the role is dropped,
@@ -576,7 +570,7 @@ FleetCampaign::finish()
                 break;
             deliverDue(tick_);
             client_.tick(tick_);
-            flushShards();
+            flushFrames();
             coordinator_->tick(tick_, loopCounters_);
         }
         stepServers();
@@ -756,9 +750,9 @@ FleetCampaign::saveState(ByteSink &sink) const
     // phase as far as the campaign is concerned.
     ThreadRoleGrant serial(kSerialPhase);
     for (u32 s = 0; s < cfg_.servers; ++s)
-        if (shards_.count(s) != 0)
-            fatal("FleetCampaign: saveState with undrained submission "
-                  "shards (not at a tick boundary)");
+        if (reqFrames_[s].open() || !seqScratch_[s].empty())
+            fatal("FleetCampaign: saveState with unflushed request "
+                  "frames (not at a tick boundary)");
     Writer out(sink);
     fields(out, *this);
 }

@@ -65,18 +65,14 @@ struct FleetConfig
      * Trace-replay spec (fleet/traffic.h grammar); empty replays the
      * uniform arrivals above. A non-empty spec overrides `ticks` with
      * the trace's total length and drives per-tick rate, zipfian key
-     * skew, write mix, and bursts.
+     * skew, write mix, and bursts. FleetCampaign parses it once and
+     * a malformed spec is fatal there.
      */
     std::string traffic;
 
     /** Replication and ack discipline. */
     u32 replication = 2;
     u32 ackQuorum = 2; ///< <= replication; 2 makes crashes survivable.
-
-    /** Max records per wire frame, in [1, kMaxFrameRecords]. Every
-     *  batch size produces the same fingerprint on the same config;
-     *  the load driver's grid enforces it. */
-    u32 batch = 32;
 
     RetryPolicy retry; ///< test-only: carries the fixtures' timings.
     CoordinatorOptions coord;
@@ -128,8 +124,8 @@ struct FleetResult
 
     /** Order-independent digest of totals, ring, acked set + latency
      *  histogram, and every server's (kv + device) state: equal
-     *  fingerprints mean equal campaigns, whatever the thread count
-     *  or batch size. */
+     *  fingerprints mean equal campaigns, whatever the thread count.
+     */
     u64 fingerprint = 0;
 
     std::string summary() const;
@@ -181,8 +177,8 @@ class FleetCampaign
      * FleetConfig's scalars and trace spec, RetryPolicy,
      * CoordinatorOptions, the chaos network odds, and ServerConfig's
      * scalar fields. loadState() refuses a checkpoint whose digest
-     * differs. batch and threads are deliberately left out, so a
-     * checkpoint resumes under any of them; the nested
+     * differs. threads is deliberately left out, so a checkpoint
+     * resumes under any thread count; the nested
      * device configs (sim, ras, faults) are not covered.
      * loadState() counts into FleetCounters::resumes, which audit()
      * zeroes for the fingerprint — a resumed campaign fingerprints
@@ -208,7 +204,7 @@ class FleetCampaign
     void collectOutboxes() CITADEL_REQUIRES(kSerialPhase);
     void sendToServer(const Request &r, ServerIdx s)
         CITADEL_REQUIRES(kSerialPhase);
-    void flushShards() CITADEL_REQUIRES(kSerialPhase);
+    void flushFrames() CITADEL_REQUIRES(kSerialPhase);
     FleetResult audit(FleetCounters totals)
         CITADEL_REQUIRES(kSerialPhase);
 
@@ -224,7 +220,9 @@ class FleetCampaign
     static void fields(auto &io, auto &self)
         CITADEL_REQUIRES(kSerialPhase);
 
-    static FleetConfig normalized(const FleetConfig &cfg);
+    /** The public constructor parses cfg.traffic once, into
+     *  `traffic`, and lands here. */
+    FleetCampaign(const FleetConfig &cfg, TrafficModel traffic);
 
     FleetConfig cfg_;
     FleetFaultInjector injector_;
@@ -238,11 +236,10 @@ class FleetCampaign
     u64 nextOp_ = 0; ///< Trace-mode dense operation-id counter.
     std::size_t nextEvent_ = 0;
 
-    // The framed batching pipeline and its allocation-free delivery
-    // structures.
+    // The wire path: each server's open request frame, filled as the
+    // client sends, and the allocation-free delivery structures.
     Transport transport_;
-    SubmissionShards shards_;
-    FrameWriter reqWriter_;
+    std::vector<FrameWriter> reqFrames_;
     FrameWriter respWriter_;
     /** In-flight responses: filled during tick t (Busy synths, then
      *  server outboxes) and drained in insertion order by
@@ -250,9 +247,10 @@ class FleetCampaign
      *  later (never the same tick, which would make request/response
      *  cycles order-dependent), so nothing is keyed by tick. */
     std::vector<Response> responses_;
-    /** Per-server submission sequences for the in-flight generation:
-     *  maps decoded record index back to global send order. */
+    /** Per-server global send sequences of the requests framed since
+     *  the last flush: maps decoded record index back to send order. */
     std::vector<std::vector<u32>> seqScratch_;
+    u32 seqNext_ = 0; ///< Next global send sequence; flushFrames resets.
     /** Busy synths collected during a flush, sorted by submission
      *  sequence before joining responses_ so the client sees them in
      *  global send order. */

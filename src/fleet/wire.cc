@@ -2,15 +2,11 @@
 
 #include <cstring>
 
-#include "common/knobs.h"
 #include "common/log.h"
 #include "ecc/crc32.h"
 
 namespace citadel {
 namespace fleet {
-
-static_assert(knobSpec(Knob::FleetBatch).uHi == kMaxFrameRecords,
-              "CITADEL_FLEET_BATCH's ceiling is the decoder's frame cap");
 
 // ---- Frame format --------------------------------------------------
 
@@ -289,40 +285,6 @@ void Transport::sendToClient(u32 s, std::span<const u8> bytes)
 {
     RxStream &rx = clientRx(s);
     rx.buf.insert(rx.buf.end(), bytes.begin(), bytes.end());
-}
-
-// ---- Batched submission shards -------------------------------------
-
-SubmissionShards::SubmissionShards(u32 servers)
-    : shards_(servers), counts_(servers, 0)
-{
-    if (servers == 0)
-        fatal("SubmissionShards: zero servers");
-}
-
-void SubmissionShards::add(u32 s, const Request &r)
-{
-    if (s >= shards_.size())
-        panic("SubmissionShards::add(%u) out of range", s);
-    auto &shard = shards_[s];
-    const u32 at = counts_[s];
-    if (at < shard.size()) {
-        shard[at].gen = gen_;
-        shard[at].seq = seqNext_;
-        shard[at].req = r;
-    } else {
-        shard.push_back(Slot{gen_, seqNext_, r});
-    }
-    ++seqNext_;
-    counts_[s] = at + 1;
-}
-
-void SubmissionShards::nextGeneration()
-{
-    ++gen_;
-    seqNext_ = 0;
-    for (auto &c : counts_)
-        c = 0;
 }
 
 } // namespace fleet

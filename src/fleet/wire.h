@@ -31,16 +31,6 @@
  * RxStream, and the receiver reassembles frames from that stream.
  * Because frames are length-prefixed, a partial stream just waits for
  * more bytes.
- *
- * SubmissionShards is the batching half: a per-server arena of
- * generation-stamped request slots (the PR-4 token-arena idiom) the
- * client side appends to during a tick and the campaign drains into
- * frames at flush time — no per-request allocation in steady state,
- * and a stale slot from a previous generation can never leak into a
- * frame. Every slot also carries its global submission sequence
- * within the generation, so flush-time events that must replay in
- * global send order (queue-full Busy synthesis) can be re-sorted to
- * match.
  */
 
 #ifndef CITADEL_FLEET_WIRE_H
@@ -61,8 +51,14 @@ constexpr u8 kWireVersion = 1;
 constexpr std::size_t kFrameHeaderBytes = 16;
 constexpr std::size_t kRequestRecordBytes = 41;
 constexpr std::size_t kResponseRecordBytes = 37;
-/** Frame size cap, matching the CITADEL_FLEET_BATCH knob ceiling. */
+/** The decoder's bound on a frame's record count: a peer's count
+ *  field above it is rejected as BadCount. */
 constexpr u32 kMaxFrameRecords = 4096;
+/** Records per frame on the campaign's request and response paths: a
+ *  frame ships once it holds this many, and a partial one at the end
+ *  of the tick. */
+constexpr u32 kFrameRecords = 32;
+static_assert(kFrameRecords <= kMaxFrameRecords);
 
 /** What a frame carries. */
 enum class FrameKind : u8
@@ -130,8 +126,8 @@ DecodeStatus decodeFrame(std::span<const u8> buf, FrameView &out,
  * Reusable frame encoder. begin*() resets the buffer (capacity is
  * kept, so steady-state encoding never allocates), add() packs one
  * record, finish() patches count/length/CRC and returns the frame.
- * Adding more than kMaxFrameRecords records is fatal — callers split
- * batches at the cap.
+ * Adding more than kMaxFrameRecords records is fatal; the campaign
+ * ships its frames at kFrameRecords.
  */
 class FrameWriter
 {
@@ -143,6 +139,8 @@ class FrameWriter
     void add(const Response &r);
 
     u32 count() const { return count_; }
+    /** Between a begin*() and its finish(). */
+    bool open() const { return open_; }
 
     /** Finalize and return the frame (valid until the next begin*). */
     std::span<const u8> finish();
@@ -211,63 +209,6 @@ class Transport
   private:
     std::vector<RxStream> serverRx_; ///< Client → server direction.
     std::vector<RxStream> clientRx_; ///< Server → client direction.
-};
-
-// ---- Batched submission shards -------------------------------------
-
-/**
- * Per-server submission queues backed by generation-stamped arena
- * slots. add() writes into the next slot of the target server's shard
- * (growing only to the high-watermark — steady state is append into
- * existing slots); drain() visits a shard in insertion order and
- * checks every slot's stamp against the current generation, so a slot
- * left over from an earlier tick can never be (silently) re-sent.
- * nextGeneration() empties every shard in O(servers).
- */
-class SubmissionShards
-{
-  public:
-    explicit SubmissionShards(u32 servers);
-
-    void add(u32 s, const Request &r) CITADEL_REQUIRES(kSerialPhase);
-
-    u32 count(u32 s) const { return counts_[s]; }
-
-    /** Visit server `s`'s pending requests in insertion order; `fn`
-     *  receives each request plus its global submission sequence
-     *  across all shards this generation. */
-    template <typename Fn>
-    void drain(u32 s, Fn &&fn) CITADEL_REQUIRES(kSerialPhase)
-    {
-        const u32 n = counts_[s];
-        for (u32 i = 0; i < n; ++i) {
-            const Slot &slot = shards_[s][i];
-            if (slot.gen != gen_)
-                fatal("SubmissionShards: stale slot (gen %llu != %llu) "
-                      "leaked into a frame",
-                      static_cast<unsigned long long>(slot.gen),
-                      static_cast<unsigned long long>(gen_));
-            fn(slot.req, slot.seq);
-        }
-    }
-
-    /** Start a new tick: all shards become empty, slots are reused. */
-    void nextGeneration() CITADEL_REQUIRES(kSerialPhase);
-
-    u64 generation() const { return gen_; }
-
-  private:
-    struct Slot
-    {
-        u64 gen = 0;
-        u32 seq = 0; ///< Global submission order this generation.
-        Request req;
-    };
-
-    std::vector<std::vector<Slot>> shards_;
-    std::vector<u32> counts_;
-    u64 gen_ = 1;
-    u32 seqNext_ = 0;
 };
 
 } // namespace fleet

@@ -580,40 +580,27 @@ TEST(FleetDeterminism, DifferentSeedsDiverge)
 }
 
 // Golden fingerprints, recorded on the unframed per-request path the
-// wire replaced: every batch x threads cell must reproduce them, which
+// wire replaced: every thread-count cell must reproduce them, which
 // pins behaviour, not just agreement between cells.
 constexpr u64 kGridFingerprint = 0x5808c7fbd9001d2aull;
 constexpr u64 kTraceFingerprint = 0x2c03dd517e3690c8ull;
 constexpr u64 kOverloadFingerprint = 0x07a840ed63c2b01dull;
 
-struct GridCell
-{
-    u32 batch;
-    unsigned threads;
-};
+/** A grid cell is a worker thread count. */
+using GridCell = unsigned;
+constexpr GridCell kGridCells[] = {1, 3};
 
-std::string
-cellName(const GridCell &cell)
+TEST(FleetDeterminism, GridFingerprintIsPinnedAcrossThreads)
 {
-    std::string name("b");
-    name.append(std::to_string(cell.batch));
-    name.append(" t").append(std::to_string(cell.threads));
-    return name;
-}
-
-TEST(FleetDeterminism, FingerprintInvariantAcrossBatchThreads)
-{
-    // Framed batching is a pure wire change: at any batch size and
-    // thread count the campaign is the same down to the fingerprint.
-    const GridCell cells[] = {{1, 1}, {5, 3}, {5, 1}, {1, 3}};
-    for (const GridCell &cell : cells) {
+    // The parallel server step is a pure speed change: at any thread
+    // count the campaign is the same down to the fingerprint.
+    for (const GridCell threads : kGridCells) {
         FleetConfig cfg = smallConfig();
         cfg.seed = 17;
-        cfg.batch = cell.batch;
-        cfg.threads = cell.threads;
+        cfg.threads = threads;
         FleetCampaign campaign(cfg);
         const FleetResult res = campaign.run();
-        SCOPED_TRACE(cellName(cell));
+        SCOPED_TRACE("threads " + std::to_string(threads));
         EXPECT_EQ(res.fingerprint, kGridFingerprint);
         EXPECT_EQ(res.totals.opsAcked, 576u);
         EXPECT_EQ(res.totals.opsFailed, 0u);
@@ -623,7 +610,7 @@ TEST(FleetDeterminism, FingerprintInvariantAcrossBatchThreads)
     }
 }
 
-TEST(FleetDeterminism, TraceReplayIsBatchAndThreadInvariant)
+TEST(FleetDeterminism, TraceReplayIsThreadInvariant)
 {
     // A bursty, zipf-skewed trace drives the same offered load in
     // every cell; the trace also overrides the configured tick count
@@ -632,14 +619,12 @@ TEST(FleetDeterminism, TraceReplayIsBatchAndThreadInvariant)
     base.ticks = 1; // Overridden by the trace (96 + 64 ticks).
     base.traffic = "ticks=96,rate=3,write=0.5,zipf=0.8;"
                    "ticks=64,rate=5,burst=3,every=16,len=4";
-    for (const GridCell &cell :
-         {GridCell{1, 1}, GridCell{7, 1}, GridCell{7, 3}}) {
+    for (const GridCell threads : kGridCells) {
         FleetConfig cfg = base;
-        cfg.batch = cell.batch;
-        cfg.threads = cell.threads;
+        cfg.threads = threads;
         FleetCampaign campaign(cfg);
         const FleetResult res = campaign.run();
-        SCOPED_TRACE(cellName(cell));
+        SCOPED_TRACE("threads " + std::to_string(threads));
         EXPECT_EQ(res.fingerprint, kTraceFingerprint);
         EXPECT_EQ(res.totals.opsAcked, 768u);
     }
@@ -650,21 +635,21 @@ TEST(FleetDeterminism, OverloadBusyOrderIsPinned)
     // The load driver's overload shape (256 arrivals/tick) against
     // small inboxes: most sends bounce as Busy, so the fingerprint
     // pins the order the client sees those rejections in (global send
-    // order), not only their agreement across cells.
+    // order), not only their agreement across cells. Servers receive
+    // well over 32 requests a tick here, so request frames split at
+    // the cap under this pin.
     FleetConfig base = smallConfig();
     base.seed = 23;
     base.ticks = 48;
     base.arrivalsPerTick = 256;
     base.keySpace = 4096;
     base.server.queueCap = 16;
-    const GridCell cells[] = {{1, 1}, {32, 3}, {7, 1}};
-    for (const GridCell &cell : cells) {
+    for (const GridCell threads : kGridCells) {
         FleetConfig cfg = base;
-        cfg.batch = cell.batch;
-        cfg.threads = cell.threads;
+        cfg.threads = threads;
         FleetCampaign campaign(cfg);
         const FleetResult res = campaign.run();
-        SCOPED_TRACE(cellName(cell));
+        SCOPED_TRACE("threads " + std::to_string(threads));
         EXPECT_GT(res.totals.busyRejections, 0u);
         EXPECT_EQ(res.totals.busyRejections, 91799u);
         EXPECT_EQ(res.totals.opsAcked, 2574u);
@@ -779,6 +764,17 @@ TEST(ConfigDeath, FleetConfigRejectsNonFiniteWriteFraction)
     FleetConfig cfg = smallConfig();
     cfg.writeFraction = kNaN;
     EXPECT_DEATH(cfg.validate(), "writeFraction");
+}
+
+TEST(ConfigDeath, FleetCampaignRejectsMalformedTrafficSpec)
+{
+    // The campaign parses the trace spec once, at construction; a bad
+    // one must die there with the parser's diagnostic.
+    FleetConfig cfg = smallConfig();
+    cfg.threads = 1;
+    cfg.traffic = "ticks=10,bogus=1";
+    EXPECT_DEATH({ FleetCampaign campaign(cfg); },
+                 "traffic spec: .*bogus");
 }
 
 TEST(ConfigDeath, ChaosOptionsRejectsNonFiniteDropProb)

@@ -43,6 +43,27 @@ elasticConfig()
     return cfg;
 }
 
+// The death suites fork after campaigns have run, while the pool's
+// worker threads are alive, and a plain fork of a threaded process can
+// leave the child hung (seen under ASan/UBSan on a loaded host). The
+// "threadsafe" style re-executes the test binary for each death test
+// instead.
+class ThreadsafeDeathTest : public testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        // GTEST_FLAG_SET arrived in googletest 1.12.
+#ifdef GTEST_FLAG_SET
+        GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+        testing::GTEST_FLAG(death_test_style) = "threadsafe";
+#endif
+    }
+};
+using ServerLifecycleDeath = ThreadsafeDeathTest;
+using ElasticCheckpointDeath = ThreadsafeDeathTest;
+
 // ---- The transition table ------------------------------------------
 
 // The elasticity invariant, checked exhaustively over every state
@@ -88,7 +109,7 @@ TEST(ServerLifecycle, OnlyWarmingReentersServing)
                                          ServerState::Warming));
 }
 
-TEST(ServerLifecycleDeath, IllegalEdgesAreFatal)
+TEST_F(ServerLifecycleDeath, IllegalEdgesAreFatal)
 {
     const ServerConfig scfg = elasticConfig().server;
     StackServer srv(0, scfg, /*key_space=*/96, /*seed=*/1,
@@ -407,13 +428,12 @@ TEST(ElasticCheckpoint, ChainedResumesStayBitIdentical)
     EXPECT_EQ(res.totals.resumes, 2u);
 }
 
-TEST(ElasticCheckpoint, ResumesAcrossBatchAndThreads)
+TEST(ElasticCheckpoint, ResumesAcrossThreadCounts)
 {
-    // Batch size and thread count are fingerprint-neutral, so the
-    // checkpoint guard leaves them out: a b=32 t=1 checkpoint resumes
-    // bit-identically into a b=1 t=3 campaign.
+    // Thread count is fingerprint-neutral, so the checkpoint guard
+    // leaves it out: a t=1 checkpoint resumes bit-identically into a
+    // t=3 campaign.
     FleetConfig cfg = checkpointConfig();
-    cfg.batch = 32;
     cfg.threads = 1;
     FleetCampaign reference(cfg);
     const FleetResult ref = reference.run();
@@ -424,7 +444,6 @@ TEST(ElasticCheckpoint, ResumesAcrossBatchAndThreads)
     first.saveState(sink);
 
     FleetConfig cfg2 = cfg;
-    cfg2.batch = 1;
     cfg2.threads = 3;
     FleetCampaign second(cfg2);
     ByteSource src(sink.bytes());
@@ -435,7 +454,7 @@ TEST(ElasticCheckpoint, ResumesAcrossBatchAndThreads)
     EXPECT_EQ(res.totals.opsAcked, ref.totals.opsAcked);
 }
 
-TEST(ElasticCheckpointDeath, MismatchedScheduleIsRejected)
+TEST_F(ElasticCheckpointDeath, MismatchedScheduleIsRejected)
 {
     const FleetConfig cfg = checkpointConfig();
     FleetCampaign first(cfg);
@@ -455,7 +474,7 @@ TEST(ElasticCheckpointDeath, MismatchedScheduleIsRejected)
     EXPECT_DEATH(other.loadState(src), "schedule");
 }
 
-TEST(ElasticCheckpointDeath, MismatchedConfigIsRejected)
+TEST_F(ElasticCheckpointDeath, MismatchedConfigIsRejected)
 {
     // Configs that share the chaos schedule but not the campaign: the
     // guard must refuse each with a diagnostic, never resume into it.
@@ -483,7 +502,7 @@ TEST(ElasticCheckpointDeath, MismatchedConfigIsRejected)
     rejects("users", c);
 }
 
-TEST(ElasticCheckpointDeath, CorruptRestoredFleetStateIsFatal)
+TEST_F(ElasticCheckpointDeath, CorruptRestoredFleetStateIsFatal)
 {
     // Cut mid-rebalance, so the coordinator's key-ordered maps (load
     // counts, overrides, cooldowns) hold entries. Each case patches one
@@ -567,7 +586,7 @@ TEST(ElasticCheckpointDeath, CorruptRestoredFleetStateIsFatal)
     dies(trailing, "1 trailing bytes");
 }
 
-TEST(ElasticCheckpointDeath, UnknownResponseStatusIsFatal)
+TEST_F(ElasticCheckpointDeath, UnknownResponseStatusIsFatal)
 {
     // The in-flight responses close the campaign checkpoint: a count,
     // then fixed-size records whose status byte follows (op, attempt,
@@ -622,11 +641,11 @@ constexpr bool kHasFields = bracesFit<T>(std::make_index_sequence<N>{}) &&
 
 // Tripwire: the checkpoint guard's config digest (digestConfig in
 // fleet_sim.cc) lists these structs' fields by hand. A new field must
-// be folded into the digest (or left out on purpose, like batch and
-// threads) before these counts are bumped.
+// be folded into the digest (or left out on purpose, like threads)
+// before these counts are bumped.
 TEST(ElasticCheckpoint, ConfigDigestTripwireFieldCounts)
 {
-    static_assert(kHasFields<FleetConfig, 16>,
+    static_assert(kHasFields<FleetConfig, 15>,
                   "FleetConfig changed: update digestConfig");
     static_assert(kHasFields<RetryPolicy, 5>,
                   "RetryPolicy changed: update digestConfig");

@@ -4,8 +4,7 @@
  * rejects every malformed frame (truncated, bit-flipped, wrong
  * version/kind/count/length, corrupt records) without crashing, stays
  * zero-copy on decode, and the transport delivers frames intact in
- * both directions. SubmissionShards' generation stamping is pinned
- * here too: a stale slot can never leak into a frame.
+ * both directions.
  */
 
 #include <gtest/gtest.h>
@@ -295,10 +294,13 @@ TEST(FleetWire, GarbageBuffersNeverCrashTheDecoder)
 TEST(FleetWire, WriterIsReusableWithoutStaleState)
 {
     FrameWriter w;
+    EXPECT_FALSE(w.open());
     w.beginRequestFrame();
+    EXPECT_TRUE(w.open());
     for (u32 i = 0; i < 20; ++i)
         w.add(makeRequest(i));
     (void)w.finish();
+    EXPECT_FALSE(w.open());
 
     // Re-begin must fully reset: a 1-record frame after a 20-record
     // frame decodes as exactly 1 record.
@@ -364,65 +366,6 @@ TEST(FleetWire, TransportRoundTripsFramesInOrder)
                 << "server " << s << " dir " << dir;
         }
     }
-}
-
-TEST(FleetWire, SubmissionShardsDrainInInsertionOrder)
-{
-    ThreadRoleGrant serial(kSerialPhase);
-    SubmissionShards shards(3);
-    for (u64 i = 0; i < 10; ++i)
-        shards.add(static_cast<u32>(i % 3), makeRequest(i));
-    EXPECT_EQ(shards.count(0), 4u);
-    EXPECT_EQ(shards.count(1), 3u);
-    EXPECT_EQ(shards.count(2), 3u);
-
-    // Drain preserves insertion order, and each slot carries the
-    // GLOBAL submission sequence (not a per-shard one): server 0 got
-    // every third add.
-    std::vector<u64> seen;
-    std::vector<u32> seqs;
-    shards.drain(0, [&](const Request &r, u32 seq) {
-        seen.push_back(r.op);
-        seqs.push_back(seq);
-    });
-    ASSERT_EQ(seen.size(), 4u);
-    EXPECT_EQ(seen[0], makeRequest(0).op);
-    EXPECT_EQ(seen[1], makeRequest(3).op);
-    EXPECT_EQ(seen[2], makeRequest(6).op);
-    EXPECT_EQ(seen[3], makeRequest(9).op);
-    ASSERT_EQ(seqs.size(), 4u);
-    EXPECT_EQ(seqs[0], 0u);
-    EXPECT_EQ(seqs[1], 3u);
-    EXPECT_EQ(seqs[2], 6u);
-    EXPECT_EQ(seqs[3], 9u);
-}
-
-TEST(FleetWire, NextGenerationEmptiesEveryShardAndReusesSlots)
-{
-    ThreadRoleGrant serial(kSerialPhase);
-    SubmissionShards shards(2);
-    for (u64 i = 0; i < 6; ++i)
-        shards.add(0, makeRequest(i));
-    const u64 gen = shards.generation();
-    shards.nextGeneration();
-    EXPECT_EQ(shards.generation(), gen + 1);
-    EXPECT_EQ(shards.count(0), 0u);
-    EXPECT_EQ(shards.count(1), 0u);
-
-    // Slots below the high-watermark are reused with a fresh stamp:
-    // drain sees only this generation's requests.
-    shards.add(0, makeRequest(100));
-    std::vector<u64> seen;
-    std::vector<u32> seqs;
-    shards.drain(0, [&](const Request &r, u32 seq) {
-        seen.push_back(r.op);
-        seqs.push_back(seq);
-    });
-    ASSERT_EQ(seen.size(), 1u);
-    EXPECT_EQ(seen[0], makeRequest(100).op);
-    // The sequence counter resets with the generation.
-    ASSERT_EQ(seqs.size(), 1u);
-    EXPECT_EQ(seqs[0], 0u);
 }
 
 } // namespace

@@ -162,8 +162,7 @@ BLESSINGS = [
             "timing wrapper: steady_clock readings feed only wall-"
             "seconds/throughput report fields, never a seeded result "
             "-- campaign equivalence is asserted separately on integer "
-            "fingerprints across the {batch 1, batch} x {1, 4 threads} "
-            "grid"
+            "fingerprints across the {1, 4 threads} grid"
         ),
     ),
 ]
