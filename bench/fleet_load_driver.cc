@@ -207,15 +207,8 @@ main()
     // resumed fingerprint match the uninterrupted headline run.
     const u64 ckptTick = knobU64(Knob::FleetCheckpoint);
     if (ckptTick > 0) {
-        u64 campaignTicks = cfg.ticks;
-        if (!cfg.traffic.empty()) {
-            TrafficModel model;
-            std::string err;
-            if (TrafficModel::parse(cfg.traffic, model, &err))
-                campaignTicks = model.totalTicks();
-        }
-        const u64 cut = std::min(ckptTick, campaignTicks - 1);
         FleetCampaign first(cfg);
+        const u64 cut = std::min(ckptTick, first.totalTicks() - 1);
         first.advanceTo(cut);
         ByteSink sink;
         first.saveState(sink);

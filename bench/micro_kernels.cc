@@ -206,9 +206,8 @@ BM_MonteCarloFullRun(benchmark::State &state)
 }
 BENCHMARK(BM_MonteCarloFullRun)->Arg(1000);
 
-// Times the whole-model reconstruction only: the rebuild between
-// iterations (restore + corrupt) is paused, which is the cost
-// BM_ParityEngineCorrectedRead keeps in.
+// Times the whole-model reconstruction only: the full rebuild between
+// iterations (restore + corrupt) is paused.
 void
 BM_ParityEngineReconstructRow(benchmark::State &state)
 {
@@ -232,9 +231,10 @@ BM_ParityEngineReconstructRow(benchmark::State &state)
 BENCHMARK(BM_ParityEngineReconstructRow);
 
 // The live datapath's engine work per corrected demand read on an aged
-// device: correct the line, rebuild the fault set (restore + corrupt)
-// and re-check it (peelable). Nothing is paused. The bank fault has no
-// spare to go to, so every read walks a different line of it.
+// device: correct the line, rebuild the unchanged fault set (which
+// undoes the fix) and re-check it (peelable). Nothing is paused. The
+// bank fault has no spare to go to, so every read walks a different
+// line of it.
 void
 BM_ParityEngineCorrectedRead(benchmark::State &state)
 {
@@ -249,15 +249,14 @@ BM_ParityEngineCorrectedRead(benchmark::State &state)
     f.col = DimSpec::wild();
     f.bit = DimSpec::wild();
     const std::vector<Fault> faults{f};
-    eng.corrupt(faults);
+    eng.rebuild(faults);
     u32 line = 0;
     for (auto _ : state) {
         const RowId row{line / geom.linesPerRow() % geom.rowsPerBank};
         const ColId col{line % geom.linesPerRow()};
         benchmark::DoNotOptimize(
             eng.correctLine(DieId{1}, BankId{1}, row, col, 3));
-        eng.restore();
-        eng.corrupt(faults);
+        eng.rebuild(faults);
         benchmark::DoNotOptimize(eng.peelable(3));
         ++line;
     }

@@ -11,104 +11,37 @@
 
 namespace citadel {
 
-/**
- * The corrupt lines of one peel, in storage-line order, with each
- * line's parity-group corrupt counts: D1 by (row, col), D2 by
- * (die, col) with the parity unit at die dies_, D3 by (bank, col)
- * with the parity unit at bank 0. A line peels in a dimension when it
- * is the only corrupt member of its group there, so peelDim() is O(1).
- */
-class ParityEngine::Peel
+ParityEngine::GroupCounts::GroupCounts(const StackGeometry &g, u32 dies)
+    : cols(g.linesPerRow()),
+      d1(static_cast<std::size_t>(g.rowsPerBank) * cols, 0),
+      d2(static_cast<std::size_t>(dies + 1) * cols, 0),
+      d3(static_cast<std::size_t>(g.banksPerChannel) * cols, 0)
 {
-  public:
-    Peel(const StackGeometry &g, u32 dies)
-        : cols_(g.linesPerRow()),
-          d1_(static_cast<std::size_t>(g.rowsPerBank) * cols_, 0),
-          d2_(static_cast<std::size_t>(dies + 1) * cols_, 0),
-          d3_(static_cast<std::size_t>(g.banksPerChannel) * cols_, 0)
-    {
-    }
+}
 
-    void reserve(std::size_t n) { lines_.reserve(n); live_.reserve(n); }
+void
+ParityEngine::GroupCounts::add(const CorruptLine &l, i32 delta)
+{
+    const u32 c = l.col.value();
+    d1[static_cast<std::size_t>(l.row.value()) * cols + c] += delta;
+    d2[static_cast<std::size_t>(l.die.value()) * cols + c] += delta;
+    d3[static_cast<std::size_t>(l.bank.value()) * cols + c] += delta;
+}
 
-    void
-    add(const CorruptLine &l)
-    {
-        lines_.push_back(l);
-        live_.push_back(1);
-        ++left_;
-        count(l, 1);
-    }
-
-    /** Peel line i, which must be live. */
-    void
-    remove(std::size_t i)
-    {
-        live_[i] = 0;
-        --left_;
-        count(lines_[i], -1);
-        while (head_ < lines_.size() && !live_[head_])
-            ++head_;
-    }
-
-    /** Lowest dimension (<= dims; D1 always) rebuilding live line i
-     *  from the other lines of its group; 0 when none can. */
-    u32
-    peelDim(std::size_t i, u32 dims) const
-    {
-        const CorruptLine &l = lines_[i];
-        const u32 c = l.col.value();
-        if (d1_[static_cast<std::size_t>(l.row.value()) * cols_ + c] == 1)
-            return 1;
-        if (dims >= 2 &&
-            d2_[static_cast<std::size_t>(l.die.value()) * cols_ + c] == 1)
-            return 2;
-        if (dims >= 3 &&
-            d3_[static_cast<std::size_t>(l.bank.value()) * cols_ + c] == 1)
-            return 3;
-        return 0;
-    }
-
-    /** First live, peelable line in scan order; size() when none. */
-    std::size_t
-    firstPeelable(u32 dims) const
-    {
-        for (std::size_t i = head_; i < lines_.size(); ++i)
-            if (live_[i] && peelDim(i, dims) != 0)
-                return i;
-        return lines_.size();
-    }
-
-    std::size_t size() const { return lines_.size(); }
-    std::size_t left() const { return left_; }
-    bool live(std::size_t i) const { return live_[i] != 0; }
-    const CorruptLine &operator[](std::size_t i) const { return lines_[i]; }
-
-    /** Index of a line in scan order; size() when not corrupt. */
-    std::size_t
-    find(const CorruptLine &l) const
-    {
-        return static_cast<std::size_t>(
-            std::find(lines_.begin(), lines_.end(), l) - lines_.begin());
-    }
-
-  private:
-    u32 cols_;
-    std::vector<CorruptLine> lines_;
-    std::vector<u8> live_;
-    std::size_t left_ = 0;
-    std::size_t head_ = 0; ///< Lines before it are all peeled.
-    std::vector<i32> d1_, d2_, d3_;
-
-    void
-    count(const CorruptLine &l, i32 delta)
-    {
-        const u32 c = l.col.value();
-        d1_[static_cast<std::size_t>(l.row.value()) * cols_ + c] += delta;
-        d2_[static_cast<std::size_t>(l.die.value()) * cols_ + c] += delta;
-        d3_[static_cast<std::size_t>(l.bank.value()) * cols_ + c] += delta;
-    }
-};
+u32
+ParityEngine::GroupCounts::peelDim(const CorruptLine &l, u32 dims) const
+{
+    const u32 c = l.col.value();
+    if (d1[static_cast<std::size_t>(l.row.value()) * cols + c] == 1)
+        return 1;
+    if (dims >= 2 &&
+        d2[static_cast<std::size_t>(l.die.value()) * cols + c] == 1)
+        return 2;
+    if (dims >= 3 &&
+        d3[static_cast<std::size_t>(l.bank.value()) * cols + c] == 1)
+        return 3;
+    return 0;
+}
 
 ParityEngine::ParityEngine(const StackGeometry &geom, u64 seed) : geom_(geom)
 {
@@ -116,6 +49,7 @@ ParityEngine::ParityEngine(const StackGeometry &geom, u64 seed) : geom_(geom)
     if (geom_.stacks != 1)
         fatal("ParityEngine: single-stack geometries only");
     dies_ = geom_.channelsPerStack + 1;
+    groups_ = GroupCounts(geom_, dies_);
 
     const u64 lines = totalLines() +
                       static_cast<u64>(geom_.rowsPerBank) * geom_.linesPerRow();
@@ -190,12 +124,6 @@ ParityEngine::lineCorrupt(u64 storage_line) const
     return Crc32::lineCrc(storage_line, {linePtr(data_, storage_line),
                                          geom_.lineBytes}) !=
            crc_[storage_line];
-}
-
-bool
-ParityEngine::isCorrupt(const CorruptLine &l) const
-{
-    return lineCorrupt(storageLine(l));
 }
 
 void
@@ -331,6 +259,11 @@ ParityEngine::corrupt(const std::vector<Fault> &faults)
         flips[i] = std::any_of(mask, mask + lb, [](u8 v) { return v != 0; });
     }
 
+    // Sorting merges a line's old and new dirty_ entries into one, so
+    // take every verdict out of groups_ first and recount after.
+    for (DirtyLine &l : dirty_)
+        setVerdict(l, false);
+
     accScratch_.resize(lb);
     auto flipLine = [&](std::size_t i, u32 d, u32 b, u32 r, u32 c) {
         for (std::size_t j = 0; j < i; ++j)
@@ -380,6 +313,37 @@ ParityEngine::corrupt(const std::vector<Fault> &faults)
                                  return x.line == y.line;
                              }),
                  dirty_.end());
+    // A second corrupt() can flip a line back to golden, so every
+    // dirty line's verdict is refreshed, not only the ones just hit.
+    for (DirtyLine &l : dirty_)
+        setVerdict(l, lineCorrupt(l.line));
+    // The image no longer matches any set rebuild() recorded.
+    built_ = false;
+    undoLines_.clear();
+    undoBytes_.clear();
+}
+
+void
+ParityEngine::rebuild(const std::vector<Fault> &faults)
+{
+    if (built_ && faults == builtFrom_) {
+        // Since the build only fixLine() has written: put its lines
+        // back, newest first.
+        const u32 lb = geom_.lineBytes;
+        for (std::size_t k = undoLines_.size(); k-- > 0;) {
+            DirtyLine &l = dirty_[undoLines_[k]];
+            std::memcpy(linePtr(data_, l.line), undoBytes_.data() + k * lb,
+                        lb);
+            setVerdict(l, true);
+        }
+        undoLines_.clear();
+        undoBytes_.clear();
+        return;
+    }
+    restore();
+    corrupt(faults);
+    builtFrom_ = faults;
+    built_ = true;
 }
 
 void
@@ -485,40 +449,76 @@ ParityEngine::corruptLineCount() const
 {
     return static_cast<u64>(
         std::count_if(dirty_.begin(), dirty_.end(),
-                      [&](const DirtyLine &l) { return lineCorrupt(l.line); }));
+                      [](const DirtyLine &l) { return l.corrupt; }));
 }
 
-ParityEngine::Peel
-ParityEngine::collectCorrupt() const
+bool
+ParityEngine::verdictsMatchCrc() const
 {
-    // A line corrupt() never flipped equals golden, so its CRC matches
-    // by construction: only the dirty lines need a CRC.
-    Peel peel(geom_, dies_);
-    peel.reserve(dirty_.size());
-    for (const DirtyLine &l : dirty_)
-        if (lineCorrupt(l.line))
-            peel.add(l.at);
-    return peel;
+    GroupCounts recount(geom_, dies_);
+    for (const DirtyLine &l : dirty_) {
+        if (l.corrupt != lineCorrupt(l.line))
+            return false;
+        if (l.corrupt)
+            recount.add(l.at, 1);
+    }
+    return recount == groups_;
 }
 
 void
-ParityEngine::fixLine(const CorruptLine &L, u32 dim)
+ParityEngine::setVerdict(DirtyLine &l, bool corrupt)
 {
+    if (l.corrupt != corrupt)
+        groups_.add(l.at, corrupt ? 1 : -1);
+    l.corrupt = corrupt;
+}
+
+std::size_t
+ParityEngine::slotOf(u64 storage_line) const
+{
+    const auto it = std::lower_bound(
+        dirty_.begin(), dirty_.end(), storage_line,
+        [](const DirtyLine &l, u64 line) { return l.line < line; });
+    return it != dirty_.end() && it->line == storage_line
+               ? static_cast<std::size_t>(it - dirty_.begin())
+               : dirty_.size();
+}
+
+std::size_t
+ParityEngine::firstPeelable(u32 dims, std::size_t from) const
+{
+    // A line corrupt() never flipped equals golden, so its CRC matches
+    // by construction: only the dirty lines can be corrupt, and their
+    // cached verdicts say which are.
+    for (std::size_t i = from; i < dirty_.size(); ++i)
+        if (dirty_[i].corrupt && groups_.peelDim(dirty_[i].at, dims) != 0)
+            return i;
+    return dirty_.size();
+}
+
+void
+ParityEngine::fixLine(std::size_t slot, u32 dim)
+{
+    DirtyLine &L = dirty_[slot];
+    const u8 *old = linePtr(data_, L.line);
+    undoLines_.push_back(slot);
+    undoBytes_.insert(undoBytes_.end(), old, old + geom_.lineBytes);
     switch (dim) {
       case 1:
-        fixViaD1(L.die, L.bank, L.row, L.col);
+        fixViaD1(L.at.die, L.at.bank, L.at.row, L.at.col);
         break;
       case 2:
-        fixViaD2(L.die, L.bank, L.row, L.col);
+        fixViaD2(L.at.die, L.at.bank, L.at.row, L.at.col);
         break;
       case 3:
-        fixViaD3(L.die, L.bank, L.row, L.col);
+        fixViaD3(L.at.die, L.at.bank, L.at.row, L.at.col);
         break;
       default:
         panic("ParityEngine: bad fix dimension %u", dim);
     }
-    if (isCorrupt(L))
+    if (lineCorrupt(L.line))
         panic("ParityEngine: reconstruction produced bad CRC");
+    setVerdict(L, false);
 }
 
 u32
@@ -549,13 +549,17 @@ ParityEngine::reconstruct(u32 dims)
 {
     // Fix the first peelable line in scan order, then rescan: the
     // order every fix is made in stays that of a restarting scan.
-    Peel peel = collectCorrupt();
-    for (std::size_t i = peel.firstPeelable(dims); i < peel.size();
-         i = peel.firstPeelable(dims)) {
-        fixLine(peel[i], peel.peelDim(i, dims));
-        peel.remove(i);
+    // Lines before `head` are all clean.
+    std::size_t head = 0;
+    for (;;) {
+        while (head < dirty_.size() && !dirty_[head].corrupt)
+            ++head;
+        const std::size_t i = firstPeelable(dims, head);
+        if (i == dirty_.size())
+            break;
+        fixLine(i, groups_.peelDim(dirty_[i].at, dims));
     }
-    if (peel.left() != 0)
+    if (head != dirty_.size())
         return false;
     return std::all_of(dirty_.begin(), dirty_.end(), [&](const DirtyLine &l) {
         return std::memcmp(linePtr(data_, l.line), linePtr(golden_, l.line),
@@ -567,18 +571,28 @@ bool
 ParityEngine::peelable(u32 dims) const
 {
     // Peeling only ever unblocks groups, so the verdict does not depend
-    // on the order lines are peeled in: sweep without restarting.
-    Peel peel = collectCorrupt();
+    // on the order lines are peeled in: sweep a copy of the counts
+    // without restarting.
+    GroupCounts groups = groups_;
+    std::vector<u8> live(dirty_.size());
+    std::size_t left = 0;
+    for (std::size_t i = 0; i < dirty_.size(); ++i)
+        if (dirty_[i].corrupt) {
+            live[i] = 1;
+            ++left;
+        }
     bool progress = true;
-    while (progress && peel.left() != 0) {
+    while (progress && left != 0) {
         progress = false;
-        for (std::size_t i = 0; i < peel.size(); ++i)
-            if (peel.live(i) && peel.peelDim(i, dims) != 0) {
-                peel.remove(i);
+        for (std::size_t i = 0; i < dirty_.size(); ++i)
+            if (live[i] && groups.peelDim(dirty_[i].at, dims) != 0) {
+                live[i] = 0;
+                --left;
+                groups.add(dirty_[i].at, -1);
                 progress = true;
             }
     }
-    return peel.left() == 0;
+    return left == 0;
 }
 
 bool
@@ -586,7 +600,7 @@ ParityEngine::lineCorruptAt(DieId die, BankId bank, RowId row,
                             ColId col) const
 {
     checkCoord(die, bank, row, col);
-    return isCorrupt({die, bank, row, col});
+    return lineCorrupt(storageLine({die, bank, row, col}));
 }
 
 bool
@@ -612,42 +626,45 @@ ParityEngine::correctLine(DieId die, BankId bank, RowId row, ColId col,
     checkCoord(die, bank, row, col);
     DemandFix fix;
     const CorruptLine target{die, bank, row, col};
-    if (!isCorrupt(target)) {
+    const std::size_t t = slotOf(storageLine(target));
+    if (t == dirty_.size() || !dirty_[t].corrupt) {
         fix.corrected = true;
         return fix;
     }
 
-    Peel peel = collectCorrupt();
-    const std::size_t t = peel.find(target);
-    if (t == peel.size())
-        panic("ParityEngine: corrupt line outside the dirty set");
-    while (peel.live(t)) {
+    while (dirty_[t].corrupt) {
         // Prefer solving the target directly; otherwise peel the first
         // solvable dependency and retry.
-        std::size_t pick = peel.peelDim(t, dims) != 0 ? t
-                                                  : peel.firstPeelable(dims);
-        if (pick == peel.size())
+        const std::size_t pick = groups_.peelDim(target, dims) != 0
+                                     ? t
+                                     : firstPeelable(dims);
+        if (pick == dirty_.size())
             break;
-        const u32 dim = peel.peelDim(pick, dims);
-        fixLine(peel[pick], dim);
-        fix.groupReads += groupReadCost(peel[pick], dim);
+        const CorruptLine &at = dirty_[pick].at;
+        const u32 dim = groups_.peelDim(at, dims);
+        fixLine(pick, dim);
+        fix.groupReads += groupReadCost(at, dim);
         ++fix.linesFixed;
         if (pick == t)
             fix.dimUsed = dim;
-        peel.remove(pick);
     }
 
-    fix.corrected = !peel.live(t);
+    fix.corrected = !dirty_[t].corrupt;
     return fix;
 }
 
 void
 ParityEngine::restore()
 {
-    for (const DirtyLine &l : dirty_)
+    for (DirtyLine &l : dirty_) {
         std::memcpy(linePtr(data_, l.line), linePtr(golden_, l.line),
                     geom_.lineBytes);
+        setVerdict(l, false);
+    }
     dirty_.clear();
+    built_ = false;
+    undoLines_.clear();
+    undoBytes_.clear();
 }
 
 } // namespace citadel

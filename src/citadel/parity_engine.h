@@ -46,9 +46,19 @@ class ParityEngine
      * Flip every bit covered by each fault (stack coordinate 0); a bit
      * covered by several faults flips once. Faults whose channel
      * matches parityDie() (with bank 0) corrupt the D1 parity store
-     * instead of data. Costs O(lines covered x faults).
+     * instead of data. Costs O(lines covered x faults), plus one CRC
+     * per line flipped since restore() to refresh its cached verdict.
      */
     void corrupt(const std::vector<Fault> &faults);
+
+    /**
+     * Bring the image to restore() + corrupt(faults). When `faults`
+     * equals the set the last rebuild() built from, only the lines
+     * fixed since then are copied back, so the cost is O(lines fixed)
+     * rather than O(lines covered); bytes and verdicts are the same
+     * either way.
+     */
+    void rebuild(const std::vector<Fault> &faults);
 
     /**
      * CRC-detect corrupt lines and peel-reconstruct using `dims`
@@ -67,6 +77,11 @@ class ParityEngine
 
     /** Lines whose CRC currently mismatches (data + parity store). */
     u64 corruptLineCount() const;
+
+    /** Does every cached per-line verdict equal a fresh CRC of the
+     *  line, and the peel's group counts a recount of the verdicts?
+     *  Tests check the cache with it. */
+    bool verdictsMatchCrc() const;
 
     /** Total data lines in the modeled stack (excludes parity store). */
     u64 totalLines() const;
@@ -118,7 +133,26 @@ class ParityEngine
         bool operator==(const CorruptLine &) const = default;
     };
 
-    class Peel;
+    /**
+     * Corrupt-line counts per parity group: D1 by (row, col), D2 by
+     * (die, col) with the parity unit at die dies_, D3 by (bank, col)
+     * with the parity unit at bank 0. A line peels in a dimension when
+     * it is the only corrupt member of its group there, so peelDim()
+     * is O(1).
+     */
+    struct GroupCounts
+    {
+        u32 cols = 0;
+        std::vector<i32> d1, d2, d3;
+
+        GroupCounts() = default;
+        GroupCounts(const StackGeometry &g, u32 dies);
+        void add(const CorruptLine &l, i32 delta);
+        /** Lowest dimension (<= dims; D1 always) rebuilding corrupt
+         *  line `l` from the rest of its group; 0 when none can. */
+        u32 peelDim(const CorruptLine &l, u32 dims) const;
+        bool operator==(const GroupCounts &) const = default;
+    };
 
     StackGeometry geom_;
     u32 dies_;
@@ -132,14 +166,31 @@ class ParityEngine
     std::vector<u32> crc_; ///< Golden CRC-32 per storage line.
 
     // Storage lines corrupt() flipped since the last restore(), sorted
-    // by storage line, each once. Every other line equals golden, so
-    // restore() and CRC detection visit only these.
+    // by storage line, each once; their order is the peels' scan
+    // order. Every other line equals golden, so restore() and CRC
+    // detection visit only these. `corrupt` caches the line's CRC
+    // verdict: corrupt() computes it and fixLine() clears it, so a
+    // peel reads it instead of CRCing the line again. groups_ counts
+    // the lines whose verdict is corrupt; setVerdict() keeps the two
+    // in step.
     struct DirtyLine
     {
         u64 line;
         CorruptLine at;
+        bool corrupt = false;
     };
     std::vector<DirtyLine> dirty_;
+    GroupCounts groups_;
+
+    // The fault set the image was last built from by rebuild() (valid
+    // while built_), and the dirty_ lines fixLine() has overwritten
+    // since the last corrupt() or restore(), with their old bytes at
+    // the same ordinal in undoBytes_. A fixed line was corrupt, so
+    // undoing it marks it corrupt again.
+    std::vector<Fault> builtFrom_;
+    bool built_ = false;
+    std::vector<std::size_t> undoLines_;
+    std::vector<u8> undoBytes_;
 
     // SRAM parity (Section VI-B), modeled fault-free. parity2_ has one
     // extra segment (index dies_) folding the parity store's rows;
@@ -160,14 +211,18 @@ class ParityEngine
     const u8 *linePtr(const std::vector<u8> &buf, u64 storage_line) const;
 
     bool lineCorrupt(u64 storage_line) const;
-    bool isCorrupt(const CorruptLine &l) const;
+    void setVerdict(DirtyLine &l, bool corrupt);
+    /** dirty_ slot of a storage line; dirty_.size() when clean. */
+    std::size_t slotOf(u64 storage_line) const;
+    /** First corrupt, peelable dirty_ slot at or after `from`;
+     *  dirty_.size() when none. */
+    std::size_t firstPeelable(u32 dims, std::size_t from = 0) const;
     void checkCoord(DieId die, BankId bank, RowId row, ColId col) const;
 
     void buildParity();
-    /** CRC-detected corrupt lines, in storage-line order. */
-    Peel collectCorrupt() const;
-
-    void fixLine(const CorruptLine &l, u32 dim);
+    /** Rebuild dirty_[slot] from its parity group in `dim`, logging
+     *  its old bytes for rebuild(). */
+    void fixLine(std::size_t slot, u32 dim);
     u32 groupReadCost(const CorruptLine &l, u32 dim) const;
 
     /** XOR-reconstruct one line from a parity group. */

@@ -121,6 +121,8 @@ struct Fault
     }
 
     std::string describe() const;
+
+    bool operator==(const Fault &) const = default;
 };
 
 /** Checkpoint field lists (common/serialize.h). */

@@ -168,6 +168,10 @@ class FleetCampaign
     /** Ticks executed so far. */
     u64 tick() const { return tick_; }
 
+    /** Campaign length in ticks: cfg.ticks, or the trace's total
+     *  length when cfg.traffic is set. */
+    u64 totalTicks() const { return cfg_.ticks; }
+
     /**
      * Campaign checkpoint at a tick boundary (between advanceTo
      * calls): tick and arrival/chaos cursors, loop counters, client,

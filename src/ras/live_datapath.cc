@@ -681,21 +681,26 @@ LiveRasDatapath::rebuildEngines()
         for (const Fault &f : active_)
             if (f.stack.matches(s))
                 stackFaults_.push_back(f);
-        engines_[s]->restore();
-        engines_[s]->corrupt(stackFaults_);
+        engines_[s]->rebuild(stackFaults_);
     }
 }
 
 void
 LiveRasDatapath::differentialCheck(u64 cycle)
 {
-    const bool analytic_unc = analytic_.uncorrectable(active_);
-    bool bit_unc = false;
-    for (const auto &e : engines_)
-        if (!e->peelable(opts_.scheme.parityDims)) {
-            bit_unc = true;
-            break;
-        }
+    // Both verdicts are functions of the active set alone (the engines
+    // were just rebuilt from it), so they are recomputed only when the
+    // set changed; their effects below apply on every check.
+    if (!checked_.valid || checked_.faults != active_) {
+        checked_.analyticUnc = analytic_.uncorrectable(active_);
+        checked_.bitUnc = std::ranges::any_of(engines_, [&](const auto &e) {
+            return !e->peelable(opts_.scheme.parityDims);
+        });
+        checked_.faults = active_;
+        checked_.valid = true;
+    }
+    const bool analytic_unc = checked_.analyticUnc;
+    const bool bit_unc = checked_.bitUnc;
     if (analytic_unc == bit_unc)
         return;
     if (analytic_unc && !bit_unc) {
@@ -929,8 +934,9 @@ LiveRasDatapath::loadState(ByteSource &src)
         for (const Fault &f : faults)
             check(f, "absorbedTsv");
 
-    // Engine state is derived (golden XOR the active set), never
-    // stored: rebuild it from what we just loaded.
+    // Engine state and the differential verdicts are derived (golden
+    // XOR the active set), never stored: rebuild from what we loaded.
+    checked_.valid = false;
     rebuildEngines();
 }
 

@@ -181,6 +181,17 @@ class LiveRasDatapath final : public RasHook
     SystemConfig sysCfg_;
     MultiDimParityScheme analytic_;
 
+    /** differentialCheck()'s last verdicts and the active set they
+     *  were computed for. Derived state: never saved. */
+    struct CheckedSet
+    {
+        bool valid = false;
+        std::vector<Fault> faults;
+        bool analyticUnc = false;
+        bool bitUnc = false;
+    };
+    CheckedSet checked_;
+
     std::vector<Fault> active_;
     std::multimap<u64, Fault> pending_; ///< cycle -> scheduled fault.
     std::multimap<u64, MetaFault> pendingMeta_;
@@ -252,7 +263,9 @@ class LiveRasDatapath final : public RasHook
     /** Spare permanent faults covering a just-corrected coordinate. */
     void spareCovering(const LineCoord &c, u64 cycle);
 
-    /** Reset engines to golden and re-apply the active fault set. */
+    /** Bring each engine to golden XOR its stack's active faults
+     *  (ParityEngine::rebuild: O(lines fixed) when the set is
+     *  unchanged). */
     void rebuildEngines();
 
     void differentialCheck(u64 cycle);

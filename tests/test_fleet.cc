@@ -21,6 +21,7 @@
 #include "fleet/fleet_sim.h"
 #include "fleet/hash_ring.h"
 #include "fleet/traffic.h"
+#include "threadsafe_death.h"
 
 using namespace citadel;
 using namespace citadel::fleet;
@@ -623,6 +624,7 @@ TEST(FleetDeterminism, TraceReplayIsThreadInvariant)
         FleetConfig cfg = base;
         cfg.threads = threads;
         FleetCampaign campaign(cfg);
+        EXPECT_EQ(campaign.totalTicks(), 96u + 64u);
         const FleetResult res = campaign.run();
         SCOPED_TRACE("threads " + std::to_string(threads));
         EXPECT_EQ(res.fingerprint, kTraceFingerprint);
@@ -736,8 +738,11 @@ TEST(StackServerChaos, StallOverSlowdownRestoresServiceRate)
 }
 
 // The KV store and the placement memo are sized to the campaign's key
-// space; a key outside it is a caller bug, fatal on every path.
-TEST(KeySpaceDeath, OutOfRangeKeysAreFatal)
+// space; a key outside it is a caller bug, fatal on every path. The
+// last death test forks while a campaign is alive.
+using KeySpaceDeath = testing_helpers::ThreadsafeDeathTest;
+
+TEST_F(KeySpaceDeath, OutOfRangeKeysAreFatal)
 {
     FleetConfig cfg = smallConfig();
     cfg.threads = 1;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "fleet/fleet_sim.h"
+#include "threadsafe_death.h"
 
 using namespace citadel;
 using namespace citadel::fleet;
@@ -44,25 +45,9 @@ elasticConfig()
 }
 
 // The death suites fork after campaigns have run, while the pool's
-// worker threads are alive, and a plain fork of a threaded process can
-// leave the child hung (seen under ASan/UBSan on a loaded host). The
-// "threadsafe" style re-executes the test binary for each death test
-// instead.
-class ThreadsafeDeathTest : public testing::Test
-{
-  protected:
-    void SetUp() override
-    {
-        // GTEST_FLAG_SET arrived in googletest 1.12.
-#ifdef GTEST_FLAG_SET
-        GTEST_FLAG_SET(death_test_style, "threadsafe");
-#else
-        testing::GTEST_FLAG(death_test_style) = "threadsafe";
-#endif
-    }
-};
-using ServerLifecycleDeath = ThreadsafeDeathTest;
-using ElasticCheckpointDeath = ThreadsafeDeathTest;
+// worker threads are alive.
+using ServerLifecycleDeath = testing_helpers::ThreadsafeDeathTest;
+using ElasticCheckpointDeath = testing_helpers::ThreadsafeDeathTest;
 
 // ---- The transition table ------------------------------------------
 

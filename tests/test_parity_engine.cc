@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "citadel/parity_engine.h"
 #include "citadel/three_d_parity.h"
@@ -114,10 +115,20 @@ TEST_F(ParityEngineTest, SecondCorruptFlipsAgainBeforeRestore)
     EXPECT_EQ(eng.corruptLineCount(), geom_.linesPerRow() + 1);
     eng.corrupt({rowFault(0, 1, 1, 20)});
     EXPECT_EQ(eng.corruptLineCount(), 2u);
+    EXPECT_TRUE(eng.verdictsMatchCrc());
     EXPECT_TRUE(eng.lineCorruptAt(DieId{1}, BankId{1}, RowId{20}, ColId{2}));
     EXPECT_TRUE(eng.reconstruct(3));
     eng.restore();
     EXPECT_EQ(eng.corruptLineCount(), 0u);
+
+    // Hundreds of dirty lines, some hit twice and unsorted: the merge
+    // must keep the verdicts and group counts exact.
+    eng.corrupt({bankFault(0, 1, 1)});
+    eng.corrupt({rowFault(0, 1, 1, 20), bankFault(0, 0, 0)});
+    EXPECT_EQ(eng.corruptLineCount(),
+              2 * static_cast<u64>(geom_.rowsPerBank) * geom_.linesPerRow() -
+                  geom_.linesPerRow());
+    EXPECT_TRUE(eng.verdictsMatchCrc());
 }
 
 TEST_F(ParityEngineTest, RejectsMultiStackGeometry)
@@ -605,6 +616,113 @@ TEST(ParityEngineOracle, MatchesReferenceRules)
     EXPECT_EQ(corrupt_h, 0xb01d441e3b759e74ull);
     EXPECT_EQ(correct_h, 0xfabc97bb9922f8beull);
     EXPECT_EQ(rebuilt_h, 0x041a3e046799047dull);
+}
+
+/** Every storage line: data by (die, bank, row, col), then the parity
+ *  store (die parityDie(), bank 0) by (row, col). */
+template <class Fn>
+void
+forEachLine(const ParityEngine &eng, const StackGeometry &g, Fn &&fn)
+{
+    const u32 pdie = eng.parityDie().value();
+    for (u32 d = 0; d <= pdie; ++d)
+        for (u32 b = 0; b < (d == pdie ? 1 : g.banksPerChannel); ++b)
+            for (u32 r = 0; r < g.rowsPerBank; ++r)
+                for (u32 c = 0; c < g.linesPerRow(); ++c)
+                    fn(DieId{d}, BankId{b}, RowId{r}, ColId{c});
+}
+
+/** `got` holds the image, corrupt count and per-line CRC verdicts of
+ *  `want`, and its cached verdicts equal a fresh CRC. */
+::testing::AssertionResult
+sameImage(const ParityEngine &got, const ParityEngine &want,
+          const StackGeometry &g)
+{
+    if (!got.verdictsMatchCrc())
+        return ::testing::AssertionFailure() << "cached verdict is stale";
+    if (got.imageDigest() != want.imageDigest())
+        return ::testing::AssertionFailure() << "image digest differs";
+    if (got.corruptLineCount() != want.corruptLineCount())
+        return ::testing::AssertionFailure()
+               << got.corruptLineCount() << " corrupt lines, fresh build "
+               << want.corruptLineCount();
+    u64 differ = 0;
+    forEachLine(got, g, [&](DieId d, BankId b, RowId r, ColId c) {
+        differ += got.lineCorruptAt(d, b, r, c) !=
+                  want.lineCorruptAt(d, b, r, c);
+    });
+    if (differ != 0)
+        return ::testing::AssertionFailure()
+               << differ << " lines' CRC verdicts differ";
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * rebuild() stands in for restore() + corrupt() on 300 counter-seeded
+ * fault sets: rebuilding the same set after a demand correction
+ * (corrected or DUE) or a full reconstruction undoes exactly the
+ * fixes, and rebuilding a different set from a fixed image equals the
+ * full path. The cached verdicts equal a fresh CRC after every step.
+ */
+TEST(ParityEngineRebuild, UndoMatchesFreshBuild)
+{
+    const StackGeometry geom = StackGeometry::tiny();
+    SystemConfig cfg;
+    cfg.geom = geom;
+    cfg.subArrayRows = 16;
+    const FaultInjector inj(cfg);
+    ParityEngine eng(geom);
+    ParityEngine fresh(geom);
+    const u32 pdie = eng.parityDie().value();
+    int undone = 0, due = 0, from_fixed = 0;
+
+    for (int set = 0; set < 300; ++set) {
+        Rng rng(u64{0x5EB1D000} + static_cast<u64>(set));
+        std::vector<Fault> faults;
+        const u64 nfaults = 1 + rng.below(4);
+        for (u64 i = 0; i < nfaults; ++i)
+            faults.push_back(oracleFault(rng, inj, geom, pdie));
+
+        // A new set: the full path, from whatever the last set left.
+        fresh.restore();
+        fresh.corrupt(faults);
+        eng.rebuild(faults);
+        ASSERT_TRUE(sameImage(eng, fresh, geom)) << "set " << set << " new";
+
+        std::vector<std::array<u32, 4>> corrupt;
+        forEachLine(fresh, geom, [&](DieId d, BankId b, RowId r, ColId c) {
+            if (fresh.lineCorruptAt(d, b, r, c))
+                corrupt.push_back(
+                    {d.value(), b.value(), r.value(), c.value()});
+        });
+        if (corrupt.empty())
+            continue;
+
+        const u32 dims = 1 + static_cast<u32>(set % 3);
+        const auto &t = corrupt[rng.below(corrupt.size())];
+        const ParityEngine::DemandFix fix = eng.correctLine(
+            DieId{t[0]}, BankId{t[1]}, RowId{t[2]}, ColId{t[3]}, dims);
+        ASSERT_TRUE(eng.verdictsMatchCrc()) << "set " << set;
+        undone += fix.linesFixed > 0;
+        due += !fix.corrected;
+        eng.rebuild(faults);
+        ASSERT_TRUE(sameImage(eng, fresh, geom))
+            << "set " << set << " after correctLine";
+
+        eng.reconstruct(dims);
+        ASSERT_TRUE(eng.verdictsMatchCrc()) << "set " << set;
+        if (set % 2 == 0) {
+            eng.rebuild(faults);
+            ASSERT_TRUE(sameImage(eng, fresh, geom))
+                << "set " << set << " after reconstruct";
+        } else {
+            ++from_fixed; // the next set rebuilds from this image
+        }
+    }
+
+    EXPECT_GT(undone, 100);
+    EXPECT_GT(due, 20);
+    EXPECT_GT(from_fixed, 100);
 }
 
 } // namespace

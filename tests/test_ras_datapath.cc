@@ -132,6 +132,41 @@ TEST_F(LiveRasTest, TransientRecorrectsUntilScrub)
     EXPECT_EQ(dp.counters().ce, 2u);
 }
 
+TEST_F(LiveRasTest, DifferentialVerdictsFollowTheActiveSet)
+{
+    // Two column faults crossed by a row fault: the analytic model
+    // blocks all three ranges, the bit-true peel finishes line by line
+    // (analyticConservative). The verdicts are recomputed only when
+    // the active set changes, but every check still counts.
+    LiveRasOptions opts;
+    opts.scheme.enableDds = false; // nothing leaves the active set
+    opts.scrubCycles = 1000;
+    LiveRasDatapath dp(cfg_, opts);
+    dp.scheduleFault(columnFault(0, 1, 0, 3), 0);
+    dp.scheduleFault(columnFault(0, 0, 1, 0), 0);
+    Fault row = rowFault(0, 1, 1, 17);
+    row.transient = true;
+    dp.scheduleFault(row, 10);
+
+    dp.tick(0);
+    EXPECT_EQ(dp.counters().analyticConservative, 0u);
+    dp.tick(10);
+    EXPECT_EQ(dp.counters().analyticConservative, 1u);
+    EXPECT_EQ(dp.onDemandRead(lineAt(1, 1, 17, 1), 11).kind,
+              DemandOutcome::Kind::Corrected);
+    EXPECT_EQ(dp.onDemandRead(lineAt(1, 0, 5, 3), 12).kind,
+              DemandOutcome::Kind::Corrected);
+    EXPECT_EQ(dp.counters().analyticConservative, 3u);
+
+    dp.tick(1000); // the scrub clears the row fault; both models agree
+    EXPECT_EQ(dp.activeFaults().size(), 2u);
+    EXPECT_EQ(dp.onDemandRead(lineAt(1, 0, 6, 3), 1001).kind,
+              DemandOutcome::Kind::Corrected);
+    EXPECT_EQ(dp.counters().analyticConservative, 3u);
+    EXPECT_EQ(dp.counters().ce, 3u);
+    EXPECT_EQ(dp.counters().divergences, 0u);
+}
+
 TEST_F(LiveRasTest, FaultyParityForcesHigherDimension)
 {
     LiveRasDatapath dp(cfg_);
