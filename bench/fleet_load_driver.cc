@@ -48,9 +48,8 @@ struct TimedRun
 };
 
 TimedRun
-timedCampaign(const FleetConfig &cfg)
+timedCampaign(FleetCampaign &campaign)
 {
-    FleetCampaign campaign(cfg);
     const auto t0 = std::chrono::steady_clock::now();
     TimedRun out;
     out.res = campaign.run();
@@ -173,14 +172,18 @@ main()
 {
     const FleetConfig cfg = configFromEnv();
 
+    // The banner names the length the campaign runs: a trace
+    // (CITADEL_FLEET_TRACE) sets it in place of cfg.ticks.
+    FleetCampaign headlineCampaign(cfg);
     std::cout << "fleet load driver: " << cfg.servers << " servers, "
-              << cfg.ticks << " ticks, replication " << cfg.replication
+              << headlineCampaign.totalTicks() << " ticks, replication "
+              << cfg.replication
               << "/quorum " << cfg.ackQuorum << ", chaos "
               << (cfg.chaos.enabled ? "on" : "off")
               << (cfg.traffic.empty() ? "" : ", trace-replay") << "\n";
 
     // ---- Headline run: the requested config at full length ---------
-    const TimedRun headline = timedCampaign(cfg);
+    const TimedRun headline = timedCampaign(headlineCampaign);
     const FleetResult &res = headline.res;
     std::cout << res.summary() << "\n";
     printServers(res);
@@ -237,7 +240,8 @@ main()
     // overloads the inboxes, so its Busy count shows the overload
     // ordering path ran.
     const FleetConfig hot = hotPathConfig(cfg);
-    const TimedRun hotRun = timedCampaign(hot);
+    FleetCampaign hotCampaign(hot);
+    const TimedRun hotRun = timedCampaign(hotCampaign);
     std::cout << "hot path (" << hot.arrivalsPerTick << " arrivals/tick): "
               << fmt1(kopsPerSec(hotRun.res, hotRun.seconds))
               << " Kops/s, busy " << hotRun.res.totals.busyRejections

@@ -2,8 +2,9 @@
  * @file
  * Google-benchmark micro-kernels for the hot paths of the library:
  * CRC-32, fault-lifetime sampling, Monte Carlo trials, 3DP bit-true
- * reconstruction and LLC operations. These quantify the cost of the
- * machinery behind the figure benches.
+ * reconstruction, LLC operations and the timing simulator's LLC
+ * warm-up. These quantify the cost of the machinery behind the figure
+ * benches.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +18,8 @@
 #include "common/xor_fold.h"
 #include "ecc/crc32.h"
 #include "sim/llc.h"
+#include "sim/system_sim.h"
+#include "sim/workload.h"
 
 namespace citadel {
 namespace {
@@ -277,6 +280,20 @@ BM_LlcFillProbe(benchmark::State &state)
     }
 }
 BENCHMARK(BM_LlcFillProbe);
+
+/** One default-config SystemSim: mostly the 8MB LLC's warm-up, two
+ *  capacities of lbm stream lines. */
+void
+BM_SystemSimCtor(benchmark::State &state)
+{
+    const SimConfig cfg;
+    const BenchmarkProfile &lbm = findBenchmark("lbm");
+    for (auto _ : state) {
+        SystemSim sim(cfg, lbm);
+        benchmark::DoNotOptimize(&sim);
+    }
+}
+BENCHMARK(BM_SystemSimCtor)->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace citadel

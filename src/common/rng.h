@@ -120,6 +120,41 @@ class Rng
     /** Bernoulli trial with success probability p. */
     bool chance(double p);
 
+    /**
+     * A success probability precomputed for chance(Odds): the same
+     * outcomes as chance(p), draw for draw, as one integer compare.
+     * For p in (0, 1), unit(x) < p exactly when (x >> 11) < bound =
+     * ceil(p * 2^53): the scaling by 2^53 is exact and x >> 11 is an
+     * integer. That bound lies in [1, 2^53 - 1]; bound 0 (p <= 0) and
+     * bound 2^53 (p >= 1) decide without a draw, as chance(p) does.
+     * p must not be NaN.
+     */
+    struct Odds
+    {
+        u64 bound;
+    };
+
+    static Odds
+    odds(double p)
+    {
+        if (p <= 0.0)
+            return {0};
+        if (p >= 1.0)
+            return {u64{1} << 53};
+        return {static_cast<u64>(std::ceil(p * 0x1.0p53))};
+    }
+
+    /** chance(p) for o = odds(p). */
+    bool
+    chance(Odds o)
+    {
+        // bound - 1 wraps for bound 0, so one compare finds both
+        // no-draw cases.
+        if (o.bound - 1 < (u64{1} << 53) - 1)
+            return (next() >> 11) < o.bound;
+        return o.bound != 0;
+    }
+
     /** Exponential variate with the given rate (mean 1/rate). */
     double exponential(double rate);
 

@@ -9,13 +9,21 @@
  * (Section VI-C, Fig 12/13) contend with data fills, which determines
  * the parity-update hit rate and hence 3DP's performance overhead.
  *
- * Layout: per-way state lives in three parallel arrays indexed by
- * set * ways + way. Tags are kept alone, so the tags of one 8-way set
- * fill one 64-byte host cache line and a lookup touches nothing else;
- * recency and the dirty/parity flags are read only on a hit or while
- * choosing a victim. A way fills once and is never invalidated,
- * so a set's empty ways are always a suffix and the first one ends
- * every scan.
+ * Layout: a set is a 64-byte block of eight tags (ways beyond the
+ * associativity stay empty) plus an 8-byte record. A lookup compares
+ * all eight tags at once, with no branch per way. The record holds
+ * the set's recency word, where nibble k is the way at recency rank k
+ * (rank 0 is the most recent), so the LRU victim is read off the word
+ * and a touch is a shift, with no per-way timestamps to scan; the
+ * number of filled ways; and the dirty and parity flags as bit masks
+ * indexed by way. A way fills once and is never invalidated, so a
+ * set's empty ways are always a suffix and the next fill takes way
+ * `filled` until the set is full.
+ *
+ * The tag blocks are not over-aligned to host cache lines: a
+ * 64-byte-aligned tag array measured no faster, and glibc's aligned
+ * allocator fragmented the heap across the timing suite's successive
+ * constructions (peak RSS ~21 MB against ~15.5 MB).
  */
 
 #ifndef CITADEL_SIM_LLC_H
@@ -73,22 +81,37 @@ class Llc
     const LlcStats &stats() const { return stats_; }
     u32 sets() const { return sets_; }
 
+    /** The most ways a set's recency word can order. */
+    static constexpr u32 kMaxWays = 8;
+
   private:
     /** Tag of an empty way (no line address comes near 2^64 - 1). */
     static constexpr u64 kEmpty = ~0ull;
-    static constexpr u8 kDirty = 1;
-    static constexpr u8 kParity = 2;
+
+    /** One set's tags. */
+    struct Tags
+    {
+        u64 way[kMaxWays];
+    };
+
+    /** One set's recency order and flags. */
+    struct SetState
+    {
+        u32 order = 0;  ///< Nibble k: the way at recency rank k.
+        u8 filled = 0;  ///< Ways 0 .. filled-1 hold lines.
+        u8 dirty = 0;   ///< Bit w: way w is dirty.
+        u8 parity = 0;  ///< Bit w: way w holds a parity line.
+    };
 
     u32 ways_;
     u32 sets_;
-    std::vector<u64> tags_;    ///< Line address per way, or kEmpty.
-    std::vector<u64> lastUse_; ///< useClock_ at the last touch.
-    std::vector<u8> flags_;    ///< kDirty | kParity.
-    u64 useClock_ = 0;
+    bool pow2Sets_; ///< sets_ is a power of two: index by mask.
+    std::vector<Tags> tags_;
+    std::vector<SetState> state_;
     LlcStats stats_;
 
-    /** Index of the first way of `addr`'s set. */
-    u64 setBase(LineAddr addr) const;
+    /** Index of `addr`'s set. */
+    u64 setOf(LineAddr addr) const;
 };
 
 } // namespace citadel

@@ -23,7 +23,8 @@ constexpr u32 kLlcWays = 8;
 } // namespace
 
 SystemSim::SystemSim(const SimConfig &cfg, const BenchmarkProfile &profile)
-    : cfg_(cfg), profile_(profile), mem_(cfg),
+    : cfg_(cfg), profile_(profile), dirtyOdds_(Rng::odds(profile.writeFrac)),
+      mem_(cfg),
       llc_(cfg.llcBytes, kLlcWays, cfg.geom.lineBytes)
 {
     for (u32 c = 0; c < cfg_.cores; ++c) {
@@ -41,10 +42,13 @@ SystemSim::SystemSim(const SimConfig &cfg, const BenchmarkProfile &profile)
     // cold 8MB cache and never produce writebacks). Fills only; no
     // timing, no stats-relevant parity traffic.
     const u64 warm_fills = 2 * (cfg_.llcBytes / cfg_.geom.lineBytes);
+    std::size_t c = 0;
     for (u64 i = 0; i < warm_fills; ++i) {
-        Core &core = cores_[i % cores_.size()];
-        (void)llc_.fill(core.stream.nextLine(),
-                        core.rng.chance(profile_.writeFrac), false);
+        Core &core = cores_[c];
+        (void)llc_.fill(core.stream.nextLine(), core.rng.chance(dirtyOdds_),
+                        false);
+        if (++c == cores_.size())
+            c = 0;
     }
 }
 
@@ -154,7 +158,7 @@ SystemSim::issueMiss(Core &core, u32 core_idx, u64 cycle)
     trackRead(token, core_idx, line, false);
     ++core.outstanding;
 
-    const bool dirty = core.rng.chance(profile_.writeFrac);
+    const bool dirty = core.rng.chance(dirtyOdds_);
     const Llc::Victim v = llc_.fill(line, dirty, false);
     if (v.valid && v.dirty) {
         if (v.parity) {

@@ -109,6 +109,7 @@ class SystemSim
 
     SimConfig cfg_;
     const BenchmarkProfile &profile_;
+    Rng::Odds dirtyOdds_; ///< profile_.writeFrac, for each fill's draw.
     MemorySystem mem_;
     Llc llc_;
     std::vector<Core> cores_;

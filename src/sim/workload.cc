@@ -84,8 +84,8 @@ findBenchmark(const std::string &name)
 
 AddressStream::AddressStream(const BenchmarkProfile &profile, u32 core,
                              u64 total_lines, u64 seed)
-    : profile_(profile),
-      rng_(seed ^ (0x6C62272E07BB0142ull * (core + 1)))
+    : rng_(seed ^ (0x6C62272E07BB0142ull * (core + 1))),
+      runEnd_(Rng::odds(1.0 / std::max(1.0, profile.runLength)))
 {
     const u64 lines_per_mb = (1ull << 20) / 64;
     regionLines_ = std::max<u64>(profile.footprintMB * lines_per_mb, 64);
@@ -104,14 +104,14 @@ AddressStream::nextLine()
         // Start a new burst at a random line; geometric run length with
         // the profile's mean.
         cursor_ = regionBase_ + rng_.below(regionLines_);
-        const double p = 1.0 / std::max(1.0, profile_.runLength);
         runLeft_ = 1;
-        while (!rng_.chance(p) && runLeft_ < 4096)
+        while (!rng_.chance(runEnd_) && runLeft_ < 4096)
             ++runLeft_;
     }
     --runLeft_;
     const u64 line = cursor_;
-    cursor_ = regionBase_ + (cursor_ - regionBase_ + 1) % regionLines_;
+    if (++cursor_ == regionBase_ + regionLines_)
+        cursor_ = regionBase_;
     return LineAddr{line};
 }
 

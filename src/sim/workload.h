@@ -75,12 +75,12 @@ class AddressStream
     LineAddr nextLine();
 
   private:
-    const BenchmarkProfile &profile_;
     Rng rng_;
-    u64 regionBase_;  ///< First line of this core's footprint slice.
-    u64 regionLines_; ///< Lines in the footprint.
-    u64 cursor_ = 0;  ///< Current position within a sequential run.
-    u64 runLeft_ = 0; ///< Lines remaining in the current run.
+    Rng::Odds runEnd_; ///< Chance a run ends after each line.
+    u64 regionBase_;   ///< First line of this core's footprint slice.
+    u64 regionLines_;  ///< Lines in the footprint.
+    u64 cursor_ = 0;   ///< Current position within a sequential run.
+    u64 runLeft_ = 0;  ///< Lines remaining in the current run.
 };
 
 } // namespace citadel

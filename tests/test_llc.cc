@@ -1,21 +1,164 @@
 /**
  * @file
- * Tests for the LLC model: LRU behavior, dirty eviction reporting, and
- * parity-line bookkeeping.
+ * Tests for the LLC model: LRU behavior, dirty eviction reporting,
+ * parity-line bookkeeping, and agreement with a per-way timestamp
+ * model of the same cache.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.h"
 #include "sim/llc.h"
 
 namespace citadel {
 namespace {
+
+/**
+ * Reference model: the LLC as per-way timestamps, the victim chosen
+ * by a scan for the first empty way or else the oldest touch. Llc
+ * keeps a recency word instead; both must return the same victims,
+ * probe results and statistics for any sequence of calls.
+ */
+class TimestampLlc
+{
+  public:
+    TimestampLlc(u64 lines, u32 ways)
+        : ways_(ways), sets_(lines / ways), tags_(lines, kEmpty),
+          lastUse_(lines, 0), flags_(lines, 0)
+    {
+    }
+
+    bool probeParity(LineAddr addr)
+    {
+        ++stats_.parityProbes;
+        const u64 base = (addr.value() % sets_) * ways_;
+        for (u64 i = base; i < base + ways_ && tags_[i] != kEmpty; ++i) {
+            if (tags_[i] == addr.value()) {
+                ++stats_.parityHits;
+                flags_[i] |= kDirty;
+                lastUse_[i] = ++useClock_;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    Llc::Victim fill(LineAddr addr, bool dirty, bool parity)
+    {
+        if (parity)
+            ++stats_.parityFills;
+        else
+            ++stats_.dataFills;
+        const u64 base = (addr.value() % sets_) * ways_;
+        u64 v = base;
+        for (u64 i = base; i < base + ways_; ++i) {
+            if (tags_[i] == addr.value()) {
+                if (dirty)
+                    flags_[i] |= kDirty;
+                lastUse_[i] = ++useClock_;
+                return {};
+            }
+            if (tags_[i] == kEmpty) {
+                v = i;
+                break;
+            }
+            if (lastUse_[i] < lastUse_[v])
+                v = i;
+        }
+        Llc::Victim out;
+        if (tags_[v] != kEmpty) {
+            out.valid = true;
+            out.addr = LineAddr{tags_[v]};
+            out.dirty = (flags_[v] & kDirty) != 0;
+            out.parity = (flags_[v] & kParity) != 0;
+            if (out.dirty) {
+                if (out.parity)
+                    ++stats_.dirtyParityEvictions;
+                else
+                    ++stats_.dirtyDataEvictions;
+            }
+        }
+        tags_[v] = addr.value();
+        flags_[v] = static_cast<u8>((dirty ? kDirty : 0) |
+                                    (parity ? kParity : 0));
+        lastUse_[v] = ++useClock_;
+        return out;
+    }
+
+    const LlcStats &stats() const { return stats_; }
+
+  private:
+    static constexpr u64 kEmpty = ~0ull;
+    static constexpr u8 kDirty = 1;
+    static constexpr u8 kParity = 2;
+
+    u32 ways_;
+    u64 sets_;
+    std::vector<u64> tags_;
+    std::vector<u64> lastUse_;
+    std::vector<u8> flags_;
+    u64 useClock_ = 0;
+    LlcStats stats_;
+};
 
 TEST(Llc, GeometryChecks)
 {
     Llc c(8ull << 20, 8);
     EXPECT_EQ(c.sets(), (8ull << 20) / 64 / 8);
     EXPECT_DEATH(Llc bad(100, 8), "bad geometry");
+    EXPECT_DEATH(Llc none(64 * 64, 0), "bad geometry");
+    // Eight ways is all a set's recency word can order.
+    EXPECT_DEATH(Llc wide(16 * 64, 16), "bad geometry");
+}
+
+TEST(Llc, MatchesTheTimestampModel)
+{
+    // Counter-seeded call sequences over few enough lines per set that
+    // hits, refills and evictions all happen: data fills, parity fills
+    // and parity probes, dirty on and off, on every associativity a
+    // recency word holds and on set counts with and without a mask.
+    for (const u32 ways : {1u, 2u, 4u, 8u}) {
+        for (const u64 sets : {1u, 3u, 12u, 16u}) {
+            const u64 lines = sets * ways;
+            Llc llc(lines * 64, ways);
+            TimestampLlc ref(lines, ways);
+            ASSERT_EQ(llc.sets(), sets);
+            Rng rng(mix64(ways * 1000 + sets));
+            const u64 span = lines * 3;
+            for (int i = 0; i < 20000; ++i) {
+                const u64 x = rng.next();
+                const LineAddr addr{(x >> 8) % span};
+                const bool dirty = (x & 1) != 0;
+                const u64 op = (x >> 1) % 8;
+                if (op == 0) {
+                    ASSERT_EQ(llc.probeParity(addr), ref.probeParity(addr))
+                        << ways << "x" << sets << " call " << i;
+                    continue;
+                }
+                const bool parity = op == 1;
+                const Llc::Victim got = llc.fill(addr, dirty, parity);
+                const Llc::Victim want = ref.fill(addr, dirty, parity);
+                ASSERT_EQ(got.valid, want.valid)
+                    << ways << "x" << sets << " call " << i;
+                ASSERT_EQ(got.addr, want.addr)
+                    << ways << "x" << sets << " call " << i;
+                ASSERT_EQ(got.dirty, want.dirty)
+                    << ways << "x" << sets << " call " << i;
+                ASSERT_EQ(got.parity, want.parity)
+                    << ways << "x" << sets << " call " << i;
+            }
+            const LlcStats &a = llc.stats();
+            const LlcStats &b = ref.stats();
+            EXPECT_EQ(a.dataFills, b.dataFills);
+            EXPECT_EQ(a.dirtyDataEvictions, b.dirtyDataEvictions);
+            EXPECT_EQ(a.parityProbes, b.parityProbes);
+            EXPECT_EQ(a.parityHits, b.parityHits);
+            EXPECT_EQ(a.parityFills, b.parityFills);
+            EXPECT_EQ(a.dirtyParityEvictions, b.dirtyParityEvictions);
+        }
+    }
 }
 
 TEST(Llc, FillAndEvictLru)

@@ -225,6 +225,47 @@ TEST(Rng, UnitThresholdIsTheIntegerFormOfTheUniformTest)
     }
     EXPECT_EQ(Rng::unitThreshold(1.0), u64{1} << 53);
     EXPECT_EQ(Rng::unitThreshold(0.0), 0u);
+
+    // chance(odds(p)) is chance(p) draw for draw: the same outcome and
+    // the same generator state after it, including the no-draw ends
+    // (p <= 0, p >= 1), the largest double below 1, the smallest
+    // positive double and p on and off the 2^-53 grid.
+    const double largest_below_one = std::nextafter(1.0, 0.0);
+    std::vector<double> ps = {0.0, -0.5, 1.0, 1.5, largest_below_one,
+                              std::nextafter(0.0, 1.0), 0x1.0p-53,
+                              1.0 / 1.5, 1.0 / 512.0, 0.45};
+    for (int i = 0; i < 2000; ++i) {
+        ps.push_back(r.uniform());
+        ps.push_back(Rng::unit(r.next()));
+        ps.push_back(std::nextafter(Rng::unit(r.next()), 1.0));
+    }
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+        const double p = ps[i];
+        Rng a(mix64(i));
+        Rng b = a;
+        const Rng::Odds o = Rng::odds(p);
+        for (int d = 0; d < 64; ++d)
+            ASSERT_EQ(a.chance(p), b.chance(o)) << p << " draw " << d;
+        ASSERT_EQ(a.saveState(), b.saveState()) << p;
+    }
+    EXPECT_EQ(Rng::odds(largest_below_one).bound, (u64{1} << 53) - 1);
+    EXPECT_EQ(Rng::odds(0.0).bound, 0u);
+    EXPECT_EQ(Rng::odds(1.0).bound, u64{1} << 53);
+
+    // At the threshold itself: a draw whose top 53 bits sit just below,
+    // at and just above ceil(p * 2^53) decides as unit(x) < p does.
+    for (int i = 0; i < 20000; ++i) {
+        const double p = i % 2 ? r.uniform() : Rng::unit(r.next());
+        if (p <= 0.0)
+            continue;
+        const u64 k = Rng::odds(p).bound;
+        for (const u64 top : {k - 1, k, k + 1}) {
+            if (top >= (u64{1} << 53))
+                continue;
+            const u64 x = (top << 11) | (r.next() & 0x7FF);
+            ASSERT_EQ(Rng::unit(x) < p, (x >> 11) < k) << p;
+        }
+    }
 }
 
 TEST(Rng, LanesMoveStateBitForBit)

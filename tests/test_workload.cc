@@ -9,6 +9,7 @@
 #include <set>
 
 #include "common/log.h"
+#include "common/serialize.h"
 #include "sim/workload.h"
 
 namespace citadel {
@@ -125,6 +126,32 @@ TEST(AddressStream, CoversFootprint)
         seen.insert(s.nextLine());
     // Near-random stream over a 512MB footprint: mostly unique lines.
     EXPECT_GT(seen.size(), 15000u);
+}
+
+/** FNV-1a over the first 2^16 lines a core-3 stream emits. */
+u64
+streamDigest(const char *name, u64 total_lines)
+{
+    AddressStream s(findBenchmark(name), 3, total_lines, 1 + 31 * 3);
+    ByteSink sink;
+    for (int i = 0; i < (1 << 16); ++i)
+        sink.putU64(s.nextLine().value());
+    return fnv1a(sink.bytes());
+}
+
+TEST(AddressStream, PinnedLineDigests)
+{
+    // Every timing figure replays these streams, so a change to how
+    // nextLine() draws its run lengths or advances its cursor must
+    // leave each line where it was. tigr's runs (mean 1.5) start a new
+    // burst on most lines; lbm's (mean 512) come near the 4096 cap;
+    // the last case gives lbm a 4096-line slice, so runs wrap.
+    const u64 total = (16ull << 30) / 64;
+    EXPECT_EQ(streamDigest("tigr", total), 0x2c8ddcae008e0659ull);
+    EXPECT_EQ(streamDigest("mcf", total), 0x03430b928cb6e377ull);
+    EXPECT_EQ(streamDigest("lbm", total), 0x632cf6b48bdc0bb0ull);
+    EXPECT_EQ(streamDigest("gamess", total), 0x271990e96c98a4ecull);
+    EXPECT_EQ(streamDigest("lbm", 8 * 4096), 0x2d0eedd703f08376ull);
 }
 
 } // namespace
