@@ -2,8 +2,8 @@
  * @file
  * Google-benchmark micro-kernels for the hot paths of the library:
  * CRC-32, fault-lifetime sampling, Monte Carlo trials, 3DP bit-true
- * reconstruction, LLC operations and the timing simulator's LLC
- * warm-up. These quantify the cost of the machinery behind the figure
+ * reconstruction, LLC operations, and the timing simulator's LLC
+ * warm-up and run loop. These quantify the cost of the machinery behind the figure
  * benches.
  */
 
@@ -294,6 +294,29 @@ BM_SystemSimCtor(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SystemSimCtor)->Unit(benchmark::kMillisecond);
+
+/** SystemSim::run() alone at the perfbench timing suite's per-profile
+ *  config (Same-Bank, cached 3DP parity, 100k instructions per core):
+ *  cores, LLC and the FR-FCFS memory scheduler. Each iteration builds
+ *  a fresh simulator with the timer paused. */
+void
+BM_SystemSimRun(benchmark::State &state, const char *profile)
+{
+    SimConfig cfg;
+    cfg.ras = RasTraffic::ThreeDPCached;
+    cfg.insnsPerCore = 100'000;
+    const BenchmarkProfile &p = findBenchmark(profile);
+    for (auto _ : state) {
+        state.PauseTiming();
+        SystemSim sim(cfg, p);
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(sim.run());
+    }
+}
+BENCHMARK_CAPTURE(BM_SystemSimRun, mcf, "mcf")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SystemSimRun, lbm, "lbm")
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace citadel

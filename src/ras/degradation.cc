@@ -6,7 +6,7 @@ namespace citadel {
 
 DegradationLadder::DegradationLadder(const StackGeometry &geom,
                                      const DegradationOptions &opts)
-    : opts_(opts), geom_(geom), map_(geom)
+    : opts_(opts), map_(geom)
 {
     if (opts_.strikesPerBank == 0)
         fatal("DegradationLadder: strikesPerBank must be >= 1");
@@ -14,13 +14,6 @@ DegradationLadder::DegradationLadder(const StackGeometry &geom,
         fatal("DegradationLadder: pagesPerBankCap must be >= 1");
     if (opts_.retiredBanksPerChannelCap == 0)
         fatal("DegradationLadder: retiredBanksPerChannelCap must be >= 1");
-}
-
-u64
-DegradationLadder::bankKey(StackId s, ChannelId c, BankId b) const
-{
-    return (static_cast<u64>(s.value()) << 16) |
-           (static_cast<u64>(c.value()) << 8) | b.value();
 }
 
 DegradationLadder::Action
@@ -63,7 +56,7 @@ DegradationLadder::Action
 DegradationLadder::onRefault(StackId stack, ChannelId channel, BankId bank)
 {
     Action act;
-    const u32 n = ++strikes_[bankKey(stack, channel, bank)];
+    const u32 n = ++strikes_[map_.bankKey(stack, channel, bank)];
     if (n >= opts_.strikesPerBank)
         act = retireBank(stack, channel, bank);
     return act;
@@ -96,6 +89,11 @@ DegradationLadder::loadState(ByteSource &src)
 {
     Reader in(src);
     fields(in, *this);
+    for (const auto &[key, n] : strikes_)
+        if (!map_.validBankKey(key))
+            fatal("DegradationLadder: checkpoint strikes key %#llx is "
+                  "outside the geometry",
+                  static_cast<unsigned long long>(key));
 }
 
 } // namespace citadel

@@ -92,6 +92,9 @@ class DegradationLadder
     const DegradationOptions &options() const { return opts_; }
 
     void saveState(ByteSink &sink) const;
+
+    /** Restores the map and the strike counts; a key outside the
+     *  geometry is fatal. */
     void loadState(ByteSource &src);
 
   private:
@@ -99,14 +102,11 @@ class DegradationLadder
     static void fields(auto &io, auto &self);
 
     DegradationOptions opts_;
-    StackGeometry geom_;
     RetirementMap map_;
     std::map<u64, u32> strikes_; ///< bank key -> permanent arrivals.
 
     /** Retire a bank and climb to channel degrade if over cap. */
     Action retireBank(StackId stack, ChannelId channel, BankId bank);
-
-    u64 bankKey(StackId s, ChannelId c, BankId b) const;
 };
 
 } // namespace citadel

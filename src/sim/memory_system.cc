@@ -32,6 +32,7 @@ MemorySystem::MemorySystem(const SimConfig &cfg) : cfg_(cfg), map_(cfg.geom)
 {
     const u32 nch = cfg_.geom.totalChannels();
     channels_.resize(nch);
+    dueAt_.assign(nch, kNoEvent);
     const std::size_t words = (cfg_.geom.banksPerChannel + 63) / 64;
     for (auto &ch : channels_) {
         ch.banks.resize(cfg_.geom.banksPerChannel);
@@ -93,34 +94,71 @@ MemorySystem::acquireGroup(GroupQueue &q)
 void
 MemorySystem::releaseRef(GroupQueue &q, u32 slot)
 {
+    // The slices stay until enqueue reuses the slot: issueGroup walks
+    // them while its refreshes release the group.
     Group &g = q.pool[slot];
-    if (--g.refs == 0 && !g.live) {
-        g.slices.clear();
+    if (--g.refs == 0 && !g.live)
         q.freeSlots.push_back(slot);
-    }
 }
 
 void
-MemorySystem::popDeadHeads(GroupQueue &q, std::deque<BankRef> &dq)
+MemorySystem::refreshBank(const Channel &ch, GroupQueue &q, std::size_t b)
 {
-    while (!dq.empty() && !q.pool[dq.front().slot].live) {
-        releaseRef(q, dq.front().slot);
-        dq.pop_front();
+    BankQueue &bq = q.perBank[b];
+    while (bq.head < bq.refs.size() &&
+           !q.pool[bq.refs[bq.head].slot].live) {
+        releaseRef(q, bq.refs[bq.head].slot);
+        ++bq.head;
     }
+    bq.openSeq = kNoEvent;
+    bq.openSlot = kInvalidSlot;
+    if (bq.head == bq.refs.size()) {
+        bq.refs.clear();
+        bq.head = 0;
+        bq.oldestSeq = kNoEvent;
+        bq.oldestSlot = kInvalidSlot;
+        q.bankWords[b / 64] &= ~(1ull << (b % 64));
+        return;
+    }
+    // Drop the drained prefix once it outweighs the live tail.
+    if (bq.head >= 32 && 2 * bq.head >= bq.refs.size()) {
+        bq.refs.erase(bq.refs.begin(), bq.refs.begin() + bq.head);
+        bq.head = 0;
+    }
+    bq.oldestSeq = bq.refs[bq.head].seq;
+    bq.oldestSlot = bq.refs[bq.head].slot;
+
+    const std::optional<RowId> &open = ch.banks[b].openRow;
+    if (!open.has_value())
+        return;
+    for (std::size_t i = bq.head; i < bq.refs.size(); ++i) {
+        const BankRef &ref = bq.refs[i];
+        if (ref.row == *open && q.pool[ref.slot].live) {
+            bq.openSeq = ref.seq;
+            bq.openSlot = ref.slot;
+            return;
+        }
+    }
+}
+
+u64
+MemorySystem::channelDue(const Channel &ch)
+{
+    return std::min(ch.reads.liveSlices != 0 ? ch.reads.wakeAt : kNoEvent,
+                    ch.writes.liveSlices != 0 ? ch.writes.wakeAt
+                                              : kNoEvent);
 }
 
 void
 MemorySystem::enqueue(const LineCoord &line, bool write, u64 token,
                       u64 cycle, bool ras)
 {
-    const auto subs = map_.subRequests(line, cfg_.striping);
-    const u32 bytes =
-        cfg_.geom.lineBytes / static_cast<u32>(subs.size());
+    const u32 fanout = map_.fanout(cfg_.striping);
+    const u32 bytes = cfg_.geom.lineBytes / fanout;
     if (ras)
-        counters_.rasReads += subs.size();
+        counters_.rasReads += fanout;
     if (!write)
-        tokens_.remaining[tokenSlot(token)] =
-            static_cast<u32>(subs.size());
+        tokens_.remaining[tokenSlot(token)] = fanout;
 
     // Bucket the sub-requests into one group per touched channel,
     // preserving sub-request order (the slices of a striped line in
@@ -128,7 +166,7 @@ MemorySystem::enqueue(const LineCoord &line, bool write, u64 token,
     // relative order for exact FR-FCFS tie-breaking).
     u32 openChannel = kInvalidSlot;
     u32 openSlot = kInvalidSlot;
-    for (const LineCoord &s : subs) {
+    map_.forEachSubRequest(line, cfg_.striping, [&](const LineCoord &s) {
         const u32 chIdx = channelIndex(s);
         Channel &ch = channels_[chIdx];
         GroupQueue &q = write ? ch.writes : ch.reads;
@@ -146,16 +184,28 @@ MemorySystem::enqueue(const LineCoord &line, bool write, u64 token,
             g.slices.clear();
         }
         Group &g = q.pool[openSlot];
-        const u32 sliceIdx = static_cast<u32>(g.slices.size());
         g.slices.push_back({s.bank, s.row});
         ++g.refs;
+
+        // The new ref is the bank's youngest: it becomes a cached
+        // entry only where the bank had none.
         const std::size_t b = s.bank.idx();
-        q.perBank[b].push_back({openSlot, sliceIdx});
-        q.bankWords[b / 64] |= 1ull << (b % 64);
+        BankQueue &bq = q.perBank[b];
+        if (bq.oldestSeq == kNoEvent) {
+            bq.oldestSeq = g.seq;
+            bq.oldestSlot = openSlot;
+            q.bankWords[b / 64] |= 1ull << (b % 64);
+        }
+        if (bq.openSeq == kNoEvent && ch.banks[b].openRow == s.row) {
+            bq.openSeq = g.seq;
+            bq.openSlot = openSlot;
+        }
+        bq.refs.push_back({g.seq, openSlot, s.row});
         ++q.liveSlices;
         q.wakeAt = 0;
+        dueAt_[chIdx] = 0;
         ++pendingOps_;
-    }
+    });
 }
 
 u64
@@ -174,13 +224,12 @@ bool
 MemorySystem::canAcceptWrite(LineAddr line) const
 {
     const LineCoord coord = routeCoord(map_.lineToCoord(line));
-    const auto subs = map_.subRequests(coord, cfg_.striping);
-    for (const LineCoord &s : subs) {
-        const Channel &ch = channels_[channelIndex(s)];
-        if (ch.writes.liveSlices >= writeCapSubs_)
-            return false;
-    }
-    return true;
+    bool room = true;
+    map_.forEachSubRequest(coord, cfg_.striping, [&](const LineCoord &s) {
+        room = room &&
+               channels_[channelIndex(s)].writes.liveSlices < writeCapSubs_;
+    });
+    return room;
 }
 
 void
@@ -218,56 +267,31 @@ MemorySystem::pickCandidate(Channel &ch, GroupQueue &q, u64 cycle)
     u64 wake = kNoEvent;
 
     for (std::size_t w = 0; w < q.bankWords.size(); ++w) {
-        u64 word = q.bankWords[w];
-        while (word != 0) {
+        for (u64 word = q.bankWords[w]; word != 0; word &= word - 1) {
             const std::size_t b =
                 w * 64 + static_cast<std::size_t>(std::countr_zero(word));
-            word &= word - 1;
-            auto &dq = q.perBank[b];
-            popDeadHeads(q, dq);
-            if (dq.empty()) {
-                q.bankWords[w] &= ~(1ull << (b % 64));
-                continue;
-            }
+            const BankQueue &bq = q.perBank[b];
             const BankState &bs = ch.banks[b];
             wake = std::min(wake, bs.nextActAt);
             const bool act_ready = cycle >= bs.nextActAt;
-            if (act_ready) {
-                // Every queued row qualifies; the bank's oldest is its
-                // head (refs are FIFO in seq order).
-                const Group &hg = q.pool[dq.front().slot];
-                if (hg.seq < candSeq) {
-                    candSeq = hg.seq;
-                    candSlot = dq.front().slot;
-                }
+            // An activation-ready bank offers its oldest ref (every
+            // queued row qualifies).
+            if (act_ready && bq.oldestSeq < candSeq) {
+                candSeq = bq.oldestSeq;
+                candSlot = bq.oldestSlot;
             }
-            if (!bs.openRow.has_value())
+            if (bq.openSeq == kNoEvent)
                 continue;
-            const bool cas_ready = cycle >= bs.nextCasAt;
-            if (!cas_ready && act_ready)
-                continue; // open-row entries add nothing here
-            // Oldest queued reference matching the open row: a ready
-            // row hit if the bank can take a CAS, and (when the bank
-            // cannot activate) still a candidate waiting on tCCD.
-            for (const BankRef &ref : dq) {
-                const Group &g = q.pool[ref.slot];
-                if (!g.live)
-                    continue;
-                const bool canHit = cas_ready && g.seq < hitSeq;
-                const bool canCand = !act_ready && g.seq < candSeq;
-                if (!canHit && !canCand)
-                    break; // seq ascending: no later ref can improve
-                if (g.slices[ref.slice].row == *bs.openRow) {
-                    if (canHit) {
-                        hitSeq = g.seq;
-                        hitSlot = ref.slot;
-                    }
-                    if (canCand) {
-                        candSeq = g.seq;
-                        candSlot = ref.slot;
-                    }
-                    break;
-                }
+            // Its oldest ref to the open row: a ready row hit if the
+            // bank can take a CAS, and (when the bank cannot activate)
+            // still a candidate waiting on tCCD.
+            if (cycle >= bs.nextCasAt && bq.openSeq < hitSeq) {
+                hitSeq = bq.openSeq;
+                hitSlot = bq.openSlot;
+            }
+            if (!act_ready && bq.openSeq < candSeq) {
+                candSeq = bq.openSeq;
+                candSlot = bq.openSlot;
             }
         }
     }
@@ -405,8 +429,14 @@ MemorySystem::issueGroup(Channel &ch, GroupQueue &q, const Pick &pick,
     pendingOps_ -= g.slices.size();
     q.liveSlices -= g.slices.size();
     g.live = false; // bank-queue refs drain lazily
-    // schedule() moved this channel's bank state, which both queues'
-    // wake bounds were derived from.
+    // schedule() moved the open row of each issued slice's bank, and
+    // this queue lost a live ref there: re-derive those banks' cached
+    // entries in both queues. Bank state moved, so the wake bounds
+    // derived from it are reset too.
+    for (const Slice &slice : g.slices) {
+        refreshBank(ch, ch.reads, slice.bank.idx());
+        refreshBank(ch, ch.writes, slice.bank.idx());
+    }
     ch.reads.wakeAt = 0;
     ch.writes.wakeAt = 0;
 }
@@ -445,8 +475,12 @@ MemorySystem::serviceChannel(Channel &ch, u64 cycle)
 void
 MemorySystem::tick(u64 cycle)
 {
-    for (auto &ch : channels_)
-        serviceChannel(ch, cycle);
+    for (std::size_t c = 0; c < channels_.size(); ++c) {
+        if (dueAt_[c] > cycle)
+            continue; // every pick would return at once
+        serviceChannel(channels_[c], cycle);
+        dueAt_[c] = channelDue(channels_[c]);
+    }
 
     while (!completions_.empty() && completions_.top().done <= cycle) {
         const u64 token = completions_.top().token;
@@ -461,18 +495,16 @@ MemorySystem::tick(u64 cycle)
     }
 }
 
-std::vector<u64>
+const std::vector<u64> &
 MemorySystem::drainCompletedReads()
 {
     // Tokens reported by the previous drain are done with their
     // grace period; recycle their slots now.
     for (const u64 token : drainedTokens_)
         releaseToken(token);
-    drainedTokens_ = completedTokens_;
-
-    std::vector<u64> out;
-    out.swap(completedTokens_);
-    return out;
+    drainedTokens_.swap(completedTokens_);
+    completedTokens_.clear();
+    return drainedTokens_;
 }
 
 u64
@@ -481,14 +513,10 @@ MemorySystem::nextEventCycle(u64 now) const
     u64 next = kNoEvent;
     if (!completions_.empty())
         next = std::max(now, completions_.top().done);
-    for (const auto &ch : channels_) {
-        for (const GroupQueue *q : {&ch.reads, &ch.writes}) {
-            if (q->liveSlices == 0)
-                continue;
-            if (q->wakeAt <= now)
-                return now;
-            next = std::min(next, q->wakeAt);
-        }
+    for (const u64 due : dueAt_) {
+        if (due <= now)
+            return now;
+        next = std::min(next, due);
     }
     return next;
 }

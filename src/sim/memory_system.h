@@ -11,15 +11,25 @@
  *
  *  - one queued entry per (line, channel) *group* carrying its striped
  *    slices inline, so lockstep-sibling issue never rescans a queue;
- *  - per-bank sub-queues (slot references into a group pool) plus a
- *    ready-bank bitmask, so the FR-FCFS pick visits only banks that
- *    have work instead of walking the whole channel queue;
+ *  - per-bank sub-queues (head-indexed vectors of slice references
+ *    into a group pool) plus a ready-bank bitmask;
+ *  - cached per-bank picks: each bank sub-queue keeps its oldest live
+ *    reference and its oldest live reference to the bank's open row.
+ *    An enqueue updates the one bank it touches; an issue refreshes
+ *    only the issued slices' banks, in both of the channel's queues
+ *    (schedule() moved their open row). The FR-FCFS pick is then a
+ *    loop over the banks with work, reading two cached entries each,
+ *    with no walk of the queued references;
  *  - a per-queue wake bound: a pick that finds nothing records the
  *    earliest cycle a candidate can appear, and later picks return at
  *    once until that cycle or until an enqueue or an issue in the
- *    channel resets it. nextEventCycle(), the contract the
- *    event-driven SystemSim loop uses to skip cycles in which tick()
- *    would provably do nothing, reads the same bound;
+ *    channel resets it;
+ *  - a flat per-channel due array, the minimum wake bound of the
+ *    channel's non-empty queues: tick() services only channels due at
+ *    its cycle (a channel not yet due would find nothing, so skipping
+ *    it is exact), and nextEventCycle(), the contract the event-driven
+ *    SystemSim loop uses to skip cycles in which tick() would provably
+ *    do nothing, reads the same array;
  *  - a token arena with generation-tagged slots, so completion
  *    tracking is a flat vector lookup rather than an unordered_map.
  *
@@ -35,7 +45,6 @@
 #ifndef CITADEL_SIM_MEMORY_SYSTEM_H
 #define CITADEL_SIM_MEMORY_SYSTEM_H
 
-#include <deque>
 #include <limits>
 #include <optional>
 #include <queue>
@@ -95,11 +104,11 @@ class MemorySystem
     /** Advance one memory-controller cycle. */
     void tick(u64 cycle);
 
-    /** Tokens of reads fully serviced by the last tick, in completion
-     *  order. Slots of tokens handed out by the *previous* drain are
-     *  recycled here, so callers may use a returned token until their
-     *  next call. */
-    std::vector<u64> drainCompletedReads();
+    /** Tokens of reads fully serviced since the previous drain, in
+     *  completion order. Slots of tokens handed out by the *previous*
+     *  drain are recycled here, so callers may use a returned token,
+     *  and the returned buffer, until their next call. */
+    const std::vector<u64> &drainCompletedReads();
 
     /**
      * Earliest cycle >= `now` at which tick() could change any state:
@@ -164,21 +173,37 @@ class MemorySystem
         std::vector<Slice> slices;
     };
 
-    /** Reference to one slice of a pooled group, queued at its bank. */
+    /** Reference to one slice of a pooled group, queued at its bank.
+     *  Carries the group's age and the slice's row, so a cache refresh
+     *  reads the pool only for the group's liveness. */
     struct BankRef
     {
+        u64 seq = 0;
         u32 slot = 0;
-        u32 slice = 0;
+        RowId row{};
+    };
+
+    /** One bank's FIFO of slice references (seq ascending; refs of
+     *  issued groups drain lazily, but the head is always live) and
+     *  its cached FR-FCFS entries. */
+    struct BankQueue
+    {
+        std::vector<BankRef> refs;
+        u32 head = 0;
+        u64 oldestSeq = kNoEvent; ///< Oldest live ref; kNoEvent if none.
+        u32 oldestSlot = kInvalidSlot;
+        u64 openSeq = kNoEvent; ///< Same, to the open row.
+        u32 openSlot = kInvalidSlot;
     };
 
     /** Per-channel, per-direction scheduler queue: a slot pool of
      *  groups, per-bank FIFO sub-queues of slice references, and a
-     *  bitmask index of banks that may hold live work. */
+     *  bitmask index of banks that hold live work. */
     struct GroupQueue
     {
         std::vector<Group> pool;
         std::vector<u32> freeSlots;
-        std::vector<std::deque<BankRef>> perBank;
+        std::vector<BankQueue> perBank;
         std::vector<u64> bankWords; ///< Ready-bank index (1 bit/bank).
         u64 liveSlices = 0;         ///< Queued sub-request count.
         /** Wake bound: no FR-FCFS candidate exists before this cycle.
@@ -246,6 +271,9 @@ class MemorySystem
     SimConfig cfg_;
     AddressMap map_;
     std::vector<Channel> channels_;
+    /** Per channel: min wakeAt of its non-empty queues (kNoEvent when
+     *  both are empty). tick() skips a channel until this cycle. */
+    std::vector<u64> dueAt_;
     MemCounters counters_;
     u64 writeCapSubs_ = 0; ///< Write-queue cap in sub-requests.
     const RetirementMap *retire_ = nullptr;
@@ -256,7 +284,8 @@ class MemorySystem
                         std::greater<>>
         completions_;
     std::vector<u64> completedTokens_;
-    std::vector<u64> drainedTokens_; ///< Freed on the next drain call.
+    /** Tokens the last drain returned; freed on the next drain call. */
+    std::vector<u64> drainedTokens_;
     u64 pendingOps_ = 0;
 
     u32 channelIndex(const LineCoord &c) const;
@@ -270,7 +299,14 @@ class MemorySystem
 
     u32 acquireGroup(GroupQueue &q);
     void releaseRef(GroupQueue &q, u32 slot);
-    void popDeadHeads(GroupQueue &q, std::deque<BankRef> &dq);
+
+    /** Re-derive bank `b`'s cached entries in `q` after an issue:
+     *  drain dead head refs, then find the oldest live ref to the
+     *  bank's (possibly new) open row. */
+    void refreshBank(const Channel &ch, GroupQueue &q, std::size_t b);
+
+    /** Min wakeAt of the channel's non-empty queues. */
+    static u64 channelDue(const Channel &ch);
 
     void enqueue(const LineCoord &line, bool write, u64 token, u64 cycle,
                  bool ras);

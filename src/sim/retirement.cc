@@ -4,6 +4,47 @@
 
 namespace citadel {
 
+namespace {
+
+/** The coordinates a packed key names. Every bit of a key belongs to
+ *  one field and the stack field takes all high bits, so a stray bit
+ *  reads as an out-of-range coordinate. */
+struct KeyFields
+{
+    u64 stack = 0;
+    u64 channel = 0;
+    u64 bank = 0;
+    u64 row = 0;
+};
+
+KeyFields
+rowFields(u64 key)
+{
+    return {key >> 48, (key >> 40) & 0xFF, (key >> 32) & 0xFF,
+            key & 0xFFFFFFFFull};
+}
+
+KeyFields
+bankFields(u64 key)
+{
+    return {key >> 16, (key >> 8) & 0xFF, key & 0xFF, 0};
+}
+
+KeyFields
+chanFields(u64 key)
+{
+    return {key >> 8, key & 0xFF, 0, 0};
+}
+
+bool
+inGeometry(const StackGeometry &g, const KeyFields &f)
+{
+    return f.stack < g.stacks && f.channel < g.channelsPerStack &&
+           f.bank < g.banksPerChannel && f.row < g.rowsPerBank;
+}
+
+} // namespace
+
 RetirementMap::RetirementMap(const StackGeometry &geom) : geom_(geom)
 {
     geom_.validate();
@@ -15,6 +56,12 @@ RetirementMap::rowKey(StackId s, ChannelId c, BankId b, RowId r) const
     return (static_cast<u64>(s.value()) << 48) |
            (static_cast<u64>(c.value()) << 40) |
            (static_cast<u64>(b.value()) << 32) | r.value();
+}
+
+bool
+RetirementMap::validBankKey(u64 key) const
+{
+    return inGeometry(geom_, bankFields(key));
 }
 
 u64
@@ -153,15 +200,17 @@ RetirementMap::retiredLines() const
         lines += geom_.linesPerBank() * geom_.banksPerChannel;
     }
     for (u64 key : retiredBanks_) {
-        const StackId s{static_cast<u32>(key >> 16)};
-        const ChannelId c{static_cast<u32>((key >> 8) & 0xFF)};
+        const KeyFields f = bankFields(key);
+        const StackId s{static_cast<u32>(f.stack)};
+        const ChannelId c{static_cast<u32>(f.channel)};
         if (!channelDegraded(s, c))
             lines += geom_.linesPerBank();
     }
     for (u64 key : offlineRows_) {
-        const StackId s{static_cast<u32>(key >> 48)};
-        const ChannelId c{static_cast<u32>((key >> 40) & 0xFF)};
-        const BankId b{static_cast<u32>((key >> 32) & 0xFF)};
+        const KeyFields f = rowFields(key);
+        const StackId s{static_cast<u32>(f.stack)};
+        const ChannelId c{static_cast<u32>(f.channel)};
+        const BankId b{static_cast<u32>(f.bank)};
         if (!channelDegraded(s, c) && !bankRetired(s, c, b))
             lines += geom_.linesPerRow();
     }
@@ -204,6 +253,21 @@ RetirementMap::loadState(ByteSource &src)
 {
     Reader in(src);
     fields(in, *this);
+
+    // Nothing steers around a key outside the geometry, but
+    // retiredLines() would count it: capacityFraction() would resume
+    // wrong, and wrap once the lost lines passed the total.
+    const auto check = [&](const std::set<u64> &keys, const char *set,
+                           KeyFields (*decode)(u64)) {
+        for (const u64 key : keys)
+            if (!inGeometry(geom_, decode(key)))
+                fatal("RetirementMap: checkpoint %s key %#llx is outside "
+                      "the geometry",
+                      set, static_cast<unsigned long long>(key));
+    };
+    check(offlineRows_, "offlineRows", rowFields);
+    check(retiredBanks_, "retiredBanks", bankFields);
+    check(degradedChannels_, "degradedChannels", chanFields);
 }
 
 } // namespace citadel

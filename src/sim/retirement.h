@@ -89,7 +89,17 @@ class RetirementMap
 
     void clear();
 
+    /** Packed (stack, channel, bank) key, as retired banks are stored
+     *  (and as the ladder keys its strike counts). */
+    u64 bankKey(StackId s, ChannelId c, BankId b) const;
+
+    /** Does a packed bank key name a bank of this geometry? */
+    bool validBankKey(u64 key) const;
+
     void saveState(ByteSink &sink) const;
+
+    /** Restores the saved sets; a key naming a stack, channel, bank or
+     *  row outside the geometry is fatal. */
     void loadState(ByteSource &src);
 
   private:
@@ -107,7 +117,6 @@ class RetirementMap
     std::set<u64> degradedChannels_;
 
     u64 rowKey(StackId s, ChannelId c, BankId b, RowId r) const;
-    u64 bankKey(StackId s, ChannelId c, BankId b) const;
     u64 chanKey(StackId s, ChannelId c) const;
 };
 

@@ -84,27 +84,9 @@ std::vector<LineCoord>
 AddressMap::subRequests(const LineCoord &line, StripingMode mode) const
 {
     std::vector<LineCoord> out;
-    switch (mode) {
-      case StripingMode::SameBank:
-        out.push_back(line);
-        break;
-      case StripingMode::AcrossBanks:
-        out.reserve(geom_.banksPerChannel);
-        for (u32 b = 0; b < geom_.banksPerChannel; ++b) {
-            LineCoord c = line;
-            c.bank = BankId{b};
-            out.push_back(c);
-        }
-        break;
-      case StripingMode::AcrossChannels:
-        out.reserve(geom_.channelsPerStack);
-        for (u32 ch = 0; ch < geom_.channelsPerStack; ++ch) {
-            LineCoord c = line;
-            c.channel = ChannelId{ch};
-            out.push_back(c);
-        }
-        break;
-    }
+    out.reserve(fanout(mode));
+    forEachSubRequest(line, mode,
+                      [&](const LineCoord &c) { out.push_back(c); });
     return out;
 }
 

@@ -62,6 +62,34 @@ class AddressMap
     std::vector<LineCoord> subRequests(const LineCoord &line,
                                        StripingMode mode) const;
 
+    /** Call `fn(const LineCoord &)` on each of subRequests(line, mode),
+     *  in order, without building the vector. */
+    template <class Fn>
+    void
+    forEachSubRequest(const LineCoord &line, StripingMode mode,
+                      Fn &&fn) const
+    {
+        switch (mode) {
+          case StripingMode::SameBank:
+            fn(line);
+            return;
+          case StripingMode::AcrossBanks:
+            for (u32 b = 0; b < geom_.banksPerChannel; ++b) {
+                LineCoord c = line;
+                c.bank = BankId{b};
+                fn(c);
+            }
+            return;
+          case StripingMode::AcrossChannels:
+            for (u32 ch = 0; ch < geom_.channelsPerStack; ++ch) {
+                LineCoord c = line;
+                c.channel = ChannelId{ch};
+                fn(c);
+            }
+            return;
+        }
+    }
+
     /** Accesses per line under `mode` (1, banks, or channels). */
     u32 fanout(StripingMode mode) const;
 

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fault_builders.h"
 #include "ras/live_datapath.h"
 #include "ras/poison_set.h"
@@ -712,6 +714,89 @@ TEST_F(LadderE2ETest, CheckpointRoundTripsLadderAndMetaState)
     EXPECT_EQ(other.stateFingerprint(), dp.stateFingerprint());
     EXPECT_EQ(other.counters().metaCorrected,
               dp.counters().metaCorrected);
+}
+
+TEST_F(LadderE2ETest, LoadStateRejectsLadderKeysOutsideTheGeometry)
+{
+    // A checkpoint whose ladder names a region tiny() does not have --
+    // stack 5 of a one-stack device, or row 64 of a 64-row bank -- must
+    // be refused by loadState. Nothing would steer around such a key,
+    // but retiredLines() would count it, so capacityFraction() would
+    // resume wrong (and wrap below zero once the lost lines passed the
+    // total). The datapath's ladder image sits just before the meta
+    // store's and the counters'; each case swaps in the image of a
+    // ladder on an 8-stack tiny() that holds one bad key.
+    LiveRasDatapath dp(cfg_);
+    ByteSink sink;
+    dp.saveState(sink);
+    const std::vector<u8> &bytes = sink.bytes();
+    ByteSink ladder;
+    dp.ladder().saveState(ladder);
+    ByteSink tail;
+    dp.metaStore().saveState(tail);
+    Writer{tail}(dp.counters());
+    ASSERT_GE(bytes.size(), ladder.bytes().size() + tail.bytes().size());
+    const std::size_t at =
+        bytes.size() - tail.bytes().size() - ladder.bytes().size();
+    ASSERT_TRUE(std::equal(ladder.bytes().begin(), ladder.bytes().end(),
+                           bytes.begin() + static_cast<long>(at)));
+
+    const auto withLadder = [&](const DegradationLadder &l) {
+        ByteSink img;
+        l.saveState(img);
+        std::vector<u8> out(bytes.begin(),
+                            bytes.begin() + static_cast<long>(at));
+        out.insert(out.end(), img.bytes().begin(), img.bytes().end());
+        out.insert(out.end(), tail.bytes().begin(), tail.bytes().end());
+        return out;
+    };
+
+    StackGeometry wide = cfg_.geom;
+    wide.stacks = 8;
+    DegradationOptions opts;
+    opts.strikesPerBank = 100;
+    const StackId s5{5};
+
+    {
+        // A key inside the geometry loads, and the capacity it costs
+        // survives the round trip.
+        DegradationLadder good(wide, opts);
+        good.map().retireBank(StackId{0}, ChannelId{1}, BankId{0});
+        good.onRefault(StackId{0}, ChannelId{0}, BankId{1});
+        const std::vector<u8> ok = withLadder(good);
+        LiveRasDatapath other(cfg_);
+        ByteSource src(ok);
+        other.loadState(src);
+        EXPECT_EQ(src.remaining(), 0u);
+        EXPECT_DOUBLE_EQ(other.healthSignals().capacityFraction, 0.75);
+    }
+
+    const auto refused = [&](const auto &poison, const char *diag) {
+        DegradationLadder bad(wide, opts);
+        poison(bad);
+        const std::vector<u8> corrupt = withLadder(bad);
+        LiveRasDatapath other(cfg_);
+        ByteSource src(corrupt);
+        EXPECT_DEATH(other.loadState(src), diag);
+    };
+    refused([&](DegradationLadder &l) {
+        l.map().offlineRow(s5, ChannelId{0}, BankId{0}, RowId{3});
+    }, "offlineRows key 0x5000000000003 is outside the geometry");
+    refused([&](DegradationLadder &l) {
+        l.map().offlineRow(StackId{0}, ChannelId{1}, BankId{0}, RowId{64});
+    }, "offlineRows key 0x10000000040 is outside the geometry");
+    refused([&](DegradationLadder &l) {
+        l.map().retireBank(s5, ChannelId{1}, BankId{1});
+    }, "retiredBanks key 0x50101 is outside the geometry");
+    refused([&](DegradationLadder &l) {
+        l.map().retireBank(StackId{0}, ChannelId{0}, BankId{2});
+    }, "retiredBanks key 0x2 is outside the geometry");
+    refused([&](DegradationLadder &l) {
+        l.map().degradeChannel(s5, ChannelId{0});
+    }, "degradedChannels key 0x500 is outside the geometry");
+    refused([&](DegradationLadder &l) {
+        l.onRefault(s5, ChannelId{0}, BankId{1});
+    }, "strikes key 0x50001 is outside the geometry");
 }
 
 } // namespace
