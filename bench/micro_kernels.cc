@@ -2,9 +2,9 @@
  * @file
  * Google-benchmark micro-kernels for the hot paths of the library:
  * CRC-32, fault-lifetime sampling, Monte Carlo trials, 3DP bit-true
- * reconstruction, LLC operations, and the timing simulator's LLC
- * warm-up and run loop. These quantify the cost of the machinery behind the figure
- * benches.
+ * reconstruction, LLC operations, the timing simulator's LLC
+ * warm-up and run loop, and a fleet campaign's request path. These
+ * quantify the cost of the machinery behind the figure benches.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "common/xor_fold.h"
 #include "ecc/crc32.h"
+#include "fleet/fleet_sim.h"
 #include "sim/llc.h"
 #include "sim/system_sim.h"
 #include "sim/workload.h"
@@ -317,6 +318,27 @@ BENCHMARK_CAPTURE(BM_SystemSimRun, mcf, "mcf")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SystemSimRun, lbm, "lbm")
     ->Unit(benchmark::kMillisecond);
+
+/** FleetCampaign::run() alone: FleetConfig::demo()'s eight servers
+ *  under a zipf-0.9 trace with load rebalance on, so the client op
+ *  table, the coordinator's per-key load counts and its hot-key picks
+ *  all run. Each iteration builds a fresh campaign with the timer
+ *  paused. */
+void
+BM_FleetCampaignRun(benchmark::State &state)
+{
+    fleet::FleetConfig cfg = fleet::FleetConfig::demo();
+    cfg.traffic = "ticks=2048,rate=32,write=0.2,zipf=0.9";
+    cfg.coord.rebalanceEnabled = true;
+    cfg.threads = 1;
+    for (auto _ : state) {
+        state.PauseTiming();
+        fleet::FleetCampaign campaign(cfg);
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(campaign.run());
+    }
+}
+BENCHMARK(BM_FleetCampaignRun)->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace citadel

@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -103,6 +104,17 @@ ZipfCdf::ZipfCdf(u64 n, double theta) : n_(n), theta_(theta)
     for (u64 r = 0; r < n; ++r)
         cdf_[r] /= total;
     cdf_[n - 1] = 1.0; // guard against rounding shortfall
+    // guide_[j]: the first rank whose CDF exceeds j / m. The CDF does
+    // not decrease, so each entry continues the previous one's scan.
+    guide_.resize(std::bit_ceil(n));
+    const double m = static_cast<double>(guide_.size());
+    u64 r = 0;
+    for (u64 j = 0; j < guide_.size(); ++j) {
+        const double at = static_cast<double>(j) / m;
+        while (cdf_[r] <= at)
+            ++r;
+        guide_[j] = r;
+    }
 }
 
 u64
@@ -113,16 +125,13 @@ ZipfCdf::rank(double u) const
         const u64 r = static_cast<u64>(u * static_cast<double>(n_));
         return r < n_ ? r : n_ - 1;
     }
-    // First rank whose CDF exceeds u.
-    std::size_t lo = 0, hi = cdf_.size() - 1;
-    while (lo < hi) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        if (cdf_[mid] > u)
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    return lo;
+    // First rank whose CDF exceeds u; cdf_[n - 1] = 1 > u ends the
+    // scan.
+    u64 r = guide_[static_cast<std::size_t>(
+        u * static_cast<double>(guide_.size()))];
+    while (cdf_[r] <= u)
+        ++r;
+    return r;
 }
 
 } // namespace citadel

@@ -250,9 +250,15 @@ struct RngLanes
  * popularity the fleet traffic model replays (theta ~0.99 matches the
  * YCSB-style hot-key skew; theta = 0 is exactly uniform and takes a
  * CDF-free fast path). Sampling maps a unit double — derived from a
- * counter hash, never from generator state — through a binary search
- * of the CDF, so it composes with the fleet's order-independent
+ * counter hash, never from generator state — to the first rank whose
+ * CDF exceeds it, so it composes with the fleet's order-independent
  * determinism: rank(u) is a pure function.
+ *
+ * The lookup is a guide table, not a binary search: m = bit_ceil(n)
+ * entries with guide[j] = rank(j / m), then a forward scan of the CDF.
+ * m is a power of two, so u * m is exact and j = floor(u * m) has
+ * j / m <= u: the scan starts at or below the answer and returns the
+ * binary search's rank bit for bit, after about one step on average.
  */
 class ZipfCdf
 {
@@ -270,6 +276,7 @@ class ZipfCdf
     u64 n_;
     double theta_;
     std::vector<double> cdf_; ///< Empty when theta == 0 (uniform).
+    std::vector<u64> guide_;  ///< guide_[j] = rank(j / size); ditto.
 };
 
 } // namespace citadel

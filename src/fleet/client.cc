@@ -53,41 +53,70 @@ FleetClient::valueFor(u64 key, u64 version, u64 salt)
                  version * 0x9FB21C651E98DF25ull ^ salt);
 }
 
-FleetClient::Op &
-FleetClient::insertOp(u64 op_id, const Op &op)
+u64
+FleetClient::valueOf(const Op &op) const
 {
-    OpSlot &slot = slots_[op_id & slotMask_];
+    return op.kind == OpKind::Write ? valueFor(op.key, op.version, valueSalt_)
+                                    : 0;
+}
+
+u64
+FleetClient::deadlineOf(const Op &op) const
+{
+    return op.issuedAt + policy_.opDeadline;
+}
+
+u32
+FleetClient::acksOf(const Op &op)
+{
+    return static_cast<u32>(std::popcount(op.ackMask));
+}
+
+FleetClient::OpRecord
+FleetClient::recordOf(const Op &op) const
+{
+    OpRecord r;
+    r.kind = op.kind;
+    r.key = op.key;
+    r.version = op.version;
+    r.value = valueOf(op);
+    r.issuedAt = op.issuedAt;
+    r.deadline = deadlineOf(op);
+    r.attempts = op.attempts;
+    r.lastSentAt = op.lastSentAt;
+    r.retryAt = op.retryAt;
+    r.hedged = op.hedged;
+    r.mainServer = op.mainServer;
+    r.hedgeServer = op.hedgeServer;
+    r.ackMask = op.ackMask;
+    r.acks = acksOf(op);
+    return r;
+}
+
+FleetClient::Op &
+FleetClient::insertOp(const Op &op)
+{
+    Op &slot = slots_[op.id & slotMask_];
     if (slot.live) {
-        if (slot.id == op_id)
+        if (slot.id == op.id)
             fatal("FleetClient: duplicate operation id %llu",
-                  static_cast<unsigned long long>(op_id));
+                  static_cast<unsigned long long>(op.id));
         fatal("FleetClient: live op id span exceeds the op window "
               "(%zu slots): op %llu collides with live op %llu",
-              slots_.size(), static_cast<unsigned long long>(op_id),
+              slots_.size(), static_cast<unsigned long long>(op.id),
               static_cast<unsigned long long>(slot.id));
     }
-    slot.id = op_id;
+    slot = op;
     slot.live = true;
-    slot.op = op;
     ++live_;
-    return slot.op;
+    return slot;
 }
 
 FleetClient::Op *
 FleetClient::findOp(u64 op_id)
 {
-    OpSlot &slot = slots_[op_id & slotMask_];
-    return (slot.live && slot.id == op_id) ? &slot.op : nullptr;
-}
-
-void
-FleetClient::eraseOp(u64 op_id)
-{
-    OpSlot &slot = slots_[op_id & slotMask_];
-    if (slot.live && slot.id == op_id) {
-        slot.live = false;
-        --live_;
-    }
+    Op &slot = slots_[op_id & slotMask_];
+    return (slot.live && slot.id == op_id) ? &slot : nullptr;
 }
 
 u64 &
@@ -129,38 +158,37 @@ void
 FleetClient::startRead(u64 op_id, u64 key, u64 now)
 {
     Op op;
+    op.id = op_id;
     op.kind = OpKind::Read;
     op.key = key;
     op.issuedAt = now;
-    op.deadline = now + policy_.opDeadline;
-    Op &live = insertOp(op_id, op);
+    Op &live = insertOp(op);
     ++counters_.opsIssued;
-    wakeAt(live.deadline, op_id);
-    sendRead(op_id, live, now);
+    wakeAt(deadlineOf(live), op_id);
+    sendRead(live, now);
 }
 
 void
 FleetClient::startWrite(u64 op_id, u64 key, u64 now)
 {
     Op op;
+    op.id = op_id;
     op.kind = OpKind::Write;
     op.key = key;
     op.version = ++nextVersionOf(key);
-    op.value = valueFor(key, op.version, valueSalt_);
     op.issuedAt = now;
-    op.deadline = now + policy_.opDeadline;
-    Op &live = insertOp(op_id, op);
+    Op &live = insertOp(op);
     ++counters_.opsIssued;
-    wakeAt(live.deadline, op_id);
-    sendWrite(op_id, live, now);
+    wakeAt(deadlineOf(live), op_id);
+    sendWrite(live, now);
 }
 
 void
-FleetClient::sendRead(u64 op_id, Op &op, u64 now)
+FleetClient::sendRead(Op &op, u64 now)
 {
     placementFn_(op.key, scratch_);
     if (scratch_.empty()) {
-        complete(op_id, op, false, now);
+        complete(op, false, now);
         return;
     }
     ++op.attempts;
@@ -174,7 +202,7 @@ FleetClient::sendRead(u64 op_id, Op &op, u64 now)
     op.mainServer = scratch_[slot];
 
     Request r;
-    r.op = op_id;
+    r.op = op.id;
     r.attempt = op.attempts - 1;
     r.replica = slot;
     r.kind = OpKind::Read;
@@ -184,42 +212,43 @@ FleetClient::sendRead(u64 op_id, Op &op, u64 now)
     if (policy_.hedgeAfter > 0 &&
         policy_.hedgeAfter < policy_.attemptTimeout &&
         scratch_.size() > 1)
-        wakeAt(now + policy_.hedgeAfter, op_id);
-    wakeAt(now + policy_.attemptTimeout, op_id);
+        wakeAt(now + policy_.hedgeAfter, op.id);
+    wakeAt(now + policy_.attemptTimeout, op.id);
 }
 
 void
-FleetClient::sendWrite(u64 op_id, Op &op, u64 now)
+FleetClient::sendWrite(Op &op, u64 now)
 {
     placementFn_(op.key, scratch_);
     if (scratch_.empty()) {
-        complete(op_id, op, false, now);
+        complete(op, false, now);
         return;
     }
     ++op.attempts;
     op.lastSentAt = now;
     op.retryAt = 0;
+    const u64 value = valueOf(op);
     // Fan out to every replica that has not acknowledged yet.
     for (u32 slot = 0; slot < scratch_.size(); ++slot) {
         const ServerIdx s = scratch_[slot];
         if (s < 64 && (op.ackMask >> s) & 1)
             continue;
         Request r;
-        r.op = op_id;
+        r.op = op.id;
         r.attempt = op.attempts - 1;
         r.replica = slot;
         r.kind = OpKind::Write;
         r.key = op.key;
         r.version = op.version;
-        r.value = op.value;
+        r.value = value;
         sendFn_(r, s);
         ++counters_.attempts;
     }
-    wakeAt(now + policy_.attemptTimeout, op_id);
+    wakeAt(now + policy_.attemptTimeout, op.id);
 }
 
 void
-FleetClient::sendHedge(u64 op_id, Op &op)
+FleetClient::sendHedge(Op &op)
 {
     placementFn_(op.key, scratch_);
     op.hedged = true;
@@ -228,7 +257,7 @@ FleetClient::sendHedge(u64 op_id, Op &op)
             continue;
         op.hedgeServer = scratch_[slot];
         Request r;
-        r.op = op_id;
+        r.op = op.id;
         r.attempt = op.attempts - 1;
         r.replica = slot;
         r.kind = OpKind::Read;
@@ -243,17 +272,17 @@ FleetClient::sendHedge(u64 op_id, Op &op)
 }
 
 void
-FleetClient::beginBackoff(u64 op_id, Op &op, u64 now)
+FleetClient::beginBackoff(Op &op, u64 now)
 {
-    if (op.attempts >= policy_.maxAttempts || now >= op.deadline) {
-        complete(op_id, op, false, now);
+    if (op.attempts >= policy_.maxAttempts || now >= deadlineOf(op)) {
+        complete(op, false, now);
         return;
     }
-    const u64 delay = policy_.backoff(op_id, op.attempts);
+    const u64 delay = policy_.backoff(op.id, op.attempts);
     op.retryAt = now + delay;
     counters_.backoffTicks += delay;
     ++counters_.retries;
-    wakeAt(op.retryAt, op_id);
+    wakeAt(op.retryAt, op.id);
 }
 
 void
@@ -272,7 +301,7 @@ FleetClient::onResponse(const Response &resp, u64 now)
     case Status::Busy:
         ++counters_.busyRejections;
         if (op.retryAt == 0)
-            beginBackoff(resp.op, op, now);
+            beginBackoff(op, now);
         return;
 
     case Status::DueData:
@@ -280,17 +309,17 @@ FleetClient::onResponse(const Response &resp, u64 now)
             // This replica cannot serve the key's line; the timeout
             // path will re-fan-out, and the quorum rule decides.
             if (op.retryAt == 0)
-                beginBackoff(resp.op, op, now);
+                beginBackoff(op, now);
             return;
         }
         ++counters_.dueFailovers;
-        if (op.attempts < policy_.maxAttempts && now < op.deadline) {
+        if (op.attempts < policy_.maxAttempts && now < deadlineOf(op)) {
             // Immediate failover read: the replica's device may be
             // healthy even though this stack lost the line.
-            sendRead(resp.op, op, now);
+            sendRead(op, now);
         } else {
             ++counters_.readsDue;
-            complete(resp.op, op, false, now);
+            complete(op, false, now);
         }
         return;
 
@@ -301,7 +330,7 @@ FleetClient::onResponse(const Response &resp, u64 now)
                 resp.from == op.hedgeServer &&
                 resp.from != op.mainServer)
                 ++counters_.hedgeWins;
-            complete(resp.op, op, true, now);
+            complete(op, true, now);
             return;
         }
         // Write acknowledgement path.
@@ -314,11 +343,10 @@ FleetClient::onResponse(const Response &resp, u64 now)
         if ((op.ackMask >> resp.from) & 1)
             return; // Duplicate ack from the same replica.
         op.ackMask |= 1ull << resp.from;
-        ++op.acks;
-        if (op.acks >= ackQuorum_) {
-            recordAck(op.key, op.version, op.value);
+        if (acksOf(op) >= ackQuorum_) {
+            recordAck(op.key, op.version, valueOf(op));
             ++counters_.writesAcked;
-            complete(resp.op, op, true, now);
+            complete(op, true, now);
         }
         return;
     }
@@ -332,17 +360,17 @@ FleetClient::evaluate(u64 op_id, u64 now)
         return; // Completed; stale wakeup.
     Op &op = *found;
 
-    if (now >= op.deadline) {
-        complete(op_id, op, false, now);
+    if (now >= deadlineOf(op)) {
+        complete(op, false, now);
         return;
     }
     if (op.retryAt != 0) {
         if (now >= op.retryAt) {
             op.retryAt = 0;
             if (op.kind == OpKind::Read)
-                sendRead(op_id, op, now);
+                sendRead(op, now);
             else
-                sendWrite(op_id, op, now);
+                sendWrite(op, now);
         }
         return;
     }
@@ -350,10 +378,10 @@ FleetClient::evaluate(u64 op_id, u64 now)
     if (op.kind == OpKind::Read && !op.hedged &&
         policy_.hedgeAfter > 0 && elapsed >= policy_.hedgeAfter &&
         elapsed < policy_.attemptTimeout)
-        sendHedge(op_id, op);
+        sendHedge(op);
     if (elapsed >= policy_.attemptTimeout) {
         ++counters_.attemptTimeouts;
-        beginBackoff(op_id, op, now);
+        beginBackoff(op, now);
     }
 }
 
@@ -374,7 +402,7 @@ FleetClient::tick(u64 now)
 }
 
 void
-FleetClient::complete(u64 op_id, Op &op, bool acked, u64 now)
+FleetClient::complete(Op &op, bool acked, u64 now)
 {
     if (acked) {
         ++counters_.opsAcked;
@@ -384,14 +412,15 @@ FleetClient::complete(u64 op_id, Op &op, bool acked, u64 now)
     } else {
         ++counters_.opsFailed;
     }
-    eraseOp(op_id);
+    op.live = false;
+    --live_;
 }
 
 void
 FleetClient::finish()
 {
     counters_.opsUnresolved += inflight();
-    for (OpSlot &slot : slots_)
+    for (Op &slot : slots_)
         slot.live = false;
     live_ = 0;
     for (auto &bucket : wheel_)
@@ -404,9 +433,9 @@ FleetClient::SavedOps<Client>::saveState(ByteSink &sink) const
 {
     Writer out(sink);
     out(static_cast<u64>(client.live_));
-    for (const OpSlot &slot : client.slots_)
+    for (const Op &slot : client.slots_)
         if (slot.live)
-            out(slot.id, slot.op);
+            out(slot.id, client.recordOf(slot));
 }
 
 template <class Client>
@@ -414,21 +443,48 @@ void
 FleetClient::SavedOps<Client>::loadState(ByteSource &src)
 {
     Reader in(src);
-    for (OpSlot &slot : client.slots_)
+    for (Op &slot : client.slots_)
         slot.live = false;
     client.live_ = 0;
-    const u64 n = in.count<std::pair<u64, Op>>();
+    const u64 n = in.count<std::pair<u64, OpRecord>>();
     for (u64 i = 0; i < n; ++i) {
         u64 id = 0;
-        Op op;
-        in(id, op);
-        if (op.key >= client.versions_.size())
+        OpRecord rec;
+        in(id, rec);
+        if (rec.key >= client.versions_.size())
             fatal("FleetClient: corrupt checkpoint: op %llu key %llu "
                   "outside the key space (%zu)",
                   static_cast<unsigned long long>(id),
-                  static_cast<unsigned long long>(op.key),
+                  static_cast<unsigned long long>(rec.key),
                   client.versions_.size());
-        client.insertOp(id, op);
+        Op op;
+        op.id = id;
+        op.kind = rec.kind;
+        op.key = rec.key;
+        op.version = rec.version;
+        op.issuedAt = rec.issuedAt;
+        op.attempts = rec.attempts;
+        op.lastSentAt = rec.lastSentAt;
+        op.retryAt = rec.retryAt;
+        op.hedged = rec.hedged;
+        op.mainServer = rec.mainServer;
+        op.hedgeServer = rec.hedgeServer;
+        op.ackMask = rec.ackMask;
+        // The slot derives value, deadline and acks; a record that
+        // disagrees would not re-save to the bytes it came from.
+        const OpRecord derived = client.recordOf(op);
+        const auto check = [&](const char *what, u64 saved, u64 want) {
+            if (saved != want)
+                fatal("FleetClient: corrupt checkpoint: op %llu %s %llu "
+                      "disagrees with the derived %llu",
+                      static_cast<unsigned long long>(id), what,
+                      static_cast<unsigned long long>(saved),
+                      static_cast<unsigned long long>(want));
+        };
+        check("value", rec.value, derived.value);
+        check("deadline", rec.deadline, derived.deadline);
+        check("acks", rec.acks, derived.acks);
+        client.insertOp(op);
     }
 }
 

@@ -21,6 +21,15 @@
  * version and acked arrays iterated in ascending key order. Processing
  * order is therefore deterministic, and the serving hot path does no
  * ordered-container work and no steady-state allocation.
+ *
+ * An op slot is 72 bytes: seven u64s, three u32s and three flag bytes
+ * (kind, hedged, live), widest first so nothing pads between them. It
+ * stores only what it cannot derive. A write's payload is
+ * valueFor(key, version, salt), the deadline is issuedAt + opDeadline,
+ * and the write-ack count is popcount(ackMask); each is computed where
+ * it is read. The checkpoint still writes each live op as the full
+ * record (OpRecord) with those three fields in it, and a load rejects
+ * a record whose saved ones disagree with the derived ones.
  */
 
 #ifndef CITADEL_FLEET_CLIENT_H
@@ -145,24 +154,50 @@ class FleetClient
     void loadState(ByteSource &src) CITADEL_REQUIRES(kSerialPhase);
 
   private:
+    /** One op slot: a live operation's state, widest fields first
+     *  (see the file comment for the fields it derives). */
     struct Op
+    {
+        u64 id = 0; ///< The full op id (the table holds id & mask).
+        u64 key = 0;
+        u64 version = 0; ///< Writes only.
+        u64 issuedAt = 0;
+        u64 lastSentAt = 0; ///< When the current round was sent.
+        u64 retryAt = 0;    ///< Backoff expiry; 0 = not backing off.
+        u64 ackMask = 0; ///< Writes: bit per acked server (<= 64).
+        u32 attempts = 0;   ///< Attempt rounds launched.
+        ServerIdx mainServer = kNoServer;  ///< Current read target.
+        ServerIdx hedgeServer = kNoServer; ///< Current hedge target.
+        OpKind kind = OpKind::Read;
+        bool hedged = false;
+        bool live = false; ///< Slot holds op `id` in flight.
+    };
+    static_assert(sizeof(Op) == 72, "an op slot has no padding to spare");
+
+    /**
+     * The checkpoint record of one op: every slot field but the id
+     * and live flag, plus the derived value, deadline and acks, in
+     * this fixed wire order. Loading rejects a record whose derived
+     * fields disagree with the ones its slot would derive.
+     */
+    struct OpRecord
     {
         OpKind kind = OpKind::Read;
         u64 key = 0;
-        u64 version = 0; ///< Writes only.
-        u64 value = 0;   ///< Writes only.
+        u64 version = 0;
+        u64 value = 0;
         u64 issuedAt = 0;
         u64 deadline = 0;
-        u32 attempts = 0;   ///< Attempt rounds launched.
-        u64 lastSentAt = 0; ///< When the current round was sent.
-        u64 retryAt = 0;    ///< Backoff expiry; 0 = not backing off.
+        u32 attempts = 0;
+        u64 lastSentAt = 0;
+        u64 retryAt = 0;
         bool hedged = false;
-        ServerIdx mainServer = kNoServer;  ///< Current read target.
-        ServerIdx hedgeServer = kNoServer; ///< Current hedge target.
-        u64 ackMask = 0; ///< Writes: bit per acked server (<= 64).
+        ServerIdx mainServer = kNoServer;
+        ServerIdx hedgeServer = kNoServer;
+        u64 ackMask = 0;
         u32 acks = 0;
 
-        friend void fields(auto &io, Of<Op> auto &op)
+        friend void fields(auto &io, Of<OpRecord> auto &op)
         {
             io.enumByte(op.kind, OpKind::Write,
                         "FleetClient: corrupt checkpoint: unknown op "
@@ -173,18 +208,9 @@ class FleetClient
         }
     };
 
-    /** One op slot, generation-free: the live flag plus the full id
-     *  disambiguate (ids never repeat in a campaign). */
-    struct OpSlot
-    {
-        u64 id = 0;
-        bool live = false;
-        Op op;
-    };
-
     /** Saved form of the op-slot table: the live count, then (id,
-     *  op) per live slot in slot order. Loading re-inserts each op
-     *  through insertOp(), which checks the id against the window. */
+     *  OpRecord) per live slot in slot order. Loading re-inserts each
+     *  op through insertOp(), which checks the id against the window. */
     template <class Client> struct SavedOps
     {
         explicit SavedOps(Client &c) : client(c) {}
@@ -196,18 +222,23 @@ class FleetClient
     /** The checkpoint field list (common/serialize.h). */
     static void fields(auto &io, auto &self);
 
-    Op &insertOp(u64 op_id, const Op &op);
+    Op &insertOp(const Op &op);
     Op *findOp(u64 op_id);
-    void eraseOp(u64 op_id);
     u64 &nextVersionOf(u64 key);
     void recordAck(u64 key, u64 version, u64 value);
 
-    void sendRead(u64 op_id, Op &op, u64 now);
-    void sendWrite(u64 op_id, Op &op, u64 now);
-    void sendHedge(u64 op_id, Op &op);
-    void beginBackoff(u64 op_id, Op &op, u64 now);
+    /** The fields a slot derives (file comment), and its record. */
+    u64 valueOf(const Op &op) const;
+    u64 deadlineOf(const Op &op) const;
+    static u32 acksOf(const Op &op);
+    OpRecord recordOf(const Op &op) const;
+
+    void sendRead(Op &op, u64 now);
+    void sendWrite(Op &op, u64 now);
+    void sendHedge(Op &op);
+    void beginBackoff(Op &op, u64 now);
     void evaluate(u64 op_id, u64 now);
-    void complete(u64 op_id, Op &op, bool acked, u64 now);
+    void complete(Op &op, bool acked, u64 now);
     void wakeAt(u64 tick, u64 op_id);
 
     RetryPolicy policy_;
@@ -218,7 +249,7 @@ class FleetClient
     PlacementFn placementFn_;
     SendFn sendFn_;
 
-    std::vector<OpSlot> slots_; ///< Power-of-two, indexed by id & mask.
+    std::vector<Op> slots_; ///< Power-of-two, indexed by id & mask.
     u64 slotMask_ = 0;
     std::size_t live_ = 0;
     std::vector<std::vector<u64>> wheel_; ///< Per-tick wakeup buckets.

@@ -47,7 +47,8 @@ Coordinator::Coordinator(const CoordinatorOptions &opts, u32 replication,
       ring_(static_cast<u32>(fleet.size()), kVnodes, seed),
       fleet_(fleet), missed_(fleet.size(), 0), warm_(fleet.size()),
       roundLoad_(fleet.size(), 0), ewma_(fleet.size(), 0.0),
-      hotStreak_(fleet.size(), 0), cacheStamp_(key_space, 0),
+      hotStreak_(fleet.size(), 0), keyLoad_(key_space, 0),
+      cacheStamp_(key_space, 0),
       cache_(key_space)
 {
     opts_.validate();
@@ -300,10 +301,9 @@ Coordinator::rebalance(u64 now, FleetCounters &counters)
         }
     }
     // Halve per-key counts so the hot set tracks the present, not the
-    // whole campaign; cold keys fall out of the map entirely.
-    for (auto it = keyLoad_.begin(); it != keyLoad_.end();)
-        it = (it->second >>= 1) == 0 ? keyLoad_.erase(it)
-                                     : std::next(it);
+    // whole campaign; a cold key's count reaches 0, unloaded.
+    for (u64 &count : keyLoad_)
+        count >>= 1;
     if (inRing == 0)
         return;
     const double mean = sum / inRing;
@@ -335,27 +335,37 @@ Coordinator::rebalance(u64 now, FleetCounters &counters)
         }
         if (target == kNoServer)
             continue;
-        // Hottest keys first; (count desc, key asc) is a total order.
+        // The loaded keys s is primary for and that are not cooling
+        // down. A move changes only its own key's override and
+        // cooldown, so filtering them all up front picks the same keys
+        // as filtering each in hottest-first order.
         hotScratch_.clear();
-        for (const auto &[key, cnt] : keyLoad_)
-            hotScratch_.push_back({cnt, key});
-        std::sort(hotScratch_.begin(), hotScratch_.end(),
-                  [](const auto &x, const auto &y) {
-                      if (x.first != y.first)
-                          return x.first > y.first;
-                      return x.second < y.second;
-                  });
-        u32 moved = 0;
-        for (const auto &[cnt, key] : hotScratch_) {
-            (void)cnt;
-            if (moved >= kMigratePerRound)
-                break; // Rate cap: rebalance cannot thrash.
+        for (u64 key = 0; key < keyLoad_.size(); ++key) {
+            if (keyLoad_[key] == 0)
+                continue;
             const auto cd = cooldown_.find(key);
             if (cd != cooldown_.end() && now < cd->second)
                 continue;
             placement(key, scratch_);
             if (scratch_.empty() || scratch_[0] != s)
                 continue;
+            hotScratch_.push_back({keyLoad_[key], key});
+        }
+        // The hottest kMigratePerRound of them (rate cap: rebalance
+        // cannot thrash); (count desc, key asc) is a total order.
+        const auto picked =
+            hotScratch_.begin() +
+            static_cast<std::ptrdiff_t>(std::min<std::size_t>(
+                kMigratePerRound, hotScratch_.size()));
+        std::partial_sort(hotScratch_.begin(), picked, hotScratch_.end(),
+                          [](const auto &x, const auto &y) {
+                              if (x.first != y.first)
+                                  return x.first > y.first;
+                              return x.second < y.second;
+                          });
+        for (auto it = hotScratch_.begin(); it != picked; ++it) {
+            const u64 key = it->second;
+            placement(key, scratch_);
             // Install the newest replica on the target before the
             // override flips reads toward it.
             u64 bestV = 0, bestVal = 0;
@@ -376,7 +386,6 @@ Coordinator::rebalance(u64 now, FleetCounters &counters)
             overrides_[key] = target;
             cooldown_[key] = now + kKeyCooldownTicks;
             ++counters.loadMigrations;
-            ++moved;
         }
     }
     // Expired cooldowns are dead weight; drop them.
@@ -502,20 +511,62 @@ Coordinator::drainElastic(u64 now, FleetCounters &counters)
     }
 }
 
+template <class Coord>
+void
+Coordinator::SavedKeyLoad<Coord>::saveState(ByteSink &sink) const
+{
+    Writer out(sink);
+    const auto &load = coord.keyLoad_;
+    out(static_cast<u64>(load.size() -
+                         std::count(load.begin(), load.end(), u64{0})));
+    for (u64 key = 0; key < load.size(); ++key)
+        if (load[key] != 0)
+            out(key, load[key]);
+}
+
+template <class Coord>
+void
+Coordinator::SavedKeyLoad<Coord>::loadState(ByteSource &src)
+{
+    Reader in(src);
+    auto &load = coord.keyLoad_;
+    std::fill(load.begin(), load.end(), 0);
+    const u64 n = in.count<std::pair<u64, u64>>();
+    for (u64 i = 0, next = 0; i < n; ++i) {
+        const std::size_t at = src.offset();
+        u64 key = 0, count = 0;
+        in(key, count);
+        if (key >= load.size())
+            fatal("Coordinator::loadState: corrupt checkpoint: keyLoad "
+                  "key %llu outside the key space (%zu)",
+                  static_cast<unsigned long long>(key), load.size());
+        if (key < next)
+            fatal("Coordinator::loadState: corrupt checkpoint: keyLoad "
+                  "key %llu is duplicated or out of order (offset %zu)",
+                  static_cast<unsigned long long>(key), at);
+        if (count == 0)
+            fatal("Coordinator::loadState: corrupt checkpoint: keyLoad "
+                  "key %llu has a zero count (offset %zu)",
+                  static_cast<unsigned long long>(key), at);
+        load[key] = count;
+        next = key + 1;
+    }
+}
+
 void
 Coordinator::fields(auto &io, auto &self)
 {
-    // The rebalancer's maps are saved in key order; a restored key
-    // must lie in the key space and strictly follow the one before
+    // The rebalancer's sparse maps are saved in key order; a restored
+    // key must lie in the key space and strictly follow the one before
     // it (a duplicate would be silently dropped by the map).
     const u64 keySpace = self.cacheStamp_.size();
+    SavedKeyLoad keyLoad{self};
     io(self.ring_);
     io.fixed(self.missed_);
     io(self.rescanNeeded_, self.scanning_, self.scanServer_,
        self.haveLastKey_, self.lastKey_);
     io.fixed(self.warm_, self.roundLoad_, self.ewma_, self.hotStreak_);
-    io.boundedMap(self.keyLoad_, keySpace,
-                  "Coordinator::loadState: corrupt checkpoint: keyLoad");
+    io(keyLoad);
     io.boundedMap(self.overrides_, keySpace,
                   "Coordinator::loadState: corrupt checkpoint: overrides");
     io.boundedMap(self.cooldown_, keySpace,

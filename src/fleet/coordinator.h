@@ -177,6 +177,19 @@ class Coordinator
         }
     };
 
+    /** Saved form of the dense per-key load counts: the nonzero
+     *  count, then (key, count) per loaded key in ascending key order
+     *  (the bytes of the ordered map it replaced). Loading rejects a
+     *  key outside the key space, a key not above its predecessor,
+     *  and a zero count, which a live coordinator never saves. */
+    template <class Coord> struct SavedKeyLoad
+    {
+        explicit SavedKeyLoad(Coord &c) : coord(c) {}
+        Coord &coord;
+        void saveState(ByteSink &sink) const;
+        void loadState(ByteSource &src);
+    };
+
     /** The checkpoint field list (common/serialize.h). */
     static void fields(auto &io, auto &self);
 
@@ -210,12 +223,15 @@ class Coordinator
     std::vector<WarmState> warm_;
     FrameWriter warmWriter_;
 
-    // Rebalancer state (all empty/zero while disabled). Ordered maps:
-    // iteration order is part of the determinism contract.
+    // Rebalancer state (all zero/empty while disabled). The per-key
+    // load counts are a flat array over the key space, indexed by key
+    // (0 = unloaded), so counting a send is one increment; overrides
+    // and cooldowns are sparse, in ordered maps whose key order is
+    // part of the determinism contract.
     std::vector<u64> roundLoad_;  ///< Sends per server since last round.
     std::vector<double> ewma_;    ///< Smoothed per-server load.
     std::vector<u32> hotStreak_;  ///< Consecutive overloaded rounds.
-    std::map<u64, u64> keyLoad_;  ///< Per-key counts (halved each round).
+    std::vector<u64> keyLoad_;    ///< Per-key counts (halved each round).
     std::map<u64, ServerIdx> overrides_; ///< key -> migrated primary.
     std::map<u64, u64> cooldown_; ///< key -> tick it may move again.
 

@@ -151,7 +151,7 @@ MemorySystem::channelDue(const Channel &ch)
 
 void
 MemorySystem::enqueue(const LineCoord &line, bool write, u64 token,
-                      u64 cycle, bool ras)
+                      bool ras)
 {
     const u32 fanout = map_.fanout(cfg_.striping);
     const u32 bytes = cfg_.geom.lineBytes / fanout;
@@ -176,7 +176,6 @@ MemorySystem::enqueue(const LineCoord &line, bool write, u64 token,
             Group &g = q.pool[openSlot];
             g.token = token;
             g.seq = ch.nextSeq++;
-            g.arrival = cycle;
             g.bytes = bytes;
             g.write = write;
             g.live = true;
@@ -209,14 +208,14 @@ MemorySystem::enqueue(const LineCoord &line, bool write, u64 token,
 }
 
 u64
-MemorySystem::issueRead(LineAddr line, u64 cycle, bool ras)
+MemorySystem::issueRead(LineAddr line, u64 /*cycle*/, bool ras)
 {
     const u64 token = allocToken();
     const LineCoord coord = map_.lineToCoord(line);
     const LineCoord routed = routeCoord(coord);
     if (!(routed == coord))
         ++counters_.steeredReads;
-    enqueue(routed, false, token, cycle, ras);
+    enqueue(routed, false, token, ras);
     return token;
 }
 
@@ -233,13 +232,13 @@ MemorySystem::canAcceptWrite(LineAddr line) const
 }
 
 void
-MemorySystem::issueWrite(LineAddr line, u64 cycle)
+MemorySystem::issueWrite(LineAddr line, u64 /*cycle*/)
 {
     const LineCoord coord = map_.lineToCoord(line);
     const LineCoord routed = routeCoord(coord);
     if (!(routed == coord))
         ++counters_.steeredWrites;
-    enqueue(routed, true, 0, cycle, false);
+    enqueue(routed, true, 0, false);
 }
 
 LineCoord

@@ -88,7 +88,9 @@ class MemorySystem
     explicit MemorySystem(const SimConfig &cfg);
 
     /**
-     * Enqueue a line read (fans out per the striping mode).
+     * Enqueue a line read (fans out per the striping mode). The
+     * scheduler orders requests by enqueue sequence, so it does not
+     * read `cycle`.
      * @param ras Tag the read as RAS traffic (counted separately).
      * @return a token reported by drainCompletedReads when all
      *         sub-requests finish.
@@ -165,7 +167,6 @@ class MemorySystem
     {
         u64 token = 0;   ///< 0 for writes (no completion tracking).
         u64 seq = 0;     ///< Channel-local arrival order (FCFS age).
-        u64 arrival = 0; ///< Enqueue cycle (diagnostic).
         u32 bytes = 0;   ///< Bytes per slice (lineBytes / fanout).
         bool write = false;
         bool live = false; ///< False once issued; refs drain lazily.
@@ -308,8 +309,7 @@ class MemorySystem
     /** Min wakeAt of the channel's non-empty queues. */
     static u64 channelDue(const Channel &ch);
 
-    void enqueue(const LineCoord &line, bool write, u64 token, u64 cycle,
-                 bool ras);
+    void enqueue(const LineCoord &line, bool write, u64 token, bool ras);
     void serviceChannel(Channel &ch, u64 cycle);
 
     /** FR-FCFS candidate in `q` at `cycle`; invalid Pick if none

@@ -312,6 +312,34 @@ TEST(ElasticRebalance, InvariantAcrossThreadCounts)
     }
 }
 
+// Which keys each rebalance round moves, pinned end to end: a longer
+// zipf-1.2 trace under chaos, where the halved per-key counts are
+// small and equal counts are common, so the (count desc, key asc)
+// order decides which loaded keys move. The fingerprint and the bytes
+// of a mid-run checkpoint (load counts, overrides, cooldowns) were
+// captured from the fully sorting rebalancer; a pick that moves a
+// different key moves them.
+TEST(FleetElastic, RebalanceMovesArePinned)
+{
+    FleetConfig cfg = elasticConfig();
+    cfg.traffic = "ticks=768,rate=6,write=0.5,zipf=1.2";
+    cfg.chaos.restartAfterTicks = 48;
+    cfg.coord.rebalanceEnabled = true;
+    cfg.seed = 5;
+
+    FleetCampaign cut(cfg);
+    cut.advanceTo(400);
+    ByteSink sink;
+    cut.saveState(sink);
+    EXPECT_EQ(fnv1a(sink.bytes()), 0xeb81fd4fb6fe7b83ull);
+
+    FleetCampaign campaign(cfg);
+    const FleetResult res = campaign.run();
+    EXPECT_GE(res.totals.loadMigrations, 64u);
+    EXPECT_EQ(res.lostAckedWrites, 0u);
+    EXPECT_EQ(res.fingerprint, 0x28ba9b676c3c8645ull);
+}
+
 // ---- Checkpoint / resume -------------------------------------------
 
 FleetConfig
@@ -566,6 +594,44 @@ TEST_F(ElasticCheckpointDeath, CorruptRestoredFleetStateIsFatal)
          "keyLoad key 96 outside the key space");
     dies(patched(secondKey, u64At(firstKey), 8),
          "keyLoad key [0-9]+ is duplicated or out of order");
+    // A live coordinator drops a key whose count halves to zero, so a
+    // saved zero count is corrupt.
+    dies(patched(firstKey + 8, 0, 8), "keyLoad key [0-9]+ has a zero count");
+
+    // The client record follows the guard, three cursors and the loop
+    // counters: its counters, the acked count, the latency histogram,
+    // then the per-key versions (u64) and acked writes (two u64s);
+    // then the live op count and (id, op record) pairs. An op record
+    // is kind (1), key, version, value, issuedAt, deadline (8 each),
+    // attempts (4), lastSentAt, retryAt (8 each), hedged (1),
+    // mainServer, hedgeServer (4 each), ackMask (8), acks (4).
+    const std::size_t counters = wireBytes<FleetCounters>();
+    const std::ptrdiff_t opsAt = static_cast<std::ptrdiff_t>(
+        8 + 3 * 8 + 2 * counters + 8 + (cfg.retry.opDeadline + 2) * 8 +
+        cfg.keySpace * (8 + 16));
+    constexpr std::ptrdiff_t kOpRecord = 1 + 5 * 8 + 4 + 2 * 8 + 1 +
+                                         2 * 4 + 8 + 4;
+    const u64 nops = u64At(opsAt);
+    ASSERT_GE(nops, 1u);
+    ASSERT_LT(opsAt + 8 + static_cast<std::ptrdiff_t>(nops) *
+                              (8 + kOpRecord),
+              coordAt + 1);
+    std::ptrdiff_t write = -1;
+    for (u64 i = 0; i < nops && write < 0; ++i) {
+        const std::ptrdiff_t rec =
+            opsAt + 8 + static_cast<std::ptrdiff_t>(i) * (8 + kOpRecord) + 8;
+        ASSERT_LE(saved[static_cast<std::size_t>(rec)], 1u);
+        ASSERT_EQ(u64At(rec + 33), u64At(rec + 25) + cfg.retry.opDeadline);
+        if (saved[static_cast<std::size_t>(rec)] == 1)
+            write = rec;
+    }
+    ASSERT_GE(write, 0) << "no write in flight at the cut";
+    dies(patched(write + 17, u64At(write + 17) ^ 1, 8),
+         "op [0-9]+ value [0-9]+ disagrees with the derived");
+    dies(patched(write + 33, u64At(write + 33) + 1, 8),
+         "op [0-9]+ deadline [0-9]+ disagrees with the derived");
+    dies(patched(write + 78, u64At(write + 78) + 1, 4),
+         "op [0-9]+ acks [0-9]+ disagrees with the derived");
     std::vector<u8> trailing = saved;
     trailing.push_back(0);
     dies(trailing, "1 trailing bytes");

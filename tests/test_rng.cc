@@ -9,6 +9,7 @@
 #include <array>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -282,6 +283,54 @@ TEST(Rng, LanesMoveStateBitForBit)
     Rng other(0);
     lanes.store(3, other);
     EXPECT_EQ(other.saveState(), Rng(103).saveState());
+}
+
+// The guide-table lookup against the binary search it replaced, over
+// the same CDF: at every CDF value, one ulp either side of each, and
+// at counter-seeded unit doubles. The oracle rebuilds the CDF with
+// the constructor's arithmetic and searches it with upper_bound
+// (first rank whose CDF exceeds u); theta = 0 is the uniform path.
+TEST(ZipfCdf, GuideTableMatchesBinarySearch)
+{
+    for (const u64 n : {u64{1}, u64{2}, u64{3}, u64{512}, u64{1000}}) {
+        for (const double theta : {0.0, 0.5, 0.9, 1.2}) {
+            SCOPED_TRACE("n " + std::to_string(n) + " theta " +
+                         std::to_string(theta));
+            const ZipfCdf zipf(n, theta);
+            std::vector<double> cdf(n);
+            double total = 0.0;
+            for (u64 r = 0; r < n; ++r) {
+                total += theta == 0.0
+                             ? 1.0
+                             : 1.0 / std::pow(static_cast<double>(r + 1),
+                                              theta);
+                cdf[r] = total;
+            }
+            for (u64 r = 0; r < n; ++r)
+                cdf[r] /= total;
+            cdf[n - 1] = 1.0;
+            const auto oracle = [&](double u) -> u64 {
+                if (theta == 0.0)
+                    return std::min(
+                        static_cast<u64>(u * static_cast<double>(n)),
+                        n - 1);
+                return static_cast<u64>(
+                    std::upper_bound(cdf.begin(), cdf.end(), u) -
+                    cdf.begin());
+            };
+
+            std::vector<double> us = {0.0, std::nextafter(1.0, 0.0)};
+            for (const double c : cdf)
+                for (const double u : {std::nextafter(c, 0.0), c,
+                                       std::nextafter(c, 1.0)})
+                    if (u >= 0.0 && u < 1.0)
+                        us.push_back(u);
+            for (u64 i = 0; i < 100'000; ++i)
+                us.push_back(Rng::unit(mix64(i ^ (n << 40))));
+            for (const double u : us)
+                ASSERT_EQ(zipf.rank(u), oracle(u)) << "u " << u;
+        }
+    }
 }
 
 } // namespace
