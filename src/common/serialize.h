@@ -31,13 +31,16 @@
  *    loadState. A list never branches on its direction. The checks
  *    that must fire before the rest of a stream is parsed are codecs
  *    serving both directions: expect() for constants the reader
- *    already knows, enumByte() for enums, boundedMap() for key-space
- *    maps.
- *  - State whose saved form differs from its in-memory form (a ring
- *    buffer saved in FIFO order, a sparse table saved as its live
- *    entries) keeps explicit save and load loops in a small view type
- *    with its own saveState/loadState, named once in its owner's list;
- *    each element still goes through its record's list.
+ *    already knows, enumByte() for enums, keyTable() for dense
+ *    per-key tables.
+ *  - A dense per-key table (a std::vector indexed by key, one value
+ *    meaning "absent") is saved through keyTable() as the ordered map
+ *    it stands for. Other state whose saved form differs from its
+ *    in-memory form (a ring buffer saved in FIFO order, the client's
+ *    op slots saved as their live records) keeps explicit save and
+ *    load loops in a small view type with its own saveState/loadState,
+ *    named once in its owner's list; each element still goes through
+ *    its record's list.
  *
  * The codecs: u8, u32, u64, bool and double as above; a StrongId as
  * its raw value; an enum as one range-checked byte; std::vector,
@@ -46,12 +49,17 @@
  * before it allocates (a std::map or std::set key not strictly above
  * its predecessor fails rather than being dropped); fixed() for a
  * sequence whose length the reader already knows, written without a
- * count; std::pair as first, second; std::unique_ptr as its pointee.
+ * count; keyTable() for a dense per-key table, as a count of its
+ * non-empty entries and then (u64 key, entry) for each in ascending
+ * key order, read back rejecting a key outside the table or not above
+ * its predecessor, an empty entry, and a count the stream cannot hold;
+ * std::pair as first, second; std::unique_ptr as its pointee.
  */
 
 #ifndef CITADEL_COMMON_SERIALIZE_H
 #define CITADEL_COMMON_SERIALIZE_H
 
+#include <algorithm>
 #include <bit>
 #include <concepts>
 #include <cstring>
@@ -255,12 +263,20 @@ class Writer
      *  config digest). The reader rejects any other, naming `what`. */
     template <class T> void expect(const T &v, const char *) { put(v); }
 
-    /** A map keyed by [0, bound), in key order. The reader rejects a
-     *  key outside the bound or not above its predecessor. */
-    template <class Map>
-    void boundedMap(const Map &m, u64, const char *)
+    /** A dense per-key table saved as the ordered map it stands for:
+     *  the count of entries other than `empty`, then (u64 key, entry)
+     *  for each in ascending key order. The reader rejects, naming
+     *  `what`, a key outside the table, a key not above its
+     *  predecessor and an `empty` entry, and through getCount() a
+     *  count the stream cannot hold. */
+    template <class T>
+    void keyTable(const std::vector<T> &table, const T &empty, const char *)
     {
-        put(m);
+        sink_.putU64(static_cast<u64>(
+            table.size() - std::count(table.begin(), table.end(), empty)));
+        for (u64 key = 0; key < table.size(); ++key)
+            if (!(table[key] == empty))
+                (*this)(key, table[key]);
     }
 
     ByteSink &sink() { return sink_; }
@@ -353,25 +369,28 @@ class Reader
                   static_cast<unsigned long long>(want));
     }
 
-    template <class Map>
-    void boundedMap(Map &m, u64 bound, const char *what)
+    template <class T>
+    void keyTable(std::vector<T> &table, const T &empty, const char *what)
     {
-        using Entry = typename serialize_detail::Element<Map>::type;
-        m.clear();
-        const u64 n = count<Entry>();
-        for (u64 i = 0; i < n; ++i) {
+        std::fill(table.begin(), table.end(), empty);
+        const u64 n = count<std::pair<u64, T>>();
+        for (u64 i = 0, next = 0; i < n; ++i) {
             const std::size_t at = src_.offset();
-            Entry e{};
-            get(e);
-            if (e.first >= bound)
-                fatal("%s key %llu outside the key space (%llu)", what,
-                      static_cast<unsigned long long>(e.first),
-                      static_cast<unsigned long long>(bound));
-            if (!inKeyOrder(m, e))
+            u64 key = 0;
+            T entry{};
+            (*this)(key, entry);
+            if (key >= table.size())
+                fatal("%s key %llu outside the key space (%zu)", what,
+                      static_cast<unsigned long long>(key), table.size());
+            if (key < next)
                 fatal("%s key %llu is duplicated or out of order "
                       "(offset %zu)",
-                      what, static_cast<unsigned long long>(e.first), at);
-            m.insert(m.end(), std::move(e));
+                      what, static_cast<unsigned long long>(key), at);
+            if (entry == empty)
+                fatal("%s key %llu holds the empty entry (offset %zu)",
+                      what, static_cast<unsigned long long>(key), at);
+            table[key] = entry;
+            next = key + 1;
         }
     }
 

@@ -447,7 +447,7 @@ FleetClient::SavedOps<Client>::loadState(ByteSource &src)
         slot.live = false;
     client.live_ = 0;
     const u64 n = in.count<std::pair<u64, OpRecord>>();
-    for (u64 i = 0; i < n; ++i) {
+    for (u64 i = 0, next = 0; i < n; ++i) {
         u64 id = 0;
         OpRecord rec;
         in(id, rec);
@@ -485,6 +485,18 @@ FleetClient::SavedOps<Client>::loadState(ByteSource &src)
         check("deadline", rec.deadline, derived.deadline);
         check("acks", rec.acks, derived.acks);
         client.insertOp(op);
+        // The save walks the slots in order, so each record's slot
+        // lies above the one before it (insertOp refuses an equal
+        // one); a record out of that order would not re-save to the
+        // bytes it came from.
+        const u64 slot = id & client.slotMask_;
+        if (slot < next)
+            fatal("FleetClient: corrupt checkpoint: op %llu in slot %llu "
+                  "does not follow slot %llu",
+                  static_cast<unsigned long long>(id),
+                  static_cast<unsigned long long>(slot),
+                  static_cast<unsigned long long>(next - 1));
+        next = slot + 1;
     }
 }
 

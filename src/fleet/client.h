@@ -210,7 +210,8 @@ class FleetClient
 
     /** Saved form of the op-slot table: the live count, then (id,
      *  OpRecord) per live slot in slot order. Loading re-inserts each
-     *  op through insertOp(), which checks the id against the window. */
+     *  op through insertOp(), which checks the id against the window,
+     *  and rejects a record whose slot is not above the one before. */
     template <class Client> struct SavedOps
     {
         explicit SavedOps(Client &c) : client(c) {}

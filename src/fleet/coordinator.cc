@@ -48,6 +48,7 @@ Coordinator::Coordinator(const CoordinatorOptions &opts, u32 replication,
       fleet_(fleet), missed_(fleet.size(), 0), warm_(fleet.size()),
       roundLoad_(fleet.size(), 0), ewma_(fleet.size(), 0.0),
       hotStreak_(fleet.size(), 0), keyLoad_(key_space, 0),
+      overrides_(key_space, kNoServer), cooldown_(key_space, 0),
       cacheStamp_(key_space, 0),
       cache_(key_space)
 {
@@ -64,29 +65,26 @@ Coordinator::placement(u64 key, std::vector<ServerIdx> &out) const
     if (key >= cacheStamp_.size())
         fatal("Coordinator: key %llu outside the declared key space (%zu)",
               static_cast<unsigned long long>(key), cacheStamp_.size());
-    if (cacheStamp_[key] == ring_.epoch()) {
-        out = cache_[key];
-    } else {
-        ring_.placement(key, replication_, out);
-        cache_[key] = out;
+    std::vector<ServerIdx> &set = cache_[key];
+    if (cacheStamp_[key] != ring_.epoch()) {
+        ring_.placement(key, replication_, set);
+        // A live override promotes the migrated-to server to primary;
+        // the tail of the ring walk backs it up, truncated to the
+        // replication factor. Overrides to servers that have since
+        // left the ring are pruned eagerly (dropOverridesTo), so this
+        // target is always live.
+        const ServerIdx target = overrides_[key];
+        if (target != kNoServer) {
+            const auto pos = std::find(set.begin(), set.end(), target);
+            if (pos != set.end())
+                set.erase(pos);
+            set.insert(set.begin(), target);
+            if (set.size() > replication_)
+                set.resize(replication_);
+        }
         cacheStamp_[key] = ring_.epoch();
     }
-    if (overrides_.empty())
-        return;
-    const auto it = overrides_.find(key);
-    if (it == overrides_.end())
-        return;
-    // A live override promotes the migrated-to server to primary; the
-    // tail of the ring walk backs it up, truncated to the replication
-    // factor. Overrides to servers that have since left the ring are
-    // pruned eagerly (dropOverridesTo), so this target is always live.
-    const ServerIdx target = it->second;
-    const auto pos = std::find(out.begin(), out.end(), target);
-    if (pos != out.end())
-        out.erase(pos);
-    out.insert(out.begin(), target);
-    if (out.size() > replication_)
-        out.resize(replication_);
+    out = set;
 }
 
 bool
@@ -116,8 +114,9 @@ Coordinator::noteLoad(ServerIdx server, u64 key)
 void
 Coordinator::dropOverridesTo(ServerIdx s)
 {
-    for (auto it = overrides_.begin(); it != overrides_.end();)
-        it = it->second == s ? overrides_.erase(it) : std::next(it);
+    // Both callers have just taken s out of the ring, and that epoch
+    // bump already restamps every memoized placement.
+    std::replace(overrides_.begin(), overrides_.end(), s, kNoServer);
 }
 
 void
@@ -341,10 +340,7 @@ Coordinator::rebalance(u64 now, FleetCounters &counters)
         // as filtering each in hottest-first order.
         hotScratch_.clear();
         for (u64 key = 0; key < keyLoad_.size(); ++key) {
-            if (keyLoad_[key] == 0)
-                continue;
-            const auto cd = cooldown_.find(key);
-            if (cd != cooldown_.end() && now < cd->second)
+            if (keyLoad_[key] == 0 || now < cooldown_[key])
                 continue;
             placement(key, scratch_);
             if (scratch_.empty() || scratch_[0] != s)
@@ -384,13 +380,16 @@ Coordinator::rebalance(u64 now, FleetCounters &counters)
                 ++counters.repairPushes;
             }
             overrides_[key] = target;
+            cacheStamp_[key] = 0; // Re-walk with the override applied.
             cooldown_[key] = now + kKeyCooldownTicks;
             ++counters.loadMigrations;
         }
     }
-    // Expired cooldowns are dead weight; drop them.
-    for (auto it = cooldown_.begin(); it != cooldown_.end();)
-        it = now >= it->second ? cooldown_.erase(it) : std::next(it);
+    // Expired cooldowns are dead weight; drop them (only here, so the
+    // saved table keeps what an early return above left in it).
+    for (u64 &until : cooldown_)
+        if (now >= until)
+            until = 0;
 }
 
 void
@@ -511,66 +510,20 @@ Coordinator::drainElastic(u64 now, FleetCounters &counters)
     }
 }
 
-template <class Coord>
-void
-Coordinator::SavedKeyLoad<Coord>::saveState(ByteSink &sink) const
-{
-    Writer out(sink);
-    const auto &load = coord.keyLoad_;
-    out(static_cast<u64>(load.size() -
-                         std::count(load.begin(), load.end(), u64{0})));
-    for (u64 key = 0; key < load.size(); ++key)
-        if (load[key] != 0)
-            out(key, load[key]);
-}
-
-template <class Coord>
-void
-Coordinator::SavedKeyLoad<Coord>::loadState(ByteSource &src)
-{
-    Reader in(src);
-    auto &load = coord.keyLoad_;
-    std::fill(load.begin(), load.end(), 0);
-    const u64 n = in.count<std::pair<u64, u64>>();
-    for (u64 i = 0, next = 0; i < n; ++i) {
-        const std::size_t at = src.offset();
-        u64 key = 0, count = 0;
-        in(key, count);
-        if (key >= load.size())
-            fatal("Coordinator::loadState: corrupt checkpoint: keyLoad "
-                  "key %llu outside the key space (%zu)",
-                  static_cast<unsigned long long>(key), load.size());
-        if (key < next)
-            fatal("Coordinator::loadState: corrupt checkpoint: keyLoad "
-                  "key %llu is duplicated or out of order (offset %zu)",
-                  static_cast<unsigned long long>(key), at);
-        if (count == 0)
-            fatal("Coordinator::loadState: corrupt checkpoint: keyLoad "
-                  "key %llu has a zero count (offset %zu)",
-                  static_cast<unsigned long long>(key), at);
-        load[key] = count;
-        next = key + 1;
-    }
-}
-
 void
 Coordinator::fields(auto &io, auto &self)
 {
-    // The rebalancer's sparse maps are saved in key order; a restored
-    // key must lie in the key space and strictly follow the one before
-    // it (a duplicate would be silently dropped by the map).
-    const u64 keySpace = self.cacheStamp_.size();
-    SavedKeyLoad keyLoad{self};
     io(self.ring_);
     io.fixed(self.missed_);
     io(self.rescanNeeded_, self.scanning_, self.scanServer_,
        self.haveLastKey_, self.lastKey_);
     io.fixed(self.warm_, self.roundLoad_, self.ewma_, self.hotStreak_);
-    io(keyLoad);
-    io.boundedMap(self.overrides_, keySpace,
-                  "Coordinator::loadState: corrupt checkpoint: overrides");
-    io.boundedMap(self.cooldown_, keySpace,
-                  "Coordinator::loadState: corrupt checkpoint: cooldown");
+    io.keyTable(self.keyLoad_, u64{0},
+                "Coordinator::loadState: corrupt checkpoint: keyLoad");
+    io.keyTable(self.overrides_, kNoServer,
+                "Coordinator::loadState: corrupt checkpoint: overrides");
+    io.keyTable(self.cooldown_, u64{0},
+                "Coordinator::loadState: corrupt checkpoint: cooldown");
 }
 
 void
@@ -585,14 +538,15 @@ Coordinator::loadState(ByteSource &src)
 {
     Reader in(src);
     fields(in, *this);
-    for (const auto &[key, target] : overrides_)
-        if (target >= fleet_.size())
+    for (const ServerIdx target : overrides_)
+        if (target != kNoServer && target >= fleet_.size())
             fatal("Coordinator::loadState: corrupt checkpoint: override "
                   "target %u is not one of the %zu servers",
                   target, fleet_.size());
     // The placement cache is a memo, not state: stamp 0 never matches
     // a real epoch (epochs start at 1), so every entry re-walks the
-    // restored ring lazily and identically.
+    // restored ring, with the restored overrides, lazily and
+    // identically.
     std::fill(cacheStamp_.begin(), cacheStamp_.end(), 0);
 }
 

@@ -42,7 +42,7 @@
  * the in-ring mean for kHotRounds consecutive rounds (hysteresis)
  * sheds its hottest keys — at most kMigratePerRound per round (rate
  * cap), each with a fixed per-key cooldown — to the coolest serving
- * server via a placement override applied after the pure ring walk.
+ * server via a placement override applied on top of the ring walk.
  * A mean EWMA below kMinRoundLoad moves nothing (coordinator.cc).
  *
  * Everything here runs in the campaign's serial phase in server-index
@@ -52,7 +52,6 @@
 #ifndef CITADEL_FLEET_COORDINATOR_H
 #define CITADEL_FLEET_COORDINATOR_H
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -93,10 +92,11 @@ class Coordinator
 
     /**
      * Current replica set of a key, primary first: the ring walk,
-     * with any live rebalance override applied on top. The walk is
-     * memoized per key until the next ring change invalidates it
-     * (epoch stamp), so it stays off the serving hot path; the memo
-     * is pure, it never changes a result.
+     * with any live rebalance override applied on top. The result is
+     * memoized per key and stamped with the ring epoch; a ring change
+     * (overrides are dropped only with one) invalidates every entry
+     * and setting an override invalidates its key, so a call is a
+     * stamp check and a copy. The memo never changes a result.
      */
     void placement(u64 key, std::vector<ServerIdx> &out) const
         CITADEL_REQUIRES(kSerialPhase);
@@ -177,19 +177,6 @@ class Coordinator
         }
     };
 
-    /** Saved form of the dense per-key load counts: the nonzero
-     *  count, then (key, count) per loaded key in ascending key order
-     *  (the bytes of the ordered map it replaced). Loading rejects a
-     *  key outside the key space, a key not above its predecessor,
-     *  and a zero count, which a live coordinator never saves. */
-    template <class Coord> struct SavedKeyLoad
-    {
-        explicit SavedKeyLoad(Coord &c) : coord(c) {}
-        Coord &coord;
-        void saveState(ByteSink &sink) const;
-        void loadState(ByteSource &src);
-    };
-
     /** The checkpoint field list (common/serialize.h). */
     static void fields(auto &io, auto &self);
 
@@ -224,22 +211,23 @@ class Coordinator
     FrameWriter warmWriter_;
 
     // Rebalancer state (all zero/empty while disabled). The per-key
-    // load counts are a flat array over the key space, indexed by key
-    // (0 = unloaded), so counting a send is one increment; overrides
-    // and cooldowns are sparse, in ordered maps whose key order is
-    // part of the determinism contract.
+    // tables are flat arrays over the key space, indexed by key, each
+    // with one value meaning "absent" (0, or kNoServer for overrides),
+    // so counting a send is one increment and an override lookup one
+    // load; each is checkpointed through keyTable() as the ordered map
+    // it stands for.
     std::vector<u64> roundLoad_;  ///< Sends per server since last round.
     std::vector<double> ewma_;    ///< Smoothed per-server load.
     std::vector<u32> hotStreak_;  ///< Consecutive overloaded rounds.
     std::vector<u64> keyLoad_;    ///< Per-key counts (halved each round).
-    std::map<u64, ServerIdx> overrides_; ///< key -> migrated primary.
-    std::map<u64, u64> cooldown_; ///< key -> tick it may move again.
+    std::vector<ServerIdx> overrides_; ///< Migrated primary per key.
+    std::vector<u64> cooldown_;   ///< Tick a key may move again.
 
-    // Placement memo over the key space: per-key *ring* replica
-    // sets stamped with the ring epoch of the walk that produced them;
-    // any membership change bumps the epoch and lazily invalidates
-    // everything. Overrides are applied after the cache, so the cache
-    // stays a pure ring memo.
+    // Placement memo over the key space: per-key replica sets, the
+    // ring walk with the key's override applied, stamped with the ring
+    // epoch of the walk that produced them; any membership change
+    // bumps the epoch and lazily invalidates everything, and setting
+    // an override resets its key's stamp to 0, which no epoch matches.
     mutable std::vector<u64> cacheStamp_;
     mutable std::vector<std::vector<ServerIdx>> cache_;
 

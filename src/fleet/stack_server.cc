@@ -47,7 +47,7 @@ StackServer::StackServer(ServerIdx index, const ServerConfig &cfg,
     if (key_space == 0)
         fatal("StackServer: key space must be >= 1");
     inbox_.resize(cfg_.queueCap);
-    kv_.assign(key_space, {0, 0});
+    kv_.assign(key_space, kAbsent);
     LiveRasOptions opts = cfg_.ras;
     opts.seed = seed ^ (kServerSeedMix * (index + 1));
     dp_ = std::make_unique<LiveRasDatapath>(cfg_.sim, opts);
@@ -196,8 +196,7 @@ StackServer::restart()
     // this server held is gone, which is exactly why admission
     // requires a warm fill. Cumulative service stats survive (they are
     // campaign accounting, not server memory).
-    kv_.assign(kv_.size(), {0, 0});
-    kvCount_ = 0;
+    kv_.assign(kv_.size(), kAbsent);
     inboxHead_ = 0;
     inboxCount_ = 0;
     outbox_.clear();
@@ -275,8 +274,6 @@ StackServer::storeLocal(u64 key, u64 version, u64 value)
               "(%zu)",
               static_cast<unsigned long long>(key), kv_.size());
     auto &entry = kv_[key];
-    if (entry.first == 0)
-        ++kvCount_;
     if (version > entry.first)
         entry = {version, value};
 }
@@ -287,6 +284,13 @@ StackServer::respondsToProbe(u64 tick) const
     if (!serving())
         return false;
     return state_ != ServerState::Stalled || tick >= stalledUntil_;
+}
+
+u64
+StackServer::kvCount() const
+{
+    return static_cast<u64>(kv_.size() -
+                            std::count(kv_.begin(), kv_.end(), kAbsent));
 }
 
 std::pair<u64, u64>
@@ -434,64 +438,28 @@ StackServer::SavedInbox<Server>::loadState(ByteSource &src)
         in(server.inbox_[i]);
 }
 
-template <class Server>
-void
-StackServer::SavedKv<Server>::saveState(ByteSink &sink) const
-{
-    Writer out(sink);
-    out(server.kvCount_);
-    u64 emitted = 0;
-    for (u64 key = 0; key < server.kv_.size(); ++key) {
-        if (server.kv_[key].first == 0)
-            continue;
-        out(key, server.kv_[key]);
-        ++emitted;
-    }
-    if (emitted != server.kvCount_)
-        fatal("StackServer::saveState: kvCount_ %llu != scanned %llu",
-              static_cast<unsigned long long>(server.kvCount_),
-              static_cast<unsigned long long>(emitted));
-}
-
-template <class Server>
-void
-StackServer::SavedKv<Server>::loadState(ByteSource &src)
-{
-    Reader in(src);
-    server.kv_.assign(server.kv_.size(), {0, 0});
-    server.kvCount_ = 0;
-    const u64 n = in.count<std::pair<u64, std::pair<u64, u64>>>();
-    for (u64 i = 0; i < n; ++i) {
-        u64 key = 0;
-        std::pair<u64, u64> entry;
-        in(key, entry);
-        server.storeLocal(key, entry.first, entry.second);
-    }
-    if (server.kvCount_ != n)
-        fatal("StackServer::loadState: duplicate or absent KV entries");
-}
-
 void
 StackServer::fields(auto &io, auto &self)
 {
     SavedInbox inbox{self};
-    SavedKv kv{self};
     // A checkpoint restores the state byte directly, bypassing the
     // transition table: it restores a state, it does not take an edge.
     io.enumByte(self.state_, ServerState::Warming,
                 "StackServer::loadState: corrupt checkpoint: state byte "
                 "%u is not a server state");
     io(self.stalledUntil_, self.slowedUntil_, self.slowDivisor_,
-       self.lastCycle_, self.warmCrc_, self.stats_, inbox, self.outbox_,
-       kv, self.dp_);
+       self.lastCycle_, self.warmCrc_, self.stats_, inbox, self.outbox_);
+    io.keyTable(self.kv_, kAbsent,
+                "StackServer::loadState: corrupt checkpoint: kv");
+    io(self.dp_);
 }
 
 void
 StackServer::serialize(ByteSink &sink) const
 {
     Writer out(sink);
-    SavedKv kv{*this};
-    out(static_cast<u8>(state_), stats_, kv);
+    out(static_cast<u8>(state_), stats_);
+    out.keyTable(kv_, kAbsent, "kv");
     // Crashed devices are unreachable; their state is not part of the
     // surviving-service fingerprint.
     out(state_ == ServerState::Crashed ? u64{0}
@@ -510,6 +478,13 @@ StackServer::loadState(ByteSource &src)
 {
     Reader in(src);
     fields(in, *this);
+    // Version 0 means absent, so a stored entry never pairs it with a
+    // value.
+    for (u64 key = 0; key < kv_.size(); ++key)
+        if (kv_[key].first == 0 && kv_[key].second != 0)
+            fatal("StackServer::loadState: corrupt checkpoint: kv key "
+                  "%llu has version 0",
+                  static_cast<unsigned long long>(key));
 }
 
 } // namespace fleet

@@ -180,10 +180,7 @@ class StackServer
     const ServerStats &stats() const { return stats_; }
 
     /** Keys this server holds a replica of. */
-    u64 kvCount() const CITADEL_REQUIRES(kSerialPhase)
-    {
-        return kvCount_;
-    }
+    u64 kvCount() const CITADEL_REQUIRES(kSerialPhase);
 
     /**
      * Resumable ascending-key scan over the KV store — the cursor the
@@ -264,16 +261,6 @@ class StackServer
         void loadState(ByteSource &src);
     };
 
-    /** Saved form of the dense KV table: the live-key count, then
-     *  (key, version, value) per live key in key order. */
-    template <class Server> struct SavedKv
-    {
-        explicit SavedKv(Server &s) : server(s) {}
-        Server &server;
-        void saveState(ByteSink &sink) const;
-        void loadState(ByteSource &src);
-    };
-
     /** The checkpoint field list (common/serialize.h). */
     static void fields(auto &io, auto &self);
 
@@ -299,8 +286,8 @@ class StackServer
     std::vector<Response> outbox_;
 
     /** KV store: key -> (version, value); version 0 = absent. */
+    static constexpr std::pair<u64, u64> kAbsent{0, 0};
     std::vector<std::pair<u64, u64>> kv_;
-    u64 kvCount_ = 0;
     ServerStats stats_;
     u32 warmCrc_ = 0; ///< Running warm-stream record CRC (handshake).
 };

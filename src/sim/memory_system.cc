@@ -208,7 +208,7 @@ MemorySystem::enqueue(const LineCoord &line, bool write, u64 token,
 }
 
 u64
-MemorySystem::issueRead(LineAddr line, u64 /*cycle*/, bool ras)
+MemorySystem::issueRead(LineAddr line, bool ras)
 {
     const u64 token = allocToken();
     const LineCoord coord = map_.lineToCoord(line);
@@ -232,7 +232,7 @@ MemorySystem::canAcceptWrite(LineAddr line) const
 }
 
 void
-MemorySystem::issueWrite(LineAddr line, u64 /*cycle*/)
+MemorySystem::issueWrite(LineAddr line)
 {
     const LineCoord coord = map_.lineToCoord(line);
     const LineCoord routed = routeCoord(coord);

@@ -89,19 +89,18 @@ class MemorySystem
 
     /**
      * Enqueue a line read (fans out per the striping mode). The
-     * scheduler orders requests by enqueue sequence, so it does not
-     * read `cycle`.
+     * scheduler orders requests by enqueue sequence, not by cycle.
      * @param ras Tag the read as RAS traffic (counted separately).
      * @return a token reported by drainCompletedReads when all
      *         sub-requests finish.
      */
-    u64 issueRead(LineAddr line, u64 cycle, bool ras = false);
+    u64 issueRead(LineAddr line, bool ras = false);
 
     /** Is there write-queue space on every channel the line touches? */
     bool canAcceptWrite(LineAddr line) const;
 
     /** Enqueue a posted line write (no completion reporting). */
-    void issueWrite(LineAddr line, u64 cycle);
+    void issueWrite(LineAddr line);
 
     /** Advance one memory-controller cycle. */
     void tick(u64 cycle);

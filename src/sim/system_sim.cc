@@ -84,33 +84,33 @@ SystemSim::trackRead(u64 token, u32 core_idx, LineAddr line, bool replay)
 }
 
 void
-SystemSim::queueRawWrite(LineAddr phys, u64 cycle)
+SystemSim::queueRawWrite(LineAddr phys)
 {
     if (mem_.canAcceptWrite(phys))
-        mem_.issueWrite(phys, cycle);
+        mem_.issueWrite(phys);
     else
         pendingWritebacks_.push_back({phys, true});
 }
 
 bool
-SystemSim::processWriteback(LineAddr line, u64 cycle)
+SystemSim::processWriteback(LineAddr line)
 {
     if (!mem_.canAcceptWrite(line))
         return false;
 
     switch (cfg_.ras) {
       case RasTraffic::None:
-        mem_.issueWrite(line, cycle);
+        mem_.issueWrite(line);
         break;
 
       case RasTraffic::ThreeDPCached: {
         // Read-before-write to form the parity delta (Fig 12 action 2).
-        mem_.issueRead(line, cycle, true); // system read, nobody waits
-        mem_.issueWrite(line, cycle);
+        mem_.issueRead(line, true); // system read, nobody waits
+        mem_.issueWrite(line);
         const LineAddr parity = parityLineFor(line);
         if (!llc_.probeParity(parity)) {
             // Fig 12 action 4: fetch parity from memory, install in LLC.
-            mem_.issueRead(physicalFor(parity), cycle, true);
+            mem_.issueRead(physicalFor(parity), true);
             const Llc::Victim v = llc_.fill(parity, true, true);
             // The victim may itself be a dirty parity line; defer it
             // as a raw physical write so it is never re-processed as
@@ -124,15 +124,15 @@ SystemSim::processWriteback(LineAddr line, u64 cycle)
       }
 
       case RasTraffic::ThreeDPUncached: {
-        mem_.issueRead(line, cycle, true);
-        mem_.issueWrite(line, cycle);
+        mem_.issueRead(line, true);
+        mem_.issueWrite(line);
         // Parity update goes straight to DRAM: read-modify-write of
         // the parity line. The deferred write must NOT re-enter this
         // function, which would treat the parity line as data and
         // generate RBW + parity-of-parity traffic for it.
         const LineAddr parity = parityLineFor(line);
-        mem_.issueRead(physicalFor(parity), cycle, true);
-        queueRawWrite(physicalFor(parity), cycle);
+        mem_.issueRead(physicalFor(parity), true);
+        queueRawWrite(physicalFor(parity));
         break;
       }
     }
@@ -140,21 +140,21 @@ SystemSim::processWriteback(LineAddr line, u64 cycle)
 }
 
 bool
-SystemSim::tryWriteback(const PendingWb &wb, u64 cycle)
+SystemSim::tryWriteback(const PendingWb &wb)
 {
     if (!wb.raw)
-        return processWriteback(wb.line, cycle);
+        return processWriteback(wb.line);
     if (!mem_.canAcceptWrite(wb.line))
         return false;
-    mem_.issueWrite(wb.line, cycle);
+    mem_.issueWrite(wb.line);
     return true;
 }
 
 void
-SystemSim::issueMiss(Core &core, u32 core_idx, u64 cycle)
+SystemSim::issueMiss(Core &core, u32 core_idx)
 {
     const LineAddr line = core.stream.nextLine();
-    const u64 token = mem_.issueRead(line, cycle);
+    const u64 token = mem_.issueRead(line);
     trackRead(token, core_idx, line, false);
     ++core.outstanding;
 
@@ -165,7 +165,7 @@ SystemSim::issueMiss(Core &core, u32 core_idx, u64 cycle)
             // Evicted dirty parity line: write it back to the parity
             // bank (3DP-cached mode only). Its parity maintenance is
             // itself, so it bypasses the RAS writeback path.
-            queueRawWrite(physicalFor(v.addr), cycle);
+            queueRawWrite(physicalFor(v.addr));
         } else {
             pendingWritebacks_.push_back({v.addr, false});
         }
@@ -200,7 +200,7 @@ SystemSim::handleDemandCompletion(const PendingRead &pr, u64 cycle)
     // execution continues); its retry traffic still occupies the bus.
     u64 last_token = 0;
     for (const LineAddr addr : out.extraReads)
-        last_token = mem_.issueRead(physicalFor(addr), cycle, true);
+        last_token = mem_.issueRead(physicalFor(addr), true);
 
     if (out.kind == DemandOutcome::Kind::Corrected)
         trackRead(last_token, pr.core, pr.line, true);
@@ -209,7 +209,7 @@ SystemSim::handleDemandCompletion(const PendingRead &pr, u64 cycle)
 }
 
 void
-SystemSim::coreTick(u32 core_idx, u64 cycle)
+SystemSim::coreTick(u32 core_idx)
 {
     Core &core = cores_[core_idx];
     if (core.retired >= cfg_.insnsPerCore)
@@ -229,7 +229,7 @@ SystemSim::coreTick(u32 core_idx, u64 cycle)
             break;
         if (pendingWritebacks_.size() > 2 * kWriteQueueCap)
             break; // write-buffer backpressure stalls the front-end
-        issueMiss(core, core_idx, cycle);
+        issueMiss(core, core_idx);
         sampleNextMiss(core);
     }
 }
@@ -243,13 +243,13 @@ SystemSim::stepCycle(u64 cycle)
     // Drain pending writebacks into the memory system, oldest first;
     // a blocked head blocks the queue (ordering is part of the model).
     while (!pendingWritebacks_.empty()) {
-        if (!tryWriteback(pendingWritebacks_.front(), cycle))
+        if (!tryWriteback(pendingWritebacks_.front()))
             break;
         pendingWritebacks_.pop_front();
     }
 
     for (u32 c = 0; c < cfg_.cores; ++c)
-        coreTick(c, cycle);
+        coreTick(c);
 
     mem_.tick(cycle);
     for (const u64 token : mem_.drainCompletedReads()) {

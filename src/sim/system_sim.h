@@ -124,25 +124,25 @@ class SystemSim
     /** Physical DRAM line backing a (possibly parity-space) address. */
     LineAddr physicalFor(LineAddr line) const;
 
-    void coreTick(u32 core_idx, u64 cycle);
-    void issueMiss(Core &core, u32 core_idx, u64 cycle);
+    void coreTick(u32 core_idx);
+    void issueMiss(Core &core, u32 core_idx);
 
     /** Track a demand read so its completion releases `core_idx`. */
     void trackRead(u64 token, u32 core_idx, LineAddr line, bool replay);
 
     /** Write `phys` now if the queue has room, else defer it as a raw
      *  writeback (no RAS side effects when it drains). */
-    void queueRawWrite(LineAddr phys, u64 cycle);
+    void queueRawWrite(LineAddr phys);
 
     /** Run the RAS error path for one completed demand read. */
     void handleDemandCompletion(const PendingRead &pr, u64 cycle);
 
     /** Handle a dirty-line writeback including RAS side effects.
      *  @return false if the memory could not accept it (retry later). */
-    bool processWriteback(LineAddr line, u64 cycle);
+    bool processWriteback(LineAddr line);
 
     /** Issue one deferred writeback (raw or full-treatment). */
-    bool tryWriteback(const PendingWb &wb, u64 cycle);
+    bool tryWriteback(const PendingWb &wb);
 
     /** One full simulation cycle: RAS tick, writeback drain, core
      *  ticks, memory tick, completion drain. */

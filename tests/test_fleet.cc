@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -521,6 +522,160 @@ TEST(FleetChaosE2E, CapacityCollapseTriggersMigration)
     EXPECT_EQ(res.lostAckedWrites, 0u);
     EXPECT_EQ(res.corruptAckedWrites, 0u);
     EXPECT_EQ(res.divergences, 0u);
+}
+
+// ---- Placement: the memo against its definition --------------------
+
+/** The coordinator's rebalancer tables as ordered maps. */
+struct RebalanceTables
+{
+    std::map<u64, u64> keyLoad;
+    std::map<u64, ServerIdx> overrides;
+    std::map<u64, u64> cooldown;
+};
+
+/** Read the tables back from the coordinator's checkpoint: its record
+ *  ends with them, saved as ordered maps, and everything before them
+ *  is as long as in a fresh coordinator's record (whose tables are
+ *  three zero counts). */
+RebalanceTables
+tablesOf(const Coordinator &coord, const FleetConfig &cfg)
+{
+    ByteSink fresh, sink;
+    {
+        FleetCampaign empty(cfg);
+        empty.coordinator().saveState(fresh);
+    }
+    coord.saveState(sink);
+    const std::vector<u8> tail(
+        sink.bytes().begin() +
+            static_cast<std::ptrdiff_t>(fresh.bytes().size() - 24),
+        sink.bytes().end());
+    ByteSource src(tail);
+    RebalanceTables t;
+    Reader{src}(t.keyLoad, t.overrides, t.cooldown);
+    EXPECT_EQ(src.remaining(), 0u);
+    return t;
+}
+
+/** A key's replica set rebuilt without any memo: the ring walk, then
+ *  the key's override promoted to primary, truncated to the
+ *  replication factor. */
+std::vector<ServerIdx>
+oraclePlacement(const HashRing &ring, u32 replication,
+                const std::map<u64, ServerIdx> &overrides, u64 key)
+{
+    std::vector<ServerIdx> out;
+    ring.placement(key, replication, out);
+    const auto it = overrides.find(key);
+    if (it == overrides.end())
+        return out;
+    const auto pos = std::find(out.begin(), out.end(), it->second);
+    if (pos != out.end())
+        out.erase(pos);
+    out.insert(out.begin(), it->second);
+    if (out.size() > replication)
+        out.resize(replication);
+    return out;
+}
+
+TEST(CoordinatorPlacement, MatchesTheRingWalkWithOverrides)
+{
+    // A skewed trace with rebalance on installs overrides; server 1
+    // crashes (eviction) and restarts (warm fill, rejoin). Every key's
+    // placement must equal the oracle at every checked tick, and again
+    // on a campaign restored from a checkpoint while overrides live.
+    FleetConfig cfg = smallConfig();
+    cfg.ticks = 384;
+    cfg.traffic = "ticks=384,rate=6,write=0.5,zipf=1.2";
+    cfg.chaos.enabled = false;
+    cfg.coord.rebalanceEnabled = true;
+    FleetCampaign campaign(cfg);
+    ChaosEvent kill;
+    kill.kind = ChaosEvent::Kind::Crash;
+    kill.server = 1;
+    kill.tick = 96;
+    campaign.injectChaosEvent(kill);
+    ChaosEvent back = kill;
+    back.kind = ChaosEvent::Kind::Restart;
+    back.tick = 160;
+    campaign.injectChaosEvent(back);
+
+    const auto matches = [&](const FleetCampaign &c) {
+        const Coordinator &coord = c.coordinator();
+        const std::map<u64, ServerIdx> overrides =
+            tablesOf(coord, cfg).overrides;
+        std::vector<ServerIdx> got;
+        for (u64 key = 0; key < cfg.keySpace; ++key) {
+            coord.placement(key, got);
+            if (got != oraclePlacement(coord.ring(), cfg.replication,
+                                       overrides, key)) {
+                ADD_FAILURE() << "key " << key;
+                return overrides;
+            }
+        }
+        return overrides;
+    };
+
+    bool overridden = false, evicted = false, rejoined = false;
+    bool restored = false;
+    for (u64 t = 4; t <= cfg.ticks; t += 4) {
+        campaign.advanceTo(t);
+        SCOPED_TRACE("tick " + std::to_string(t));
+        bool overrides = false;
+        {
+            ThreadRoleGrant serial(kSerialPhase);
+            overrides = !matches(campaign).empty();
+        }
+        overridden = overridden || overrides;
+        const bool inRing = campaign.coordinator().ring().contains(1);
+        evicted = evicted || !inRing;
+        rejoined = rejoined || (evicted && inRing);
+        if (restored || !rejoined || !overrides)
+            continue;
+        ByteSink sink;
+        campaign.saveState(sink);
+        FleetCampaign copy(cfg);
+        copy.injectChaosEvent(kill);
+        copy.injectChaosEvent(back);
+        ByteSource src(sink.bytes());
+        copy.loadState(src);
+        SCOPED_TRACE("restored");
+        ThreadRoleGrant serial(kSerialPhase);
+        matches(copy);
+        restored = true;
+    }
+    EXPECT_TRUE(overridden);
+    EXPECT_TRUE(evicted);
+    EXPECT_TRUE(rejoined);
+    EXPECT_TRUE(restored);
+}
+
+TEST(CoordinatorPlacement, IdleRoundsKeepExpiredCooldowns)
+{
+    // Skewed traffic migrates keys, then the fleet goes idle: an idle
+    // probe round moves nothing and returns before it drops expired
+    // cooldowns, so they stay in the saved table until the next busy
+    // round. The checkpoint cut in the idle phase holds such entries,
+    // and its FNV-1a is pinned.
+    FleetConfig cfg = smallConfig();
+    cfg.ticks = 320;
+    cfg.traffic = "ticks=192,rate=6,write=0.5,zipf=1.2;ticks=128,rate=0";
+    cfg.chaos.enabled = false;
+    cfg.coord.rebalanceEnabled = true;
+    constexpr u64 kCut = 288;
+    FleetCampaign campaign(cfg);
+    campaign.advanceTo(kCut);
+    ByteSink sink;
+    campaign.saveState(sink);
+    RebalanceTables t;
+    {
+        ThreadRoleGrant serial(kSerialPhase);
+        t = tablesOf(campaign.coordinator(), cfg);
+    }
+    EXPECT_TRUE(std::any_of(t.cooldown.begin(), t.cooldown.end(),
+                            [&](const auto &c) { return c.second <= kCut; }));
+    EXPECT_EQ(fnv1a(sink.bytes()), 0x60e5fe83f68a4c4bull);
 }
 
 // ---- Determinism: the tentpole contract ----------------------------

@@ -517,8 +517,8 @@ TEST_F(ElasticCheckpointDeath, MismatchedConfigIsRejected)
 
 TEST_F(ElasticCheckpointDeath, CorruptRestoredFleetStateIsFatal)
 {
-    // Cut mid-rebalance, so the coordinator's key-ordered maps (load
-    // counts, overrides, cooldowns) hold entries. Each case patches one
+    // Cut mid-rebalance, so the coordinator's key tables (load counts,
+    // overrides, cooldowns) hold entries. Each case patches one
     // saved record, and the restore must refuse it with a diagnostic
     // naming the field instead of resuming into broken state.
     const FleetConfig cfg = checkpointConfig();
@@ -528,13 +528,14 @@ TEST_F(ElasticCheckpointDeath, CorruptRestoredFleetStateIsFatal)
     first.saveState(sink);
     const std::vector<u8> &saved = sink.bytes();
 
-    ByteSink coord, freshCoord, server0;
+    ByteSink coord, freshCoord, server0, print0;
     {
         FleetCampaign fresh(cfg);
         ThreadRoleGrant serial(kSerialPhase);
         first.coordinator().saveState(coord);
         fresh.coordinator().saveState(freshCoord);
         first.server(0).saveState(server0);
+        first.server(0).serialize(print0);
     }
     const auto offsetOf = [&](const std::vector<u8> &record) {
         return std::search(saved.begin(), saved.end(), record.begin(),
@@ -547,10 +548,10 @@ TEST_F(ElasticCheckpointDeath, CorruptRestoredFleetStateIsFatal)
             v |= u64{saved[static_cast<std::size_t>(at + i)]} << (8 * i);
         return v;
     };
-    // The coordinator record ends with its three maps, each a count
-    // and then (key, value) entries in key order; everything before
-    // them is as long as in a fresh coordinator's record, whose maps
-    // are three zero counts.
+    // The coordinator record ends with its three key tables, each a
+    // count and then (key, value) entries in key order; everything
+    // before them is as long as in a fresh coordinator's record, whose
+    // tables are three zero counts.
     const std::ptrdiff_t coordAt = offsetOf(coord.bytes());
     const std::ptrdiff_t serverAt = offsetOf(server0.bytes());
     ASSERT_LT(coordAt, static_cast<std::ptrdiff_t>(saved.size()));
@@ -596,7 +597,29 @@ TEST_F(ElasticCheckpointDeath, CorruptRestoredFleetStateIsFatal)
          "keyLoad key [0-9]+ is duplicated or out of order");
     // A live coordinator drops a key whose count halves to zero, so a
     // saved zero count is corrupt.
-    dies(patched(firstKey + 8, 0, 8), "keyLoad key [0-9]+ has a zero count");
+    dies(patched(firstKey + 8, 0, 8),
+         "keyLoad key [0-9]+ holds the empty entry");
+
+    // The server's fingerprint carries its KV table between the state
+    // byte and stats and the device fingerprint (u64): a count, then
+    // (key, version, value) per stored key in key order. Swapping the
+    // first two entries puts their keys out of order.
+    const std::vector<u8> kv0(
+        print0.bytes().begin() + 1 +
+            static_cast<std::ptrdiff_t>(wireBytes<ServerStats>()),
+        print0.bytes().end() - 8);
+    const std::ptrdiff_t kvAt = offsetOf(kv0);
+    ASSERT_LT(kvAt, static_cast<std::ptrdiff_t>(saved.size()));
+    ASSERT_GE(u64At(kvAt), 2u);
+    std::vector<u8> kvSwapped = saved;
+    std::swap_ranges(kvSwapped.begin() + kvAt + 8,
+                     kvSwapped.begin() + kvAt + 8 + 24,
+                     kvSwapped.begin() + kvAt + 8 + 24);
+    dies(kvSwapped, "corrupt checkpoint: kv key [0-9]+ is duplicated or "
+                    "out of order");
+    // Version 0 means absent: a stored value with it is corrupt.
+    ASSERT_NE(u64At(kvAt + 8 + 16), 0u);
+    dies(patched(kvAt + 8 + 8, 0, 8), "kv key [0-9]+ has version 0");
 
     // The client record follows the guard, three cursors and the loop
     // counters: its counters, the acked count, the latency histogram,
@@ -626,6 +649,14 @@ TEST_F(ElasticCheckpointDeath, CorruptRestoredFleetStateIsFatal)
             write = rec;
     }
     ASSERT_GE(write, 0) << "no write in flight at the cut";
+    // The ops are saved in slot order; swapping the first two breaks
+    // it.
+    ASSERT_GE(nops, 2u);
+    std::vector<u8> opsSwapped = saved;
+    std::swap_ranges(opsSwapped.begin() + opsAt + 8,
+                     opsSwapped.begin() + opsAt + 8 + 8 + kOpRecord,
+                     opsSwapped.begin() + opsAt + 8 + 8 + kOpRecord);
+    dies(opsSwapped, "op [0-9]+ in slot [0-9]+ does not follow slot");
     dies(patched(write + 17, u64At(write + 17) ^ 1, 8),
          "op [0-9]+ value [0-9]+ disagrees with the derived");
     dies(patched(write + 33, u64At(write + 33) + 1, 8),

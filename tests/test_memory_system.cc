@@ -52,7 +52,7 @@ class RescanningMemory
 
     void attachRetirement(const RetirementMap *map) { retire_ = map; }
 
-    u64 issueRead(LineAddr line, u64 cycle, bool ras)
+    u64 issueRead(LineAddr line, bool ras)
     {
         u32 slot;
         if (!freeTokens_.empty()) {
@@ -70,7 +70,7 @@ class RescanningMemory
         const LineCoord routed = route(coord);
         if (!(routed == coord))
             ++counters_.steeredReads;
-        enqueue(routed, false, token, cycle, ras);
+        enqueue(routed, false, token, ras);
         return token;
     }
 
@@ -84,13 +84,13 @@ class RescanningMemory
         return true;
     }
 
-    void issueWrite(LineAddr line, u64 cycle)
+    void issueWrite(LineAddr line)
     {
         const LineCoord coord = map_.lineToCoord(line);
         const LineCoord routed = route(coord);
         if (!(routed == coord))
             ++counters_.steeredWrites;
-        enqueue(routed, true, 0, cycle, false);
+        enqueue(routed, true, 0, false);
     }
 
     void tick(u64 cycle)
@@ -247,10 +247,8 @@ class RescanningMemory
         }
     }
 
-    void enqueue(const LineCoord &line, bool write, u64 token, u64 cycle,
-                 bool ras)
+    void enqueue(const LineCoord &line, bool write, u64 token, bool ras)
     {
-        (void)cycle;
         const auto subs = map_.subRequests(line, cfg_.striping);
         const u32 bytes =
             cfg_.geom.lineBytes / static_cast<u32>(subs.size());
@@ -506,7 +504,7 @@ class MemTest : public ::testing::Test
 TEST_F(MemTest, ColdReadLatencyIsActPlusCas)
 {
     MemorySystem mem(cfg_);
-    const u64 token = mem.issueRead(LineAddr{0}, 0);
+    const u64 token = mem.issueRead(LineAddr{0});
     const u64 done = runUntilDone(mem, token);
     // tRCD + tCAS + tBURST = 9 + 9 + 1 = 19 for a cold bank.
     EXPECT_EQ(done, 19u);
@@ -517,10 +515,10 @@ TEST_F(MemTest, ColdReadLatencyIsActPlusCas)
 TEST_F(MemTest, RowHitIsFasterThanRowMiss)
 {
     MemorySystem mem(cfg_);
-    const u64 t1 = mem.issueRead(LineAddr{0}, 0);
+    const u64 t1 = mem.issueRead(LineAddr{0});
     const u64 d1 = runUntilDone(mem, t1);
     // Line 1 is the next slot of the same open row.
-    const u64 t2 = mem.issueRead(LineAddr{1}, d1 + 1);
+    const u64 t2 = mem.issueRead(LineAddr{1});
     const u64 d2 = runUntilDone(mem, t2, d1 + 1);
     const u64 hit_latency = d2 - (d1 + 1);
     EXPECT_LT(hit_latency, 19u);
@@ -536,9 +534,9 @@ TEST_F(MemTest, RowConflictPaysPrecharge)
     LineCoord a = map.lineToCoord(LineAddr{0});
     LineCoord b = a;
     b.row = RowId{a.row.value() + 1};
-    const u64 t1 = mem.issueRead(map.coordToLine(a), 0);
+    const u64 t1 = mem.issueRead(map.coordToLine(a));
     const u64 d1 = runUntilDone(mem, t1);
-    const u64 t2 = mem.issueRead(map.coordToLine(b), d1 + 1);
+    const u64 t2 = mem.issueRead(map.coordToLine(b));
     const u64 d2 = runUntilDone(mem, t2, d1 + 1);
     // The second access must wait for tRAS before precharging.
     EXPECT_GT(d2 - (d1 + 1), 19u);
@@ -553,7 +551,7 @@ TEST_F(MemTest, StripingFanoutCountsBursts)
         cfg_.striping = mode;
         MemorySystem mem(cfg_);
         AddressMap map(cfg_.geom);
-        const u64 token = mem.issueRead(LineAddr{0}, 0);
+        const u64 token = mem.issueRead(LineAddr{0});
         runUntilDone(mem, token);
         EXPECT_EQ(mem.counters().readBursts, map.fanout(mode))
             << stripingModeName(mode);
@@ -566,7 +564,7 @@ TEST_F(MemTest, AcrossBanksActivatesEveryBank)
 {
     cfg_.striping = StripingMode::AcrossBanks;
     MemorySystem mem(cfg_);
-    const u64 token = mem.issueRead(LineAddr{0}, 0);
+    const u64 token = mem.issueRead(LineAddr{0});
     runUntilDone(mem, token);
     EXPECT_EQ(mem.counters().activates, cfg_.geom.banksPerChannel);
 }
@@ -575,7 +573,7 @@ TEST_F(MemTest, AcrossChannelsUsesOneBankPerChannel)
 {
     cfg_.striping = StripingMode::AcrossChannels;
     MemorySystem mem(cfg_);
-    const u64 token = mem.issueRead(LineAddr{0}, 0);
+    const u64 token = mem.issueRead(LineAddr{0});
     const u64 done = runUntilDone(mem, token);
     EXPECT_EQ(mem.counters().activates, cfg_.geom.channelsPerStack);
     // Channel-parallel activation: latency close to a single access,
@@ -590,7 +588,7 @@ TEST_F(MemTest, AcrossBanksActivatesInLockstep)
     // activation energy, not tRRD-serialized latency (Section II-E).
     cfg_.striping = StripingMode::AcrossBanks;
     MemorySystem mem(cfg_);
-    const u64 token = mem.issueRead(LineAddr{0}, 0);
+    const u64 token = mem.issueRead(LineAddr{0});
     const u64 done = runUntilDone(mem, token);
     EXPECT_LE(done, 19u + timing::tBURST);
     EXPECT_EQ(mem.counters().activates, cfg_.geom.banksPerChannel);
@@ -607,8 +605,8 @@ TEST_F(MemTest, AcrossBanksConflictsAcrossRequests)
     LineCoord a = map.lineToCoord(LineAddr{0});
     LineCoord b = a;
     b.row = RowId{a.row.value() + 1};
-    const u64 t1 = mem.issueRead(map.coordToLine(a), 0);
-    const u64 t2 = mem.issueRead(map.coordToLine(b), 0);
+    const u64 t1 = mem.issueRead(map.coordToLine(a));
+    const u64 t2 = mem.issueRead(map.coordToLine(b));
     (void)t1;
     const u64 done = runUntilDone(mem, t2);
     EXPECT_GE(done, timing::tRAS); // waited for the row cycle
@@ -619,7 +617,7 @@ TEST_F(MemTest, WritesAreAcceptedUpToCap)
     MemorySystem mem(cfg_);
     u32 accepted = 0;
     while (mem.canAcceptWrite(LineAddr{0}) && accepted < 1000) {
-        mem.issueWrite(LineAddr{0}, 0);
+        mem.issueWrite(LineAddr{0});
         ++accepted;
     }
     EXPECT_EQ(accepted, kWriteQueueCap);
@@ -629,7 +627,7 @@ TEST_F(MemTest, WritesDrainEventually)
 {
     MemorySystem mem(cfg_);
     for (int i = 0; i < 8; ++i)
-        mem.issueWrite(LineAddr{static_cast<u64>(i)}, 0);
+        mem.issueWrite(LineAddr{static_cast<u64>(i)});
     for (u64 cycle = 0; cycle < 10000 && mem.pending() > 0; ++cycle)
         mem.tick(cycle);
     EXPECT_EQ(mem.pending(), 0u);
@@ -643,8 +641,8 @@ TEST_F(MemTest, ReadsPrioritizedOverWrites)
     // A few writes queued first, then a read: the read should not wait
     // for the whole write queue (it is picked first at low pressure).
     for (int i = 0; i < 4; ++i)
-        mem.issueWrite(LineAddr{0}, 0);
-    const u64 token = mem.issueRead(LineAddr{0}, 0);
+        mem.issueWrite(LineAddr{0});
+    const u64 token = mem.issueRead(LineAddr{0});
     const u64 done = runUntilDone(mem, token);
     EXPECT_LE(done, 25u);
 }
@@ -655,7 +653,7 @@ TEST_F(MemTest, IndependentChannelsProceedInParallel)
     // Lines 4 apart hit 8 different channels.
     std::vector<u64> tokens;
     for (u64 i = 0; i < 8; ++i)
-        tokens.push_back(mem.issueRead(LineAddr{i * 4}, 0));
+        tokens.push_back(mem.issueRead(LineAddr{i * 4}));
     u64 last = 0;
     std::size_t done_count = 0;
     for (u64 cycle = 0; cycle < 1000 && done_count < tokens.size();
@@ -687,14 +685,14 @@ TEST_F(MemTest, ArrivalWakesSleepingQueue)
     LineCoord hit = open;
     hit.col = ColId{open.col.value() + 1};
 
-    mem.issueRead(map.coordToLine(open), 0);
+    mem.issueRead(map.coordToLine(open));
     mem.tick(0);
-    mem.issueRead(map.coordToLine(miss), 1);
+    mem.issueRead(map.coordToLine(miss));
     mem.tick(1);
     mem.tick(2);
     ASSERT_EQ(mem.counters().readBursts, 1u);
 
-    mem.issueRead(map.coordToLine(hit), 3);
+    mem.issueRead(map.coordToLine(hit));
     EXPECT_EQ(mem.nextEventCycle(3), 3u);
     mem.tick(3);
     EXPECT_EQ(mem.counters().readBursts, 2u);
@@ -715,12 +713,12 @@ TEST_F(MemTest, WriteIssueWakesReadQueue)
     LineCoord r = q;
     r.row = RowId{q.row.value() + 1};
 
-    mem.issueRead(map.coordToLine(q), 0);
+    mem.issueRead(map.coordToLine(q));
     mem.tick(0);
-    mem.issueRead(map.coordToLine(r), 1);
+    mem.issueRead(map.coordToLine(r));
     mem.tick(1);
     for (u32 i = 0; i < kWriteQueueCap / 2; ++i)
-        mem.issueWrite(map.coordToLine(r), 2);
+        mem.issueWrite(map.coordToLine(r));
 
     u64 cycle = 2;
     while (mem.counters().writeBursts == 0 && cycle < 1000)
@@ -739,11 +737,11 @@ TEST_F(MemTest, PendingTracksQueueDepth)
 {
     MemorySystem mem(cfg_);
     EXPECT_EQ(mem.pending(), 0u);
-    mem.issueRead(LineAddr{0}, 0);
+    mem.issueRead(LineAddr{0});
     EXPECT_EQ(mem.pending(), 1u);
     cfg_.striping = StripingMode::AcrossBanks;
     MemorySystem striped(cfg_);
-    striped.issueRead(LineAddr{0}, 0);
+    striped.issueRead(LineAddr{0});
     EXPECT_EQ(striped.pending(), 8u);
 }
 
@@ -815,13 +813,13 @@ expectSameSchedule(const SimConfig &cfg, bool steer, u64 seed)
                 const bool room = mem.canAcceptWrite(line);
                 ASSERT_EQ(room, ref.canAcceptWrite(line));
                 if (room) {
-                    mem.issueWrite(line, cycle);
-                    ref.issueWrite(line, cycle);
+                    mem.issueWrite(line);
+                    ref.issueWrite(line);
                 }
             } else {
                 const bool ras = y % 8 == writeEighths;
-                ASSERT_EQ(mem.issueRead(line, cycle, ras),
-                          ref.issueRead(line, cycle, ras));
+                ASSERT_EQ(mem.issueRead(line, ras),
+                          ref.issueRead(line, ras));
                 ++reads;
             }
         }

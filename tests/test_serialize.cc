@@ -10,6 +10,7 @@
 #include <array>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/serialize.h"
@@ -222,24 +223,97 @@ TEST(CodecsDeath, ExpectRejectsAnyOtherValue)
                  "demo: shape mismatch \\(checkpoint has 2, expected 1\\)");
 }
 
-TEST(CodecsDeath, BoundedMapRejectsKeysOutOfRangeOrOrder)
+/** A keyTable stream: the count `n`, then each (key, entry). */
+template <class T>
+std::vector<u8>
+keyTableBytes(u64 n, const std::vector<std::pair<u64, T>> &entries)
 {
-    const auto load = [](std::initializer_list<u64> keys) {
-        ByteSink sink;
-        sink.putU64(keys.size());
-        for (u64 k : keys) {
-            sink.putU64(k);
-            sink.putU64(0);
-        }
-        std::map<u64, u64> m;
-        ByteSource src(sink.bytes());
-        Reader{src}.boundedMap(m, 10, "demo map");
-        return m.size();
+    ByteSink sink;
+    Writer out{sink};
+    out(n);
+    for (const auto &e : entries)
+        out(e);
+    return sink.bytes();
+}
+
+/** Load `bytes` into a table of `size` entries that held `junk`. */
+template <class T>
+std::vector<T>
+loadKeyTable(const std::vector<u8> &bytes, std::size_t size, const T &empty,
+             const T &junk)
+{
+    std::vector<T> table(size, junk);
+    ByteSource src(bytes);
+    Reader{src}.keyTable(table, empty, "demo table");
+    EXPECT_EQ(src.remaining(), 0u);
+    return table;
+}
+
+/** Round trip and every rejection for one entry type; `a` and `b` are
+ *  distinct entries other than `empty`. */
+template <class T>
+void
+checkKeyTable(const T &empty, const T &a, const T &b)
+{
+    // Saved as the ordered map it stands for: the same bytes.
+    std::vector<T> table(10, empty);
+    table[1] = a;
+    table[4] = b;
+    table[9] = a;
+    ByteSink sink;
+    Writer{sink}.keyTable(table, empty, "ignored on save");
+    EXPECT_EQ(sink.bytes(),
+              (keyTableBytes<T>(3, {{1, a}, {4, b}, {9, a}})));
+    std::map<u64, T> asMap{{1, a}, {4, b}, {9, a}};
+    ByteSink mapSink;
+    Writer{mapSink}(asMap);
+    EXPECT_EQ(sink.bytes(), mapSink.bytes());
+    // Loading replaces every entry, the absent ones included.
+    EXPECT_EQ(loadKeyTable(sink.bytes(), 10, empty, b), table);
+    ByteSink none;
+    Writer{none}.keyTable(std::vector<T>(10, empty), empty, "");
+    EXPECT_EQ(none.bytes(), std::vector<u8>(8, 0));
+    EXPECT_EQ(loadKeyTable(none.bytes(), 10, empty, a),
+              std::vector<T>(10, empty));
+
+    const auto load = [&](u64 n,
+                          const std::vector<std::pair<u64, T>> &entries) {
+        loadKeyTable(keyTableBytes<T>(n, entries), 10, empty, empty);
     };
-    EXPECT_EQ(load({1, 4, 9}), 3u);
-    EXPECT_DEATH(load({1, 10}), "demo map key 10 outside the key space");
-    EXPECT_DEATH(load({4, 4}), "demo map key 4 is duplicated or out of");
-    EXPECT_DEATH(load({4, 2}), "demo map key 2 is duplicated or out of");
+    // The second entry starts after the count and the first entry.
+    const std::string second =
+        "offset " + std::to_string(8 + wireBytes<std::pair<u64, T>>());
+    EXPECT_DEATH(load(2, {{1, a}, {10, b}}),
+                 "demo table key 10 outside the key space \\(10\\)");
+    EXPECT_DEATH(load(2, {{4, a}, {4, b}}),
+                 "demo table key 4 is duplicated or out of order \\(" +
+                     second);
+    EXPECT_DEATH(load(2, {{4, a}, {2, b}}),
+                 "demo table key 2 is duplicated or out of order \\(" +
+                     second);
+    EXPECT_DEATH(load(1, {{3, empty}}),
+                 "demo table key 3 holds the empty entry \\(offset 8\\)");
+    EXPECT_DEATH(load(3, {{1, a}, {4, b}, {9, empty}}),
+                 "demo table key 9 holds the empty entry");
+    EXPECT_DEATH(load(3, {{1, a}, {4, b}}),
+                 "container count 3 exceeds remaining");
+}
+
+TEST(CodecsDeath, KeyTableRoundTripsAndRejectsCorruptEntries)
+{
+    {
+        SCOPED_TRACE("u64");
+        checkKeyTable<u64>(0, 3, 7);
+    }
+    {
+        SCOPED_TRACE("u32, empty is all ones");
+        checkKeyTable<u32>(0xFFFFFFFFu, 0, 2);
+    }
+    {
+        SCOPED_TRACE("pair");
+        using Entry = std::pair<u64, u64>;
+        checkKeyTable<Entry>({0, 0}, {1, 5}, {2, 0});
+    }
 }
 
 TEST(CodecsDeath, CountedMapAndSetRejectDuplicateKeys)
