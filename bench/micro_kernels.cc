@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cmath>
 
 #include "citadel/citadel.h"
 #include "citadel/parity_engine.h"
@@ -160,15 +161,14 @@ BM_SampleLifetimeLanes(benchmark::State &state)
     SystemConfig cfg;
     cfg.tsvDeviceFit = 1430.0;
     FaultInjector inj(cfg);
-    // As MonteCarlo::runRange: four counter-derived Rngs per call to
-    // the lane sampler and four reused fault vectors.
+    // As MonteCarlo::runRange: kLanes counter-derived Rngs per call
+    // to the lane sampler and kLanes reused fault vectors.
     std::array<std::vector<Fault>, FaultInjector::kLanes> events;
+    std::array<Rng, FaultInjector::kLanes> rngs;
     u64 t = 0;
     for (auto _ : state) {
-        std::array<Rng, FaultInjector::kLanes> rngs{
-            Rng(mix64(t + 1)), Rng(mix64(t + 2)), Rng(mix64(t + 3)),
-            Rng(mix64(t + 4))};
-        t += FaultInjector::kLanes;
+        for (Rng &rng : rngs)
+            rng = Rng(mix64(++t));
         inj.sampleLifetime(rngs, events);
         benchmark::DoNotOptimize(events.data());
         benchmark::ClobberMemory();
@@ -177,6 +177,48 @@ BM_SampleLifetimeLanes(benchmark::State &state)
     state.SetLabel(zeroScanOps().path);
 }
 BENCHMARK(BM_SampleLifetimeLanes);
+
+void
+BM_ZeroScan(benchmark::State &state)
+{
+    // The resolved zero-cell scan alone over one lifetime's 182 cells
+    // at the paper's rates (FaultInjector's cell order and zeroMax:
+    // per stack, each die's [Bit, Word, Column, Row, Bank] x
+    // {transient, permanent} cells, then the TSV cell at 1430 FIT). A
+    // hit restarts the scan past its cell without sampling faults.
+    SystemConfig cfg;
+    cfg.tsvDeviceFit = 1430.0;
+    auto zeroMax = [&](double fit) {
+        return Rng::unitThreshold(
+            std::exp(-fitToPerHour(fit) * cfg.lifetimeHours));
+    };
+    const FitTable &r = cfg.rates;
+    std::vector<u64> cells;
+    for (u32 s = 0; s < cfg.geom.stacks; ++s) {
+        for (u32 die = 0; die < cfg.diesPerStack(); ++die)
+            for (const FitPair *p : {&r.bit, &r.word, &r.column, &r.row,
+                                     &r.bank}) {
+                cells.push_back(zeroMax(p->transientFit));
+                cells.push_back(zeroMax(p->permanentFit));
+            }
+        cells.push_back(zeroMax(cfg.tsvDeviceFit));
+    }
+    const u32 n = static_cast<u32>(cells.size());
+    const ZeroScanOps &ops = zeroScanOps();
+    RngLanes lanes;
+    for (unsigned l = 0; l < RngLanes::kLanes; ++l)
+        lanes.load(l, Rng(mix64(l + 1)));
+    ZeroScanHit hit;
+    for (auto _ : state) {
+        for (u32 i = 0; i < n; ++i)
+            i += ops.scan(lanes, cells.data() + i, n - i, hit);
+        benchmark::DoNotOptimize(lanes.s);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * RngLanes::kLanes);
+    state.SetLabel(ops.path);
+}
+BENCHMARK(BM_ZeroScan);
 
 void
 BM_MonteCarloTrialCitadel(benchmark::State &state)

@@ -2,6 +2,11 @@
 
 #include <atomic>
 #include <cstring>
+#include <vector>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#endif
 
 #include "common/knobs.h"
 #include "common/xor_fold.h"
@@ -10,35 +15,39 @@ namespace citadel {
 
 namespace {
 
-/** Four u64 lanes, one per generator of an RngLanes. Like XorVec
- *  (common/xor_fold.h) it never crosses a call boundary: the scan
- *  loads and stores RngLanes through memcpy. */
+/** Four and eight u64 lanes, one per generator of an RngLanes. Like
+ *  XorVec (common/xor_fold.h) they never cross a call boundary: the
+ *  scan loads and stores RngLanes through memcpy. */
 typedef u64 U64x4 __attribute__((vector_size(32)));
+typedef u64 U64x8 __attribute__((vector_size(64)));
 
-static_assert(sizeof(U64x4) == sizeof(RngLanes::s[0]));
+static_assert(sizeof(U64x8) == sizeof(RngLanes::s[0]));
 
 /**
- * The 4-lane zero-cell scan as portable vector code: the four state
- * words are four U64x4 registers and xoshiroStep steps all lanes at
- * once. A lane hits when zeroMax - (draw >> 11) is negative: both are
- * at most 2^53, so the difference wraps exactly when the draw exceeds
- * zeroMax, and its top bit is the hit flag (a subtract, which every
- * SIMD level has, where a 64-bit unsigned compare is not). Two
- * shuffle-ORs gather every lane's top bit into lane 0, so the common
- * no-hit cell costs one branch on one extracted word.
+ * The zero-cell scan as vector code, one body for every lowering: the
+ * eight lanes are kGroups groups of V (two U64x4 or one U64x8), each
+ * state word one V per group, and xoshiroStep steps every group per
+ * cell. `Hit` is the ISA's any-lane test, built from the cell's draws
+ * and zeroMax: any() says whether some lane's draw >> 11 exceeds
+ * zeroMax, lanes() which ones.
  */
+template <typename V, typename Hit>
 [[gnu::always_inline]] inline u32
-zeroScanVectorBody(RngLanes &lanes, const u64 *zeroMax, u32 n,
-                   ZeroScanHit &hit)
+zeroScanBody(RngLanes &lanes, const u64 *zeroMax, u32 n, ZeroScanHit &hit)
 {
-    U64x4 s0;
-    U64x4 s1;
-    U64x4 s2;
-    U64x4 s3;
-    std::memcpy(&s0, lanes.s[0], sizeof(U64x4));
-    std::memcpy(&s1, lanes.s[1], sizeof(U64x4));
-    std::memcpy(&s2, lanes.s[2], sizeof(U64x4));
-    std::memcpy(&s3, lanes.s[3], sizeof(U64x4));
+    constexpr unsigned kWidth = sizeof(V) / sizeof(u64);
+    constexpr unsigned kGroups = RngLanes::kLanes / kWidth;
+    V s0[kGroups];
+    V s1[kGroups];
+    V s2[kGroups];
+    V s3[kGroups];
+#pragma GCC unroll 2
+    for (unsigned g = 0; g < kGroups; ++g) {
+        std::memcpy(&s0[g], &lanes.s[0][g * kWidth], sizeof(V));
+        std::memcpy(&s1[g], &lanes.s[1][g * kWidth], sizeof(V));
+        std::memcpy(&s2[g], &lanes.s[2][g * kWidth], sizeof(V));
+        std::memcpy(&s3[g], &lanes.s[3][g * kWidth], sizeof(V));
+    }
     u32 i = 0;
     for (; i < n; ++i) {
         const u64 zm = zeroMax[i];
@@ -48,31 +57,69 @@ zeroScanVectorBody(RngLanes &lanes, const u64 *zeroMax, u32 n,
             hit.lanes = (1u << RngLanes::kLanes) - 1;
             break;
         }
-        U64x4 draw;
-        xoshiroStep(s0, s1, s2, s3, draw);
-        const U64x4 diff = zm - (draw >> 11);
-        U64x4 any = diff | __builtin_shufflevector(diff, diff, 2, 3, 0, 1);
-        any |= __builtin_shufflevector(any, any, 1, 0, 3, 2);
-        if ((any[0] >> 63) != 0) [[unlikely]] {
-            const U64x4 sign = diff >> 63;
-            hit.lanes = static_cast<u32>(sign[0] | sign[1] << 1 |
-                                         sign[2] << 2 | sign[3] << 3);
-            std::memcpy(hit.draws, &draw, sizeof(U64x4));
+        V draw[kGroups];
+#pragma GCC unroll 2
+        for (unsigned g = 0; g < kGroups; ++g)
+            xoshiroStep(s0[g], s1[g], s2[g], s3[g], draw[g]);
+        const Hit test(draw, zm);
+        if (test.any()) [[unlikely]] {
+            hit.lanes = test.lanes();
+            std::memcpy(hit.draws, draw, sizeof(draw));
             break;
         }
     }
-    std::memcpy(lanes.s[0], &s0, sizeof(U64x4));
-    std::memcpy(lanes.s[1], &s1, sizeof(U64x4));
-    std::memcpy(lanes.s[2], &s2, sizeof(U64x4));
-    std::memcpy(lanes.s[3], &s3, sizeof(U64x4));
+#pragma GCC unroll 2
+    for (unsigned g = 0; g < kGroups; ++g) {
+        std::memcpy(&lanes.s[0][g * kWidth], &s0[g], sizeof(V));
+        std::memcpy(&lanes.s[1][g * kWidth], &s1[g], sizeof(V));
+        std::memcpy(&lanes.s[2][g * kWidth], &s2[g], sizeof(V));
+        std::memcpy(&lanes.s[3][g * kWidth], &s3[g], sizeof(V));
+    }
     return i;
 }
+
+/**
+ * The portable hit test over two U64x4 groups: a lane hits when
+ * zeroMax - (draw >> 11) is negative. Both are at most 2^53, so the
+ * difference wraps exactly when the draw exceeds zeroMax, and its top
+ * bit is the hit flag (a subtract, which every SIMD level has, where a
+ * 64-bit unsigned compare is not). any() ORs the groups and gathers
+ * every lane's top bit into lane 0 with two shuffle-ORs, so the common
+ * no-hit cell costs one branch on one extracted word.
+ */
+struct SignHit
+{
+    U64x4 diff[2];
+
+    [[gnu::always_inline]] SignHit(const U64x4 (&draw)[2], u64 zm)
+        : diff{zm - (draw[0] >> 11), zm - (draw[1] >> 11)}
+    {
+    }
+
+    [[gnu::always_inline]] bool
+    any() const
+    {
+        U64x4 a = diff[0] | diff[1];
+        a |= __builtin_shufflevector(a, a, 2, 3, 0, 1);
+        a |= __builtin_shufflevector(a, a, 1, 0, 3, 2);
+        return (a[0] >> 63) != 0;
+    }
+
+    [[gnu::always_inline]] u32
+    lanes() const
+    {
+        u32 mask = 0;
+        for (unsigned l = 0; l < RngLanes::kLanes; ++l)
+            mask |= static_cast<u32>(diff[l / 4][l % 4] >> 63) << l;
+        return mask;
+    }
+};
 
 u32
 zeroScanVector(RngLanes &lanes, const u64 *zeroMax, u32 n,
                ZeroScanHit &hit)
 {
-    return zeroScanVectorBody(lanes, zeroMax, n, hit);
+    return zeroScanBody<U64x4, SignHit>(lanes, zeroMax, n, hit);
 }
 
 /** The scalar proof: each lane moved into an Rng and stepped through
@@ -99,7 +146,38 @@ __attribute__((target("avx2"))) u32
 zeroScanVectorAvx2(RngLanes &lanes, const u64 *zeroMax, u32 n,
                    ZeroScanHit &hit)
 {
-    return zeroScanVectorBody(lanes, zeroMax, n, hit);
+    return zeroScanBody<U64x4, SignHit>(lanes, zeroMax, n, hit);
+}
+
+/**
+ * The AVX-512 hit test over one U64x8 group: one unsigned compare
+ * into a mask register, whose eight bits are the hit lanes. Not
+ * always_inline: GCC would inline it into the target-less
+ * zeroScanBody and reject the AVX-512 intrinsic there; flatten on the
+ * entry inlines it once the body sits in an AVX-512 function.
+ */
+struct MaskHit
+{
+    __mmask8 mask;
+
+    [[gnu::target("avx512f")]] MaskHit(const U64x8 (&draw)[1], u64 zm)
+        : mask(_mm512_cmpgt_epu64_mask(
+              reinterpret_cast<__m512i>(draw[0] >> 11),
+              _mm512_set1_epi64(static_cast<long long>(zm))))
+    {
+    }
+
+    bool any() const { return mask != 0; }
+    u32 lanes() const { return mask; }
+};
+
+/** The scan body over all eight lanes as one U64x8 group, lowered
+ *  with AVX-512F: the rotates are vprolq and the hit test is MaskHit. */
+__attribute__((target("avx512f"), flatten)) u32
+zeroScanVectorAvx512(RngLanes &lanes, const u64 *zeroMax, u32 n,
+                     ZeroScanHit &hit)
+{
+    return zeroScanBody<U64x8, MaskHit>(lanes, zeroMax, n, hit);
 }
 
 /**
@@ -128,6 +206,13 @@ bool
 haveAvx2()
 {
     static const bool avail = __builtin_cpu_supports("avx2") != 0;
+    return avail;
+}
+
+bool
+haveAvx512()
+{
+    static const bool avail = __builtin_cpu_supports("avx512f") != 0;
     return avail;
 }
 
@@ -189,14 +274,13 @@ namespace {
  * The ops table for the active mode. Vector forces the portable
  * vector-extension body (which degrades to plain word ops on
  * SIMD-less targets, so it is never worse than the scalar proof), so
- * that body can be checked on any host. Auto takes the widest safe
- * lowering: the AVX2 recompile where the CPU has it, otherwise the
- * portable body. The cache is thread_local per Ops type so MC workers
- * re-resolve without racing.
+ * that body can be checked on any host. Auto takes `best`, the widest
+ * lowering the CPU runs. The cache is thread_local per Ops type so MC
+ * workers re-resolve without racing.
  */
 template <typename Ops>
 const Ops &
-resolveOps(const Ops &scalar, const Ops &vector, const Ops &vectorAvx2)
+resolveOps(const Ops &scalar, const Ops &vector, const Ops &best)
 {
     thread_local const Ops *resolved = nullptr;
     thread_local u64 resolvedEpoch = ~u64{0};
@@ -205,10 +289,10 @@ resolveOps(const Ops &scalar, const Ops &vector, const Ops &vectorAvx2)
         const KernelMode mode = activeKernelMode();
         if (mode == KernelMode::Scalar)
             resolved = &scalar;
-        else if (mode == KernelMode::Vector || !haveAvx2())
+        else if (mode == KernelMode::Vector)
             resolved = &vector;
         else
-            resolved = &vectorAvx2;
+            resolved = &best;
         resolvedEpoch = epoch;
     }
     return *resolved;
@@ -229,21 +313,31 @@ xorKernelOps()
 #else
     static constexpr const XorKernelOps &kVectorAvx2 = kVector;
 #endif
-    return resolveOps(kScalar, kVector, kVectorAvx2);
+    return resolveOps(kScalar, kVector, haveAvx2() ? kVectorAvx2 : kVector);
+}
+
+std::span<const ZeroScanOps>
+zeroScanEntries()
+{
+    static const std::vector<ZeroScanOps> entries = [] {
+        std::vector<ZeroScanOps> e{{&zeroScanScalar, "scalar-rng"},
+                                   {&zeroScanVector, "vector2x4x64"}};
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+        if (haveAvx2())
+            e.push_back({&zeroScanVectorAvx2, "vector2x4x64-avx2"});
+        if (haveAvx512())
+            e.push_back({&zeroScanVectorAvx512, "vector8x64-avx512"});
+#endif
+        return e;
+    }();
+    return entries;
 }
 
 const ZeroScanOps &
 zeroScanOps()
 {
-    static constexpr ZeroScanOps kScalar{&zeroScanScalar, "scalar-rng"};
-    static constexpr ZeroScanOps kVector{&zeroScanVector, "vector4x64"};
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-    static constexpr ZeroScanOps kVectorAvx2{&zeroScanVectorAvx2,
-                                             "vector4x64-avx2"};
-#else
-    static constexpr const ZeroScanOps &kVectorAvx2 = kVector;
-#endif
-    return resolveOps(kScalar, kVector, kVectorAvx2);
+    const std::span<const ZeroScanOps> entries = zeroScanEntries();
+    return resolveOps(entries[0], entries[1], entries.back());
 }
 
 } // namespace citadel

@@ -4,10 +4,11 @@
  * hot kernels (xorFold, xorFoldN, CRC-32 bulk update) and the Monte
  * Carlo sampler's zero-cell scan each have a scalar proof
  * implementation and one or more wide implementations (GCC/Clang
- * vector extensions, PCLMULQDQ, ARMv8 CRC). Every variant is
- * value-pure — a pure function of its input buffer or generator
- * states — so which one runs can never change a seeded result; the
- * dispatch layer here only picks the fastest available one.
+ * vector extensions and their AVX2 and AVX-512 lowerings, PCLMULQDQ,
+ * ARMv8 CRC). Every variant is value-pure — a pure function of its
+ * input buffer or generator states — so which one runs can never
+ * change a seeded result; the dispatch layer here only picks the
+ * fastest available one.
  *
  * Selection happens once at startup from the CITADEL_KERNEL env knob
  * (scalar | vector | auto; invalid text is rejected to auto with a
@@ -21,6 +22,7 @@
 #define CITADEL_COMMON_KERNELS_H
 
 #include <cstddef>
+#include <span>
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -32,10 +34,11 @@ enum class KernelMode
 {
     Scalar, ///< Force the scalar proof baselines (u64 xorFold, slice8 CRC).
     /// Force the portable vector-extension bodies (xorFold, xorFoldN,
-    /// zero-cell scan) without their AVX2 recompiles; hw CRC if present.
+    /// zero-cell scan) without their AVX2 or AVX-512 lowerings; hw CRC
+    /// if present.
     Vector,
-    /// Best available: the AVX2 recompiles of the vector bodies and hw
-    /// CRC when the CPU has them.
+    /// Best available: the widest lowering of each vector body (AVX2;
+    /// AVX-512 for the zero-cell scan) and hw CRC when the CPU has them.
     Auto,
 };
 
@@ -115,8 +118,8 @@ struct ZeroScanHit
  * when no lane hits, with every lane advanced through all n cells.
  *
  * This body is the scalar proof, one Rng::next per lane per cell; L =
- * 1 is the sampler's one-generator path, L = 4 the proof of the
- * dispatched 4-lane scan.
+ * 1 is the sampler's one-generator path, L = RngLanes::kLanes the
+ * proof of the dispatched lane scan.
  */
 template <unsigned L>
 [[gnu::always_inline]] inline u32
@@ -146,8 +149,9 @@ zeroScanRng(Rng *rngs, const u64 *zeroMax, u32 n, ZeroScanHit &hit)
     return n;
 }
 
-/** The dispatched 4-lane zero-cell scan over RngLanes; same contract
- *  and the same result as zeroScanRng<4> over the lanes' Rngs. */
+/** The dispatched zero-cell scan over all RngLanes::kLanes lanes;
+ *  same contract and the same result as zeroScanRng<kLanes> over the
+ *  lanes' Rngs. */
 using ZeroScanFn = u32 (*)(RngLanes &lanes, const u64 *zeroMax, u32 n,
                            ZeroScanHit &hit);
 
@@ -155,9 +159,19 @@ using ZeroScanFn = u32 (*)(RngLanes &lanes, const u64 *zeroMax, u32 n,
 struct ZeroScanOps
 {
     ZeroScanFn scan;
-    /// "scalar-rng", "vector4x64" or "vector4x64-avx2", for reporting.
+    /// "scalar-rng", "vector2x4x64", "vector2x4x64-avx2" or
+    /// "vector8x64-avx512", for reporting.
     const char *path;
 };
+
+/**
+ * Every zero-cell scan entry this build compiled and this CPU runs,
+ * in the order above: the scalar proof (Scalar mode), the portable
+ * body as two 4-lane groups (Vector), then its AVX2 lowering and the
+ * one-group AVX-512 entry where present. Auto resolves to the last;
+ * the equivalence tests run them all.
+ */
+std::span<const ZeroScanOps> zeroScanEntries();
 
 /** Active zero-cell scan; revalidated against kernelModeEpoch() per
  *  call. */

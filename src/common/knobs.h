@@ -115,7 +115,7 @@ inline constexpr KnobSpec kKnobs[] = {
     choiceKnob(Knob::Kernel, "CITADEL_KERNEL", "auto",
         {"scalar", "vector", "auto"},
         "hot-kernel dispatch: scalar proofs, portable vector bodies, "
-        "or the best the CPU has (AVX2 recompiles, hw CRC); all "
+        "or the best the CPU has (AVX2/AVX-512 lowerings, hw CRC); all "
         "bit-identical"),
     unsignedKnob(Knob::FleetServers, "CITADEL_FLEET_SERVERS", 8, 2, 64,
         "stack servers"),

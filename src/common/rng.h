@@ -216,17 +216,17 @@ class Rng
 };
 
 /**
- * Four generators' states stored word-major, the layout the zero-cell
- * scan (common/kernels.h) loads as four 4-lane vectors: s[k][i] is
- * word k of lane i's state. load() and store() move one lane to and
- * from an Rng bit for bit, so a lane can leave the group, draw on its
- * own and rejoin with its stream intact.
+ * Eight generators' states stored word-major, the layout the zero-cell
+ * scan (common/kernels.h) loads per state word as one 8-lane vector or
+ * two 4-lane halves: s[k][i] is word k of lane i's state. load() and
+ * store() move one lane to and from an Rng bit for bit, so a lane can
+ * leave the group, draw on its own and rejoin with its stream intact.
  */
 struct RngLanes
 {
-    static constexpr unsigned kLanes = 4;
+    static constexpr unsigned kLanes = 8;
 
-    alignas(32) u64 s[4][kLanes];
+    alignas(64) u64 s[4][kLanes];
 
     /** Lane i takes `rng`'s state. */
     void

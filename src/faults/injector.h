@@ -114,13 +114,13 @@ class FaultInjector
     static constexpr unsigned kLanes = RngLanes::kLanes;
 
     /**
-     * Four lifetimes at once, one per lane: lane i leaves outs[i] and
-     * rngs[i] exactly as sampleLifetime(rngs[i], outs[i]) would. The
-     * four generators step together through the dispatched zero-cell
-     * scan (common/kernels.h); a lane whose cell draws faults leaves
-     * the group, draws them on its own Rng and rejoins (DESIGN.md
-     * section 9). The one-generator overload above is the same walk
-     * with a one-lane scan.
+     * Eight lifetimes at once, one per lane: lane i leaves outs[i]
+     * and rngs[i] exactly as sampleLifetime(rngs[i], outs[i]) would.
+     * The eight generators step together through the dispatched
+     * zero-cell scan (common/kernels.h); a lane whose cell draws faults
+     * leaves the group, draws them on its own Rng and rejoins
+     * (DESIGN.md section 9). The one-generator overload above is the
+     * same walk with a one-lane scan.
      */
     void sampleLifetime(std::span<Rng, kLanes> rngs,
                         std::span<std::vector<Fault>, kLanes> outs) const;

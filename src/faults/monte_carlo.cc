@@ -98,11 +98,11 @@ MonteCarlo::runRange(RasScheme &scheme, u64 begin, u64 end, u64 seed,
         }
     };
     constexpr unsigned kLanes = FaultInjector::kLanes;
-    static_assert(kLanes == 4, "one trialRng per lane below");
+    std::array<Rng, kLanes> rngs;
     u64 t = begin;
     for (; end - t >= kLanes; t += kLanes) {
-        std::array<Rng, kLanes> rngs{trialRng(t), trialRng(t + 1),
-                                     trialRng(t + 2), trialRng(t + 3)};
+        for (unsigned l = 0; l < kLanes; ++l)
+            rngs[l] = trialRng(t + l);
         injector_.sampleLifetime(rngs, events);
         for (const std::vector<Fault> &lifetime : events)
             execute(lifetime);

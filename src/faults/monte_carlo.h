@@ -110,10 +110,10 @@ class MonteCarlo
 
     /**
      * Run trials [begin, end) into `shard`: seed each trial's Rng,
-     * sample four lifetimes at once into `events` through the lane
-     * sampler (fewer than four left over go one at a time), execute
-     * them. Bookkeeping runs in ascending trial order; the merge in
-     * run() is order-independent anyway.
+     * sample FaultInjector::kLanes (eight) lifetimes at once into
+     * `events` through the lane sampler (fewer than eight left over go
+     * one at a time), execute them. Bookkeeping runs in ascending
+     * trial order; the merge in run() is order-independent anyway.
      */
     void runRange(RasScheme &scheme, u64 begin, u64 end, u64 seed,
                   u32 years, Shard &shard, LaneEvents &events,

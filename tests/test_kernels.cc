@@ -16,6 +16,8 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/kernels.h"
@@ -53,6 +55,17 @@ hostHasAvx2()
 {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
     return __builtin_cpu_supports("avx2") != 0;
+#else
+    return false;
+#endif
+}
+
+/** Whether this host runs the zero-cell scan's AVX-512 entry. */
+bool
+hostHasAvx512()
+{
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+    return __builtin_cpu_supports("avx512f") != 0;
 #else
     return false;
 #endif
@@ -299,62 +312,60 @@ scanThresholds(Rng &rng, std::size_t n)
     return zm;
 }
 
-TEST(Kernels, ZeroScanMatchesFourScalarStreamsInEveryMode)
+TEST(Kernels, ZeroScanMatchesScalarStreamsOnEveryEntry)
 {
-    // The dispatched scan against four plain Rng::next streams stepped
-    // cell by cell: the same stop, hit lanes and raw draws at every
-    // stop, and the same generator states after it.
-    KernelModeGuard guard;
-    for (const KernelMode mode :
-         {KernelMode::Scalar, KernelMode::Vector, KernelMode::Auto}) {
-        setKernelMode(mode);
-        SCOPED_TRACE(kernelModeName(mode));
+    // Every scan entry this host runs, not only the one Auto picks,
+    // against kLanes plain Rng::next streams stepped cell by cell: the
+    // same stop, hit lanes and raw draws at every stop, and the same
+    // generator states after it.
+    constexpr unsigned kLanes = RngLanes::kLanes;
+    for (const ZeroScanOps &entry : zeroScanEntries()) {
+        SCOPED_TRACE(entry.path);
         Rng gen(31);
         u64 hits = 0;
         u64 multiLaneHits = 0;
         for (int round = 0; round < 200; ++round) {
             std::vector<u64> zm = scanThresholds(gen, 64);
-            std::array<Rng, RngLanes::kLanes> want{
-                Rng(gen.next()), Rng(gen.next()), Rng(gen.next()),
-                Rng(gen.next())};
+            std::array<Rng, kLanes> want;
+            for (Rng &rng : want)
+                rng = Rng(gen.next());
             // Put some thresholds exactly at, or one below, a lane's
             // draw for that cell (the scan takes one draw per lane per
             // drawing cell, here with nothing drawn between stops): at
             // the threshold the lane must not hit, one below it must.
-            std::array<Rng, RngLanes::kLanes> ahead = want;
+            std::array<Rng, kLanes> ahead = want;
             for (u64 &z : zm) {
                 if (z > kZeroMaxLimit)
                     continue;
                 const unsigned lane =
-                    static_cast<unsigned>(gen.below(RngLanes::kLanes));
-                for (unsigned l = 0; l < RngLanes::kLanes; ++l) {
+                    static_cast<unsigned>(gen.below(kLanes));
+                for (unsigned l = 0; l < kLanes; ++l) {
                     const u64 top = ahead[l].next() >> 11;
                     if (l == lane && top > 0 && gen.below(4) == 0)
                         z = top - gen.below(2);
                 }
             }
             RngLanes lanes;
-            for (unsigned l = 0; l < RngLanes::kLanes; ++l)
+            for (unsigned l = 0; l < kLanes; ++l)
                 lanes.load(l, want[l]);
             u32 first = 0;
             while (first < zm.size()) {
                 const u32 n = static_cast<u32>(zm.size()) - first;
                 ZeroScanHit hit;
-                const u32 stop =
-                    zeroScanOps().scan(lanes, zm.data() + first, n, hit);
+                const u32 stop = entry.scan(lanes, zm.data() + first, n, hit);
                 // The expected stop, cell by cell.
                 u32 cell = 0;
                 u32 wantLanes = 0;
-                std::array<u64, RngLanes::kLanes> draws{};
+                std::array<u64, kLanes> draws{};
                 for (; cell < n; ++cell) {
                     const u64 z = zm[first + cell];
                     if (z == kZeroScanSkip)
                         continue;
                     if (z == kZeroScanHitAll) {
-                        wantLanes = 0xF;
+                        wantLanes = (1u << kLanes) - 1;
                         break;
                     }
-                    for (unsigned l = 0; l < RngLanes::kLanes; ++l) {
+                    for (unsigned l = 0; l < kLanes; ++l) {
                         draws[l] = want[l].next();
                         if ((draws[l] >> 11) > z)
                             wantLanes |= 1u << l;
@@ -363,7 +374,7 @@ TEST(Kernels, ZeroScanMatchesFourScalarStreamsInEveryMode)
                         break;
                 }
                 ASSERT_EQ(stop, cell) << "round " << round;
-                for (unsigned l = 0; l < RngLanes::kLanes; ++l) {
+                for (unsigned l = 0; l < kLanes; ++l) {
                     Rng got(0);
                     lanes.store(l, got);
                     ASSERT_EQ(got.saveState(), want[l].saveState())
@@ -373,7 +384,7 @@ TEST(Kernels, ZeroScanMatchesFourScalarStreamsInEveryMode)
                     break;
                 ASSERT_EQ(hit.lanes, wantLanes) << "round " << round;
                 if (zm[first + stop] != kZeroScanHitAll) {
-                    for (unsigned l = 0; l < RngLanes::kLanes; ++l)
+                    for (unsigned l = 0; l < kLanes; ++l)
                         ASSERT_EQ(hit.draws[l], draws[l]) << "lane " << l;
                     ++hits;
                     multiLaneHits += std::popcount(hit.lanes) > 1;
@@ -382,21 +393,33 @@ TEST(Kernels, ZeroScanMatchesFourScalarStreamsInEveryMode)
             }
         }
         // Both a lone lane and several lanes hitting one cell occur.
-        EXPECT_GT(hits, multiLaneHits);
+        EXPECT_GT(hits - multiLaneHits, 100u);
         EXPECT_GT(multiLaneHits, 100u);
     }
 }
 
 TEST(Kernels, ZeroScanDispatchFollowsMode)
 {
+    // Each mode resolves to its entry: Scalar and Vector to the first
+    // two, Auto to the widest lowering the host runs.
+    const std::span<const ZeroScanOps> entries = zeroScanEntries();
+    std::vector<std::string> paths;
+    for (const ZeroScanOps &entry : entries)
+        paths.emplace_back(entry.path);
+    std::vector<std::string> want{"scalar-rng", "vector2x4x64"};
+    if (hostHasAvx2())
+        want.emplace_back("vector2x4x64-avx2");
+    if (hostHasAvx512())
+        want.emplace_back("vector8x64-avx512");
+    EXPECT_EQ(paths, want);
+
     KernelModeGuard guard;
     setKernelMode(KernelMode::Scalar);
     EXPECT_STREQ(zeroScanOps().path, "scalar-rng");
     setKernelMode(KernelMode::Vector);
-    EXPECT_STREQ(zeroScanOps().path, "vector4x64");
+    EXPECT_STREQ(zeroScanOps().path, "vector2x4x64");
     setKernelMode(KernelMode::Auto);
-    EXPECT_STREQ(zeroScanOps().path,
-                 hostHasAvx2() ? "vector4x64-avx2" : "vector4x64");
+    EXPECT_STREQ(zeroScanOps().path, want.back().c_str());
 }
 
 } // namespace

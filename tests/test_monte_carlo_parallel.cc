@@ -296,16 +296,20 @@ TEST(MonteCarloParallel, PublicApiReplayReproducesPinnedResults)
 
 TEST(MonteCarloParallel, LaneRemaindersMatchPublicApiReplay)
 {
-    // run() samples four trials at a time and the last one to three
-    // of a range one at a time; every split of a trial count into
-    // lanes and remainder, serial and sharded, must give the replay's
-    // result bit for bit. 4099 leaves a remainder at one thread and
-    // spreads chunks over four.
+    // run() samples kLanes trials at a time and the last one to
+    // kLanes - 1 of a range one at a time; every split of a trial
+    // count into lanes and remainder, serial and sharded, must give
+    // the replay's result bit for bit: remainders 1 and kLanes - 1
+    // alone, one lane group plus one trial, and 512 groups plus three,
+    // which leave three at one thread and in the last of the chunks
+    // spread over four threads.
+    constexpr u64 kLanes = FaultInjector::kLanes;
     const MonteCarlo mc(pinnedConfig());
     for (const Pin &pin : pins()) {
         SCOPED_TRACE(pin.name);
         const SchemePtr scheme = pin.make();
-        for (const u64 trials : {1ull, 3ull, 5ull, 4099ull}) {
+        for (const u64 trials :
+             {u64{1}, kLanes - 1, kLanes + 1, 512 * kLanes + 3}) {
             const McResult want =
                 publicApiReplay(mc, *scheme, trials, kPinSeed);
             for (unsigned t : {1u, 4u}) {
