@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cmath>
+#include <string>
 
 #include "citadel/citadel.h"
 #include "citadel/parity_engine.h"
@@ -220,6 +221,22 @@ BM_ZeroScan(benchmark::State &state)
 }
 BENCHMARK(BM_ZeroScan);
 
+/** One draw-byte fill entry over a tiny() engine's 96 KiB data image;
+ *  main() registers one per entry this host runs, named by its path. */
+void
+BM_FillDrawBytes(benchmark::State &state, const FillDrawBytesOps *ops)
+{
+    std::vector<u8> image(96 * 1024);
+    Rng rng(42);
+    for (auto _ : state) {
+        ops->fill(rng, image.data(), image.size());
+        benchmark::DoNotOptimize(image.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(image.size()));
+}
+
 void
 BM_MonteCarloTrialCitadel(benchmark::State &state)
 {
@@ -309,6 +326,20 @@ BM_ParityEngineCorrectedRead(benchmark::State &state)
 }
 BENCHMARK(BM_ParityEngineCorrectedRead);
 
+/** The whole ParityEngine constructor on tiny(), as each live RAS
+ *  datapath pays it: data image, parity, per-line CRCs and the copy. */
+void
+BM_ParityEngineCtor(benchmark::State &state)
+{
+    u64 seed = 42;
+    for (auto _ : state) {
+        ParityEngine eng(StackGeometry::tiny(), seed++);
+        benchmark::DoNotOptimize(eng);
+    }
+    state.SetLabel(fillDrawBytesOps().path);
+}
+BENCHMARK(BM_ParityEngineCtor)->Unit(benchmark::kMicrosecond);
+
 void
 BM_LlcFillProbe(benchmark::State &state)
 {
@@ -385,4 +416,19 @@ BENCHMARK(BM_FleetCampaignRun)->Unit(benchmark::kMillisecond);
 } // namespace
 } // namespace citadel
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    for (const citadel::FillDrawBytesOps &ops :
+         citadel::fillDrawBytesEntries())
+        benchmark::RegisterBenchmark(
+            (std::string("BM_FillDrawBytes/") + ops.path).c_str(),
+            citadel::BM_FillDrawBytes, &ops)
+            ->Unit(benchmark::kMicrosecond);
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

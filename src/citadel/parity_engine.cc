@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/kernels.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "common/serialize.h"
@@ -55,10 +56,7 @@ ParityEngine::ParityEngine(const StackGeometry &geom, u64 seed) : geom_(geom)
                       static_cast<u64>(geom_.rowsPerBank) * geom_.linesPerRow();
     golden_.assign(lines * geom_.lineBytes, 0);
     Rng rng(seed);
-    const auto data_end =
-        golden_.begin() + static_cast<long>(totalLines() * geom_.lineBytes);
-    for (auto b = golden_.begin(); b != data_end; ++b)
-        *b = static_cast<u8>(rng.next());
+    fillDrawBytes(rng, golden_.data(), totalLines() * geom_.lineBytes);
     buildParity();
 
     crc_.resize(lines);

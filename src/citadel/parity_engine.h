@@ -38,7 +38,10 @@ class ParityEngine
      * @param geom Geometry; stacks must be 1. Die count is
      *        channelsPerStack + 1 (data dies plus metadata die), as in
      *        the analytic model.
-     * @param seed Seeds the pseudo-random memory image.
+     * @param seed Seeds the pseudo-random memory image: data byte i
+     *        is the low byte of Rng(seed)'s i-th next(), on every
+     *        kernel path (fillDrawBytes, common/kernels.h, computes
+     *        that serial stream eight jump-ahead lanes at a time).
      */
     ParityEngine(const StackGeometry &geom, u64 seed = 42);
 

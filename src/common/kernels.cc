@@ -1,6 +1,8 @@
 #include "common/kernels.h"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -138,7 +140,131 @@ zeroScanScalar(RngLanes &lanes, const u64 *zeroMax, u32 n,
     return stop;
 }
 
+/** Lane l's fan-out polynomial x^(l * kFillSegment) mod P, word-major
+ *  like RngLanes: w[k][l] is its word k. Evaluated at compile time,
+ *  each lane's from the last one's by one multiply, which keeps the
+ *  evaluation far inside the compilers' constexpr step limits. */
+struct FillJumps
+{
+    alignas(64) u64 w[4][RngLanes::kLanes];
+};
+
+constexpr FillJumps kFillJumps = [] {
+    FillJumps j{};
+    const Gf2Poly segment = xoshiroJumpPoly(kFillSegment);
+    Gf2Poly p{1, 0, 0, 0};
+    for (unsigned l = 0; l < RngLanes::kLanes; ++l) {
+        if (l > 0)
+            p = gf2MulModP(p, segment);
+        for (std::size_t k = 0; k < 4; ++k)
+            j.w[k][l] = p[k];
+    }
+    return j;
+}();
+
+/**
+ * One round of the lane fill, one body for every lowering: the eight
+ * lanes are kGroups groups of V (two U64x4 or one U64x8), as in
+ * zeroScanBody. The fan-out steps `base` 256 times, and each lane xors
+ * in the states at its polynomial's set bits (Rng::jump, eight
+ * polynomials at once). Then every lane steps kFillSegment times
+ * and packs eight steps' low bytes into one word per lane, stored to
+ * its segment when the lane is one of the round's `segs`. `base`
+ * becomes lane segs - 1's end state, segs * kFillSegment draws on.
+ */
+template <typename V>
+[[gnu::always_inline]] inline void
+fillRoundBody(std::array<u64, 4> &base, u8 *out, unsigned segs)
+{
+    constexpr unsigned kWidth = sizeof(V) / sizeof(u64);
+    constexpr unsigned kGroups = RngLanes::kLanes / kWidth;
+    V s[4][kGroups] = {};
+    for (std::size_t word = 0; word < 4; ++word) {
+        V bits[kGroups];
+        std::memcpy(bits, kFillJumps.w[word], sizeof(bits));
+        for (unsigned bit = 0; bit < 64; ++bit) {
+#pragma GCC unroll 2
+            for (unsigned g = 0; g < kGroups; ++g) {
+                const V take = -(bits[g] & 1);
+                bits[g] >>= 1;
+                for (std::size_t k = 0; k < 4; ++k)
+                    s[k][g] ^= take & base[k];
+            }
+            u64 unused;
+            xoshiroStep(base[0], base[1], base[2], base[3], unused);
+        }
+    }
+    for (std::size_t t = 0; t < kFillSegment; t += 8) {
+        V pack[kGroups] = {};
+        for (unsigned step = 0; step < 8; ++step) {
+#pragma GCC unroll 2
+            for (unsigned g = 0; g < kGroups; ++g) {
+                V draw;
+                xoshiroStep(s[0][g], s[1][g], s[2][g], s[3][g], draw);
+                // The first step's byte lands at the lowest address.
+                if constexpr (std::endian::native == std::endian::little)
+                    pack[g] = (pack[g] >> 8) | (draw << 56);
+                else
+                    pack[g] = (pack[g] << 8) | (draw & 0xFF);
+            }
+        }
+        u64 words[RngLanes::kLanes];
+        std::memcpy(words, pack, sizeof(words));
+#pragma GCC unroll 8
+        for (unsigned l = 0; l < RngLanes::kLanes; ++l)
+            if (l < segs)
+                std::memcpy(out + l * kFillSegment + t, &words[l], 8);
+    }
+    for (std::size_t k = 0; k < 4; ++k) {
+        u64 lanes[RngLanes::kLanes];
+        std::memcpy(lanes, s[k], sizeof(lanes));
+        base[k] = lanes[segs - 1];
+    }
+}
+
+/** The lane fill over a whole buffer: lane rounds while at least
+ *  kFillMinSegments segments are left, then the serial loop. */
+template <typename V>
+[[gnu::always_inline]] inline void
+fillDrawBytesBody(Rng &rng, u8 *out, std::size_t n)
+{
+    constexpr std::size_t kRoundMin = kFillMinSegments * kFillSegment;
+    std::size_t i = 0;
+    if (n >= kRoundMin) {
+        std::array<u64, 4> base = rng.saveState();
+        while (n - i >= kRoundMin) {
+            const std::size_t segs = std::min<std::size_t>(
+                RngLanes::kLanes, (n - i) / kFillSegment);
+            fillRoundBody<V>(base, out + i, static_cast<unsigned>(segs));
+            i += segs * kFillSegment;
+        }
+        rng.restoreState(base);
+    }
+    fillDrawBytesSerial(rng, out + i, n - i);
+}
+
+void
+fillDrawBytesVector(Rng &rng, u8 *out, std::size_t n)
+{
+    fillDrawBytesBody<U64x4>(rng, out, n);
+}
+
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+
+/** The lane fill's two-group body lowered with AVX2. */
+__attribute__((target("avx2"))) void
+fillDrawBytesVectorAvx2(Rng &rng, u8 *out, std::size_t n)
+{
+    fillDrawBytesBody<U64x4>(rng, out, n);
+}
+
+/** The lane fill's one-group body lowered with AVX-512F: the rotates
+ *  are vprolq. */
+__attribute__((target("avx512f"))) void
+fillDrawBytesVectorAvx512(Rng &rng, u8 *out, std::size_t n)
+{
+    fillDrawBytesBody<U64x8>(rng, out, n);
+}
 
 /** The same scan body lowered with AVX2: each U64x4 operation is one
  *  ymm instruction instead of two SSE2 halves. */
@@ -337,6 +463,31 @@ const ZeroScanOps &
 zeroScanOps()
 {
     const std::span<const ZeroScanOps> entries = zeroScanEntries();
+    return resolveOps(entries[0], entries[1], entries.back());
+}
+
+std::span<const FillDrawBytesOps>
+fillDrawBytesEntries()
+{
+    static const std::vector<FillDrawBytesOps> entries = [] {
+        std::vector<FillDrawBytesOps> e{
+            {&fillDrawBytesSerial, "scalar-rng"},
+            {&fillDrawBytesVector, "vector2x4x64"}};
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+        if (haveAvx2())
+            e.push_back({&fillDrawBytesVectorAvx2, "vector2x4x64-avx2"});
+        if (haveAvx512())
+            e.push_back({&fillDrawBytesVectorAvx512, "vector8x64-avx512"});
+#endif
+        return e;
+    }();
+    return entries;
+}
+
+const FillDrawBytesOps &
+fillDrawBytesOps()
+{
+    const std::span<const FillDrawBytesOps> entries = fillDrawBytesEntries();
     return resolveOps(entries[0], entries[1], entries.back());
 }
 

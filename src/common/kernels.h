@@ -1,14 +1,14 @@
 /**
  * @file
  * Runtime kernel dispatch (DESIGN.md section 14). The three byte-level
- * hot kernels (xorFold, xorFoldN, CRC-32 bulk update) and the Monte
- * Carlo sampler's zero-cell scan each have a scalar proof
- * implementation and one or more wide implementations (GCC/Clang
- * vector extensions and their AVX2 and AVX-512 lowerings, PCLMULQDQ,
- * ARMv8 CRC). Every variant is value-pure — a pure function of its
- * input buffer or generator states — so which one runs can never
- * change a seeded result; the dispatch layer here only picks the
- * fastest available one.
+ * hot kernels (xorFold, xorFoldN, CRC-32 bulk update), the Monte
+ * Carlo sampler's zero-cell scan and the ParityEngine image's
+ * draw-byte fill each have a scalar proof implementation and one or
+ * more wide implementations (GCC/Clang vector extensions and their
+ * AVX2 and AVX-512 lowerings, PCLMULQDQ, ARMv8 CRC). Every variant is
+ * value-pure — a pure function of its input buffer or generator
+ * states — so which one runs can never change a seeded result; the
+ * dispatch layer here only picks the fastest available one.
  *
  * Selection happens once at startup from the CITADEL_KERNEL env knob
  * (scalar | vector | auto; invalid text is rejected to auto with a
@@ -34,11 +34,12 @@ enum class KernelMode
 {
     Scalar, ///< Force the scalar proof baselines (u64 xorFold, slice8 CRC).
     /// Force the portable vector-extension bodies (xorFold, xorFoldN,
-    /// zero-cell scan) without their AVX2 or AVX-512 lowerings; hw CRC
-    /// if present.
+    /// zero-cell scan, draw-byte fill) without their AVX2 or AVX-512
+    /// lowerings; hw CRC if present.
     Vector,
     /// Best available: the widest lowering of each vector body (AVX2;
-    /// AVX-512 for the zero-cell scan) and hw CRC when the CPU has them.
+    /// AVX-512 for the zero-cell scan and the draw-byte fill) and hw
+    /// CRC when the CPU has them.
     Auto,
 };
 
@@ -176,6 +177,60 @@ std::span<const ZeroScanOps> zeroScanEntries();
 /** Active zero-cell scan; revalidated against kernelModeEpoch() per
  *  call. */
 const ZeroScanOps &zeroScanOps();
+
+/** Draws in one lane's segment of the lane fill (see
+ *  fillDrawBytesSerial). */
+constexpr std::size_t kFillSegment = 4096;
+
+/** Fewest segments a lane round draws: a fill with fewer than this
+ *  many segments left finishes in the serial loop. */
+constexpr std::size_t kFillMinSegments = 4;
+
+/**
+ * The draw-byte fill: out[i] = u8(rng.next()) for i in [0, n), leaving
+ * `rng` where that loop leaves it. This body is the scalar proof.
+ *
+ * The dispatched entries compute the same bytes in rounds of up to
+ * RngLanes::kLanes segments of kFillSegment draws. A round fans the
+ * generator out into lanes, lane l jumped l * kFillSegment draws ahead
+ * (Rng::jump, by compile-time polynomials), steps all lanes together
+ * and writes lane l's low bytes to segment l, eight per 64-bit store.
+ * The last lane's end state is where the next round starts, and a
+ * tail of fewer than kFillMinSegments segments goes through this loop.
+ */
+inline void
+fillDrawBytesSerial(Rng &rng, u8 *out, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = static_cast<u8>(rng.next());
+}
+
+/** Signature of every draw-byte fill entry. */
+using FillDrawBytesFn = void (*)(Rng &rng, u8 *out, std::size_t n);
+
+/** Resolved draw-byte fill for the active mode. */
+struct FillDrawBytesOps
+{
+    FillDrawBytesFn fill;
+    /// "scalar-rng", "vector2x4x64", "vector2x4x64-avx2" or
+    /// "vector8x64-avx512", for reporting.
+    const char *path;
+};
+
+/** Every draw-byte fill entry this build compiled and this CPU runs,
+ *  in zeroScanEntries()' order and with its mode mapping. */
+std::span<const FillDrawBytesOps> fillDrawBytesEntries();
+
+/** Active draw-byte fill; revalidated against kernelModeEpoch() per
+ *  call. */
+const FillDrawBytesOps &fillDrawBytesOps();
+
+/** The draw-byte fill through the active entry. */
+inline void
+fillDrawBytes(Rng &rng, u8 *out, std::size_t n)
+{
+    fillDrawBytesOps().fill(rng, out, n);
+}
 
 } // namespace citadel
 

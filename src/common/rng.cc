@@ -23,6 +23,20 @@ Rng::Rng(u64 seed)
         s = splitmix64(x);
 }
 
+void
+Rng::jump(const Gf2Poly &poly)
+{
+    u64 acc[4] = {};
+    for (std::size_t i = 0; i < 256; ++i) {
+        const u64 take = 0 - ((poly[i / 64] >> (i % 64)) & 1);
+        for (std::size_t k = 0; k < 4; ++k)
+            acc[k] ^= s_[k] & take;
+        next();
+    }
+    for (std::size_t k = 0; k < 4; ++k)
+        s_[k] = acc[k];
+}
+
 u64
 Rng::below(u64 n)
 {

@@ -66,6 +66,63 @@ xoshiroStep(W &s0, W &s1, W &s2, W &s3, W &out)
 }
 
 /**
+ * A polynomial over GF(2) of degree below 256: bit i % 64 of word
+ * i / 64 is the coefficient of x^i.
+ *
+ * xoshiro256's state update is a linear map T on 256 bits over GF(2)
+ * (xors, shifts and rotates), so its characteristic polynomial P has
+ * P(T) = 0 (Cayley-Hamilton). Then T^d = r(T) for r = x^d mod P, and
+ * the state d steps on is the xor of the states i steps on, i over the
+ * set bits of r: a jump by any d costs 256 steps (Haramoto et al.,
+ * "Efficient Jump Ahead for F2-Linear Random Number Generators", 2008).
+ * The output scrambler (the ** multiplies) is not linear, but it only
+ * reads the state, so a jumped state draws the very stream the skipped
+ * draws lead into.
+ */
+using Gf2Poly = std::array<u64, 4>;
+
+/**
+ * xoshiro256's characteristic polynomial P, less its x^256 term. It
+ * is primitive, so every nonzero state has period 2^256 - 1, and
+ * test_rng re-derives it by Berlekamp-Massey from a stepped state bit.
+ */
+inline constexpr Gf2Poly kXoshiroCharPoly = {
+    0x9d116f2bb0f0f001ull, 0x0280002bcefd1a5eull, 0x04b4edcf26259f85ull,
+    0x0003c03c3f3ecb19ull};
+
+/** a * b mod P, by shift-and-add from b's top coefficient down. */
+constexpr Gf2Poly
+gf2MulModP(const Gf2Poly &a, const Gf2Poly &b)
+{
+    Gf2Poly r{};
+    for (std::size_t i = 256; i-- > 0;) {
+        // r *= x: the x^256 that shifts out reduces to P's low terms.
+        const u64 carry = r[3] >> 63;
+        for (std::size_t w = 3; w > 0; --w)
+            r[w] = (r[w] << 1) | (r[w - 1] >> 63);
+        r[0] <<= 1;
+        const u64 bit = (b[i / 64] >> (i % 64)) & 1;
+        for (std::size_t w = 0; w < 4; ++w)
+            r[w] ^= (kXoshiroCharPoly[w] & (0 - carry)) ^ (a[w] & (0 - bit));
+    }
+    return r;
+}
+
+/** x^d mod P: Rng::jump(xoshiroJumpPoly(d)) moves d draws ahead. */
+constexpr Gf2Poly
+xoshiroJumpPoly(u64 d)
+{
+    Gf2Poly r{1, 0, 0, 0};
+    Gf2Poly sq{2, 0, 0, 0}; // x^(2^k) at bit k of d
+    for (; d != 0; d >>= 1) {
+        if (d & 1)
+            r = gf2MulModP(r, sq);
+        sq = gf2MulModP(sq, sq);
+    }
+    return r;
+}
+
+/**
  * xoshiro256** generator (Blackman & Vigna). Seeded through splitmix64 so
  * that any 64-bit seed, including 0, produces a well-mixed state.
  */
@@ -208,6 +265,13 @@ class Rng
         for (std::size_t k = 0; k < 4; ++k)
             s_[k] = state[k];
     }
+
+    /**
+     * Move `d` draws ahead in 256 steps, for poly = xoshiroJumpPoly(d):
+     * the state becomes sum over set bits i of poly of the state i
+     * steps on (see Gf2Poly).
+     */
+    void jump(const Gf2Poly &poly);
 
   private:
     u64 s_[4];

@@ -273,7 +273,8 @@ class Writer
     void keyTable(const std::vector<T> &table, const T &empty, const char *)
     {
         sink_.putU64(static_cast<u64>(
-            table.size() - std::count(table.begin(), table.end(), empty)));
+            table.size() - static_cast<std::size_t>(std::count(
+                               table.begin(), table.end(), empty))));
         for (u64 key = 0; key < table.size(); ++key)
             if (!(table[key] == empty))
                 (*this)(key, table[key]);

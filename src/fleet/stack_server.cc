@@ -290,7 +290,8 @@ u64
 StackServer::kvCount() const
 {
     return static_cast<u64>(kv_.size() -
-                            std::count(kv_.begin(), kv_.end(), kAbsent));
+                            static_cast<std::size_t>(
+                                std::count(kv_.begin(), kv_.end(), kAbsent)));
 }
 
 std::pair<u64, u64>

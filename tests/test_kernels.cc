@@ -2,16 +2,18 @@
  * @file
  * Kernel-equivalence property suite (DESIGN.md section 14): every
  * dispatched implementation of the hot kernels — xorFold, xorFoldN,
- * CRC-32 bulk update, the sampler's zero-cell scan — must be
- * bit-identical to its scalar proof over random lengths, all byte
- * misalignments, multi-source counts, mid-stream state splits and
- * mixed cell thresholds. The dispatch layer itself is
+ * CRC-32 bulk update, the sampler's zero-cell scan, the draw-byte
+ * fill — must be bit-identical to its scalar proof over random
+ * lengths, all byte misalignments, multi-source counts, mid-stream
+ * state splits, mixed cell thresholds and fill lengths on both sides
+ * of every segment and round boundary. The dispatch layer itself is
  * tested too: forced modes resolve to the expected paths, the epoch
  * invalidates cached pointers, and every mode produces the same bytes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -420,6 +422,68 @@ TEST(Kernels, ZeroScanDispatchFollowsMode)
     EXPECT_STREQ(zeroScanOps().path, "vector2x4x64");
     setKernelMode(KernelMode::Auto);
     EXPECT_STREQ(zeroScanOps().path, want.back().c_str());
+}
+
+TEST(Kernels, FillDrawBytesMatchesSerialLoopOnEveryEntry)
+{
+    // Every fill entry this host runs against out[i] = u8(rng.next()):
+    // the same bytes, no byte written past n and the same generator
+    // state after it. The lengths sit on both sides of the serial
+    // cutoff and of round and segment boundaries, up to three full
+    // rounds, with odd tails and unaligned destinations.
+    constexpr std::size_t kS = kFillSegment;
+    constexpr std::size_t kRound = RngLanes::kLanes * kS;
+    constexpr std::size_t kMin = kFillMinSegments * kS;
+    const std::size_t lengths[] = {
+        0,           1,          7,           8,
+        9,           kS - 1,     kS + 3,      kMin - 1,
+        kMin,        kMin + 1,   kMin + 29,   kRound - 1,
+        kRound,      kRound + kS - 1,         kRound + kMin,
+        kRound + kMin + 13,      2 * kRound,  2 * kRound + 7,
+        2 * kRound + kMin + kS - 1,           3 * kRound};
+    constexpr std::size_t kPad = 16;
+    for (const FillDrawBytesOps &entry : fillDrawBytesEntries()) {
+        SCOPED_TRACE(entry.path);
+        for (const u64 seed : {u64{42}, u64{0}, u64{0xD1CE}}) {
+            for (const std::size_t n : lengths) {
+                SCOPED_TRACE("seed " + std::to_string(seed) + " n " +
+                             std::to_string(n));
+                const std::size_t offset = n % 8;
+                Rng want(seed);
+                std::vector<u8> expect(n);
+                for (u8 &b : expect)
+                    b = static_cast<u8>(want.next());
+                std::vector<u8> buf(offset + n + kPad, 0xA5);
+                Rng got(seed);
+                entry.fill(got, buf.data() + offset, n);
+                ASSERT_TRUE(std::equal(expect.begin(), expect.end(),
+                                       buf.begin() +
+                                           static_cast<long>(offset)));
+                for (std::size_t i = 0; i < kPad; ++i)
+                    ASSERT_EQ(buf[offset + n + i], 0xA5) << "pad " << i;
+                ASSERT_EQ(got.saveState(), want.saveState());
+            }
+        }
+    }
+}
+
+TEST(Kernels, FillDrawBytesDispatchFollowsMode)
+{
+    // The fill's entries are the zero-cell scan's paths, in its order,
+    // and each mode resolves to the same place.
+    const std::span<const FillDrawBytesOps> entries = fillDrawBytesEntries();
+    const std::span<const ZeroScanOps> scans = zeroScanEntries();
+    ASSERT_EQ(entries.size(), scans.size());
+    for (std::size_t i = 0; i < entries.size(); ++i)
+        EXPECT_STREQ(entries[i].path, scans[i].path);
+
+    KernelModeGuard guard;
+    for (const KernelMode mode :
+         {KernelMode::Scalar, KernelMode::Vector, KernelMode::Auto}) {
+        setKernelMode(mode);
+        EXPECT_STREQ(fillDrawBytesOps().path, zeroScanOps().path)
+            << kernelModeName(mode);
+    }
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/kernels.h"
 #include "common/rng.h"
 #include "common/stats.h"
 
@@ -283,6 +284,95 @@ TEST(Rng, LanesMoveStateBitForBit)
     Rng other(0);
     lanes.store(3, other);
     EXPECT_EQ(other.saveState(), Rng(103).saveState());
+}
+
+TEST(Rng, CharPolyIsBerlekampMasseyOfTheStream)
+{
+    // Any state bit, stepped, is a linear recurrence whose minimal
+    // polynomial divides P; P is irreducible, so Berlekamp-Massey over
+    // 2 * 256 terms of it returns P itself, from several seeds and bits.
+    for (const u64 seed : {u64{1}, u64{77}, u64{0xC17ADE1}}) {
+        for (const unsigned bit : {0u, 63u, 130u, 255u}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " bit " +
+                         std::to_string(bit));
+            Rng r(seed);
+            std::vector<u64> seq(512);
+            for (u64 &b : seq) {
+                b = r.saveState()[bit / 64] >> (bit % 64) & 1;
+                r.next();
+            }
+            // Connection polynomial c (c[0] = 1) of the shortest LFSR,
+            // length len, that generates seq.
+            std::vector<u64> c(seq.size() + 1), prev(seq.size() + 1);
+            c[0] = prev[0] = 1;
+            std::size_t len = 0;
+            std::size_t shift = 1;
+            for (std::size_t n = 0; n < seq.size(); ++n) {
+                u64 d = seq[n];
+                for (std::size_t i = 1; i <= len; ++i)
+                    d ^= c[i] & seq[n - i];
+                if (d == 0) {
+                    ++shift;
+                    continue;
+                }
+                const std::vector<u64> saved = c;
+                for (std::size_t i = 0; i + shift < c.size(); ++i)
+                    c[i + shift] ^= prev[i];
+                if (2 * len <= n) {
+                    len = n + 1 - len;
+                    prev = saved;
+                    shift = 1;
+                } else {
+                    ++shift;
+                }
+            }
+            ASSERT_EQ(len, 256u);
+            // P is c reversed: the coefficient of x^(256 - i) is c[i].
+            Gf2Poly p{};
+            for (std::size_t i = 1; i <= len; ++i)
+                p[(256 - i) / 64] |= c[i] << ((256 - i) % 64);
+            EXPECT_EQ(p, kXoshiroCharPoly);
+        }
+    }
+}
+
+TEST(Rng, JumpMovesThatManyDraws)
+{
+    // Rng::jump(xoshiroJumpPoly(d)) lands where d next() calls do, at
+    // the lane fill's segment boundaries and a random large d.
+    constexpr u64 kS = kFillSegment;
+    Rng gen(24);
+    const u64 far = 1'000'000 + gen.below(1'000'000);
+    for (const u64 d : {u64{0}, u64{1}, kS - 1, kS, 7 * kS, 8 * kS + 1, far}) {
+        SCOPED_TRACE("d " + std::to_string(d));
+        Rng stepped(gen.next());
+        Rng jumped = stepped;
+        for (u64 i = 0; i < d; ++i)
+            stepped.next();
+        jumped.jump(xoshiroJumpPoly(d));
+        EXPECT_EQ(jumped.saveState(), stepped.saveState());
+        EXPECT_EQ(jumped.next(), stepped.next());
+    }
+}
+
+TEST(Rng, JumpPolyMatchesTheReferenceJumps)
+{
+    // x^(2^128) and x^(2^192) mod P are the JUMP and LONG_JUMP words
+    // of Blackman & Vigna's reference xoshiro256**, whose jump()
+    // consumes them bit by bit as Rng::jump does.
+    Gf2Poly x2k{2, 0, 0, 0}; // x^(2^k)
+    for (int k = 0; k < 128; ++k)
+        x2k = gf2MulModP(x2k, x2k);
+    EXPECT_EQ(x2k, (Gf2Poly{0x180ec6d33cfd0abaull, 0xd5a61266f0c9392cull,
+                            0xa9582618e03fc9aaull, 0x39abdc4529b1661cull}));
+    for (int k = 128; k < 192; ++k)
+        x2k = gf2MulModP(x2k, x2k);
+    EXPECT_EQ(x2k, (Gf2Poly{0x76e15d3efefdcbbfull, 0xc5004e441c522fb3ull,
+                            0x77710069854ee241ull, 0x39109bb02acbe635ull}));
+    // And xoshiroJumpPoly multiplies those powers: x^(a + b) is
+    // x^a * x^b.
+    EXPECT_EQ(xoshiroJumpPoly(12345 + 67890),
+              gf2MulModP(xoshiroJumpPoly(12345), xoshiroJumpPoly(67890)));
 }
 
 // The guide-table lookup against the binary search it replaced, over
