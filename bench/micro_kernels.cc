@@ -340,6 +340,26 @@ BM_ParityEngineCtor(benchmark::State &state)
 }
 BENCHMARK(BM_ParityEngineCtor)->Unit(benchmark::kMicrosecond);
 
+/** One lane Bernoulli draw entry over a warm-up block's 256 rounds
+ *  at lbm's write fraction; main() registers one per entry this host
+ *  runs, named by its path. */
+void
+BM_ChanceLanes(benchmark::State &state, const ChanceLanesOps *ops)
+{
+    RngLanes lanes;
+    for (unsigned l = 0; l < RngLanes::kLanes; ++l)
+        lanes.load(l, Rng(mix64(l + 1)));
+    const Rng::Odds odds = Rng::odds(findBenchmark("lbm").writeFrac);
+    std::vector<u8> bits(256);
+    for (auto _ : state) {
+        ops->draw(lanes, odds, bits.data(), bits.size());
+        benchmark::DoNotOptimize(bits.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(bits.size()));
+}
+
 void
 BM_LlcFillProbe(benchmark::State &state)
 {
@@ -366,6 +386,8 @@ BM_SystemSimCtor(benchmark::State &state)
         SystemSim sim(cfg, lbm);
         benchmark::DoNotOptimize(&sim);
     }
+    state.SetLabel(std::string("match ") + SystemSim::warmFillPath() +
+                   ", chance " + chanceLanesOps().path);
 }
 BENCHMARK(BM_SystemSimCtor)->Unit(benchmark::kMillisecond);
 
@@ -425,6 +447,10 @@ main(int argc, char **argv)
             (std::string("BM_FillDrawBytes/") + ops.path).c_str(),
             citadel::BM_FillDrawBytes, &ops)
             ->Unit(benchmark::kMicrosecond);
+    for (const citadel::ChanceLanesOps &ops : citadel::chanceLanesEntries())
+        benchmark::RegisterBenchmark(
+            (std::string("BM_ChanceLanes/") + ops.path).c_str(),
+            citadel::BM_ChanceLanes, &ops);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

@@ -249,6 +249,78 @@ fillDrawBytesVector(Rng &rng, u8 *out, std::size_t n)
     fillDrawBytesBody<U64x4>(rng, out, n);
 }
 
+/** Signed lanes for the chance compare: both sides are below 2^53. */
+typedef i64 I64x4 __attribute__((vector_size(32)));
+
+/**
+ * The lane Bernoulli draw as vector code, one body for every
+ * lowering: the eight lanes are kGroups groups of V, as in
+ * zeroScanBody, stepped once per round. `Bits` is the ISA's compare,
+ * built from the round's draws and the bound: bits() has bit l set
+ * when lane l's draw >> 11 is below it, which is Rng::chance(Odds).
+ */
+template <typename V, typename Bits>
+[[gnu::always_inline]] inline void
+chanceLanesBody(RngLanes &lanes, Rng::Odds odds, u8 *out,
+                std::size_t rounds)
+{
+    // bound - 1 wraps for bound 0, so one compare finds both no-draw
+    // cases, as in Rng::chance(Odds).
+    if (odds.bound - 1 >= kZeroMaxLimit - 1) {
+        std::memset(out, odds.bound != 0 ? 0xFF : 0, rounds);
+        return;
+    }
+    constexpr unsigned kWidth = sizeof(V) / sizeof(u64);
+    constexpr unsigned kGroups = RngLanes::kLanes / kWidth;
+    V s[4][kGroups];
+    for (std::size_t k = 0; k < 4; ++k)
+        std::memcpy(s[k], lanes.s[k], sizeof(s[k]));
+    for (std::size_t r = 0; r < rounds; ++r) {
+        V draw[kGroups];
+#pragma GCC unroll 2
+        for (unsigned g = 0; g < kGroups; ++g)
+            xoshiroStep(s[0][g], s[1][g], s[2][g], s[3][g], draw[g]);
+        out[r] = Bits(draw, odds.bound).bits();
+    }
+    for (std::size_t k = 0; k < 4; ++k)
+        std::memcpy(lanes.s[k], s[k], sizeof(s[k]));
+}
+
+/**
+ * The portable compare over two U64x4 groups: a signed lane compare,
+ * each lane's mask kept at its own bit and the groups ORed, then two
+ * shuffle-ORs gather the eight bits into lane 0.
+ */
+struct WeightBits
+{
+    U64x4 set;
+
+    [[gnu::always_inline]] WeightBits(const U64x4 (&draw)[2], u64 bound)
+    {
+        const I64x4 b = I64x4{} + static_cast<i64>(bound);
+        const U64x4 lo = reinterpret_cast<U64x4>(
+            reinterpret_cast<I64x4>(draw[0] >> 11) < b);
+        const U64x4 hi = reinterpret_cast<U64x4>(
+            reinterpret_cast<I64x4>(draw[1] >> 11) < b);
+        set = (lo & U64x4{1, 2, 4, 8}) | (hi & U64x4{16, 32, 64, 128});
+    }
+
+    [[gnu::always_inline]] u8
+    bits() const
+    {
+        U64x4 a = set | __builtin_shufflevector(set, set, 2, 3, 0, 1);
+        a |= __builtin_shufflevector(a, a, 1, 0, 3, 2);
+        return static_cast<u8>(a[0]);
+    }
+};
+
+void
+chanceLanesVector(RngLanes &lanes, Rng::Odds odds, u8 *out,
+                  std::size_t rounds)
+{
+    chanceLanesBody<U64x4, WeightBits>(lanes, odds, out, rounds);
+}
+
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 
 /** The lane fill's two-group body lowered with AVX2. */
@@ -264,6 +336,63 @@ __attribute__((target("avx512f"))) void
 fillDrawBytesVectorAvx512(Rng &rng, u8 *out, std::size_t n)
 {
     fillDrawBytesBody<U64x8>(rng, out, n);
+}
+
+/**
+ * The AVX2 compare over two U64x4 groups: one vpcmpgtq per group
+ * (bound > draw >> 11, signed, exact below 2^53) and vmovmskpd, whose
+ * four bits are the group's lanes. Not always_inline, for MaskHit's
+ * reason below: flatten on the entry inlines it.
+ */
+struct MoveMaskBits
+{
+    u8 set;
+
+    [[gnu::target("avx2")]] MoveMaskBits(const U64x4 (&draw)[2],
+                                         u64 bound)
+    {
+        const __m256i b = _mm256_set1_epi64x(static_cast<long long>(bound));
+        const int lo = _mm256_movemask_pd(_mm256_castsi256_pd(
+            _mm256_cmpgt_epi64(b, reinterpret_cast<__m256i>(draw[0] >> 11))));
+        const int hi = _mm256_movemask_pd(_mm256_castsi256_pd(
+            _mm256_cmpgt_epi64(b, reinterpret_cast<__m256i>(draw[1] >> 11))));
+        set = static_cast<u8>(lo | (hi << 4));
+    }
+
+    u8 bits() const { return set; }
+};
+
+/** The lane Bernoulli draw's two-group body lowered with AVX2. */
+__attribute__((target("avx2"), flatten)) void
+chanceLanesVectorAvx2(RngLanes &lanes, Rng::Odds odds, u8 *out,
+                      std::size_t rounds)
+{
+    chanceLanesBody<U64x4, MoveMaskBits>(lanes, odds, out, rounds);
+}
+
+/** The AVX-512 compare over one U64x8 group: one vpcmpuq into a mask
+ *  register, whose eight bits are the lanes. */
+struct CompareMaskBits
+{
+    __mmask8 set;
+
+    [[gnu::target("avx512f")]] CompareMaskBits(const U64x8 (&draw)[1],
+                                               u64 bound)
+        : set(_mm512_cmplt_epu64_mask(
+              reinterpret_cast<__m512i>(draw[0] >> 11),
+              _mm512_set1_epi64(static_cast<long long>(bound))))
+    {
+    }
+
+    u8 bits() const { return set; }
+};
+
+/** The lane Bernoulli draw's one-group body lowered with AVX-512F. */
+__attribute__((target("avx512f"), flatten)) void
+chanceLanesVectorAvx512(RngLanes &lanes, Rng::Odds odds, u8 *out,
+                        std::size_t rounds)
+{
+    chanceLanesBody<U64x8, CompareMaskBits>(lanes, odds, out, rounds);
 }
 
 /** The same scan body lowered with AVX2: each U64x4 operation is one
@@ -328,28 +457,6 @@ xorFoldNVectorAvx2(u8 *dst, const u8 *const *srcs, std::size_t k,
     xorFoldNVector(dst, srcs, k, n);
 }
 
-bool
-haveAvx2()
-{
-    static const bool avail = __builtin_cpu_supports("avx2") != 0;
-    return avail;
-}
-
-bool
-haveAvx512()
-{
-    static const bool avail = __builtin_cpu_supports("avx512f") != 0;
-    return avail;
-}
-
-#else
-
-bool
-haveAvx2()
-{
-    return false;
-}
-
 #endif
 
 std::atomic<u64> gEpoch{0};
@@ -394,52 +501,43 @@ kernelModeEpoch()
     return gEpoch.load(std::memory_order_acquire);
 }
 
-namespace {
-
-/**
- * The ops table for the active mode. Vector forces the portable
- * vector-extension body (which degrades to plain word ops on
- * SIMD-less targets, so it is never worse than the scalar proof), so
- * that body can be checked on any host. Auto takes `best`, the widest
- * lowering the CPU runs. The cache is thread_local per Ops type so MC
- * workers re-resolve without racing.
- */
-template <typename Ops>
-const Ops &
-resolveOps(const Ops &scalar, const Ops &vector, const Ops &best)
+bool
+cpuHasAvx2()
 {
-    thread_local const Ops *resolved = nullptr;
-    thread_local u64 resolvedEpoch = ~u64{0};
-    const u64 epoch = kernelModeEpoch();
-    if (resolved == nullptr || resolvedEpoch != epoch) {
-        const KernelMode mode = activeKernelMode();
-        if (mode == KernelMode::Scalar)
-            resolved = &scalar;
-        else if (mode == KernelMode::Vector)
-            resolved = &vector;
-        else
-            resolved = &best;
-        resolvedEpoch = epoch;
-    }
-    return *resolved;
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+    static const bool avail = __builtin_cpu_supports("avx2") != 0;
+    return avail;
+#else
+    return false;
+#endif
 }
 
-} // namespace
+bool
+cpuHasAvx512()
+{
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+    static const bool avail = __builtin_cpu_supports("avx512f") != 0;
+    return avail;
+#else
+    return false;
+#endif
+}
 
 const XorKernelOps &
 xorKernelOps()
 {
-    static constexpr XorKernelOps kScalar{&xorFoldScalar, &xorFoldNScalar,
-                                          "scalar-u64"};
-    static constexpr XorKernelOps kVector{&xorFoldVector, &xorFoldNVector,
-                                          "vector32"};
+    static const std::vector<XorKernelOps> entries = [] {
+        std::vector<XorKernelOps> e{
+            {&xorFoldScalar, &xorFoldNScalar, "scalar-u64"},
+            {&xorFoldVector, &xorFoldNVector, "vector32"}};
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-    static constexpr XorKernelOps kVectorAvx2{
-        &xorFoldVectorAvx2, &xorFoldNVectorAvx2, "vector32-avx2"};
-#else
-    static constexpr const XorKernelOps &kVectorAvx2 = kVector;
+        if (cpuHasAvx2())
+            e.push_back(
+                {&xorFoldVectorAvx2, &xorFoldNVectorAvx2, "vector32-avx2"});
 #endif
-    return resolveOps(kScalar, kVector, haveAvx2() ? kVectorAvx2 : kVector);
+        return e;
+    }();
+    return activeEntry<XorKernelOps>(entries);
 }
 
 std::span<const ZeroScanOps>
@@ -449,9 +547,9 @@ zeroScanEntries()
         std::vector<ZeroScanOps> e{{&zeroScanScalar, "scalar-rng"},
                                    {&zeroScanVector, "vector2x4x64"}};
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-        if (haveAvx2())
+        if (cpuHasAvx2())
             e.push_back({&zeroScanVectorAvx2, "vector2x4x64-avx2"});
-        if (haveAvx512())
+        if (cpuHasAvx512())
             e.push_back({&zeroScanVectorAvx512, "vector8x64-avx512"});
 #endif
         return e;
@@ -462,8 +560,7 @@ zeroScanEntries()
 const ZeroScanOps &
 zeroScanOps()
 {
-    const std::span<const ZeroScanOps> entries = zeroScanEntries();
-    return resolveOps(entries[0], entries[1], entries.back());
+    return activeEntry(zeroScanEntries());
 }
 
 std::span<const FillDrawBytesOps>
@@ -474,9 +571,9 @@ fillDrawBytesEntries()
             {&fillDrawBytesSerial, "scalar-rng"},
             {&fillDrawBytesVector, "vector2x4x64"}};
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-        if (haveAvx2())
+        if (cpuHasAvx2())
             e.push_back({&fillDrawBytesVectorAvx2, "vector2x4x64-avx2"});
-        if (haveAvx512())
+        if (cpuHasAvx512())
             e.push_back({&fillDrawBytesVectorAvx512, "vector8x64-avx512"});
 #endif
         return e;
@@ -487,8 +584,30 @@ fillDrawBytesEntries()
 const FillDrawBytesOps &
 fillDrawBytesOps()
 {
-    const std::span<const FillDrawBytesOps> entries = fillDrawBytesEntries();
-    return resolveOps(entries[0], entries[1], entries.back());
+    return activeEntry(fillDrawBytesEntries());
+}
+
+std::span<const ChanceLanesOps>
+chanceLanesEntries()
+{
+    static const std::vector<ChanceLanesOps> entries = [] {
+        std::vector<ChanceLanesOps> e{{&chanceLanesRng, "scalar-rng"},
+                                      {&chanceLanesVector, "vector2x4x64"}};
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+        if (cpuHasAvx2())
+            e.push_back({&chanceLanesVectorAvx2, "vector2x4x64-avx2"});
+        if (cpuHasAvx512())
+            e.push_back({&chanceLanesVectorAvx512, "vector8x64-avx512"});
+#endif
+        return e;
+    }();
+    return entries;
+}
+
+const ChanceLanesOps &
+chanceLanesOps()
+{
+    return activeEntry(chanceLanesEntries());
 }
 
 } // namespace citadel

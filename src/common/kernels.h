@@ -2,13 +2,15 @@
  * @file
  * Runtime kernel dispatch (DESIGN.md section 14). The three byte-level
  * hot kernels (xorFold, xorFoldN, CRC-32 bulk update), the Monte
- * Carlo sampler's zero-cell scan and the ParityEngine image's
- * draw-byte fill each have a scalar proof implementation and one or
- * more wide implementations (GCC/Clang vector extensions and their
- * AVX2 and AVX-512 lowerings, PCLMULQDQ, ARMv8 CRC). Every variant is
- * value-pure — a pure function of its input buffer or generator
- * states — so which one runs can never change a seeded result; the
- * dispatch layer here only picks the fastest available one.
+ * Carlo sampler's zero-cell scan, the ParityEngine image's draw-byte
+ * fill and the LLC warm-up's lane Bernoulli draw each have a scalar
+ * proof implementation and one or more wide implementations (GCC/Clang
+ * vector extensions and their AVX2 and AVX-512 lowerings, PCLMULQDQ,
+ * ARMv8 CRC); the SystemSim warm-up's LLC tag compare
+ * (sim/llc_match.h) picks its entry through the same layer. Every variant is value-pure — a pure
+ * function of its input buffer or generator states — so which one
+ * runs can never change a seeded result; the dispatch layer here only
+ * picks the fastest available one.
  *
  * Selection happens once at startup from the CITADEL_KERNEL env knob
  * (scalar | vector | auto; invalid text is rejected to auto with a
@@ -67,6 +69,44 @@ void setKernelMode(KernelMode mode);
  * function pointer compare this before use and re-resolve on change.
  */
 u64 kernelModeEpoch();
+
+/** Whether this CPU runs AVX2 code; the entry lists below and the
+ *  SystemSim warm-up's fill entries add their AVX2 lowerings on it. */
+bool cpuHasAvx2();
+
+/** Whether this CPU runs AVX-512F code, for the AVX-512 entries. */
+bool cpuHasAvx512();
+
+/**
+ * The entry of a kernel's list that the active mode selects: the
+ * scalar proof first (Scalar), the portable vector body second
+ * (Vector, which every host compiles, so it can be checked anywhere),
+ * and the widest lowering the CPU runs last (Auto). A list whose
+ * portable body is slower than its proof lists the proof last again
+ * where the CPU has no lowering, so that Auto keeps it. The choice is
+ * cached per thread and per Ops type, so Monte Carlo workers
+ * re-resolve without racing, and revalidated against
+ * kernelModeEpoch() on every call.
+ */
+template <typename Ops>
+const Ops &
+activeEntry(std::span<const Ops> entries)
+{
+    thread_local const Ops *resolved = nullptr;
+    thread_local u64 resolvedEpoch = ~u64{0};
+    const u64 epoch = kernelModeEpoch();
+    if (resolved == nullptr || resolvedEpoch != epoch) {
+        const KernelMode mode = activeKernelMode();
+        if (mode == KernelMode::Scalar)
+            resolved = &entries[0];
+        else if (mode == KernelMode::Vector)
+            resolved = &entries[1];
+        else
+            resolved = &entries.back();
+        resolvedEpoch = epoch;
+    }
+    return *resolved;
+}
 
 /** dst[i] ^= src[i] over [0, n); signature of every xorFold variant. */
 using XorFoldFn = void (*)(u8 *dst, const u8 *src, std::size_t n);
@@ -231,6 +271,55 @@ fillDrawBytes(Rng &rng, u8 *out, std::size_t n)
 {
     fillDrawBytesOps().fill(rng, out, n);
 }
+
+/**
+ * The lane Bernoulli draw: bit l of out[r] is lane l's r-th
+ * Rng::chance(odds), for r in [0, rounds), and every lane ends where
+ * those `rounds` calls leave it. Odds that decide without a draw
+ * (bound 0 or 2^53) step no lane and write all-zero or all-one bytes.
+ * A caller with fewer than RngLanes::kLanes generators ignores the
+ * spare lanes' bits. This body is the scalar proof, each lane moved
+ * into an Rng.
+ *
+ * The dispatched entries step all eight lanes once per round and
+ * compare each lane's draw >> 11 with the bound at once; both are
+ * below 2^53, so a signed 64-bit compare is exact.
+ */
+inline void
+chanceLanesRng(RngLanes &lanes, Rng::Odds odds, u8 *out,
+               std::size_t rounds)
+{
+    for (std::size_t r = 0; r < rounds; ++r)
+        out[r] = 0;
+    for (unsigned l = 0; l < RngLanes::kLanes; ++l) {
+        Rng rng;
+        lanes.store(l, rng);
+        for (std::size_t r = 0; r < rounds; ++r)
+            out[r] = static_cast<u8>(out[r] | (rng.chance(odds) << l));
+        lanes.load(l, rng);
+    }
+}
+
+/** Signature of every lane Bernoulli draw entry. */
+using ChanceLanesFn = void (*)(RngLanes &lanes, Rng::Odds odds, u8 *out,
+                               std::size_t rounds);
+
+/** Resolved lane Bernoulli draw for the active mode. */
+struct ChanceLanesOps
+{
+    ChanceLanesFn draw;
+    /// "scalar-rng", "vector2x4x64", "vector2x4x64-avx2" or
+    /// "vector8x64-avx512", for reporting.
+    const char *path;
+};
+
+/** Every lane Bernoulli draw entry this build compiled and this CPU
+ *  runs, in zeroScanEntries()' order and with its mode mapping. */
+std::span<const ChanceLanesOps> chanceLanesEntries();
+
+/** Active lane Bernoulli draw; revalidated against kernelModeEpoch()
+ *  per call. */
+const ChanceLanesOps &chanceLanesOps();
 
 } // namespace citadel
 

@@ -38,25 +38,6 @@ Rng::jump(const Gf2Poly &poly)
 }
 
 u64
-Rng::below(u64 n)
-{
-    assert(n > 0);
-    // Lemire-style rejection to avoid modulo bias.
-    u64 x = next();
-    __uint128_t m = static_cast<__uint128_t>(x) * n;
-    u64 l = static_cast<u64>(m);
-    if (l < n) {
-        u64 t = -n % n;
-        while (l < t) {
-            x = next();
-            m = static_cast<__uint128_t>(x) * n;
-            l = static_cast<u64>(m);
-        }
-    }
-    return static_cast<u64>(m >> 64);
-}
-
-u64
 Rng::inRange(u64 lo, u64 hi)
 {
     assert(lo <= hi);

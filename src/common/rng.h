@@ -14,6 +14,7 @@
 #define CITADEL_COMMON_RNG_H
 
 #include <array>
+#include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -168,8 +169,25 @@ class Rng
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
-    /** Uniform integer in [0, n) for n > 0, without modulo bias. */
-    u64 below(u64 n);
+    /** Uniform integer in [0, n) for n > 0, without modulo bias
+     *  (Lemire's multiply-and-reject). */
+    u64
+    below(u64 n)
+    {
+        assert(n > 0);
+        u64 x = next();
+        __uint128_t m = static_cast<__uint128_t>(x) * n;
+        u64 l = static_cast<u64>(m);
+        if (l < n) [[unlikely]] {
+            const u64 t = -n % n;
+            while (l < t) {
+                x = next();
+                m = static_cast<__uint128_t>(x) * n;
+                l = static_cast<u64>(m);
+            }
+        }
+        return static_cast<u64>(m >> 64);
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     u64 inRange(u64 lo, u64 hi);

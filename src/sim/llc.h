@@ -11,8 +11,13 @@
  *
  * Layout: a set is a 64-byte block of eight tags (ways beyond the
  * associativity stay empty) plus an 8-byte record. A lookup compares
- * all eight tags at once, with no branch per way. The record holds
- * the set's recency word, where nibble k is the way at recency rank k
+ * all eight tags at once, with no branch per way: fill() and
+ * probeParity() with eight scalar compares (matchMask, in
+ * sim/llc_match.h). The SystemSim warm-up compiles its fill loop
+ * around fillWith() once per compare there and picks one by kernel
+ * mode: one vpcmpeqq into a mask register on AVX-512, two vpcmpeqq
+ * and two vmovmskpd on AVX2, or matchMask itself. The record holds the
+ * set's recency word, where nibble k is the way at recency rank k
  * (rank 0 is the most recent), so the LRU victim is read off the word
  * and a touch is a shift, with no per-way timestamps to scan; the
  * number of filled ways; and the dirty and parity flags as bit masks
@@ -78,6 +83,13 @@ class Llc
     /** Install a line; returns the displaced victim (LRU). */
     Victim fill(LineAddr addr, bool dirty, bool parity);
 
+    /**
+     * fill() with the tag compare `Match` inlined (sim/llc_match.h,
+     * which defines it), for a loop of fills compiled once per compare.
+     */
+    template <auto Match>
+    Victim fillWith(LineAddr addr, bool dirty, bool parity);
+
     const LlcStats &stats() const { return stats_; }
     u32 sets() const { return sets_; }
 
@@ -109,9 +121,19 @@ class Llc
     std::vector<Tags> tags_;
     std::vector<SetState> state_;
     LlcStats stats_;
+    /** Index of `addr`'s set. Defined inline, as touch() is, in
+     *  sim/llc_match.h beside the bodies that use them. */
+    inline u64 setOf(LineAddr addr) const;
 
-    /** Index of `addr`'s set. */
-    u64 setOf(LineAddr addr) const;
+    /**
+     * `order` with resident way `w` moved to rank 0 and the ways above
+     * it in recency shifted down one rank. The lowest nibble equal to
+     * `w` is its rank: XOR leaves that nibble zero, and the zero-nibble
+     * test's lowest set bit (its top bit) is exact, since no nibble
+     * below it borrows. Nibbles past the filled ranks are ignored: `w`
+     * always appears below them.
+     */
+    static inline u32 touch(u32 order, u32 w);
 };
 
 } // namespace citadel

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/kernels.h"
 #include "common/log.h"
+#include "sim/llc_match.h"
 #include "sim/retirement.h"
 
 namespace citadel {
@@ -19,6 +21,104 @@ constexpr u32 kMlp = 8;
 
 /** LLC associativity (Table II: 8-way). */
 constexpr u32 kLlcWays = 8;
+
+/** Rounds of the LLC warm-up drawn and filled per block. */
+constexpr std::size_t kWarmBlock = 256;
+
+/**
+ * One block of the LLC warm-up as its fills see it: for rounds r in
+ * [0, rounds), core c's line at lines[c * kWarmBlock + r] and its
+ * dirty bit at bit c % 8 of dirty[c / 8 * kWarmBlock + r]. Every core
+ * fills in each round but a partial last one, where only the first
+ * `last` do (`last` 0: the last round is full).
+ */
+struct WarmBlock
+{
+    const LineAddr *lines;
+    const u8 *dirty;
+    std::size_t rounds;
+    std::size_t cores;
+    std::size_t last;
+};
+
+/** The block's fills in round-robin order, Llc::fillWith<Match>
+ *  inlined, each fill's victim in hand. */
+template <auto Match>
+[[gnu::always_inline]] inline void
+warmFills(Llc &llc, WarmBlock b)
+{
+    constexpr std::size_t kLanes = RngLanes::kLanes;
+    for (std::size_t r = 0; r < b.rounds; ++r) {
+        const std::size_t width =
+            r + 1 == b.rounds && b.last != 0 ? b.last : b.cores;
+        for (std::size_t c = 0; c < width; ++c) {
+            const bool dirty =
+                (b.dirty[c / kLanes * kWarmBlock + r] >> (c % kLanes)) & 1;
+            const Llc::Victim victim =
+                llc.fillWith<Match>(b.lines[c * kWarmBlock + r], dirty, false);
+            (void)victim;
+        }
+    }
+}
+
+/** The warm-up's fills around one tag compare (sim/llc_match.h). */
+struct WarmFillsOps
+{
+    void (*fills)(Llc &llc, WarmBlock block);
+    /// "scalar-u64", "vector2x4x64", "vector2x4x64-avx2" or
+    /// "vector8x64-avx512", for reporting.
+    const char *path;
+};
+
+template <auto Match>
+void
+warmFillsEntry(Llc &llc, WarmBlock b)
+{
+    warmFills<Match>(llc, b);
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+
+[[gnu::target("avx2"), gnu::flatten]] void
+warmFillsAvx2(Llc &llc, WarmBlock b)
+{
+    warmFills<matchMaskAvx2>(llc, b);
+}
+
+[[gnu::target("avx512f"), gnu::flatten]] void
+warmFillsAvx512(Llc &llc, WarmBlock b)
+{
+    warmFills<matchMaskAvx512>(llc, b);
+}
+
+#endif
+
+/**
+ * Every warm-fill entry this build compiled and this CPU runs, in
+ * zeroScanEntries()' order and with its mode mapping, but for one
+ * case: with no ISA lowering, matchMask is listed last again, so Auto
+ * keeps it. The portable compare fills slower than matchMask on an
+ * x86 host, and no host without an ISA lowering has timed it.
+ */
+std::span<const WarmFillsOps>
+warmFillsEntries()
+{
+    static const std::vector<WarmFillsOps> entries = [] {
+        std::vector<WarmFillsOps> e{
+            {&warmFillsEntry<matchMask>, "scalar-u64"},
+            {&warmFillsEntry<matchMaskVector>, "vector2x4x64"}};
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+        if (cpuHasAvx2())
+            e.push_back({&warmFillsAvx2, "vector2x4x64-avx2"});
+        if (cpuHasAvx512())
+            e.push_back({&warmFillsAvx512, "vector8x64-avx512"});
+#endif
+        if (e.size() == 2)
+            e.push_back(e[0]);
+        return e;
+    }();
+    return entries;
+}
 
 } // namespace
 
@@ -41,15 +141,58 @@ SystemSim::SystemSim(const SimConfig &cfg, const BenchmarkProfile &profile)
     // scaled runs would otherwise spend most of their time filling a
     // cold 8MB cache and never produce writebacks). Fills only; no
     // timing, no stats-relevant parity traffic.
+    //
+    // The cores fill round-robin, each fill's dirty bit drawn from its
+    // core's generator, in blocks of rounds. A block draws each core's
+    // stream lines in one batch (nextLines) and every core's dirty
+    // bits in one lane step per round (chanceLanes, up to eight cores
+    // a lane group), then fills in round order with the tag compare
+    // the kernel mode picks (warmFillsEntries). When the cores do not
+    // divide the fill count, the last round is partial and its cores
+    // draw their dirty bits one by one, so no generator draws past its
+    // own fills.
     const u64 warm_fills = 2 * (cfg_.llcBytes / cfg_.geom.lineBytes);
-    std::size_t c = 0;
-    for (u64 i = 0; i < warm_fills; ++i) {
-        Core &core = cores_[c];
-        (void)llc_.fill(core.stream.nextLine(), core.rng.chance(dirtyOdds_),
-                        false);
-        if (++c == cores_.size())
-            c = 0;
+    const std::size_t cores = cores_.size();
+    if (cores == 0)
+        return;
+    constexpr std::size_t kLanes = RngLanes::kLanes;
+    const std::size_t groups = (cores + kLanes - 1) / kLanes;
+    const u64 rounds = (warm_fills + cores - 1) / cores;
+    const std::size_t last = static_cast<std::size_t>(warm_fills % cores);
+    const ChanceLanesFn chance = chanceLanesOps().draw;
+    const auto fills = activeEntry(warmFillsEntries()).fills;
+    std::vector<LineAddr> lines(cores * kWarmBlock);
+    std::vector<u8> dirty(groups * kWarmBlock);
+    for (u64 round = 0; round < rounds; round += kWarmBlock) {
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<u64>(kWarmBlock, rounds - round));
+        const std::size_t partial = round + n == rounds ? last : 0;
+        const std::size_t full = n - (partial != 0);
+        for (std::size_t c = 0; c < cores; ++c)
+            cores_[c].stream.nextLines(&lines[c * kWarmBlock],
+                                       full + (c < partial));
+        for (std::size_t g = 0; g < groups; ++g) {
+            RngLanes lanes{};
+            const std::size_t width = std::min(kLanes, cores - g * kLanes);
+            for (unsigned l = 0; l < width; ++l)
+                lanes.load(l, cores_[g * kLanes + l].rng);
+            chance(lanes, dirtyOdds_, &dirty[g * kWarmBlock], full);
+            for (unsigned l = 0; l < width; ++l)
+                lanes.store(l, cores_[g * kLanes + l].rng);
+            if (partial != 0)
+                dirty[g * kWarmBlock + full] = 0;
+        }
+        for (std::size_t c = 0; c < partial; ++c)
+            dirty[c / kLanes * kWarmBlock + full] |= static_cast<u8>(
+                cores_[c].rng.chance(dirtyOdds_) << (c % kLanes));
+        fills(llc_, {lines.data(), dirty.data(), n, cores, partial});
     }
+}
+
+const char *
+SystemSim::warmFillPath()
+{
+    return activeEntry(warmFillsEntries()).path;
 }
 
 LineAddr

@@ -72,6 +72,11 @@ class SystemSim
     /** Run to completion (every core retires its instruction budget). */
     SimResult run();
 
+    /** The tag compare the constructor's LLC warm-up fills with in the
+     *  active kernel mode ("scalar-u64", "vector2x4x64",
+     *  "vector2x4x64-avx2" or "vector8x64-avx512"), for reporting. */
+    static const char *warmFillPath();
+
   private:
     struct Core
     {

@@ -97,22 +97,46 @@ AddressStream::AddressStream(const BenchmarkProfile &profile, u32 core,
     cursor_ = regionBase_;
 }
 
-LineAddr
+void
+AddressStream::nextLines(LineAddr *out, std::size_t n)
+{
+    u64 cursor = cursor_;
+    u64 runLeft = runLeft_;
+    const u64 end = regionBase_ + regionLines_;
+    std::size_t i = 0;
+    while (i < n) {
+        if (runLeft == 0) {
+            // Start a new burst at a random line; geometric run length
+            // with the profile's mean.
+            cursor = regionBase_ + rng_.below(regionLines_);
+            runLeft = 1;
+            while (!rng_.chance(runEnd_) && runLeft < 4096)
+                ++runLeft;
+        }
+        // The run's next lines up to the slice's end, where the cursor
+        // wraps to its start.
+        const u64 take = std::min({runLeft, static_cast<u64>(n - i),
+                                   end - cursor});
+        for (u64 k = 0; k < take; ++k)
+            out[i + k] = LineAddr{cursor + k};
+        i += take;
+        runLeft -= take;
+        cursor += take;
+        if (cursor == end)
+            cursor = regionBase_;
+    }
+    cursor_ = cursor;
+    runLeft_ = runLeft;
+}
+
+// Flattened so that nextLines() inlines with n = 1: the run phase
+// calls this once per miss.
+[[gnu::flatten]] LineAddr
 AddressStream::nextLine()
 {
-    if (runLeft_ == 0) {
-        // Start a new burst at a random line; geometric run length with
-        // the profile's mean.
-        cursor_ = regionBase_ + rng_.below(regionLines_);
-        runLeft_ = 1;
-        while (!rng_.chance(runEnd_) && runLeft_ < 4096)
-            ++runLeft_;
-    }
-    --runLeft_;
-    const u64 line = cursor_;
-    if (++cursor_ == regionBase_ + regionLines_)
-        cursor_ = regionBase_;
-    return LineAddr{line};
+    LineAddr line;
+    nextLines(&line, 1);
+    return line;
 }
 
 } // namespace citadel

@@ -71,7 +71,15 @@ class AddressStream
     AddressStream(const BenchmarkProfile &profile, u32 core,
                   u64 total_lines, u64 seed);
 
-    /** Next missing line address (system-wide line index). */
+    /**
+     * The next `n` missing line addresses (system-wide line indices)
+     * into out[0, n). Each run's lines are written in one pass, with
+     * the cursor and run count held in locals; how a stream is split
+     * into calls changes no line and no draw.
+     */
+    void nextLines(LineAddr *out, std::size_t n);
+
+    /** The next missing line address: nextLines() of one line. */
     LineAddr nextLine();
 
   private:

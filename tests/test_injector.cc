@@ -3,7 +3,7 @@
  * Tests for the fault injector: arrival statistics match the FIT
  * rates, fault ranges are well-formed per class, TSV faults follow the
  * severity model, and the sampler's draw stream — one generator at a
- * time or four lanes at once — matches a one-Rng::poisson-per-cell
+ * time or eight lanes at once — matches a one-Rng::poisson-per-cell
  * reference fault for fault.
  */
 
@@ -317,7 +317,7 @@ lanesMatchReference(const FaultInjector &inj, const LaneStates &states,
 
 /** Every counter-derived seed in [0, seeds) matches the reference,
  *  once through the one-generator sampler and once as a lane of the
- *  lane sampler (seeds in groups of four); returns the faults sampled
+ *  lane sampler (seeds in groups of eight); returns the faults sampled
  *  in total. */
 u64
 expectStreamIdentity(const SystemConfig &cfg, u64 salt, u64 seeds)

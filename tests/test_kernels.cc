@@ -3,10 +3,11 @@
  * Kernel-equivalence property suite (DESIGN.md section 14): every
  * dispatched implementation of the hot kernels — xorFold, xorFoldN,
  * CRC-32 bulk update, the sampler's zero-cell scan, the draw-byte
- * fill — must be bit-identical to its scalar proof over random
- * lengths, all byte misalignments, multi-source counts, mid-stream
- * state splits, mixed cell thresholds and fill lengths on both sides
- * of every segment and round boundary. The dispatch layer itself is
+ * fill, the lane Bernoulli draw — must be bit-identical to its scalar
+ * proof over random lengths, all byte misalignments, multi-source
+ * counts, mid-stream state splits, mixed cell thresholds, fill lengths
+ * on both sides of every segment and round boundary, and draw bounds
+ * at both no-draw ends. The dispatch layer itself is
  * tested too: forced modes resolve to the expected paths, the epoch
  * invalidates cached pointers, and every mode produces the same bytes.
  */
@@ -482,6 +483,104 @@ TEST(Kernels, FillDrawBytesDispatchFollowsMode)
          {KernelMode::Scalar, KernelMode::Vector, KernelMode::Auto}) {
         setKernelMode(mode);
         EXPECT_STREQ(fillDrawBytesOps().path, zeroScanOps().path)
+            << kernelModeName(mode);
+    }
+}
+
+TEST(Kernels, ChanceLanesMatchesScalarOnEveryEntry)
+{
+    // Every lane Bernoulli entry this host runs against per-lane
+    // Rng::chance(Odds): the same bit per lane and round, no byte
+    // written past the rounds, and the same lane states after. Bounds
+    // 0 and 2^53 take no draw; 1 and 2^53 - 1 are the drawing
+    // extremes. With L lanes in use the spare lanes hold a zero state,
+    // as when fewer than eight cores warm the LLC, and their bits are
+    // ignored.
+    constexpr u64 kTop = u64{1} << 53;
+    const Rng::Odds odds[] = {{0}, {1}, {kTop - 1}, {kTop},
+                              Rng::odds(0.3), Rng::odds(0.05)};
+    const std::size_t rounds[] = {0, 1, 37, 256, 3 * 256 + 5};
+    constexpr std::size_t kPad = 16;
+    for (const ChanceLanesOps &entry : chanceLanesEntries()) {
+        SCOPED_TRACE(entry.path);
+        for (const unsigned used : {1u, 2u, 8u}) {
+            const u32 mask = (1u << used) - 1;
+            for (const Rng::Odds o : odds) {
+                for (const std::size_t n : rounds) {
+                    SCOPED_TRACE("lanes " + std::to_string(used) +
+                                 " bound " + std::to_string(o.bound) +
+                                 " rounds " + std::to_string(n));
+                    RngLanes lanes{};
+                    std::array<Rng, RngLanes::kLanes> want;
+                    for (unsigned l = 0; l < used; ++l) {
+                        want[l] = Rng(mix64(l + 1000 * n + o.bound));
+                        lanes.load(l, want[l]);
+                    }
+                    std::vector<u8> got(n + kPad, 0xA5);
+                    entry.draw(lanes, o, got.data(), n);
+                    for (std::size_t r = 0; r < n; ++r) {
+                        u32 bits = 0;
+                        for (unsigned l = 0; l < used; ++l)
+                            bits |= static_cast<u32>(want[l].chance(o)) << l;
+                        ASSERT_EQ(got[r] & mask, bits) << "round " << r;
+                    }
+                    for (std::size_t i = 0; i < kPad; ++i)
+                        ASSERT_EQ(got[n + i], 0xA5) << "pad " << i;
+                    for (unsigned l = 0; l < used; ++l) {
+                        Rng end(0);
+                        lanes.store(l, end);
+                        ASSERT_EQ(end.saveState(), want[l].saveState())
+                            << "lane " << l;
+                    }
+                }
+            }
+        }
+        // A bound exactly at one lane's draw >> 11 in some round, where
+        // chance() is false, and one above it, where it is true.
+        Rng gen(77);
+        for (int trial = 0; trial < 64; ++trial) {
+            std::array<Rng, RngLanes::kLanes> want;
+            RngLanes lanes;
+            for (unsigned l = 0; l < RngLanes::kLanes; ++l) {
+                want[l] = Rng(gen.next());
+                lanes.load(l, want[l]);
+            }
+            const unsigned lane =
+                static_cast<unsigned>(gen.below(RngLanes::kLanes));
+            const std::size_t n = 1 + gen.below(40);
+            Rng peek = want[lane];
+            for (std::size_t r = gen.below(n); r > 0; --r)
+                peek.next();
+            const Rng::Odds o{(peek.next() >> 11) + (trial & 1)};
+            if (o.bound - 1 >= kTop - 1)
+                continue;
+            std::vector<u8> got(n);
+            entry.draw(lanes, o, got.data(), n);
+            for (std::size_t r = 0; r < n; ++r) {
+                u32 bits = 0;
+                for (unsigned l = 0; l < RngLanes::kLanes; ++l)
+                    bits |= static_cast<u32>(want[l].chance(o)) << l;
+                ASSERT_EQ(got[r], bits) << "trial " << trial << " round " << r;
+            }
+        }
+    }
+}
+
+TEST(Kernels, ChanceLanesDispatchFollowsMode)
+{
+    // The lane Bernoulli entries are the zero-cell scan's paths, in
+    // its order, and each mode resolves to the same place.
+    const std::span<const ChanceLanesOps> entries = chanceLanesEntries();
+    const std::span<const ZeroScanOps> scans = zeroScanEntries();
+    ASSERT_EQ(entries.size(), scans.size());
+    for (std::size_t i = 0; i < entries.size(); ++i)
+        EXPECT_STREQ(entries[i].path, scans[i].path);
+
+    KernelModeGuard guard;
+    for (const KernelMode mode :
+         {KernelMode::Scalar, KernelMode::Vector, KernelMode::Auto}) {
+        setKernelMode(mode);
+        EXPECT_STREQ(chanceLanesOps().path, zeroScanOps().path)
             << kernelModeName(mode);
     }
 }

@@ -2,18 +2,53 @@
  * @file
  * Tests for the LLC model: LRU behavior, dirty eviction reporting,
  * parity-line bookkeeping, and agreement with a per-way timestamp
- * model of the same cache.
+ * model of the same cache with every tag compare.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "common/kernels.h"
 #include "common/rng.h"
 #include "sim/llc.h"
+#include "sim/llc_match.h"
 
 namespace citadel {
 namespace {
+
+/** One tag compare of sim/llc_match.h, alone and inlined in a fill. */
+struct Compare
+{
+    unsigned (*match)(const u64 (&tags)[Llc::kMaxWays], u64 addr);
+    Llc::Victim (*fill)(Llc &llc, LineAddr addr, bool dirty, bool parity);
+    const char *name;
+};
+
+template <auto Match>
+Llc::Victim
+fillThrough(Llc &llc, LineAddr addr, bool dirty, bool parity)
+{
+    return llc.fillWith<Match>(addr, dirty, parity);
+}
+
+/** Every compare this build compiled and this CPU runs. */
+std::vector<Compare>
+compares()
+{
+    std::vector<Compare> c{
+        {&matchMask, &fillThrough<matchMask>, "scalar-u64"},
+        {&matchMaskVector, &fillThrough<matchMaskVector>, "vector2x4x64"}};
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+    if (cpuHasAvx2())
+        c.push_back({&matchMaskAvx2, &fillThrough<matchMaskAvx2>,
+                     "vector2x4x64-avx2"});
+    if (cpuHasAvx512())
+        c.push_back({&matchMaskAvx512, &fillThrough<matchMaskAvx512>,
+                     "vector8x64-avx512"});
+#endif
+    return c;
+}
 
 /**
  * Reference model: the LLC as per-way timestamps, the victim chosen
@@ -118,45 +153,95 @@ TEST(Llc, MatchesTheTimestampModel)
     // Counter-seeded call sequences over few enough lines per set that
     // hits, refills and evictions all happen: data fills, parity fills
     // and parity probes, dirty on and off, on every associativity a
-    // recency word holds and on set counts with and without a mask.
-    for (const u32 ways : {1u, 2u, 4u, 8u}) {
-        for (const u64 sets : {1u, 3u, 12u, 16u}) {
-            const u64 lines = sets * ways;
-            Llc llc(lines * 64, ways);
-            TimestampLlc ref(lines, ways);
-            ASSERT_EQ(llc.sets(), sets);
-            Rng rng(mix64(ways * 1000 + sets));
-            const u64 span = lines * 3;
-            for (int i = 0; i < 20000; ++i) {
-                const u64 x = rng.next();
-                const LineAddr addr{(x >> 8) % span};
-                const bool dirty = (x & 1) != 0;
-                const u64 op = (x >> 1) % 8;
-                if (op == 0) {
-                    ASSERT_EQ(llc.probeParity(addr), ref.probeParity(addr))
+    // recency word holds and on set counts with and without a mask,
+    // with the fills through every tag compare this host runs.
+    for (const Compare &entry : compares()) {
+        SCOPED_TRACE(entry.name);
+        for (const u32 ways : {1u, 2u, 4u, 8u}) {
+            for (const u64 sets : {1u, 3u, 12u, 16u}) {
+                const u64 lines = sets * ways;
+                Llc llc(lines * 64, ways);
+                TimestampLlc ref(lines, ways);
+                ASSERT_EQ(llc.sets(), sets);
+                Rng rng(mix64(ways * 1000 + sets));
+                const u64 span = lines * 3;
+                for (int i = 0; i < 20000; ++i) {
+                    const u64 x = rng.next();
+                    const LineAddr addr{(x >> 8) % span};
+                    const bool dirty = (x & 1) != 0;
+                    const u64 op = (x >> 1) % 8;
+                    if (op == 0) {
+                        ASSERT_EQ(llc.probeParity(addr), ref.probeParity(addr))
+                            << ways << "x" << sets << " call " << i;
+                        continue;
+                    }
+                    const bool parity = op == 1;
+                    const Llc::Victim got =
+                        entry.fill(llc, addr, dirty, parity);
+                    const Llc::Victim want = ref.fill(addr, dirty, parity);
+                    ASSERT_EQ(got.valid, want.valid)
                         << ways << "x" << sets << " call " << i;
-                    continue;
+                    ASSERT_EQ(got.addr, want.addr)
+                        << ways << "x" << sets << " call " << i;
+                    ASSERT_EQ(got.dirty, want.dirty)
+                        << ways << "x" << sets << " call " << i;
+                    ASSERT_EQ(got.parity, want.parity)
+                        << ways << "x" << sets << " call " << i;
                 }
-                const bool parity = op == 1;
-                const Llc::Victim got = llc.fill(addr, dirty, parity);
-                const Llc::Victim want = ref.fill(addr, dirty, parity);
-                ASSERT_EQ(got.valid, want.valid)
-                    << ways << "x" << sets << " call " << i;
-                ASSERT_EQ(got.addr, want.addr)
-                    << ways << "x" << sets << " call " << i;
-                ASSERT_EQ(got.dirty, want.dirty)
-                    << ways << "x" << sets << " call " << i;
-                ASSERT_EQ(got.parity, want.parity)
-                    << ways << "x" << sets << " call " << i;
+                const LlcStats &a = llc.stats();
+                const LlcStats &b = ref.stats();
+                EXPECT_EQ(a.dataFills, b.dataFills);
+                EXPECT_EQ(a.dirtyDataEvictions, b.dirtyDataEvictions);
+                EXPECT_EQ(a.parityProbes, b.parityProbes);
+                EXPECT_EQ(a.parityHits, b.parityHits);
+                EXPECT_EQ(a.parityFills, b.parityFills);
+                EXPECT_EQ(a.dirtyParityEvictions, b.dirtyParityEvictions);
             }
-            const LlcStats &a = llc.stats();
-            const LlcStats &b = ref.stats();
-            EXPECT_EQ(a.dataFills, b.dataFills);
-            EXPECT_EQ(a.dirtyDataEvictions, b.dirtyDataEvictions);
-            EXPECT_EQ(a.parityProbes, b.parityProbes);
-            EXPECT_EQ(a.parityHits, b.parityHits);
-            EXPECT_EQ(a.parityFills, b.parityFills);
-            EXPECT_EQ(a.dirtyParityEvictions, b.dirtyParityEvictions);
+        }
+    }
+}
+
+TEST(Llc, EveryCompareHitsEachWay)
+{
+    // A set filled way by way, empty ways holding the empty tag: each
+    // resident line matches its way alone, on every compare as on
+    // matchMask, and other lines match nothing.
+    for (const Compare &entry : compares()) {
+        SCOPED_TRACE(entry.name);
+        u64 tags[Llc::kMaxWays];
+        for (u64 &t : tags)
+            t = ~0ull;
+        for (u32 filled = 0; filled <= Llc::kMaxWays; ++filled) {
+            for (u64 a = 0; a < 2 * Llc::kMaxWays; ++a) {
+                const unsigned want =
+                    a < filled ? 1u << static_cast<unsigned>(a) : 0u;
+                EXPECT_EQ(entry.match(tags, 10 + a), want)
+                    << "filled " << filled << " line " << 10 + a;
+                EXPECT_EQ(matchMask(tags, 10 + a), want);
+            }
+            if (filled < Llc::kMaxWays)
+                tags[filled] = 10 + filled;
+        }
+    }
+    // Through the fill: once a set is full, a dirty refill of the line
+    // in way w must dirty and touch way w alone, so eight new fills
+    // evict it last and dirty, the rest first and clean.
+    for (const Compare &entry : compares()) {
+        SCOPED_TRACE(entry.name);
+        for (u64 w = 0; w < 8; ++w) {
+            Llc c(8 * 64, 8);
+            for (u64 a = 0; a < 8; ++a)
+                EXPECT_FALSE(
+                    entry.fill(c, LineAddr{10 + a}, false, false).valid);
+            EXPECT_FALSE(entry.fill(c, LineAddr{10 + w}, true, false).valid);
+            for (u64 i = 0; i < 8; ++i) {
+                const Llc::Victim v =
+                    entry.fill(c, LineAddr{100 + i}, false, false);
+                ASSERT_TRUE(v.valid);
+                const u64 want = i < 7 ? 10 + i + (i >= w) : 10 + w;
+                EXPECT_EQ(v.addr, LineAddr{want}) << "way " << w;
+                EXPECT_EQ(v.dirty, i == 7) << "way " << w;
+            }
         }
     }
 }

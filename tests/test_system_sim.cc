@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_util.h"
+#include "common/kernels.h"
+#include "common/serialize.h"
 #include "sim/system_sim.h"
 
 namespace citadel {
@@ -157,6 +160,59 @@ TEST_F(SystemSimTest, PowerBreakdownConsistent)
     EXPECT_NEAR(r.power.totalW(),
                 r.power.activateW + r.power.readWriteW + r.power.refreshW,
                 1e-12);
+}
+
+TEST_F(SystemSimTest, SameResultsOnEveryKernelPath)
+{
+    // The warm-up's lane dirty bits and the LLC's tag compare run the
+    // entries each kernel mode selects; every mode must give the run
+    // pinned here (cycles and an FNV-1a digest of every field), as the
+    // per-fill warm-up loop gave it. The default LLC warms with 262144
+    // fills, many blocks of rounds; the tiny one with 512, one or two.
+    // Three and nine cores leave a partial last round, and nine cores
+    // make two lane groups.
+    struct Case
+    {
+        const char *bench;
+        u32 cores;
+        bool tiny;
+        u64 cycles;
+        u64 digest;
+    };
+    const Case cases[] = {
+        {"lbm", 8, false, 3622, 0xc60d4752d2dc68d9ull},
+        {"mcf", 2, true, 10470, 0x418f1ed046f3b33bull},
+        {"gcc", 3, false, 2500, 0x5237ec99307465b8ull},
+        {"tigr", 3, true, 13460, 0xb6ebae2d5b695ffbull},
+        {"milc", 9, true, 33510, 0x8ef512d7ff6bf414ull},
+    };
+    const KernelMode saved = activeKernelMode();
+    for (const Case &k : cases) {
+        SimConfig c = cfg_;
+        c.insnsPerCore = 20'000;
+        c.ras = RasTraffic::ThreeDPCached;
+        c.cores = k.cores;
+        if (k.tiny) {
+            c.geom = StackGeometry::tiny();
+            c.llcBytes = 1 << 14;
+        }
+        for (const KernelMode mode :
+             {KernelMode::Scalar, KernelMode::Vector, KernelMode::Auto}) {
+            setKernelMode(mode);
+            SystemSim sim(c, findBenchmark(k.bench));
+            const SimResult r = sim.run();
+            ByteSink sink;
+            for (const u64 w : bench::resultWords(r))
+                sink.putU64(w);
+            EXPECT_EQ(r.cycles, k.cycles)
+                << k.bench << " " << k.cores << " cores, "
+                << kernelModeName(mode);
+            EXPECT_EQ(fnv1a(sink.bytes()), k.digest)
+                << k.bench << " " << k.cores << " cores, "
+                << kernelModeName(mode);
+        }
+    }
+    setKernelMode(saved);
 }
 
 TEST(PowerModel, ZeroCyclesSafe)

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
+#include <type_traits>
+#include <vector>
 
 #include "common/log.h"
 #include "common/serialize.h"
@@ -152,6 +155,64 @@ TEST(AddressStream, PinnedLineDigests)
     EXPECT_EQ(streamDigest("lbm", total), 0x632cf6b48bdc0bb0ull);
     EXPECT_EQ(streamDigest("gamess", total), 0x271990e96c98a4ecull);
     EXPECT_EQ(streamDigest("lbm", 8 * 4096), 0x2d0eedd703f08376ull);
+}
+
+/** Every byte of a stream's state: its generator, run odds, slice,
+ *  cursor and run count. */
+bool
+sameState(const AddressStream &a, const AddressStream &b)
+{
+    static_assert(std::has_unique_object_representations_v<AddressStream>);
+    return std::memcmp(&a, &b, sizeof(AddressStream)) == 0;
+}
+
+/**
+ * nextLines() in batches of the given sizes against one line at a
+ * time (nextLine()): the same lines, and the same state after every
+ * batch.
+ */
+void
+expectBatchesMatchLines(const BenchmarkProfile &p, u32 core, u64 total,
+                        const std::vector<std::size_t> &batches)
+{
+    AddressStream one(p, core, total, 17 + core);
+    AddressStream batched(p, core, total, 17 + core);
+    std::vector<LineAddr> got;
+    u64 line = 0;
+    for (const std::size_t n : batches) {
+        got.assign(n + 1, LineAddr{~u64{0}});
+        batched.nextLines(got.data(), n);
+        for (std::size_t i = 0; i < n; ++i, ++line)
+            ASSERT_EQ(got[i], one.nextLine()) << p.name << " line " << line;
+        ASSERT_EQ(got[n], LineAddr{~u64{0}}) << p.name << " wrote past n";
+        ASSERT_TRUE(sameState(batched, one))
+            << p.name << " after line " << line;
+    }
+}
+
+TEST(AddressStream, BatchMatchesPerLine)
+{
+    // Batches of 0, 1, odd and several-hundred lines, so that batch
+    // ends fall inside runs, at run ends and at slice wraps, on every
+    // profile and on two cores.
+    const std::vector<std::size_t> batches = {0,   1,   255, 256, 3,
+                                              0,   777, 1,   511, 4096,
+                                              257, 13,  2,   1000};
+    const u64 total = (16ull << 30) / 64;
+    for (const BenchmarkProfile &p : allBenchmarks()) {
+        expectBatchesMatchLines(p, 0, total, batches);
+        expectBatchesMatchLines(p, 5, total, batches);
+    }
+    // A run length of one line takes no run-length draw (odds 1); a
+    // mean far past the 4096-line cap ends every run at the cap, and
+    // a 4096-line slice makes those runs wrap.
+    const BenchmarkProfile single{"single", Suite::SpecInt, 1.0, 1.0, 0.1,
+                                  64};
+    const BenchmarkProfile capped{"capped", Suite::SpecFp, 1.0, 1e9, 0.1,
+                                  512};
+    expectBatchesMatchLines(single, 2, total, batches);
+    expectBatchesMatchLines(capped, 2, total, batches);
+    expectBatchesMatchLines(capped, 2, 8 * 4096, batches);
 }
 
 } // namespace

@@ -67,6 +67,7 @@ BLESSED = {
     "src/citadel/dds.cc",
     "src/sim/memory_system.cc",
     "src/sim/llc.cc",
+    "src/sim/llc_match.h",
     "src/sim/workload.cc",
     "src/ras/live_datapath.cc",
     # Retirement/degradation/metadata records pack typed coordinates
